@@ -20,8 +20,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .blocks import (
     NestedPresentation,
     dim_from_nested,
@@ -69,7 +67,12 @@ from .pwcalc import (
     le_pointwise,
     weighted_sup_norm,
 )
-from .unitary import IsometryPath, patch_at_singularity, validate_unitary_path
+from .unitary import (
+    IsometryPath,
+    matrices_from_json,
+    patch_at_singularity,
+    validate_unitary_path,
+)
 
 OK = 0
 REFUTED = 1
@@ -341,12 +344,7 @@ def _unitary_patch(payload, args):
 
 def _unitary_validate(payload, args):
     path = IsometryPath.from_json(payload["path"])
-    samples = payload["unitaries"]
-    mats = np.array(
-        [np.array(s["re"]) + 1j * np.array(s["im"]) for s in samples],
-        dtype=complex,
-    )
-    rep = validate_unitary_path(mats, path)
+    rep = validate_unitary_path(matrices_from_json(payload["unitaries"]), path)
     return rep.to_json(), OK if rep.ok else REFUTED
 
 
@@ -386,45 +384,24 @@ def build_parser() -> argparse.ArgumentParser:
         "unitary path patching.",
     )
     sub = parser.add_subparsers(dest="group_cmd", required=True)
-
-    def leaf(group, name, needs_file=True):
-        p = group.add_parser(name)
-        if needs_file:
-            p.add_argument(
+    groups, leaves = {}, {}
+    for (group, name), (_, takes_payload) in _HANDLERS.items():
+        if group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(
+                dest="sub_cmd", required=True
+            )
+        leaf = leaves[group, name] = groups[group].add_parser(name)
+        if takes_payload:
+            leaf.add_argument(
                 "infile", nargs="?", default="-",
                 help="JSON payload file (default: stdin)",
             )
-        return p
-
-    pw = sub.add_parser("pw").add_subparsers(dest="sub_cmd", required=True)
-    for name in ("eval", "le", "norm"):
-        leaf(pw, name)
-
-    block = sub.add_parser("block").add_subparsers(dest="sub_cmd", required=True)
-    for name in ("validate", "from-nested", "to-nested"):
-        leaf(block, name)
-
-    pattern = sub.add_parser("pattern").add_subparsers(dest="sub_cmd", required=True)
-    for name in ("apply", "push", "compat", "density", "gap", "chain", "uniqhyp"):
-        leaf(pattern, name)
-
-    exist = sub.add_parser("exist").add_subparsers(dest="sub_cmd", required=True)
-    for name in ("fprime", "perturb", "verify"):
-        leaf(exist, name)
-    ce = leaf(exist, "counterexample", needs_file=False)
+    ce = leaves["exist", "counterexample"]
     ce.add_argument("--delta", required=True, help="slack, as a/b")
     ce.add_argument("--eps0", required=True, help="perturbation budget in (0,1/4), as a/b")
-
-    invariant = sub.add_parser("invariant").add_subparsers(dest="sub_cmd", required=True)
-    for name in ("eval", "range", "ai", "decompose"):
-        leaf(invariant, name)
-    cl = leaf(invariant, "classify")
-    cl.add_argument("--plot-out", default=None, help="write 'x y class' rows here")
-
-    unitary = sub.add_parser("unitary").add_subparsers(dest="sub_cmd", required=True)
-    for name in ("patch", "validate"):
-        leaf(unitary, name)
-
+    leaves["invariant", "classify"].add_argument(
+        "--plot-out", default=None, help="write 'x y class' rows here"
+    )
     return parser
 
 

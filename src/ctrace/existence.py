@@ -80,6 +80,16 @@ def _check_windows(d: StepFunction, delta: Fraction):
     return jumps
 
 
+def _push(pts: list, t, v) -> None:
+    """Append the breakpoint (t, v) unless t repeats the last one, whose
+    value must then agree."""
+    if pts and pts[-1][0] == t:
+        if pts[-1][1] != v:
+            raise AssertionError("inconsistent construction")
+        return
+    pts.append((t, v))
+
+
 def make_underapprox(d: StepFunction, delta) -> PLFunction:
     """Continuous piecewise-linear f' <= d equal to d away from its jumps.
 
@@ -93,26 +103,18 @@ def make_underapprox(d: StepFunction, delta) -> PLFunction:
     ensure_dimension_function(d)
     jumps = _check_windows(d, delta)
     pts = [(ZERO, d.eval(ZERO))]
-
-    def push(t, v):
-        if pts and pts[-1][0] == t:
-            if pts[-1][1] != v:
-                raise AssertionError("inconsistent construction")
-            return
-        pts.append((t, v))
-
     for j in jumps:
         a, b = _window(j.t, delta)
         if a > ZERO:
-            push(a, d.eval(a))
-        push(j.t, j.value)
+            _push(pts, a, d.eval(a))
+        _push(pts, j.t, j.value)
         if b < ONE:
-            push(b, d.eval(b))
-    push(ONE, d.eval(ONE))
+            _push(pts, b, d.eval(b))
+    _push(pts, ONE, d.eval(ONE))
     return PLFunction.from_pairs(pts)
 
 
-def _clamp_target(j) -> Fraction:
+def _clamp_target(j) -> str:
     """Clamp position for a jump: a window edge whose d-value already
     equals the point value if one exists (left edge preferred), else the
     jump point itself."""
@@ -136,14 +138,6 @@ def squash_map(d: StepFunction, delta) -> PLFunction:
     ensure_dimension_function(d)
     jumps = _check_windows(d, delta)
     pts = [(ZERO, ZERO)]
-
-    def push(t, v):
-        if pts and pts[-1][0] == t:
-            if pts[-1][1] != v:
-                raise AssertionError("inconsistent construction")
-            return
-        pts.append((t, v))
-
     windows = [_window(j.t, delta) for j in jumps]
     for idx, j in enumerate(jumps):
         a, b = windows[idx]
@@ -152,16 +146,16 @@ def squash_map(d: StepFunction, delta) -> PLFunction:
         if c != a:
             prev_end = windows[idx - 1][1] if idx > 0 else ZERO
             w_left = min(delta, a - prev_end) / 2
-            push(a - w_left, a - w_left)
-            push(a, c)
+            _push(pts, a - w_left, a - w_left)
+            _push(pts, a, c)
         else:
-            push(a, c)
-        push(b, c)
+            _push(pts, a, c)
+        _push(pts, b, c)
         if c != b:
             next_start = windows[idx + 1][0] if idx + 1 < len(windows) else ONE
             w_right = min(delta, next_start - b) / 2
-            push(b + w_right, b + w_right)
-    push(ONE, ONE)
+            _push(pts, b + w_right, b + w_right)
+    _push(pts, ONE, ONE)
     return PLFunction.from_pairs(pts)
 
 

@@ -28,6 +28,7 @@ from .pwcalc import (
     PLFunction,
     StepFunction,
     ZERO,
+    _segment_preimages,
     add_steps,
     compose_pl,
     compose_step_pl,
@@ -36,7 +37,6 @@ from .pwcalc import (
     inf_difference,
     le_pointwise,
     linear_combine,
-    merged_points,
     weighted_sup_norm,
 )
 
@@ -138,13 +138,7 @@ def density_check(pattern: EigenPattern, d: int, delta) -> DensityResult:
     pts = set()
     for lam in pattern.eigenfunctions:
         pts.update(lam.breakpoints)
-        for t0, t1, y0, y1 in lam.segments():
-            if y0 == y1:
-                continue
-            lo, hi = min(y0, y1), max(y0, y1)
-            for c in cuts:
-                if lo < c < hi:
-                    pts.add(t0 + (c - y0) * (t1 - t0) / (y1 - y0))
+        pts.update(_segment_preimages(lam, cuts))
     pts = sorted(pts | {ZERO, ONE})
     samples = list(pts)
     samples.extend((a + b) / 2 for a, b in zip(pts, pts[1:]))

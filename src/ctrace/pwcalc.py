@@ -5,9 +5,11 @@ All coordinates and values are arbitrary-precision rationals
 this module.  Operations are pure and return canonical representations:
 collinear interior breakpoints and equal-valued adjacent step pieces are
 always merged, so ``==`` between two values is equality as functions on
-[0,1].  Step functions carry explicit open/closed endpoint flags and may
-contain degenerate single-point pieces, which is how an isolated point
-value differing from both one-sided limits is represented.
+[0,1].  A step function is stored as its profile: its values at its
+breakpoints and on the open cells between them, so an isolated point
+value differing from both one-sided limits is just a point value.  Its
+pieces, with open/closed endpoint flags and degenerate single-point
+pieces, are the form used for JSON and witnesses.
 
 Comparisons at open endpoints use one-sided limits; a supremum that is
 approached but not attained is reported with a limit flag pointing at
@@ -138,20 +140,26 @@ class Piece:
         return cls(Interval.from_json(obj), frac(obj["value"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepFunction:
-    """A finite-piece function on [0,1], constant on each piece.
+    """A finite-piece function on [0,1], stored as its profile.
 
-    The pieces partition [0,1] exactly once.  Canonical form merges
-    adjacent pieces carrying equal values, so two StepFunctions are
-    ``==`` iff they are equal as functions.
+    ``points`` runs strictly increasing from 0 to 1; ``point_values[i]``
+    is the value at ``points[i]`` and ``open_values[i]`` the value on the
+    open cell after it.  Canonical form drops every interior point whose
+    value equals both neighbouring cells, so ``==`` is equality as
+    functions.  Pieces are the boundary form: ``StepFunction(pieces)``
+    checks that they tile [0,1] exactly once, and :attr:`pieces` gives
+    back the maximal constant intervals that JSON and witnesses use.
     """
 
-    pieces: tuple
+    points: tuple
+    point_values: tuple
+    open_values: tuple
 
-    def __post_init__(self):
+    def __init__(self, pieces):
         pieces = tuple(
-            p if isinstance(p, Piece) else Piece(p[0], p[1]) for p in self.pieces
+            p if isinstance(p, Piece) else Piece(p[0], p[1]) for p in pieces
         )
         if not pieces:
             raise ValueError("a step function needs at least one piece")
@@ -172,64 +180,89 @@ class StepFunction:
                     f"endpoint {cur.interval.hi} covered "
                     f"{'twice' if cur.interval.hi_closed else 'by no piece'}"
                 )
-        merged = [pieces[0]]
-        for p in pieces[1:]:
-            lastp = merged[-1]
-            if lastp.value == p.value:
-                merged[-1] = Piece(
-                    Interval(
-                        lastp.interval.lo, p.interval.hi,
-                        lastp.interval.lo_closed, p.interval.hi_closed,
-                    ),
-                    p.value,
-                )
+        # the tiling covers each endpoint once, by a closed side
+        points, point_values, open_values = [ZERO], [], []
+        for p in pieces:
+            iv = p.interval
+            if iv.lo_closed:
+                point_values.append(p.value)
+            if not iv.is_point:
+                points.append(iv.hi)
+                open_values.append(p.value)
+                if iv.hi_closed:
+                    point_values.append(p.value)
+        self._set_profile(points, point_values, open_values)
+
+    def _set_profile(self, points, point_values, open_values) -> None:
+        """Check and store a profile in canonical form."""
+        if len(point_values) != len(points) or len(open_values) != len(points) - 1:
+            raise ValueError("a profile needs one value per point and per gap")
+        if len(points) < 2 or frac(points[0]) != ZERO or frac(points[-1]) != ONE:
+            raise ValueError("profile points must start at 0 and end at 1")
+        pts, vals, opens = [ZERO], [frac(point_values[0])], []
+        for t, v, cell in zip(points[1:], point_values[1:], open_values):
+            t, v, cell = frac(t), frac(v), frac(cell)
+            if t <= pts[-1]:
+                raise ValueError("profile points must be strictly increasing")
+            if len(pts) > 1 and opens[-1] == vals[-1] == cell:
+                # the previous point changes nothing: widen its left cell
+                pts.pop()
+                vals.pop()
             else:
-                merged.append(p)
-        object.__setattr__(self, "pieces", tuple(merged))
+                opens.append(cell)
+            pts.append(t)
+            vals.append(v)
+        object.__setattr__(self, "points", tuple(pts))
+        object.__setattr__(self, "point_values", tuple(vals))
+        object.__setattr__(self, "open_values", tuple(opens))
 
     @classmethod
     def constant(cls, v) -> "StepFunction":
-        return cls((Piece(Interval(ZERO, ONE), frac(v)),))
+        return cls.from_profile((ZERO, ONE), (v, v), (v,))
 
     @classmethod
     def from_profile(cls, points: Sequence[Fraction],
                      point_values: Sequence[Fraction],
                      open_values: Sequence[Fraction]) -> "StepFunction":
         """Build from values at ``points`` and on the open gaps between them."""
-        pieces = []
-        for i, t in enumerate(points):
-            pieces.append(Piece(Interval(t, t), point_values[i]))
-            if i + 1 < len(points):
-                pieces.append(
-                    Piece(Interval(t, points[i + 1], False, False), open_values[i])
-                )
-        return cls(tuple(pieces))
+        self = object.__new__(cls)
+        self._set_profile(points, point_values, open_values)
+        return self
+
+    @property
+    def pieces(self) -> tuple:
+        """The maximal constant intervals, in order, as :class:`Piece` objects."""
+        pts, vals, opens = self.points, self.point_values, self.open_values
+        out = []
+        lo, lo_closed, value = pts[0], True, vals[0]
+        for i in range(1, len(pts)):
+            if opens[i - 1] != value:
+                out.append(Piece(Interval(lo, pts[i - 1], lo_closed, True), value))
+                lo, lo_closed, value = pts[i - 1], False, opens[i - 1]
+            if vals[i] != value:
+                out.append(Piece(Interval(lo, pts[i], lo_closed, False), value))
+                lo, lo_closed, value = pts[i], True, vals[i]
+        out.append(Piece(Interval(lo, pts[-1], lo_closed, True), value))
+        return tuple(out)
 
     def eval(self, t) -> Fraction:
-        """Exact value at t; the value of the unique piece containing t."""
+        """Exact value at t: its point value, or the value of its open cell."""
         t = frac(t)
         if t < ZERO or t > ONE:
             raise ValueError(f"t={t} outside [0,1]")
-        for p in self.pieces:
-            if p.interval.contains(t):
-                return p.value
-        raise AssertionError("partition invariant violated")
+        i = bisect.bisect_left(self.points, t)
+        if self.points[i] == t:
+            return self.point_values[i]
+        return self.open_values[i - 1]
 
     def partition_points(self) -> tuple:
-        pts = set()
-        for p in self.pieces:
-            pts.add(p.interval.lo)
-            pts.add(p.interval.hi)
-        return tuple(sorted(pts))
-
-    def values(self) -> tuple:
-        return tuple(p.value for p in self.pieces)
+        return self.points
 
     def min_value(self) -> Fraction:
-        return min(self.values())
+        return min(self.point_values + self.open_values)
 
     def max_value(self) -> Fraction:
-        return max(self.values())
+        return max(self.point_values + self.open_values)
 
     def min_on(self, window: Interval) -> Fraction:
         """Minimum over the pieces meeting ``window`` (exact; attained)."""
@@ -240,8 +273,10 @@ class StepFunction:
 
     def scale(self, c) -> "StepFunction":
         c = frac(c)
-        return StepFunction(
-            tuple(Piece(p.interval, c * p.value) for p in self.pieces)
+        return StepFunction.from_profile(
+            self.points,
+            [c * v for v in self.point_values],
+            [c * v for v in self.open_values],
         )
 
     def jumps(self) -> tuple:
@@ -249,12 +284,12 @@ class StepFunction:
 
         Limits are None beyond the endpoints 0 and 1.
         """
-        pts = self.partition_points()
+        pts, vals, opens = self.points, self.point_values, self.open_values
         out = []
         for i, t in enumerate(pts):
-            v = self.eval(t)
-            left = self.eval((pts[i - 1] + t) / 2) if i > 0 else None
-            right = self.eval((t + pts[i + 1]) / 2) if i + 1 < len(pts) else None
+            v = vals[i]
+            left = opens[i - 1] if i > 0 else None
+            right = opens[i] if i + 1 < len(pts) else None
             if (left is not None and left != v) or (right is not None and right != v):
                 out.append(Jump(t, left, v, right))
         return tuple(out)
@@ -417,22 +452,33 @@ def merged_points(*fns: PiecewiseFunction) -> tuple:
         if isinstance(f, PLFunction):
             pts.update(f.breakpoints)
         elif isinstance(f, StepFunction):
-            pts.update(f.partition_points())
+            pts.update(f.points)
         else:
             raise TypeError(f"not a piecewise function: {f!r}")
     return tuple(sorted(pts))
 
 
-def _open_limits(f: PiecewiseFunction, a: Fraction, b: Fraction):
-    """One-sided limits of f on an open interval (a,b) free of its breakpoints.
+def refine(*fns: PiecewiseFunction) -> tuple:
+    """Sample functions on their merged refinement ``pts``.
 
-    Returns (limit at a+, limit at b-); on such an interval f is linear,
-    so the pair determines it.
+    Returns ``(pts, samples)`` with one ``(at, above, below)`` triple of
+    lists per function: ``at[i]`` is its value at ``pts[i]``, and
+    ``above[i]``, ``below[i]`` its limits at ``pts[i]+`` and ``pts[i+1]-``,
+    which determine it on that cell since it is linear there.  Every
+    exact comparison in this module samples its functions through here.
     """
-    if isinstance(f, PLFunction):
-        return f.eval(a), f.eval(b)
-    v = f.eval((a + b) / 2)
-    return v, v
+    pts = merged_points(*fns)
+    samples = []
+    for f in fns:
+        at = [f.eval(t) for t in pts]
+        if isinstance(f, PLFunction):
+            samples.append((at, at[:-1], at[1:]))
+        else:
+            # the cell right of a lies in f's open cell right of a
+            opens = [f.open_values[bisect.bisect_right(f.points, a) - 1]
+                     for a in pts[:-1]]
+            samples.append((at, opens, opens))
+    return pts, samples
 
 
 @dataclass(frozen=True)
@@ -465,14 +511,13 @@ def le_pointwise(f: PiecewiseFunction, g: PiecewiseFunction,
 
     On failure the witness is a point t with f(t) > g(t) (>= for strict).
     """
-    pts = merged_points(f, g)
-    for t in pts:
-        d = f.eval(t) - g.eval(t)
+    pts, ((f_at, f_above, f_below), (g_at, g_above, g_below)) = refine(f, g)
+    for t, fv, gv in zip(pts, f_at, g_at):
+        d = fv - gv
         if d > 0 or (strict and d == 0):
             return LeResult(False, t)
-    for a, b in zip(pts, pts[1:]):
-        fa, fb = _open_limits(f, a, b)
-        ga, gb = _open_limits(g, a, b)
+    cells = zip(pts, pts[1:], f_above, f_below, g_above, g_below)
+    for a, b, fa, fb, ga, gb in cells:
         hA, hB = fa - ga, fb - gb
         if strict:
             ok = hA <= 0 and hB <= 0 and not (hA == 0 and hB == 0)
@@ -499,12 +544,29 @@ class Extremum:
         return self.side == AT
 
 
-def _scan(candidates, better) -> Extremum:
-    best = None
-    for value, at, side in candidates:
-        if best is None or better(value, best.value):
-            best = Extremum(value, at, side)
-    return best
+def _extremum(pts, h, at_value, cell_value, pick) -> Extremum:
+    """Extremum by ``pick`` (min or max) of a mapped linear quantity h.
+
+    ``h`` is a :func:`refine` sample triple; ``at_value(i, v)`` maps h's
+    value at point i and ``cell_value(i, v)`` a limit on cell i.  h is
+    constant on a cell when its limits agree; the mapped values cannot
+    tell (|h| has equal limits when h runs from -1 to 1).  Candidates go
+    point, cell, next point; ``pick`` keeps the first of equal ones.
+    """
+    h_at, h_above, h_below = h
+
+    def candidates():
+        for i, t in enumerate(pts):
+            yield at_value(i, h_at[i]), t, AT
+            if i + 1 < len(pts):
+                a, b, hA, hB = t, pts[i + 1], h_above[i], h_below[i]
+                if hA == hB:
+                    yield cell_value(i, hA), (a + b) / 2, AT
+                else:
+                    yield cell_value(i, hA), a, ABOVE
+                    yield cell_value(i, hB), b, BELOW
+
+    return Extremum(*pick(candidates(), key=lambda c: c[0]))
 
 
 def weighted_sup_norm(f: PLFunction, w: StepFunction) -> Extremum:
@@ -520,64 +582,29 @@ def weighted_sup_norm(f: PLFunction, w: StepFunction) -> Extremum:
         raise TypeError("weights are step functions")
     if w.min_value() <= 0:
         raise ValueError("weight must be strictly positive")
-
-    def candidates():
-        pts = merged_points(f, w)
-        for i, t in enumerate(pts):
-            yield abs(f.eval(t)) / w.eval(t), t, AT
-            if i + 1 < len(pts):
-                a, b = t, pts[i + 1]
-                fa, fb = _open_limits(f, a, b)
-                c = w.eval((a + b) / 2)
-                if fa == fb:
-                    yield abs(fa) / c, (a + b) / 2, AT
-                else:
-                    yield abs(fa) / c, a, ABOVE
-                    yield abs(fb) / c, b, BELOW
-
-    return _scan(candidates(), lambda v, best: v > best)
+    pts, (f_samples, (w_at, w_open, _)) = refine(f, w)
+    return _extremum(
+        pts, f_samples,
+        lambda i, v: abs(v) / w_at[i], lambda i, v: abs(v) / w_open[i], max,
+    )
 
 
 def inf_difference(upper: PiecewiseFunction, lower: PiecewiseFunction) -> Extremum:
     """Exact infimum of upper(t) - lower(t) over [0,1], with attainment info."""
-
-    def candidates():
-        pts = merged_points(upper, lower)
-        for i, t in enumerate(pts):
-            yield upper.eval(t) - lower.eval(t), t, AT
-            if i + 1 < len(pts):
-                a, b = t, pts[i + 1]
-                ua, ub = _open_limits(upper, a, b)
-                la, lb = _open_limits(lower, a, b)
-                hA, hB = ua - la, ub - lb
-                if hA == hB:
-                    yield hA, (a + b) / 2, AT
-                else:
-                    yield hA, a, ABOVE
-                    yield hB, b, BELOW
-
-    return _scan(candidates(), lambda v, best: v < best)
+    pts, (u, l) = refine(upper, lower)
+    h = tuple([x - y for x, y in zip(us, ls)] for us, ls in zip(u, l))
+    return _extremum(pts, h, lambda i, v: v, lambda i, v: v, min)
 
 
-@dataclass(frozen=True)
-class LscResult:
-    holds: bool
-    witness: Union[Fraction, None] = None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def is_lsc(d: StepFunction) -> LscResult:
+def is_lsc(d: StepFunction) -> LeResult:
     """Check lower semicontinuity: no point value exceeds a one-sided limit."""
-    pts = d.partition_points()
+    pts, vals, opens = d.points, d.point_values, d.open_values
     for i, t in enumerate(pts):
-        v = d.eval(t)
-        if i > 0 and v > d.eval((pts[i - 1] + t) / 2):
-            return LscResult(False, t)
-        if i + 1 < len(pts) and v > d.eval((t + pts[i + 1]) / 2):
-            return LscResult(False, t)
-    return LscResult(True, None)
+        if i > 0 and vals[i] > opens[i - 1]:
+            return LeResult(False, t)
+        if i + 1 < len(pts) and vals[i] > opens[i]:
+            return LeResult(False, t)
+    return LeResult(True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -592,36 +619,43 @@ def linear_combine(coeffs: Sequence, fns: Sequence[PLFunction]) -> PLFunction:
     if len(coeffs) != len(fns):
         raise ValueError("coefficient/function count mismatch")
     coeffs = [frac(c) for c in coeffs]
-    pts = merged_points(*fns)
-    vals = [sum((c * f.eval(t) for c, f in zip(coeffs, fns)), ZERO) for t in pts]
+    pts, samples = refine(*fns)
+    vals = [
+        sum((c * v for c, v in zip(coeffs, vs)), ZERO)
+        for vs in zip(*(at for at, _, _ in samples))
+    ]
     return PLFunction(pts, tuple(vals))
 
 
-def _require_into_unit(g: PLFunction):
-    if not g.into_unit_interval():
-        raise ValueError("inner function must map [0,1] into [0,1]")
-
-
-def _segment_preimages(g: PLFunction, targets) -> set:
-    """Preimages under g of each target value, per linear segment of g."""
-    out = set()
+def _segment_preimages(g: PLFunction, targets) -> dict:
+    """Preimages under g of each target value, per linear segment of g,
+    mapped to that target (their value under g)."""
+    out = {}
     for t0, t1, y0, y1 in g.segments():
         if y0 == y1:
             continue
         lo, hi = min(y0, y1), max(y0, y1)
         for c in targets:
             if lo < c < hi:
-                out.add(t0 + (c - y0) * (t1 - t0) / (y1 - y0))
+                out[t0 + (c - y0) * (t1 - t0) / (y1 - y0)] = c
     return out
+
+
+def _preimage_refinement(g: PLFunction, targets) -> tuple:
+    """g's breakpoints and the preimages of ``targets``, sorted, with g's
+    value at each (a preimage of c has value c)."""
+    if not g.into_unit_interval():
+        raise ValueError("inner function must map [0,1] into [0,1]")
+    values = dict(zip(g.breakpoints, g.values))
+    values.update(_segment_preimages(g, targets))
+    pts = sorted(values)
+    return pts, [values[t] for t in pts]
 
 
 def compose_pl(f: PLFunction, g: PLFunction) -> PLFunction:
     """Exact composition f(g(t)) for g mapping [0,1] into [0,1]."""
-    _require_into_unit(g)
-    pts = set(g.breakpoints)
-    pts.update(_segment_preimages(g, f.breakpoints))
-    pts = sorted(pts)
-    return PLFunction(tuple(pts), tuple(f.eval(g.eval(t)) for t in pts))
+    pts, g_vals = _preimage_refinement(g, f.breakpoints)
+    return PLFunction(tuple(pts), tuple(f.eval(y) for y in g_vals))
 
 
 def compose_step_pl(d: StepFunction, g: PLFunction) -> StepFunction:
@@ -630,14 +664,10 @@ def compose_step_pl(d: StepFunction, g: PLFunction) -> StepFunction:
     Finite because g is piecewise monotone; preserves lower
     semicontinuity of d.
     """
-    _require_into_unit(g)
-    pts = set(g.breakpoints)
-    pts.update(_segment_preimages(g, d.partition_points()))
-    pts = sorted(pts)
-    point_vals = [d.eval(g.eval(t)) for t in pts]
-    open_vals = [
-        d.eval(g.eval((a + b) / 2)) for a, b in zip(pts, pts[1:])
-    ]
+    pts, g_vals = _preimage_refinement(g, d.points)
+    point_vals = [d.eval(y) for y in g_vals]
+    # g is linear on each cell, so its value at the midpoint is the mean
+    open_vals = [d.eval((ya + yb) / 2) for ya, yb in zip(g_vals, g_vals[1:])]
     return StepFunction.from_profile(pts, point_vals, open_vals)
 
 
@@ -646,12 +676,9 @@ def combine_steps(steps: Sequence[StepFunction],
     """Pointwise combination op(v_1, ..., v_n) of several step functions."""
     if not steps:
         raise ValueError("nothing to combine")
-    pts = merged_points(*steps)
-    point_vals = [op(*(s.eval(t) for s in steps)) for t in pts]
-    open_vals = [
-        op(*(s.eval((a + b) / 2) for s in steps))
-        for a, b in zip(pts, pts[1:])
-    ]
+    pts, samples = refine(*steps)
+    point_vals = [op(*vs) for vs in zip(*(at for at, _, _ in samples))]
+    open_vals = [op(*vs) for vs in zip(*(opens for _, opens, _ in samples))]
     return StepFunction.from_profile(pts, point_vals, open_vals)
 
 

@@ -75,6 +75,22 @@ def complement_isometry(w, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _fix_phase(comp, tol)
 
 
+def samples_to_json(ts, mats) -> list:
+    """Encode timed 2x2 complex samples as ``{"t", "re", "im"}`` objects."""
+    return [
+        {"t": float(t), "re": np.real(m).tolist(), "im": np.imag(m).tolist()}
+        for t, m in zip(ts, mats)
+    ]
+
+
+def matrices_from_json(samples) -> np.ndarray:
+    """Decode the matrices of ``{"re", "im"}`` sample objects."""
+    return np.array(
+        [np.array(s["re"]) + 1j * np.array(s["im"]) for s in samples],
+        dtype=complex,
+    )
+
+
 @dataclass(eq=False)
 class IsometryPath:
     """Uniform samples of a rank-one-then-unitary matrix family.
@@ -139,14 +155,7 @@ class IsometryPath:
 
     def to_json(self) -> dict:
         return {
-            "samples": [
-                {
-                    "t": float(t),
-                    "re": np.real(m).tolist(),
-                    "im": np.imag(m).tolist(),
-                }
-                for t, m in zip(self.ts, self.mats)
-            ],
+            "samples": samples_to_json(self.ts, self.mats),
             "t_jump": self.t_jump,
             "tol": self.tol,
             "lipschitz": self.lipschitz,
@@ -156,12 +165,8 @@ class IsometryPath:
     def from_json(cls, obj: dict) -> "IsometryPath":
         samples = obj["samples"]
         ts = np.array([s["t"] for s in samples], dtype=float)
-        mats = np.array(
-            [np.array(s["re"]) + 1j * np.array(s["im"]) for s in samples],
-            dtype=complex,
-        )
         return cls(
-            ts, mats, float(obj["t_jump"]),
+            ts, matrices_from_json(samples), float(obj["t_jump"]),
             float(obj.get("tol", DEFAULT_TOL)),
             float(obj.get("lipschitz", 1.0)),
         )
@@ -177,10 +182,7 @@ class PatchResult:
 
     def to_json(self) -> dict:
         return {
-            "samples": [
-                {"t": float(t), "re": np.real(m).tolist(), "im": np.imag(m).tolist()}
-                for t, m in zip(self.ts, self.unitaries)
-            ],
+            "samples": samples_to_json(self.ts, self.unitaries),
             "c": [float(self.c.real), float(self.c.imag)],
             "phase_residual": self.phase_residual,
             "jump_index": self.jump_index,

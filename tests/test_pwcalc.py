@@ -94,6 +94,55 @@ class TestConstruction:
         assert function_from_json(s.to_json()) == s
 
 
+def scan_eval(s, t):
+    """Reference value at t: the piece scan StepFunction.eval once was."""
+    for p in s.pieces:
+        if p.interval.contains(t):
+            return p.value
+    raise AssertionError("pieces do not cover t")
+
+
+# (interior points k/24, point values, open values); values come from
+# {0, 1, 2}, so equal neighbours and isolated point values are common
+profiles = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 23), min_size=n - 1, max_size=n - 1, unique=True),
+    st.lists(st.integers(0, 2), min_size=n + 1, max_size=n + 1),
+    st.lists(st.integers(0, 2), min_size=n, max_size=n),
+))
+
+
+def profile_points(ks):
+    return [F(0)] + [F(k, 24) for k in sorted(ks)] + [F(1)]
+
+
+class TestProfileBoundary:
+    @given(profiles)
+    @settings(max_examples=100, deadline=None)
+    def test_pieces_are_the_same_function(self, profile):
+        ks, point_vals, open_vals = profile
+        pts = profile_points(ks)
+        s = StepFunction.from_profile(pts, point_vals, open_vals)
+        assert StepFunction(s.pieces) == s
+        assert StepFunction.from_json(s.to_json()) == s
+        assert all(p.value != q.value for p, q in zip(s.pieces, s.pieces[1:]))
+        for i, t in enumerate(pts):
+            assert s.eval(t) == scan_eval(s, t) == point_vals[i]
+            if i + 1 < len(pts):
+                mid = (t + pts[i + 1]) / 2
+                assert s.eval(mid) == scan_eval(s, mid) == open_vals[i]
+
+    @given(profiles, st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_from_profile_rejects_non_increasing_points(self, profile, data):
+        ks, point_vals, open_vals = profile
+        pts = profile_points(ks)
+        i = data.draw(st.integers(1, len(pts) - 1))
+        shrink = data.draw(st.sampled_from([1, F(1, 2)]))
+        bad = pts[:i] + [pts[i - 1] * shrink] + pts[i:]
+        with pytest.raises(ValueError):
+            StepFunction.from_profile(bad, point_vals + [0], open_vals + [0])
+
+
 class TestEval:
     def test_identity_at_half(self):
         assert PLFunction.identity().eval(F(1, 2)) == F(1, 2)
