@@ -8,71 +8,10 @@ gap / chain checks, constraint-preserving perturbation with
 machine-checkable certificates, and finite invariant-range models.
 :mod:`ctrace.unitary` is deliberately numerical: it patches sampled
 paths of 2x2 partial isometries across a rank jump.
-"""
 
-from .blocks import (
-    NestedPresentation,
-    dim_from_nested,
-    nested_from_dim,
-    validate_special,
-)
-from .errors import Infeasible, PreconditionFailed
-from .existence import (
-    CounterexampleReport,
-    PerturbationCertificate,
-    choose_delta,
-    make_underapprox,
-    perturb_pattern,
-    pinched_dimension_function,
-    reproduce_counterexample,
-    squash_map,
-    verify_certificate,
-)
-from .invariant import (
-    AiVerdict,
-    GroupKind,
-    GroupModel,
-    PointClass,
-    SimplexModel,
-    TraceNormMap,
-    ai_criterion,
-    classify_point,
-    dimension_range_membership,
-    lsc_decompose,
-    trace_norm_eval,
-)
-from .patterns import (
-    ChainStage,
-    EigenPattern,
-    GapReport,
-    apply_pattern,
-    check_compat,
-    compute_gap,
-    density_check,
-    push_dimension,
-    ramp_functions,
-    uniqueness_hypothesis_check,
-    verify_chain,
-)
-from .pwcalc import (
-    Interval,
-    PLFunction,
-    Piece,
-    StepFunction,
-    compose_pl,
-    compose_step_pl,
-    frac,
-    is_lsc,
-    le_pointwise,
-    linear_combine,
-    unit_weight,
-    weighted_sup_norm,
-)
-from .unitary import (
-    IsometryPath,
-    complement_isometry,
-    patch_at_singularity,
-    validate_unitary_path,
-)
+Each public name is imported from the module that defines it, for
+example ``from ctrace.pwcalc import StepFunction``; only importers of
+:mod:`ctrace.unitary` load numpy.
+"""
 
 __version__ = "0.1.0"

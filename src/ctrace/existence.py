@@ -486,10 +486,11 @@ class CounterexampleReport:
 def reproduce_counterexample(delta, eps0) -> CounterexampleReport:
     """Build and exactly verify the slack-hypothesis counterexample.
 
-    Picks the minimal multiplicity m with 1/(2m-1) < delta, the pinched
-    dimension function as source, m identity eigenfunctions, and the
-    constant target 2m-1.  Verifies the slack hypothesis exactly, then
-    certifies infeasibility at t = 0: any eigenfunction value within
+    Picks the minimal multiplicity m with 1/(2m-1) < delta, which is
+    floor((1/delta + 1)/2) + 1, the pinched dimension function as
+    source, m identity eigenfunctions, and the constant target 2m-1.
+    Verifies the slack hypothesis exactly (m identities push f to m*f),
+    then certifies infeasibility at t = 0: any eigenfunction value within
     2*eps0 of 0 misses the pinch point 1/2, so the push there is 2m.
     """
     delta, eps0 = frac(delta), frac(eps0)
@@ -497,15 +498,12 @@ def reproduce_counterexample(delta, eps0) -> CounterexampleReport:
         raise ValueError("delta must lie in (0,1)")
     if not ZERO < eps0 < Fraction(1, 4):
         raise ValueError("eps0 must lie in (0, 1/4)")
-    m = 1
-    while not Fraction(1, 2 * m - 1) < delta:
-        m += 1
+    m = (1 / delta + 1) // 2 + 1
     d_a = pinched_dimension_function()
-    pattern = EigenPattern.identities(m)
     d_b_value = Fraction(2 * m - 1)
     d_b = StepFunction.constant(d_b_value)
     f = make_underapprox(d_a, Fraction(1, 8))
-    hypothesis = check_compat(pattern, f, d_b, slack=delta)
+    hypothesis = le_pointwise(f.scale(m), d_b.scale(1 + delta))
 
     # any eigenfunction within 2*eps0 of the identity at 0 lands in
     # [0, 2*eps0], where the pinched function is identically 2

@@ -28,7 +28,7 @@ ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
-    """Coerce ``x`` (Fraction, int, 'a/b' string, or [num, den] pair) to a Fraction."""
+    """Coerce ``x`` (Fraction, int, 'a/b' string, or [num, den] integer pair) to a Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -36,10 +36,17 @@ def frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, (list, tuple)) and len(x) == 2:
         num, den = x
-        return Fraction(int(num), int(den))
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in x):
+            raise TypeError(f"a [num, den] pair needs two integers, not {x!r}")
+        if den == 0:
+            raise ValueError(f"zero denominator in {x!r}")
+        return Fraction(num, den)
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 

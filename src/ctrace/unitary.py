@@ -16,7 +16,6 @@ with explicit tolerances: phases and polar data are irrational.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -274,9 +273,10 @@ class PathReport:
         }
 
 
-def validate_unitary_path(unitaries, path: IsometryPath,
-                          action_tol: Union[float, None] = None) -> PathReport:
+def validate_unitary_path(unitaries, path: IsometryPath) -> PathReport:
     """Report unitarity, discrete continuity, and action agreement defects.
+
+    Unitarity and action agreement are held to twice the path tolerance.
 
     Action agreement is measured on the initial space of the rank-one
     channel: W(t)*W(t) before the jump and, afterwards, the constant
@@ -286,8 +286,6 @@ def validate_unitary_path(unitaries, path: IsometryPath,
     mats = np.asarray(unitaries, dtype=complex)
     if mats.shape != path.mats.shape:
         raise ValueError("unitary path does not match the sample grid")
-    if action_tol is None:
-        action_tol = 2 * path.tol
     j = path.jump_index
     p_jump = path.mats[j].conj().T @ path.mats[j]
     max_unit = max(unitary_defect(u) for u in mats)
@@ -299,4 +297,4 @@ def validate_unitary_path(unitaries, path: IsometryPath,
     for i, (u, w) in enumerate(zip(mats, path.mats)):
         p_init = w.conj().T @ w if i <= j else p_jump
         max_action = max(max_action, _norm((u - w) @ p_init))
-    return PathReport(max_unit, max_jump, allowance, max_action, action_tol)
+    return PathReport(max_unit, max_jump, allowance, max_action, 2 * path.tol)

@@ -61,7 +61,9 @@ def _interior_grid_range(a, b, grid):
 
 def oracle_le(f, g, strict=False, grid=GRID):
     """Sampling verdict for f <= g (< when strict): point values, cell
-    endpoint limits, cell midpoints, and all grid samples."""
+    endpoint limits, cell midpoints, and all grid samples.  A limit at a
+    cell end refutes only when f's limit exceeds g's: under strict, f and
+    g may tend to the same value at an end they never reach."""
 
     def bad(x, y):
         return x > y or (strict and x == y)
@@ -73,8 +75,10 @@ def oracle_le(f, g, strict=False, grid=GRID):
     for a, b in zip(pts, pts[1:]):
         fa, fb = _cell_formula(f, a, b)
         ga, gb = _cell_formula(g, a, b)
-        for t in (a, (a + b) / 2, b):
-            if bad(fa + fb * t, ga + gb * t):
+        mid = (a + b) / 2
+        for t in (a, mid, b):
+            x, y = fa + fb * t, ga + gb * t
+            if bad(x, y) if t == mid else x > y:
                 return False, t
         af, bf, cf = _k_formula(fa, fb, grid)
         ag, bg, cg = _k_formula(ga, gb, grid)

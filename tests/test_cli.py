@@ -90,7 +90,34 @@ class TestExitCodes:
         assert json.loads(out)["verdict"] == "NOT_DECIDABLE"
 
 
+class TestMalformedRationals:
+    @pytest.mark.parametrize("t", [[1, 0], [1.9, 2], [True, 2], ["3", "4"]])
+    def test_pw_eval_bad_pair(self, capsys, tmp_path, t):
+        payload = {"f": PLFunction.identity().to_json(), "t": t}
+        code, out, err = run(capsys, ["pw", "eval"], payload, tmp_path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_counterexample_zero_denominator(self, capsys):
+        code = main(["exist", "counterexample", "--delta", "1/0", "--eps0", "1/5"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert "zero denominator" in out.err
+        assert "Traceback" not in out.err
+
+
 class TestSubcommands:
+    def test_counterexample_tiny_delta(self, capsys):
+        code = main(["exist", "counterexample", "--delta", "1/100000000", "--eps0", "1/5"])
+        blob = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert blob["multiplicity"] == 50000001
+        assert blob["d_B_value"] == [100000001, 1]
+        assert blob["hypothesis_ok"] and blob["infeasible_ok"]
+
     def test_counterexample_flags(self, capsys):
         code = main(["exist", "counterexample", "--delta", "1/10", "--eps0", "1/5"])
         out = capsys.readouterr().out

@@ -335,6 +335,17 @@ class TestReproduceCounterexample:
             assert rep.hypothesis_ok
             assert rep.infeasible_ok
 
+    def test_closed_form_matches_linear_search(self):
+        for den in range(2, 25):
+            for num in range(1, den):
+                delta = F(num, den)
+                m = 1
+                while not F(1, 2 * m - 1) < delta:
+                    m += 1
+                rep = reproduce_counterexample(delta, F(1, 5))
+                assert rep.multiplicity == m
+                assert rep.d_b_value == 2 * m - 1
+
     def test_json_shape(self):
         rep = reproduce_counterexample(F(1, 10), F(1, 5))
         blob = rep.to_json()

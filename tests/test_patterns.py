@@ -49,6 +49,13 @@ class TestApplyPattern:
         )
         assert normalized == PLFunction.identity()
 
+    @given(seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_identities_scale(self, seed):
+        f = rand_pl(random.Random(seed))
+        for m in range(1, 9):
+            assert apply_pattern(EigenPattern.identities(m), f) == f.scale(m)
+
     def test_bounded_input_gives_bounded_sum(self):
         m = 5
         pattern = EigenPattern.identities(m)

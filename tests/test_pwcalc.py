@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctrace.existence import pinched_dimension_function
 from ctrace.patterns import ramp_functions
@@ -54,6 +54,16 @@ class TestConstruction:
             frac(True)
         with pytest.raises(TypeError):
             frac(0.5)
+
+    @pytest.mark.parametrize("pair", [[1.9, 2], [True, 2], [1, False], ["3", "4"], [1, None]])
+    def test_frac_pair_needs_two_ints(self, pair):
+        with pytest.raises(TypeError):
+            frac(pair)
+
+    @pytest.mark.parametrize("x", [[1, 0], (0, 0), "1/0", " -3/0 "])
+    def test_frac_zero_denominator(self, x):
+        with pytest.raises(ValueError):
+            frac(x)
 
     def test_pl_collinear_points_removed(self):
         f = PLFunction((0, F(1, 4), F(1, 2), 1), (0, F(1, 4), F(1, 2), 1))
@@ -276,6 +286,9 @@ class TestLePointwise:
         assert res.witness > F(1, 2)
 
     @given(seeds)
+    @example(202545)  # strict, f(0) < g(0) with equal limits from the right
+    @example(1201)
+    @example(2843)
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_oracle(self, seed):
         rng = random.Random(seed)
