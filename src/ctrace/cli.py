@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -67,12 +68,6 @@ from .pwcalc import (
     le_pointwise,
     weighted_sup_norm,
 )
-from .unitary import (
-    IsometryPath,
-    matrices_from_json,
-    patch_at_singularity,
-    validate_unitary_path,
-)
 
 OK = 0
 REFUTED = 1
@@ -82,8 +77,14 @@ NOT_DECIDABLE = 4
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    sys.stdout.write("\n")
+    """Print obj as one JSON line; a reader that has gone away is ignored."""
+    try:
+        sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at interpreter exit would raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _opt_pair(x):
@@ -338,11 +339,16 @@ def _invariant_classify(payload, args):
 
 
 def _unitary_patch(payload, args):
+    # imported here so that the exact subcommands start without numpy
+    from .unitary import IsometryPath, patch_at_singularity
+
     res = patch_at_singularity(IsometryPath.from_json(payload))
     return res.to_json(), OK
 
 
 def _unitary_validate(payload, args):
+    from .unitary import IsometryPath, matrices_from_json, validate_unitary_path
+
     path = IsometryPath.from_json(payload["path"])
     rep = validate_unitary_path(matrices_from_json(payload["unitaries"]), path)
     return rep.to_json(), OK if rep.ok else REFUTED
@@ -421,21 +427,20 @@ def main(argv=None) -> int:
                 res, code = handler(entry, args)
                 results.append(res)
                 codes.append(code)
-            _emit(results)
-            return max(codes)
-        result, code = handler(payload, args)
-        _emit(result)
-        return code
+            result, code = results, max(codes)
+        else:
+            result, code = handler(payload, args)
     except Infeasible as exc:
-        _emit({
+        result, code = {
             "error": "infeasible",
             "message": str(exc),
             "witness": _opt_pair(getattr(exc, "witness", None)),
-        })
-        return INFEASIBLE
+        }, INFEASIBLE
     except (ValueError, KeyError, TypeError, IndexError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return BAD_INPUT
+    _emit(result)
+    return code
 
 
 def entry() -> None:

@@ -9,6 +9,9 @@ jump, the pre-jump family is extended constantly and the complementary
 part of the post-jump unitaries is rotated by a single unimodular
 constant c so the completed family stays continuous.
 
+Every step works on the whole (N, 2, 2) stack of samples at once; the
+scalar helpers are the same kernels applied to a single matrix.
+
 Unlike the exact modules, everything here is double-precision numerics
 with explicit tolerances: phases and polar data are irrational.
 """
@@ -20,6 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+# Steps may differ, and a sample lies at the jump, up to this fraction of
+# the step: rounding moves sample times far from 0 by more than 1e-12.
+_STEP_RTOL = 1e-6
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -33,30 +39,62 @@ def as_mat2(m) -> np.ndarray:
     return out
 
 
-def _norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
+def _h(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
-def partial_isometry_defect(w: np.ndarray) -> float:
-    """How far w is from being a partial isometry: ||w w* w - w||."""
-    return _norm(w @ w.conj().T @ w - w)
+def _norms(a: np.ndarray) -> np.ndarray:
+    """The spectral norm of each matrix in a (..., 2, 2) stack, in closed form.
+
+    With r0, r1 the row sums of |a|^2 and x the inner product of the rows,
+    it is sqrt((r0 + r1 + hypot(r0 - r1, 2|x|)) / 2).  No term cancels,
+    also where the two singular values nearly coincide (the determinant
+    form loses about half the digits there).
+    """
+    sq = a.real ** 2 + a.imag ** 2
+    r0 = sq[..., 0, 0] + sq[..., 0, 1]
+    r1 = sq[..., 1, 0] + sq[..., 1, 1]
+    x = a[..., 0, 0] * a[..., 1, 0].conj() + a[..., 0, 1] * a[..., 1, 1].conj()
+    return np.sqrt((r0 + r1 + np.hypot(r0 - r1, 2 * np.abs(x))) / 2)
 
 
-def rank_one_defect(w: np.ndarray) -> float:
+def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(a* b) for each pair of matrices of two stacks."""
+    return np.trace(_h(a) @ b, axis1=-2, axis2=-1)
+
+
+def partial_isometry_defect(w: np.ndarray):
+    """How far w is from being a partial isometry: ||w w* w - w||.
+
+    Like the other defects, it takes one matrix or a (..., 2, 2) stack.
+    """
+    return _norms(w @ _h(w) @ w - w)
+
+
+def rank_one_defect(w: np.ndarray):
     """Distance of tr(w* w) from 1; zero for a rank-one partial isometry."""
-    return abs(float(np.trace(w.conj().T @ w).real) - 1.0)
+    return np.abs((w.real ** 2 + w.imag ** 2).sum(axis=(-2, -1)) - 1.0)
 
 
-def unitary_defect(w: np.ndarray) -> float:
-    return _norm(w.conj().T @ w - _I2)
+def unitary_defect(w: np.ndarray):
+    return _norms(_h(w) @ w - _I2)
 
 
-def _fix_phase(w: np.ndarray, tol: float) -> np.ndarray:
-    """Make the first nonzero entry (row-major) real positive."""
-    for entry in w.ravel():
-        if abs(entry) > tol:
-            return w * (abs(entry) / entry)
-    raise ValueError("cannot fix the phase of a (numerically) zero matrix")
+def _not_rank_one(w: np.ndarray, tol: float) -> np.ndarray:
+    return (partial_isometry_defect(w) > tol) | (rank_one_defect(w) > tol)
+
+
+def _complements(a: np.ndarray, tol: float) -> np.ndarray:
+    """``complement_isometry`` of each matrix of an (N, 2, 2) stack, unchecked."""
+    u, _, vh = np.linalg.svd(a)
+    comps = u[:, :, 1, None] * vh[:, None, 1, :]
+    flat = comps.reshape(len(comps), 4)
+    big = np.abs(flat) > tol
+    if not big.any(axis=1).all():
+        raise ValueError("cannot fix the phase of a (numerically) zero matrix")
+    first = flat[np.arange(len(flat)), big.argmax(axis=1)]
+    return comps * (np.abs(first) / first)[:, None, None]
 
 
 def complement_isometry(w, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -66,28 +104,24 @@ def complement_isometry(w, tol: float = DEFAULT_TOL) -> np.ndarray:
     with the first nonzero entry made real positive; w plus the
     complement is unitary within 2*tol.
     """
-    w = as_mat2(w)
-    if partial_isometry_defect(w) > tol or rank_one_defect(w) > tol:
+    w = as_mat2(w)[None]
+    if _not_rank_one(w, tol)[0]:
         raise ValueError("input is not a rank-one partial isometry within tol")
-    u, _, vh = np.linalg.svd(w)
-    comp = np.outer(u[:, 1], vh[1, :])
-    return _fix_phase(comp, tol)
+    return _complements(w, tol)[0]
 
 
 def samples_to_json(ts, mats) -> list:
     """Encode timed 2x2 complex samples as ``{"t", "re", "im"}`` objects."""
-    return [
-        {"t": float(t), "re": np.real(m).tolist(), "im": np.imag(m).tolist()}
-        for t, m in zip(ts, mats)
-    ]
+    mats = np.asarray(mats)
+    rows = zip(np.asarray(ts, dtype=float).tolist(), mats.real.tolist(), mats.imag.tolist())
+    return [{"t": t, "re": re, "im": im} for t, re, im in rows]
 
 
 def matrices_from_json(samples) -> np.ndarray:
     """Decode the matrices of ``{"re", "im"}`` sample objects."""
-    return np.array(
-        [np.array(s["re"]) + 1j * np.array(s["im"]) for s in samples],
-        dtype=complex,
-    )
+    re = np.array([s["re"] for s in samples])
+    im = np.array([s["im"] for s in samples])
+    return np.asarray(re + 1j * im, dtype=complex)
 
 
 @dataclass(eq=False)
@@ -113,10 +147,12 @@ class IsometryPath:
             raise ValueError("need at least two samples")
         if self.mats.shape != (len(self.ts), 2, 2):
             raise ValueError("samples and matrices disagree")
+        if not (np.isfinite(self.ts).all() and np.isfinite(self.mats).all()):
+            raise ValueError("sample times and matrices must be finite")
         steps = np.diff(self.ts)
         if np.any(steps <= 0):
             raise ValueError("sample times must be strictly increasing")
-        if np.max(steps) - np.min(steps) > 1e-12:
+        if np.max(steps) - np.min(steps) > _STEP_RTOL * np.min(steps):
             raise ValueError("sample grid must be uniform")
         self.t_jump = float(self.t_jump)
         if not self.ts[0] <= self.t_jump < self.ts[-1]:
@@ -129,28 +165,24 @@ class IsometryPath:
     @property
     def jump_index(self) -> int:
         """Index of the last sample at or before the jump."""
-        return int(np.searchsorted(self.ts, self.t_jump + 1e-12) - 1)
+        return int(np.searchsorted(self.ts, self.t_jump + _STEP_RTOL * self.step) - 1)
 
     def check_structure(self):
         """Raise unless the rank/unitarity and continuity invariants hold."""
         j = self.jump_index
-        for i, w in enumerate(self.mats):
-            if i <= j:
-                if partial_isometry_defect(w) > self.tol or rank_one_defect(w) > self.tol:
-                    raise ValueError(
-                        f"sample {i} (t={self.ts[i]}) is not a rank-one "
-                        "partial isometry within tol"
-                    )
-            elif unitary_defect(w) > self.tol:
-                raise ValueError(
-                    f"sample {i} (t={self.ts[i]}) is not unitary within tol"
-                )
+        bad = np.concatenate([
+            _not_rank_one(self.mats[: j + 1], self.tol),
+            unitary_defect(self.mats[j + 1:]) > self.tol,
+        ])
+        if bad.any():
+            i = int(bad.argmax())
+            kind = "a rank-one partial isometry" if i <= j else "unitary"
+            raise ValueError(f"sample {i} (t={self.ts[i]}) is not {kind} within tol")
         allowance = self.lipschitz * self.step + self.tol
-        for i in range(len(self.ts) - 1):
-            if i == j:
-                continue  # the rank jump itself may be discontinuous
-            if _norm(self.mats[i + 1] - self.mats[i]) > allowance:
-                raise ValueError(f"discrete continuity violated at sample {i}")
+        broken = _norms(np.diff(self.mats, axis=0)) > allowance
+        broken[j: j + 1] = False  # the rank jump itself may be discontinuous
+        if broken.any():
+            raise ValueError(f"discrete continuity violated at sample {int(broken.argmax())}")
 
     def to_json(self) -> dict:
         return {
@@ -188,16 +220,6 @@ class PatchResult:
         }
 
 
-def _align_phase(raw: np.ndarray, target: np.ndarray, tol: float) -> np.ndarray:
-    inner = complex(np.trace(raw.conj().T @ target))
-    if abs(inner) <= tol:
-        raise ValueError(
-            "cannot propagate complement phase: consecutive complements "
-            "are numerically orthogonal"
-        )
-    return raw * (inner / abs(inner))
-
-
 def patch_at_singularity(path: IsometryPath) -> PatchResult:
     """Complete the path to a continuous family of unitaries.
 
@@ -210,28 +232,36 @@ def patch_at_singularity(path: IsometryPath) -> PatchResult:
     """
     path.check_structure()
     j = path.jump_index
-    comps = []
-    for i in range(j + 1):
-        raw = complement_isometry(path.mats[i], path.tol)
-        comps.append(raw if not comps else _align_phase(raw, comps[-1], path.tol))
+    pre = path.mats[: j + 1]
+    comps = _complements(pre, path.tol)
+    # Complement i is turned by the phase of tr(comp_i* comp_{i-1}) times
+    # the turn of complement i-1: a running product of unit phases,
+    # renormalised because the rounding of a long product drifts its modulus.
+    overlaps = _traces(comps[1:], comps[:-1])
+    moduli = np.abs(overlaps)
+    if np.any(moduli <= path.tol):
+        raise ValueError(
+            "cannot propagate complement phase: consecutive complements "
+            "are numerically orthogonal"
+        )
+    phases = np.cumprod(overlaps / moduli)
+    comps[1:] *= (phases / np.abs(phases))[:, None, None]
     out = np.empty_like(path.mats)
-    for i in range(j + 1):
-        out[i] = path.mats[i] + comps[i]
-    w_jump = path.mats[j]
+    out[: j + 1] = pre + comps
+    w_jump = pre[-1]
     c = 1.0 + 0.0j
     residual = 0.0
     if j + 1 < len(path.ts):
         d = path.mats[j + 1] - w_jump
-        inner = complex(np.trace(d.conj().T @ comps[j]))
+        inner = complex(_traces(d, comps[-1]))
         if abs(inner) <= path.tol:
             raise ValueError(
                 "phase alignment failed: the post-jump increment does not "
                 "match the complement's rank-one slot"
             )
         c = inner / abs(inner)
-        residual = _norm(comps[j] - c * d)
-        for i in range(j + 1, len(path.ts)):
-            out[i] = w_jump + c * (path.mats[i] - w_jump)
+        residual = float(_norms(comps[-1] - c * d))
+        out[j + 1:] = w_jump + c * (path.mats[j + 1:] - w_jump)
     return PatchResult(path.ts.copy(), out, c, residual, j)
 
 
@@ -286,15 +316,14 @@ def validate_unitary_path(unitaries, path: IsometryPath) -> PathReport:
     mats = np.asarray(unitaries, dtype=complex)
     if mats.shape != path.mats.shape:
         raise ValueError("unitary path does not match the sample grid")
+    if not np.isfinite(mats).all():
+        raise ValueError("unitary path entries must be finite")
     j = path.jump_index
-    p_jump = path.mats[j].conj().T @ path.mats[j]
-    max_unit = max(unitary_defect(u) for u in mats)
-    max_jump = max(
-        _norm(mats[i + 1] - mats[i]) for i in range(len(mats) - 1)
-    )
+    pre, post = path.mats[: j + 1], path.mats[j + 1:]
+    p_init = _h(pre) @ pre  # after the jump: the constant extension p_init[-1]
+    max_action = max(_norms((mats[: j + 1] - pre) @ p_init).max(),
+                     _norms((mats[j + 1:] - post) @ p_init[-1]).max(initial=0.0))
+    max_unit = float(unitary_defect(mats).max())
+    max_jump = float(_norms(np.diff(mats, axis=0)).max())
     allowance = path.lipschitz * path.step + path.tol
-    max_action = 0.0
-    for i, (u, w) in enumerate(zip(mats, path.mats)):
-        p_init = w.conj().T @ w if i <= j else p_jump
-        max_action = max(max_action, _norm((u - w) @ p_init))
-    return PathReport(max_unit, max_jump, allowance, max_action, 2 * path.tol)
+    return PathReport(max_unit, max_jump, allowance, float(max_action), 2 * path.tol)

@@ -1,7 +1,11 @@
 """Command-line integration: exit codes, determinism, JSON shapes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +92,26 @@ class TestExitCodes:
         code, out, _ = run(capsys, ["invariant", "ai"], payload, tmp_path)
         assert code == 4
         assert json.loads(out)["verdict"] == "NOT_DECIDABLE"
+
+    def test_closed_stdout_keeps_the_verdict(self, capsys):
+        # the reader is gone before the first write: every write to stdout
+        # fails with a broken pipe
+        argv = ["exist", "counterexample", "--delta", "1/1000", "--eps0", "1/5"]
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ctrace.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == main(argv) == 0
+        assert capsys.readouterr().out.startswith("{")
 
 
 class TestMalformedRationals:

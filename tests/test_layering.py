@@ -26,6 +26,12 @@ def test_exact_modules_load_without_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_loads_without_numpy():
+    proc = run_python("import sys, ctrace.cli\nprint('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_numerical_layer_and_cli_still_import():
     proc = run_python("import sys, ctrace.unitary, ctrace.cli\nprint('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
