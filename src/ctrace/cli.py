@@ -76,10 +76,10 @@ INFEASIBLE = 3
 NOT_DECIDABLE = 4
 
 
-def _emit(obj) -> None:
-    """Print obj as one JSON line; a reader that has gone away is ignored."""
+def _emit(line: str) -> None:
+    """Print one line; a reader that has gone away is ignored."""
     try:
-        sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        sys.stdout.write(line)
         sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
@@ -420,26 +420,29 @@ def main(argv=None) -> int:
         return OK if code == 0 else BAD_INPUT
     handler, takes_payload = _HANDLERS[(args.group_cmd, args.sub_cmd)]
     try:
-        payload = _load_payload(args) if takes_payload else None
-        if takes_payload and isinstance(payload, list):
-            results, codes = [], [OK]
-            for entry in payload:
-                res, code = handler(entry, args)
-                results.append(res)
-                codes.append(code)
-            result, code = results, max(codes)
-        else:
-            result, code = handler(payload, args)
-    except Infeasible as exc:
-        result, code = {
-            "error": "infeasible",
-            "message": str(exc),
-            "witness": _opt_pair(getattr(exc, "witness", None)),
-        }, INFEASIBLE
+        try:
+            payload = _load_payload(args) if takes_payload else None
+            if takes_payload and isinstance(payload, list):
+                results, codes = [], [OK]
+                for entry in payload:
+                    res, code = handler(entry, args)
+                    results.append(res)
+                    codes.append(code)
+                result, code = results, max(codes)
+            else:
+                result, code = handler(payload, args)
+        except Infeasible as exc:
+            result, code = {
+                "error": "infeasible",
+                "message": str(exc),
+                "witness": _opt_pair(getattr(exc, "witness", None)),
+            }, INFEASIBLE
+        # a non-finite float has no JSON form: refuse it rather than print NaN
+        line = json.dumps(result, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except (ValueError, KeyError, TypeError, IndexError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return BAD_INPUT
-    _emit(result)
+    _emit(line)
     return code
 
 

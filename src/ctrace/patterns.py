@@ -14,6 +14,7 @@ a chain of stages.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -28,8 +29,8 @@ from .pwcalc import (
     PLFunction,
     StepFunction,
     ZERO,
-    _segment_preimages,
-    add_steps,
+    _preimage_refinement,
+    combine_steps,
     compose_pl,
     compose_step_pl,
     frac,
@@ -62,6 +63,11 @@ class EigenPattern:
     def multiplicity(self) -> int:
         return len(self.eigenfunctions)
 
+    @property
+    def counts(self) -> Counter:
+        """Each distinct eigenfunction, in first-seen order, with its count."""
+        return Counter(self.eigenfunctions)
+
     @classmethod
     def identities(cls, m: int) -> "EigenPattern":
         return cls(tuple(PLFunction.identity() for _ in range(m)))
@@ -89,16 +95,28 @@ class EigenPattern:
 
 def apply_pattern(pattern: EigenPattern, f: PLFunction,
                   normalized: bool = False) -> PLFunction:
-    """Exact sum (or average, when ``normalized``) of f over the eigenfunctions."""
-    fns = [compose_pl(f, lam) for lam in pattern.eigenfunctions]
+    """Exact sum (or average, when ``normalized``) of f over the eigenfunctions.
+
+    Each distinct eigenfunction is composed once and weighted by its count.
+    """
+    counts = pattern.counts
     coeff = Fraction(1, pattern.multiplicity) if normalized else Fraction(1)
-    return linear_combine([coeff] * len(fns), fns)
+    return linear_combine([coeff * n for n in counts.values()],
+                          [compose_pl(f, lam) for lam in counts])
 
 
 def push_dimension(pattern: EigenPattern, d: StepFunction) -> StepFunction:
-    """Exact sum of d over the eigenfunctions; lsc when d is lsc."""
+    """Exact sum of d over the eigenfunctions; lsc when d is lsc.
+
+    Each distinct eigenfunction is composed once and weighted by its count.
+    """
     ensure_dimension_function(d)
-    return add_steps([compose_step_pl(d, lam) for lam in pattern.eigenfunctions])
+    counts = pattern.counts
+    weights = list(counts.values())
+    return combine_steps(
+        [compose_step_pl(d, lam) for lam in counts],
+        lambda *vs: sum((n * v for n, v in zip(weights, vs)), ZERO),
+    )
 
 
 def check_compat(pattern: EigenPattern, f: PLFunction, d_target: StepFunction,
@@ -137,9 +155,8 @@ def density_check(pattern: EigenPattern, d: int, delta) -> DensityResult:
     cuts = [Fraction(j, d) for j in range(d + 1)]
     pts = set()
     for lam in pattern.eigenfunctions:
-        pts.update(lam.breakpoints)
-        pts.update(_segment_preimages(lam, cuts))
-    pts = sorted(pts | {ZERO, ONE})
+        pts.update(_preimage_refinement(lam, cuts)[0])
+    pts = sorted(pts)
     samples = list(pts)
     samples.extend((a + b) / 2 for a, b in zip(pts, pts[1:]))
     for t in samples:

@@ -454,15 +454,53 @@ def function_from_json(obj: dict) -> PiecewiseFunction:
 
 def merged_points(*fns: PiecewiseFunction) -> tuple:
     """Sorted union of all breakpoints / partition points, including 0 and 1."""
-    pts = {ZERO, ONE}
+    runs = []
     for f in fns:
         if isinstance(f, PLFunction):
-            pts.update(f.breakpoints)
+            runs.extend(f.breakpoints)
         elif isinstance(f, StepFunction):
-            pts.update(f.points)
+            runs.extend(f.points)
         else:
             raise TypeError(f"not a piecewise function: {f!r}")
-    return tuple(sorted(pts))
+    runs.append(ONE)
+    # each function's points are one sorted run, which sorted() merges
+    pts = [ZERO]
+    for t in sorted(runs):
+        if t != pts[-1]:
+            pts.append(t)
+    return tuple(pts)
+
+
+def _walk_pl(f: PLFunction, pts) -> list:
+    """f's values at ``pts``, a sorted superset of its breakpoints."""
+    at = [f.values[0]]
+    k = 1
+    for t0, t1, v0, v1 in f.segments():
+        if pts[k] != t1:
+            slope = (v1 - v0) / (t1 - t0)
+            while pts[k] != t1:
+                at.append(v0 + (pts[k] - t0) * slope)
+                k += 1
+        at.append(v1)
+        k += 1
+    return at
+
+
+def _walk_step(f: StepFunction, pts) -> tuple:
+    """f's values at ``pts``, a sorted superset of its points, and on
+    the open cells between them."""
+    own, vals, opens = f.points, f.point_values, f.open_values
+    at, cells = [], []
+    k = 0  # own[k] is the next of f's points; t lies in f's cell k - 1
+    for t in pts[:-1]:
+        if t == own[k]:
+            at.append(vals[k])
+            k += 1
+        else:
+            at.append(opens[k - 1])
+        cells.append(opens[k - 1])
+    at.append(vals[-1])
+    return at, cells
 
 
 def refine(*fns: PiecewiseFunction) -> tuple:
@@ -473,18 +511,17 @@ def refine(*fns: PiecewiseFunction) -> tuple:
     ``above[i]``, ``below[i]`` its limits at ``pts[i]+`` and ``pts[i+1]-``,
     which determine it on that cell since it is linear there.  Every
     exact comparison in this module samples its functions through here.
+    Each function is walked once along ``pts``, one cursor per function.
     """
     pts = merged_points(*fns)
     samples = []
     for f in fns:
-        at = [f.eval(t) for t in pts]
         if isinstance(f, PLFunction):
+            at = _walk_pl(f, pts)
             samples.append((at, at[:-1], at[1:]))
         else:
-            # the cell right of a lies in f's open cell right of a
-            opens = [f.open_values[bisect.bisect_right(f.points, a) - 1]
-                     for a in pts[:-1]]
-            samples.append((at, opens, opens))
+            at, cells = _walk_step(f, pts)
+            samples.append((at, cells, cells))
     return pts, samples
 
 
@@ -634,35 +671,50 @@ def linear_combine(coeffs: Sequence, fns: Sequence[PLFunction]) -> PLFunction:
     return PLFunction(pts, tuple(vals))
 
 
-def _segment_preimages(g: PLFunction, targets) -> dict:
-    """Preimages under g of each target value, per linear segment of g,
-    mapped to that target (their value under g)."""
-    out = {}
-    for t0, t1, y0, y1 in g.segments():
-        if y0 == y1:
-            continue
-        lo, hi = min(y0, y1), max(y0, y1)
-        for c in targets:
-            if lo < c < hi:
-                out[t0 + (c - y0) * (t1 - t0) / (y1 - y0)] = c
-    return out
+def _preimage_refinement(g: PLFunction, targets: Sequence[Fraction]) -> tuple:
+    """g's breakpoints and the preimages of ``targets``, in increasing order.
 
-
-def _preimage_refinement(g: PLFunction, targets) -> tuple:
-    """g's breakpoints and the preimages of ``targets``, sorted, with g's
-    value at each (a preimage of c has value c)."""
+    ``targets`` runs strictly increasing from 0 to 1.  Returns ``(pts,
+    g_vals, hits, cells)``: ``g_vals[k]`` is g's value at ``pts[k]``;
+    ``hits[k]`` is the index of that value in ``targets`` when ``pts[k]``
+    is a preimage (None at g's own breakpoints); ``cells[k]`` is the i
+    with g mapping the cell after ``pts[k]`` into (targets[i],
+    targets[i+1]) (None where g is constant there).  Only the targets
+    strictly inside a segment's range have preimages in it; two bisects
+    find them, and they are emitted in t-order.
+    """
     if not g.into_unit_interval():
         raise ValueError("inner function must map [0,1] into [0,1]")
-    values = dict(zip(g.breakpoints, g.values))
-    values.update(_segment_preimages(g, targets))
-    pts = sorted(values)
-    return pts, [values[t] for t in pts]
+    pts, g_vals, hits, cells = [], [], [], []
+    for t0, t1, y0, y1 in g.segments():
+        pts.append(t0)
+        g_vals.append(y0)
+        hits.append(None)
+        if y0 == y1:
+            cells.append(None)
+            continue
+        rising = y0 < y1
+        lo = bisect.bisect_right(targets, min(y0, y1))
+        hi = bisect.bisect_left(targets, max(y0, y1))
+        cells.append(lo - 1 if rising else hi - 1)
+        scale = (t1 - t0) / (y1 - y0)
+        for i in (range(lo, hi) if rising else range(hi - 1, lo - 1, -1)):
+            c = targets[i]
+            pts.append(t0 + (c - y0) * scale)
+            g_vals.append(c)
+            hits.append(i)
+            cells.append(i if rising else i - 1)
+    pts.append(ONE)
+    g_vals.append(g.values[-1])
+    hits.append(None)
+    return pts, g_vals, hits, cells
 
 
 def compose_pl(f: PLFunction, g: PLFunction) -> PLFunction:
     """Exact composition f(g(t)) for g mapping [0,1] into [0,1]."""
-    pts, g_vals = _preimage_refinement(g, f.breakpoints)
-    return PLFunction(tuple(pts), tuple(f.eval(y) for y in g_vals))
+    pts, g_vals, hits, _ = _preimage_refinement(g, f.breakpoints)
+    values = [f.eval(y) if i is None else f.values[i] for y, i in zip(g_vals, hits)]
+    return PLFunction(tuple(pts), tuple(values))
 
 
 def compose_step_pl(d: StepFunction, g: PLFunction) -> StepFunction:
@@ -671,10 +723,12 @@ def compose_step_pl(d: StepFunction, g: PLFunction) -> StepFunction:
     Finite because g is piecewise monotone; preserves lower
     semicontinuity of d.
     """
-    pts, g_vals = _preimage_refinement(g, d.points)
-    point_vals = [d.eval(y) for y in g_vals]
-    # g is linear on each cell, so its value at the midpoint is the mean
-    open_vals = [d.eval((ya + yb) / 2) for ya, yb in zip(g_vals, g_vals[1:])]
+    pts, g_vals, hits, cells = _preimage_refinement(g, d.points)
+    point_vals = [d.eval(y) if i is None else d.point_values[i]
+                  for y, i in zip(g_vals, hits)]
+    # where g is constant on a cell, d keeps its value at the cell's start
+    open_vals = [v if c is None else d.open_values[c]
+                 for v, c in zip(point_vals, cells)]
     return StepFunction.from_profile(pts, point_vals, open_vals)
 
 

@@ -119,9 +119,10 @@ def samples_to_json(ts, mats) -> list:
 
 def matrices_from_json(samples) -> np.ndarray:
     """Decode the matrices of ``{"re", "im"}`` sample objects."""
-    re = np.array([s["re"] for s in samples])
-    im = np.array([s["im"] for s in samples])
-    return np.asarray(re + 1j * im, dtype=complex)
+    re, im = ([s[key] for s in samples] for key in ("re", "im"))
+    if any(isinstance(x, bool) for x in np.array([re, im], dtype=object).flat):
+        raise TypeError("matrix entries must be numbers, not booleans")
+    return np.asarray(np.array(re) + 1j * np.array(im), dtype=complex)
 
 
 @dataclass(eq=False)
@@ -149,6 +150,10 @@ class IsometryPath:
             raise ValueError("samples and matrices disagree")
         if not (np.isfinite(self.ts).all() and np.isfinite(self.mats).all()):
             raise ValueError("sample times and matrices must be finite")
+        for name in ("tol", "lipschitz"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, not {value!r}")
         steps = np.diff(self.ts)
         if np.any(steps <= 0):
             raise ValueError("sample times must be strictly increasing")

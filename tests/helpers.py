@@ -11,10 +11,13 @@ integers for speed; all reported values are exact.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import random
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from ctrace.pwcalc import (
     ONE,
@@ -259,3 +262,132 @@ def rand_pattern(rng: random.Random, max_m=8, max_breaks=3):
 
     m = rng.randint(1, max_m)
     return EigenPattern(tuple(rand_pl_unit(rng, max_breaks) for _ in range(m)))
+
+
+# ---------------------------------------------------------------------------
+# per-point references for the cursor-walk kernels
+# ---------------------------------------------------------------------------
+#
+# These are the bisect-and-eval versions the walks in ``pwcalc`` and the
+# counted sums in ``patterns`` replaced.  They evaluate every function at
+# every point they need, so they stay easy to check by eye.
+
+
+def ref_refine(*fns) -> tuple:
+    pts = {ZERO, ONE}
+    for f in fns:
+        pts.update(f.breakpoints if isinstance(f, PLFunction) else f.points)
+    pts = tuple(sorted(pts))
+    samples = []
+    for f in fns:
+        at = [f.eval(t) for t in pts]
+        if isinstance(f, PLFunction):
+            samples.append((at, at[:-1], at[1:]))
+        else:
+            opens = [f.open_values[bisect.bisect_right(f.points, a) - 1] for a in pts[:-1]]
+            samples.append((at, opens, opens))
+    return pts, samples
+
+
+def ref_preimage_refinement(g: PLFunction, targets) -> tuple:
+    values = dict(zip(g.breakpoints, g.values))
+    for t0, t1, y0, y1 in g.segments():
+        if y0 == y1:
+            continue
+        lo, hi = min(y0, y1), max(y0, y1)
+        for c in targets:
+            if lo < c < hi:
+                values[t0 + (c - y0) * (t1 - t0) / (y1 - y0)] = c
+    pts = sorted(values)
+    return pts, [values[t] for t in pts]
+
+
+def ref_compose_pl(f: PLFunction, g: PLFunction) -> PLFunction:
+    pts, g_vals = ref_preimage_refinement(g, f.breakpoints)
+    return PLFunction(tuple(pts), tuple(f.eval(y) for y in g_vals))
+
+
+def ref_compose_step_pl(d: StepFunction, g: PLFunction) -> StepFunction:
+    pts, g_vals = ref_preimage_refinement(g, d.points)
+    point_vals = [d.eval(y) for y in g_vals]
+    open_vals = [d.eval((ya + yb) / 2) for ya, yb in zip(g_vals, g_vals[1:])]
+    return StepFunction.from_profile(pts, point_vals, open_vals)
+
+
+def ref_linear_combine(coeffs, fns) -> PLFunction:
+    pts, samples = ref_refine(*fns)
+    vals = [sum((Fraction(c) * v for c, v in zip(coeffs, vs)), ZERO)
+            for vs in zip(*(at for at, _, _ in samples))]
+    return PLFunction(pts, tuple(vals))
+
+
+def ref_add_steps(steps) -> StepFunction:
+    pts, samples = ref_refine(*steps)
+    point_vals = [sum(vs, ZERO) for vs in zip(*(at for at, _, _ in samples))]
+    open_vals = [sum(vs, ZERO) for vs in zip(*(opens for _, opens, _ in samples))]
+    return StepFunction.from_profile(pts, point_vals, open_vals)
+
+
+def ref_apply_pattern(pattern, f: PLFunction, normalized=False) -> PLFunction:
+    fns = [ref_compose_pl(f, lam) for lam in pattern.eigenfunctions]
+    coeff = Fraction(1, pattern.multiplicity) if normalized else Fraction(1)
+    return ref_linear_combine([coeff] * len(fns), fns)
+
+
+def ref_push_dimension(pattern, d: StepFunction) -> StepFunction:
+    return ref_add_steps([ref_compose_step_pl(d, lam) for lam in pattern.eigenfunctions])
+
+
+# hypothesis strategies for the differential tests
+
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+@st.composite
+def cut_points(draw, max_cuts=5):
+    """0, a few interior points, 1."""
+    inner = draw(st.lists(unit_fractions.filter(lambda t: ZERO < t < ONE),
+                          max_size=max_cuts, unique=True))
+    return [ZERO] + sorted(inner) + [ONE]
+
+
+@st.composite
+def pl_functions(draw, lo=-2, hi=3):
+    pts = draw(cut_points())
+    vals = draw(st.lists(st.fractions(lo, hi, max_denominator=8),
+                         min_size=len(pts), max_size=len(pts)))
+    return PLFunction(tuple(pts), tuple(vals))
+
+
+@st.composite
+def step_functions(draw, lo=-2, hi=3):
+    pts = draw(cut_points())
+    values = st.fractions(lo, hi, max_denominator=4)
+    point_vals = draw(st.lists(values, min_size=len(pts), max_size=len(pts)))
+    open_vals = draw(st.lists(values, min_size=len(pts) - 1, max_size=len(pts) - 1))
+    return StepFunction.from_profile(pts, point_vals, open_vals)
+
+
+@st.composite
+def inner_functions(draw, targets=()):
+    """Maps [0,1] -> [0,1] with constant, rising and falling segments whose
+    values often land exactly on ``targets`` or on 0 and 1."""
+    if draw(st.integers(0, 9)) == 0:
+        return PLFunction.identity()
+    pts = draw(cut_points())
+    pool = sorted({ZERO, ONE, *targets})
+    value = st.one_of(st.sampled_from(pool), unit_fractions)
+    vals = [draw(value)]
+    for _ in pts[1:]:
+        vals.append(vals[-1] if draw(st.integers(0, 3)) == 0 else draw(value))
+    return PLFunction(tuple(pts), tuple(vals))
+
+
+@st.composite
+def repeated_patterns(draw, targets=(), max_distinct=3, max_m=8):
+    """Patterns whose eigenfunctions are drawn, with repeats, from a few."""
+    from ctrace.patterns import EigenPattern
+
+    distinct = draw(st.lists(inner_functions(targets), min_size=1, max_size=max_distinct))
+    picks = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=max_m))
+    return EigenPattern(tuple(picks))

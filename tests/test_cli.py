@@ -133,6 +133,46 @@ class TestMalformedRationals:
         assert "Traceback" not in out.err
 
 
+def _jump_path():
+    e11 = np.array([[1, 0], [0, 0]], dtype=complex)
+    ts = np.linspace(0, 1, 11)
+    mats = np.array([e11 if t <= 0.5 else np.eye(2) for t in ts], dtype=complex)
+    return IsometryPath(ts, mats, 0.5, 1e-9, 1.0)
+
+
+class TestUnitaryInputChecks:
+    @pytest.mark.parametrize("key", ["tol", "lipschitz"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_unitary_validate_bad_tolerance(self, capsys, tmp_path, key, value):
+        path = _jump_path()
+        payload = {"path": dict(path.to_json(), **{key: value}),
+                   "unitaries": path.to_json()["samples"]}
+        code, out, err = run(capsys, ["unitary", "validate"], payload, tmp_path)
+        assert code == 2
+        assert out == ""
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_boolean_matrix_entry(self, capsys, tmp_path):
+        blob = _jump_path().to_json()
+        blob["samples"][0]["re"][0][0] = True
+        code, out, err = run(capsys, ["unitary", "patch"], blob, tmp_path)
+        assert code == 2
+        assert out == ""
+        assert "boolean" in err
+
+    def test_non_finite_result_is_not_printed(self, capsys, tmp_path, monkeypatch):
+        import ctrace.cli as cli
+
+        monkeypatch.setitem(
+            cli._HANDLERS, ("pw", "eval"), (lambda payload, args: ({"x": float("nan")}, 0), True)
+        )
+        code, out, err = run(capsys, ["pw", "eval"], {}, tmp_path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 class TestSubcommands:
     def test_counterexample_tiny_delta(self, capsys):
         code = main(["exist", "counterexample", "--delta", "1/100000000", "--eps0", "1/5"])

@@ -30,11 +30,15 @@ from ctrace.pwcalc import (
 
 from helpers import (
     oracle_inf_diff,
+    pl_functions,
     rand_lsc_int_step,
     rand_pattern,
     rand_pl,
     rand_pl_unit,
     rand_positive_step,
+    ref_apply_pattern,
+    ref_push_dimension,
+    repeated_patterns,
 )
 
 seeds = st.integers(0, 10**9)
@@ -140,6 +144,36 @@ class TestPushDimension:
         assert le_pointwise(
             push_dimension(pattern, d), push_dimension(pattern, bigger)
         )
+
+
+class TestCountedPatternsMatchReferences:
+    """Composing each distinct eigenfunction once and weighting it by its
+    count gives exactly the per-eigenfunction sums."""
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_apply_pattern(self, data, normalized):
+        f = data.draw(pl_functions())
+        pattern = data.draw(repeated_patterns(f.breakpoints))
+        out = apply_pattern(pattern, f, normalized=normalized)
+        ref = ref_apply_pattern(pattern, f, normalized=normalized)
+        assert out == ref
+        assert out.to_json() == ref.to_json()
+
+    @given(st.data(), seeds)
+    @settings(max_examples=150, deadline=None)
+    def test_push_dimension(self, data, seed):
+        d = rand_lsc_int_step(random.Random(seed))
+        pattern = data.draw(repeated_patterns(d.points))
+        out, ref = push_dimension(pattern, d), ref_push_dimension(pattern, d)
+        assert out == ref
+        assert out.to_json() == ref.to_json()
+
+    def test_counts_keep_first_seen_order(self):
+        lam, mu = PLFunction.identity(), PLFunction.constant(F(1, 3))
+        pattern = EigenPattern((mu, lam, mu, mu))
+        assert list(pattern.counts.items()) == [(mu, 3), (lam, 1)]
+        assert pattern.to_json() == {"eigenfunctions": [f.to_json() for f in (mu, lam, mu, mu)]}
 
 
 class TestCheckCompat:

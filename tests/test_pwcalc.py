@@ -14,6 +14,7 @@ from ctrace.pwcalc import (
     Piece,
     StepFunction,
     add_steps,
+    combine_steps,
     compose_pl,
     compose_step_pl,
     frac,
@@ -21,18 +22,26 @@ from ctrace.pwcalc import (
     is_lsc,
     le_pointwise,
     linear_combine,
+    merged_points,
+    refine,
     unit_weight,
     weighted_sup_norm,
 )
 
 from helpers import (
+    inner_functions,
     oracle_inf_diff,
     oracle_le,
     oracle_weighted_sup,
+    pl_functions,
     rand_pl,
     rand_pl_unit,
     rand_positive_step,
     rand_step,
+    ref_compose_pl,
+    ref_compose_step_pl,
+    ref_refine,
+    step_functions,
 )
 
 seeds = st.integers(0, 10**9)
@@ -431,3 +440,77 @@ class TestCompositionIdentityProperties:
         for k in range(0, 33):
             t = F(k, 32)
             assert total.eval(t) == s1.eval(t) + s2.eval(t)
+
+
+piecewise_functions = st.one_of(pl_functions(), step_functions())
+
+
+class TestCursorWalksMatchReferences:
+    """The cursor walks give exactly what per-point bisect and eval gave."""
+
+    @given(st.lists(piecewise_functions, min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_refine(self, fns):
+        assert refine(*fns) == ref_refine(*fns)
+        assert merged_points(*fns) == ref_refine(*fns)[0]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_compose_pl(self, data):
+        f = data.draw(pl_functions())
+        g = data.draw(inner_functions(f.breakpoints))
+        out, ref = compose_pl(f, g), ref_compose_pl(f, g)
+        assert out == ref
+        assert out.to_json() == ref.to_json()
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_compose_step_pl(self, data):
+        d = data.draw(step_functions())
+        g = data.draw(inner_functions(d.points))
+        out, ref = compose_step_pl(d, g), ref_compose_step_pl(d, g)
+        assert out == ref
+        assert out.to_json() == ref.to_json()
+
+    @pytest.mark.parametrize("g", [
+        PLFunction.identity(),
+        PLFunction((0, 1), (1, 0)),
+        PLFunction.constant(F(1, 2)),
+        PLFunction.constant(0),
+        PLFunction((0, F(1, 4), F(1, 2), F(3, 4), 1), (1, F(1, 2), F(1, 2), 0, 1)),
+    ])
+    def test_edge_inner_functions(self, g):
+        f = PLFunction((0, F(1, 2), 1), (3, -1, 2))
+        d = StepFunction.from_profile((0, F(1, 2), 1), (1, 5, 2), (4, 3))
+        assert compose_pl(f, g).to_json() == ref_compose_pl(f, g).to_json()
+        assert compose_step_pl(d, g).to_json() == ref_compose_step_pl(d, g).to_json()
+
+
+def _raise_on_eval(self, t):
+    raise AssertionError("a refinement sweep evaluated a function per point")
+
+
+class TestSweepsDoNotEvaluatePerPoint:
+    @given(st.lists(pl_functions(), min_size=1, max_size=3),
+           st.lists(step_functions(), min_size=1, max_size=3),
+           step_functions(lo=F(1, 4), hi=3))
+    @settings(max_examples=60, deadline=None)
+    def test_results_unchanged_without_eval(self, pls, steps, weight):
+        from ctrace.pwcalc import inf_difference
+
+        def results():
+            return (
+                refine(*pls, *steps),
+                linear_combine(list(range(1, len(pls) + 1)), pls),
+                le_pointwise(pls[0], steps[0]),
+                le_pointwise(steps[-1], pls[-1], strict=True),
+                weighted_sup_norm(pls[0], weight),
+                inf_difference(pls[-1], steps[0]),
+                combine_steps(steps, lambda *vs: max(vs)),
+            )
+
+        expected = results()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PLFunction, "eval", _raise_on_eval)
+            mp.setattr(StepFunction, "eval", _raise_on_eval)
+            assert results() == expected

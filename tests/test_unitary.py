@@ -9,6 +9,7 @@ from ctrace.unitary import (
     IsometryPath,
     _norms,
     complement_isometry,
+    matrices_from_json,
     patch_at_singularity,
     unitary_defect,
     validate_unitary_path,
@@ -447,3 +448,31 @@ class TestRelativeTolerances:
         ts[5] += 1e-3
         with pytest.raises(ValueError, match="uniform"):
             IsometryPath(ts, np.array([E11] * 5 + [I2] * 6), 0.35, TOL, 1.0)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("key", ["tol", "lipschitz"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+    def test_tolerances_must_be_finite_and_nonnegative(self, key, value):
+        path = constant_jump_path(E11, I2)
+        kwargs = {"tol": path.tol, "lipschitz": path.lipschitz, key: value}
+        with pytest.raises(ValueError, match=key):
+            IsometryPath(path.ts, path.mats, path.t_jump, **kwargs)
+        with pytest.raises(ValueError, match=key):
+            IsometryPath.from_json(dict(path.to_json(), **{key: value}))
+
+    def test_zero_tolerances_are_allowed(self):
+        path = constant_jump_path(E11, I2)
+        assert IsometryPath(path.ts, path.mats, path.t_jump, 0.0, 0.0).tol == 0.0
+
+    @pytest.mark.parametrize("key", ["re", "im"])
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_boolean_matrix_entries_are_refused(self, key, entry):
+        samples = constant_jump_path(E11, I2).to_json()["samples"]
+        samples[2][key][1][0] = entry
+        with pytest.raises(TypeError, match="boolean"):
+            matrices_from_json(samples)
+
+    def test_matrices_round_trip(self):
+        path = constant_jump_path(E11, SWAP)
+        assert np.array_equal(matrices_from_json(path.to_json()["samples"]), path.mats)
