@@ -75,6 +75,10 @@ BAD_INPUT = 2
 INFEASIBLE = 3
 NOT_DECIDABLE = 4
 
+# Work limits: a payload of a few bytes must not ask for unbounded work.
+MAX_NESTED_SETS = 1000   # open sets read by from-nested, or written by to-nested
+MAX_BINS = 100           # subintervals d of pattern density and pattern uniqhyp
+
 
 def _emit(line: str) -> None:
     """Print one line; a reader that has gone away is ignored."""
@@ -104,6 +108,12 @@ def _steps(obj) -> StepFunction:
 
 def _pl(obj) -> PLFunction:
     return PLFunction.from_json(obj)
+
+
+def _capped(what: str, value, cap: int):
+    if value > cap:
+        raise ValueError(f"{what} {value} exceeds the limit {cap}")
+    return value
 
 
 def _group(payload) -> GroupModel:
@@ -151,11 +161,15 @@ def _block_validate(payload, args):
 
 
 def _block_from_nested(payload, args):
+    _capped("number of open sets", len(payload["opens"]), MAX_NESTED_SETS)
     return dim_from_nested(NestedPresentation.from_json(payload)).to_json(), OK
 
 
 def _block_to_nested(payload, args):
-    return nested_from_dim(_steps(payload)).to_json(), OK
+    d = _steps(payload)
+    # a largest value v gives v - 1 open sets
+    _capped("largest value", d.max_value(), MAX_NESTED_SETS + 1)
+    return nested_from_dim(d).to_json(), OK
 
 
 def _pattern_apply(payload, args):
@@ -186,7 +200,7 @@ def _pattern_compat(payload, args):
 def _pattern_density(payload, args):
     res = density_check(
         EigenPattern.from_json(payload["pattern"]),
-        int(payload["d"]),
+        _capped("d", int(payload["d"]), MAX_BINS),
         frac(payload["delta"]),
     )
     out = {
@@ -234,7 +248,7 @@ def _pattern_uniqhyp(payload, args):
     rep = uniqueness_hypothesis_check(
         EigenPattern.from_json(payload["phi"]),
         EigenPattern.from_json(payload["psi"]),
-        int(payload["d"]),
+        _capped("d", int(payload["d"]), MAX_BINS),
         frac(payload["delta"]),
         _steps(payload["w_dom"]),
         _steps(payload["w_cod"]),

@@ -29,9 +29,8 @@ from typing import Sequence, Union
 
 from .blocks import ensure_dimension_function
 from .errors import Infeasible, PreconditionFailed
-from .patterns import EigenPattern, apply_pattern, check_compat, push_dimension
+from .patterns import EigenPattern, apply_difference, check_compat, push_dimension
 from .pwcalc import (
-    Interval,
     ONE,
     PLFunction,
     StepFunction,
@@ -292,12 +291,12 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
         )
 
     sigma = squash_map(d_a, delta)
-    perturbed = EigenPattern(
-        tuple(compose_pl(sigma, lam) for lam in pattern.eigenfunctions)
-    )
     one = unit_weight()
-    eigen_facts = []
-    for lam, lam_hat in zip(pattern.eigenfunctions, perturbed.eigenfunctions):
+    # each distinct eigenfunction is perturbed and certified once, in
+    # first-seen order, so the first failing one is the first failing index
+    certified = {}
+    for lam in pattern.counts:
+        lam_hat = compose_pl(sigma, lam)
         dist = weighted_sup_norm(lam_hat - lam, one).value
         if dist > 2 * delta:
             raise AssertionError("squash construction exceeded its own budget")
@@ -307,7 +306,10 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
                 "perturbed eigenfunction escapes the under-approximation",
                 witness=dom.witness,
             )
-        eigen_facts.append(EigenFact(dist))
+        certified[lam] = (lam_hat, EigenFact(dist))
+    per_index = [certified[lam] for lam in pattern.eigenfunctions]
+    perturbed = EigenPattern(tuple(lam_hat for lam_hat, _ in per_index))
+    eigen_facts = [fact for _, fact in per_index]
     pushed = push_dimension(perturbed, d_a)
     below = le_pointwise(pushed, d_b)
     if not below:
@@ -316,7 +318,7 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
         )
     element_facts = []
     for a in test_elements:
-        diff = apply_pattern(pattern, a) - apply_pattern(perturbed, a)
+        diff = apply_difference(pattern, perturbed, a)
         dev = weighted_sup_norm(diff, w_cod).value
         bound = eps * weighted_sup_norm(a, w_dom).value
         if dev > bound:
@@ -389,18 +391,25 @@ def verify_certificate(cert: PerturbationCertificate) -> CertificateCheck:
     add("f_prime_below_d_A", underapprox.holds,
         "" if underapprox else f"witness {underapprox.witness}")
     if cert.original.multiplicity == cert.perturbed.multiplicity:
-        pairs = zip(cert.original.eigenfunctions, cert.perturbed.eigenfunctions)
-        for i, (lam, lam_hat) in enumerate(pairs):
-            dist = weighted_sup_norm(lam_hat - lam, one).value
+        pairs = list(zip(cert.original.eigenfunctions, cert.perturbed.eigenfunctions))
+        # each distinct (lambda, lambda_hat) pair is re-derived once
+        derived = {
+            (lam, lam_hat): (
+                weighted_sup_norm(lam_hat - lam, one).value,
+                le_pointwise(
+                    compose_step_pl(cert.d_a, lam_hat), compose_pl(cert.f_prime, lam)
+                ),
+            )
+            for lam, lam_hat in dict.fromkeys(pairs)
+        }
+        for i, pair in enumerate(pairs):
+            dist, dom = derived[pair]
             fact = cert.eigen_facts[i] if i < len(cert.eigen_facts) else None
             add(
                 f"eigen_distance[{i}]",
                 fact is not None and dist == fact.sup_distance
                 and dist <= 2 * cert.delta,
                 f"distance {dist}",
-            )
-            dom = le_pointwise(
-                compose_step_pl(cert.d_a, lam_hat), compose_pl(cert.f_prime, lam)
             )
             add(
                 f"eigen_domination[{i}]",
@@ -417,7 +426,7 @@ def verify_certificate(cert: PerturbationCertificate) -> CertificateCheck:
         len(cert.element_facts) == len(cert.test_elements),
     )
     for j, a in enumerate(cert.test_elements):
-        diff = apply_pattern(cert.original, a) - apply_pattern(cert.perturbed, a)
+        diff = apply_difference(cert.original, cert.perturbed, a)
         dev = weighted_sup_norm(diff, cert.w_cod).value
         bound = cert.eps * weighted_sup_norm(a, cert.w_dom).value
         fact = cert.element_facts[j] if j < len(cert.element_facts) else None
@@ -508,8 +517,12 @@ def reproduce_counterexample(delta, eps0) -> CounterexampleReport:
     # any eigenfunction within 2*eps0 of the identity at 0 lands in
     # [0, 2*eps0], where the pinched function is identically 2
     reach = 2 * eps0
-    low_region = Interval(ZERO, reach)
-    forced_value = d_a.min_on(low_region)
+    # the least value of d_A on [0, reach], read from its profile: its
+    # points in the window and the open cells starting before reach
+    forced_value = min(
+        [v for t, v in zip(d_a.points, d_a.point_values) if t <= reach]
+        + [v for t, v in zip(d_a.points, d_a.open_values) if t < reach]
+    )
     pushed_at_zero = Fraction(m) * forced_value
     infeasible = (
         reach < Fraction(1, 2)

@@ -105,6 +105,20 @@ def apply_pattern(pattern: EigenPattern, f: PLFunction,
                           [compose_pl(f, lam) for lam in counts])
 
 
+def apply_difference(p: EigenPattern, q: EigenPattern, f: PLFunction) -> PLFunction:
+    """Exact apply_pattern(p, f) - apply_pattern(q, f), as one combination.
+
+    Each eigenfunction of either pattern is weighted by its count in p
+    minus its count in q; those whose counts cancel are not composed.
+    """
+    counts = p.counts
+    counts.subtract(q.counts)
+    terms = [(n, lam) for lam, n in counts.items() if n]
+    if not terms:
+        return PLFunction.constant(ZERO)
+    return linear_combine([n for n, _ in terms], [compose_pl(f, lam) for _, lam in terms])
+
+
 def push_dimension(pattern: EigenPattern, d: StepFunction) -> StepFunction:
     """Exact sum of d over the eigenfunctions; lsc when d is lsc.
 
@@ -213,7 +227,7 @@ def uniqueness_hypothesis_check(phi: EigenPattern, psi: EigenPattern, d: int,
     if not density_check(phi, d, delta) or not density_check(psi, d, delta):
         return UniquenessReport(False, density_ok=False)
     for i, ramp in enumerate(ramp_functions(d)):
-        diff = apply_pattern(phi, ramp) - apply_pattern(psi, ramp)
+        diff = apply_difference(phi, psi, ramp)
         lhs = weighted_sup_norm(diff, w_cod).value
         rhs = delta * weighted_sup_norm(ramp, w_dom).value
         if not lhs < rhs:

@@ -19,6 +19,7 @@ the endpoint it is approached from.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -97,15 +98,6 @@ class Interval:
             other.hi == self.hi and (self.hi_closed or not other.hi_closed)
         )
         return lo_ok and hi_ok
-
-    def intersects(self, other: "Interval") -> bool:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return False
-        if lo < hi:
-            return True
-        return self.contains(lo) and other.contains(lo)
 
     def sample(self) -> Fraction:
         """A point guaranteed to lie in the interval."""
@@ -271,13 +263,6 @@ class StepFunction:
     def max_value(self) -> Fraction:
         return max(self.point_values + self.open_values)
 
-    def min_on(self, window: Interval) -> Fraction:
-        """Minimum over the pieces meeting ``window`` (exact; attained)."""
-        vals = [p.value for p in self.pieces if p.interval.intersects(window)]
-        if not vals:
-            raise ValueError("window meets no piece")
-        return min(vals)
-
     def scale(self, c) -> "StepFunction":
         c = frac(c)
         return StepFunction.from_profile(
@@ -340,19 +325,30 @@ class PLFunction:
             raise ValueError("need at least the two endpoints 0 and 1")
         if bps[0] != ZERO or bps[-1] != ONE:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if any(a >= b for a, b in zip(bps, bps[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        pts = [(bps[0], vals[0])]
+        # The last kept point is always the previous input point, so the
+        # slope into the current point is the slope of the segment it would
+        # extend; equal slopes drop the previous point.  Kept points are
+        # never collinear, so nothing before it can drop too.  Slopes are
+        # integer ratios num/den with den > 0 exactly when t increases.
+        kept_t, kept_v = [bps[0]], [vals[0]]
+        pn, pd = 0, 1
+        qn, qd = vals[0].numerator, vals[0].denominator
+        sn = sd = 0
         for t, v in zip(bps[1:], vals[1:]):
-            while len(pts) >= 2:
-                (t0, v0), (t1, v1) = pts[-2], pts[-1]
-                if (v1 - v0) * (t - t1) == (v - v1) * (t1 - t0):
-                    pts.pop()
-                else:
-                    break
-            pts.append((t, v))
-        object.__setattr__(self, "breakpoints", tuple(t for t, _ in pts))
-        object.__setattr__(self, "values", tuple(v for _, v in pts))
+            tn, td, vn, vd = t.numerator, t.denominator, v.numerator, v.denominator
+            den = (tn * pd - pn * td) * (vd * qd)
+            if den <= 0:
+                raise ValueError("breakpoints must be strictly increasing")
+            num = (vn * qd - qn * vd) * (td * pd)
+            if len(kept_t) > 1 and num * sd == sn * den:
+                kept_t[-1], kept_v[-1] = t, v
+            else:
+                kept_t.append(t)
+                kept_v.append(v)
+                sn, sd = num, den
+            pn, pd, qn, qd = tn, td, vn, vd
+        object.__setattr__(self, "breakpoints", tuple(kept_t))
+        object.__setattr__(self, "values", tuple(kept_v))
 
     @classmethod
     def constant(cls, v) -> "PLFunction":
@@ -477,9 +473,15 @@ def _walk_pl(f: PLFunction, pts) -> list:
     k = 1
     for t0, t1, v0, v1 in f.segments():
         if pts[k] != t1:
+            # f(p/q) = (a*q + b*p) / (c*q) on this segment, in integers
             slope = (v1 - v0) / (t1 - t0)
+            alpha = v0 - slope * t0
+            a = alpha.numerator * slope.denominator
+            b = slope.numerator * alpha.denominator
+            c = alpha.denominator * slope.denominator
             while pts[k] != t1:
-                at.append(v0 + (pts[k] - t0) * slope)
+                q = pts[k].denominator
+                at.append(Fraction(a * q + b * pts[k].numerator, c * q))
                 k += 1
         at.append(v1)
         k += 1
@@ -549,6 +551,12 @@ def _violation_point(a, b, hA, hB, allow_equal):
     return None
 
 
+def _sign_of_difference(x: Fraction, y: Fraction) -> int:
+    """The sign of x - y, from cross-multiplied integer numerators."""
+    lhs, rhs = x.numerator * y.denominator, y.numerator * x.denominator
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def le_pointwise(f: PiecewiseFunction, g: PiecewiseFunction,
                  strict: bool = False) -> LeResult:
     """Exact pointwise comparison f <= g (or f < g when ``strict``).
@@ -557,18 +565,14 @@ def le_pointwise(f: PiecewiseFunction, g: PiecewiseFunction,
     """
     pts, ((f_at, f_above, f_below), (g_at, g_above, g_below)) = refine(f, g)
     for t, fv, gv in zip(pts, f_at, g_at):
-        d = fv - gv
+        d = _sign_of_difference(fv, gv)
         if d > 0 or (strict and d == 0):
             return LeResult(False, t)
     cells = zip(pts, pts[1:], f_above, f_below, g_above, g_below)
     for a, b, fa, fb, ga, gb in cells:
-        hA, hB = fa - ga, fb - gb
-        if strict:
-            ok = hA <= 0 and hB <= 0 and not (hA == 0 and hB == 0)
-        else:
-            ok = hA <= 0 and hB <= 0
-        if not ok:
-            return LeResult(False, _violation_point(a, b, hA, hB, strict))
+        sA, sB = _sign_of_difference(fa, ga), _sign_of_difference(fb, gb)
+        if sA > 0 or sB > 0 or (strict and sA == 0 and sB == 0):
+            return LeResult(False, _violation_point(a, b, fa - ga, fb - gb, strict))
     return LeResult(True, None)
 
 
@@ -664,10 +668,18 @@ def linear_combine(coeffs: Sequence, fns: Sequence[PLFunction]) -> PLFunction:
         raise ValueError("coefficient/function count mismatch")
     coeffs = [frac(c) for c in coeffs]
     pts, samples = refine(*fns)
-    vals = [
-        sum((c * v for c, v in zip(coeffs, vs)), ZERO)
-        for vs in zip(*(at for at, _, _ in samples))
-    ]
+    terms = [(c.numerator, c.denominator) for c in coeffs]
+    vals = []
+    # each value is summed as one integer ratio over a running common
+    # denominator and reduced once
+    for vs in zip(*(at for at, _, _ in samples)):
+        num, den = 0, 1
+        for (cn, cd), v in zip(terms, vs):
+            d = cd * v.denominator
+            g = math.gcd(den, d)
+            num = num * (d // g) + cn * v.numerator * (den // g)
+            den = den // g * d
+        vals.append(Fraction(num, den))
     return PLFunction(pts, tuple(vals))
 
 

@@ -391,3 +391,178 @@ def repeated_patterns(draw, targets=(), max_distinct=3, max_m=8):
     distinct = draw(st.lists(inner_functions(targets), min_size=1, max_size=max_distinct))
     picks = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=max_m))
     return EigenPattern(tuple(picks))
+
+
+# ---------------------------------------------------------------------------
+# Fraction and per-index references for the integer and distinct-pair paths
+# ---------------------------------------------------------------------------
+#
+# ``PLFunction`` now decides collinearity on integer slopes, ``le_pointwise``
+# tests signs by cross-multiplying, ``perturb_pattern`` and
+# ``verify_certificate`` handle each distinct eigenfunction (pair) once, and
+# a pattern difference is one combination.  These are the versions they
+# replaced: Fraction arithmetic, every index on its own, three refinements.
+
+
+def ref_pl_canonical(bps, vals) -> tuple:
+    """Collinear interior points removed with Fraction cross products."""
+    pts = [(bps[0], vals[0])]
+    for t, v in zip(bps[1:], vals[1:]):
+        while len(pts) >= 2:
+            (t0, v0), (t1, v1) = pts[-2], pts[-1]
+            if (v1 - v0) * (t - t1) == (v - v1) * (t1 - t0):
+                pts.pop()
+            else:
+                break
+        pts.append((t, v))
+    return tuple(t for t, _ in pts), tuple(v for _, v in pts)
+
+
+def ref_le_pointwise(f, g, strict=False):
+    from ctrace.pwcalc import LeResult, _violation_point
+
+    pts, ((f_at, f_above, f_below), (g_at, g_above, g_below)) = ref_refine(f, g)
+    for t, fv, gv in zip(pts, f_at, g_at):
+        d = fv - gv
+        if d > 0 or (strict and d == 0):
+            return LeResult(False, t)
+    for a, b, fa, fb, ga, gb in zip(pts, pts[1:], f_above, f_below, g_above, g_below):
+        hA, hB = fa - ga, fb - gb
+        ok = hA <= 0 and hB <= 0 and not (strict and hA == 0 and hB == 0)
+        if not ok:
+            return LeResult(False, _violation_point(a, b, hA, hB, strict))
+    return LeResult(True, None)
+
+
+def ref_apply_difference(p, q, f) -> PLFunction:
+    from ctrace.patterns import apply_pattern
+
+    return apply_pattern(p, f) - apply_pattern(q, f)
+
+
+def ref_perturb_pattern(d_a, f_prime, pattern, d_b, delta, test_elements,
+                        eps, w_dom, w_cod):
+    """Every eigenfunction perturbed and certified at its own index.
+
+    The module's functions are looked up at call time, so a test that
+    patches ``existence.squash_map`` patches this reference too.
+    """
+    from ctrace import existence as ex
+    from ctrace.errors import Infeasible, PreconditionFailed
+    from ctrace.patterns import EigenPattern, check_compat, push_dimension
+    from ctrace.pwcalc import compose_pl, compose_step_pl, le_pointwise, \
+        unit_weight, weighted_sup_norm
+
+    if f_prime != ex.make_underapprox(d_a, delta):
+        raise PreconditionFailed("f_prime is not the canonical under-approximation")
+    hypothesis = check_compat(pattern, f_prime, d_b, 0)
+    if not hypothesis:
+        raise Infeasible("pattern(f') exceeds d_B; no admissible perturbation exists",
+                         witness=hypothesis.witness)
+    sigma = ex.squash_map(d_a, delta)
+    perturbed = EigenPattern(tuple(compose_pl(sigma, lam) for lam in pattern.eigenfunctions))
+    eigen_facts = []
+    for lam, lam_hat in zip(pattern.eigenfunctions, perturbed.eigenfunctions):
+        dist = weighted_sup_norm(lam_hat - lam, unit_weight()).value
+        dom = le_pointwise(compose_step_pl(d_a, lam_hat), compose_pl(f_prime, lam))
+        if not dom:
+            raise Infeasible("perturbed eigenfunction escapes the under-approximation",
+                             witness=dom.witness)
+        eigen_facts.append(ex.EigenFact(dist))
+    pushed = push_dimension(perturbed, d_a)
+    below = le_pointwise(pushed, d_b)
+    if not below:
+        raise Infeasible("pushed dimension function exceeds d_B", witness=below.witness)
+    element_facts = []
+    for a in test_elements:
+        diff = ref_apply_difference(pattern, perturbed, a)
+        dev = weighted_sup_norm(diff, w_cod).value
+        bound = eps * weighted_sup_norm(a, w_dom).value
+        if dev > bound:
+            raise Infeasible(f"deviation {dev} on a test element exceeds the budget {bound}")
+        element_facts.append(ex.ElementFact(dev, bound))
+    return ex.PerturbationCertificate(
+        d_a=d_a, f_prime=f_prime, d_b=d_b, original=pattern, perturbed=perturbed,
+        delta=delta, eps=eps, w_dom=w_dom, w_cod=w_cod,
+        test_elements=tuple(test_elements), eigen_facts=tuple(eigen_facts),
+        pushed=pushed, element_facts=tuple(element_facts),
+    )
+
+
+def ref_verify_certificate(cert):
+    """Every fact re-derived at its own index, deviations in three refinements."""
+    from ctrace.existence import CertificateCheck, CheckItem
+    from ctrace.patterns import push_dimension
+    from ctrace.pwcalc import compose_pl, compose_step_pl, le_pointwise, \
+        unit_weight, weighted_sup_norm
+
+    items = []
+
+    def add(name, ok, detail=""):
+        items.append(CheckItem(name, bool(ok), detail))
+
+    add("pattern_sizes_match",
+        cert.original.multiplicity == cert.perturbed.multiplicity
+        and len(cert.eigen_facts) == cert.original.multiplicity)
+    underapprox = le_pointwise(cert.f_prime, cert.d_a)
+    add("f_prime_below_d_A", underapprox.holds,
+        "" if underapprox else f"witness {underapprox.witness}")
+    if cert.original.multiplicity == cert.perturbed.multiplicity:
+        pairs = zip(cert.original.eigenfunctions, cert.perturbed.eigenfunctions)
+        for i, (lam, lam_hat) in enumerate(pairs):
+            dist = weighted_sup_norm(lam_hat - lam, unit_weight()).value
+            fact = cert.eigen_facts[i] if i < len(cert.eigen_facts) else None
+            add(f"eigen_distance[{i}]",
+                fact is not None and dist == fact.sup_distance and dist <= 2 * cert.delta,
+                f"distance {dist}")
+            dom = le_pointwise(compose_step_pl(cert.d_a, lam_hat), compose_pl(cert.f_prime, lam))
+            add(f"eigen_domination[{i}]", dom.holds, "" if dom else f"witness {dom.witness}")
+    pushed = push_dimension(cert.perturbed, cert.d_a)
+    add("pushed_matches", pushed == cert.pushed)
+    below = le_pointwise(pushed, cert.d_b)
+    add("pushed_below_target", below.holds, "" if below else f"witness {below.witness}")
+    add("element_count_matches", len(cert.element_facts) == len(cert.test_elements))
+    for j, a in enumerate(cert.test_elements):
+        diff = ref_apply_difference(cert.original, cert.perturbed, a)
+        dev = weighted_sup_norm(diff, cert.w_cod).value
+        bound = cert.eps * weighted_sup_norm(a, cert.w_dom).value
+        fact = cert.element_facts[j] if j < len(cert.element_facts) else None
+        add(f"element_deviation[{j}]",
+            fact is not None and dev == fact.deviation and bound == fact.bound and dev <= bound,
+            f"deviation {dev} vs bound {bound}")
+    return CertificateCheck(all(i.ok for i in items), tuple(items))
+
+
+# strategies with collinear runs, negative values and mixed, large denominators
+
+wide_fractions = st.one_of(
+    st.fractions(-3, 3, max_denominator=12),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**9)),
+)
+
+
+@st.composite
+def wide_cut_points(draw, max_cuts=7):
+    """0, interior points with small and large denominators, 1."""
+    inner = st.one_of(
+        unit_fractions,
+        st.builds(Fraction, st.integers(1, 10**9 - 1), st.just(10**9)),
+        st.builds(lambda n, d: Fraction(n % d, d), st.integers(1, 10**12), st.integers(2, 10**6)),
+    ).filter(lambda t: ZERO < t < ONE)
+    pts = draw(st.lists(inner, max_size=max_cuts, unique=True))
+    return [ZERO] + sorted(pts) + [ONE]
+
+
+@st.composite
+def wide_pl_points(draw):
+    """Breakpoints and values of a PL function that often run along a
+    shared line, so that canonicalisation has collinear runs (and runs
+    of equal slope that break and resume) to remove."""
+    pts = draw(wide_cut_points())
+    vals = []
+    alpha, beta = draw(wide_fractions), draw(wide_fractions)
+    for t in pts:
+        if draw(st.integers(0, 2)) == 0:
+            alpha, beta = draw(wide_fractions), draw(wide_fractions)
+        vals.append(alpha + beta * t if draw(st.integers(0, 4)) else draw(wide_fractions))
+    return pts, vals

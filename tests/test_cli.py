@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctrace.cli import main
+from ctrace.cli import MAX_BINS, MAX_NESTED_SETS, main
 from ctrace.existence import make_underapprox, pinched_dimension_function
 from ctrace.patterns import EigenPattern, push_dimension
 from ctrace.pwcalc import PLFunction, StepFunction, unit_weight
@@ -342,6 +342,56 @@ class TestSubcommands:
         }
         code, out, _ = run(capsys, ["pw", "le"], [holds, fails], tmp_path)
         assert code == 1
+
+
+class TestWorkLimits:
+    """Each limit accepts its cap and refuses cap + 1 with exit 2.  The
+    payloads past the cap stay cheap, so a missing check shows as a wrong
+    exit code rather than a long run."""
+
+    @staticmethod
+    def nested_payload(sets):
+        half = {"lo": [0, 1], "hi": [1, 2], "lo_closed": True, "hi_closed": False}
+        return {"n": sets + 1, "opens": [[half]] * sets}
+
+    def check_refused(self, capsys, tmp_path, args, payload, message):
+        code, out, err = run(capsys, args, payload, tmp_path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_from_nested_sets(self, capsys, tmp_path):
+        code, out, _ = run(capsys, ["block", "from-nested"],
+                           self.nested_payload(MAX_NESTED_SETS), tmp_path)
+        assert code == 0 and json.loads(out)["pieces"][0]["value"] == [MAX_NESTED_SETS + 1, 1]
+        self.check_refused(capsys, tmp_path, ["block", "from-nested"],
+                           self.nested_payload(MAX_NESTED_SETS + 1),
+                           f"number of open sets {MAX_NESTED_SETS + 1} exceeds the limit")
+
+    def test_to_nested_largest_value(self, capsys, tmp_path):
+        top = MAX_NESTED_SETS + 1
+        code, out, _ = run(capsys, ["block", "to-nested"],
+                           StepFunction.constant(top).to_json(), tmp_path)
+        assert code == 0 and len(json.loads(out)["opens"]) == MAX_NESTED_SETS
+        self.check_refused(capsys, tmp_path, ["block", "to-nested"],
+                           StepFunction.constant(top + 1).to_json(),
+                           f"largest value {top + 1} exceeds the limit")
+
+    @pytest.mark.parametrize("sub", ["density", "uniqhyp"])
+    def test_bins(self, capsys, tmp_path, sub):
+        # the identity misses the far bins at t = 0, so both checks fail fast
+        pattern = EigenPattern.identities(1).to_json()
+
+        def payload(d):
+            if sub == "density":
+                return {"pattern": pattern, "d": d, "delta": [1, d]}
+            return {"phi": pattern, "psi": pattern, "d": d, "delta": [1, d],
+                    "w_dom": unit_weight().to_json(), "w_cod": unit_weight().to_json()}
+
+        code, out, _ = run(capsys, ["pattern", sub], payload(MAX_BINS), tmp_path)
+        assert code == 1 and json.loads(out)["holds"] is False
+        self.check_refused(capsys, tmp_path, ["pattern", sub], payload(MAX_BINS + 1),
+                           f"d {MAX_BINS + 1} exceeds the limit")
 
 
 class TestDeterminism:

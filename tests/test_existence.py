@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctrace.errors import Infeasible, PreconditionFailed
 from ctrace.existence import (
+    EigenFact,
     PerturbationCertificate,
     choose_delta,
     make_underapprox,
@@ -31,7 +32,14 @@ from ctrace.pwcalc import (
     weighted_sup_norm,
 )
 
-from helpers import rand_lsc_int_step, rand_pattern
+from helpers import (
+    rand_lsc_int_step,
+    rand_pattern,
+    rand_pl,
+    rand_pl_unit,
+    ref_perturb_pattern,
+    ref_verify_certificate,
+)
 
 seeds = st.integers(0, 10**9)
 
@@ -304,6 +312,120 @@ def _random_certified_instance(rng, max_m=8):
             d_a, f_prime, pattern, d_b, delta, [PLFunction.identity()],
             eps, w_dom, w_cod,
         )
+
+
+def _repeated_instance(rng, max_m=8):
+    """perturb_pattern arguments whose pattern repeats a few eigenfunctions;
+    the target's margin may be negative, so some instances are infeasible."""
+    while True:
+        d_a = rand_lsc_int_step(rng)
+        eps = F(rng.randint(1, 4), rng.choice([1, 2, 4]))
+        m = rng.randint(2, max_m)
+        delta = choose_delta(eps, m)
+        try:
+            f_prime = make_underapprox(d_a, delta)
+        except ValueError:
+            continue
+        distinct = [PLFunction.identity()] + [rand_pl_unit(rng, 3) for _ in range(2)]
+        pattern = EigenPattern(tuple(rng.choice(distinct) for _ in range(m)))
+        gap = rng.choice([-1, 0, 1, 2])
+        d_b = combine_steps([push_dimension(pattern, d_a)], lambda v: max(v + gap, F(1)))
+        w_dom = unit_weight()
+        w_cod = push_dimension(pattern, w_dom)
+        elements = [PLFunction.identity(), rand_pl(rng, 3)]
+        return d_a, f_prime, pattern, d_b, delta, elements, eps, w_dom, w_cod
+
+
+def _outcome(fn, *args):
+    """("ok", certificate JSON, certificate) or ("infeasible", message, witness)."""
+    try:
+        cert = fn(*args)
+    except Infeasible as exc:
+        return "infeasible", str(exc), exc.witness
+    return "ok", cert.to_json(), cert
+
+
+def _eigen_failures(check):
+    return {item.name for item in check.failures() if item.name.startswith("eigen_")}
+
+
+class TestDistinctEigenfunctionsMatchReferences:
+    """Certifying each distinct eigenfunction (pair) once gives the same
+    certificates, Infeasible witnesses and check items as every index on
+    its own."""
+
+    @given(seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_perturb_and_verify(self, seed):
+        args = _repeated_instance(random.Random(seed))
+        out, ref = _outcome(perturb_pattern, *args), _outcome(ref_perturb_pattern, *args)
+        assert out == ref
+        if out[0] == "ok":
+            check = verify_certificate(out[2])
+            assert check.ok
+            assert check == ref_verify_certificate(out[2])
+
+    def test_first_failing_eigenfunction_is_the_first_failing_index(self, monkeypatch):
+        import ctrace.existence as existence
+
+        # without the squash, an eigenfunction crossing the pinch escapes f'
+        monkeypatch.setattr(existence, "squash_map", lambda d, delta: PLFunction.identity())
+        d_a = pinched_dimension_function()
+        delta = choose_delta(F(1, 2), 4)
+        f_prime = make_underapprox(d_a, delta)
+        safe = PLFunction.constant(F(1, 8))
+        crossing = PLFunction((0, 1), (F(1, 4), F(3, 4)))
+        crossing_too = PLFunction((0, 1), (F(1, 3), F(3, 4)))
+        pattern = EigenPattern((safe, crossing_too, crossing, safe, crossing_too))
+        args = (d_a, f_prime, pattern, StepFunction.constant(20), delta,
+                [PLFunction.identity()], F(1, 2), unit_weight(), StepFunction.constant(4))
+        with pytest.raises(Infeasible) as err:
+            perturb_pattern(*args)
+        with pytest.raises(Infeasible) as ref:
+            ref_perturb_pattern(*args)
+        assert (str(err.value), err.value.witness) == (str(ref.value), ref.value.witness)
+        # index 1 fails first; index 2 would give another witness
+        witness = {lam: le_pointwise(compose_step_pl(d_a, lam), compose_pl(f_prime, lam)).witness
+                   for lam in (crossing_too, crossing)}
+        assert err.value.witness == witness[crossing_too] != witness[crossing]
+
+    @staticmethod
+    def _identity_certificate():
+        """Three copies of the identity across a pinch: one repeated pair."""
+        m = 3
+        d_a = pinched_dimension_function()
+        eps = F(1, 2)
+        delta = choose_delta(eps, m)
+        pattern = EigenPattern.identities(m)
+        d_b = combine_steps([push_dimension(pattern, d_a)], lambda v: v + 1)
+        return perturb_pattern(
+            d_a, make_underapprox(d_a, delta), pattern, d_b, delta,
+            [PLFunction.identity()], eps, unit_weight(),
+            push_dimension(pattern, unit_weight()),
+        )
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_altered_copy_of_a_repeated_hat_fails_only_its_index(self, i):
+        cert = self._identity_certificate()
+        hats = list(cert.perturbed.eigenfunctions)
+        assert len(set(hats)) == 1
+        hats[i] = PLFunction.identity()
+        tampered = PerturbationCertificate(
+            **{**cert.__dict__, "perturbed": EigenPattern(tuple(hats))}
+        )
+        check = verify_certificate(tampered)
+        assert _eigen_failures(check) == {f"eigen_distance[{i}]", f"eigen_domination[{i}]"}
+        assert check == ref_verify_certificate(tampered)
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_altered_fact_of_a_repeated_pair_fails_only_its_index(self, i):
+        cert = self._identity_certificate()
+        facts = list(cert.eigen_facts)
+        facts[i] = EigenFact(facts[i].sup_distance / 2)
+        tampered = PerturbationCertificate(**{**cert.__dict__, "eigen_facts": tuple(facts)})
+        check = verify_certificate(tampered)
+        assert [item.name for item in check.failures()] == [f"eigen_distance[{i}]"]
+        assert check == ref_verify_certificate(tampered)
 
 
 class TestReproduceCounterexample:

@@ -11,6 +11,7 @@ from ctrace.existence import pinched_dimension_function
 from ctrace.patterns import (
     ChainStage,
     EigenPattern,
+    apply_difference,
     apply_pattern,
     check_compat,
     compute_gap,
@@ -36,6 +37,7 @@ from helpers import (
     rand_pl,
     rand_pl_unit,
     rand_positive_step,
+    ref_apply_difference,
     ref_apply_pattern,
     ref_push_dimension,
     repeated_patterns,
@@ -174,6 +176,43 @@ class TestCountedPatternsMatchReferences:
         pattern = EigenPattern((mu, lam, mu, mu))
         assert list(pattern.counts.items()) == [(mu, 3), (lam, 1)]
         assert pattern.to_json() == {"eigenfunctions": [f.to_json() for f in (mu, lam, mu, mu)]}
+
+
+class TestApplyDifference:
+    """One signed combination equals the difference of the two sums."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_three_refinements(self, data):
+        f = data.draw(pl_functions())
+        p = data.draw(repeated_patterns(f.breakpoints))
+        # q shares some eigenfunctions with p, with other counts
+        shared = data.draw(st.lists(st.sampled_from(p.eigenfunctions), max_size=4))
+        other = data.draw(repeated_patterns(f.breakpoints)).eigenfunctions
+        q = EigenPattern(data.draw(st.permutations(shared + list(other))))
+        for a, b in ((p, q), (q, p), (p, p)):
+            out, ref = apply_difference(a, b, f), ref_apply_difference(a, b, f)
+            assert out == ref
+            assert out.to_json() == ref.to_json()
+
+    def test_equal_patterns_give_the_zero_function(self):
+        lam, mu = PLFunction.identity(), PLFunction.constant(F(1, 3))
+        f = PLFunction((0, F(1, 2), 1), (3, -1, 2))
+        zero = PLFunction.constant(0)
+        assert apply_difference(EigenPattern((lam, mu, lam)), EigenPattern((mu, lam, lam)), f) == zero
+        assert apply_difference(EigenPattern((mu,)), EigenPattern((mu,)), f).to_json() == zero.to_json()
+
+    def test_cancelled_terms_are_not_composed(self, monkeypatch):
+        from ctrace import patterns
+
+        lam, mu = PLFunction.identity(), PLFunction.constant(F(1, 3))
+        f = PLFunction((0, F(1, 2), 1), (3, -1, 2))
+        composed = []
+        real = patterns.compose_pl
+        monkeypatch.setattr(patterns, "compose_pl", lambda f, g: composed.append(g) or real(f, g))
+        out = apply_difference(EigenPattern((lam, mu, mu)), EigenPattern((mu, lam, lam)), f)
+        assert composed == [lam, mu]
+        assert out == linear_combine([-1, 1], [f, PLFunction.constant(f.eval(F(1, 3)))])
 
 
 class TestCheckCompat:

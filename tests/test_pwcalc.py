@@ -40,8 +40,12 @@ from helpers import (
     rand_step,
     ref_compose_pl,
     ref_compose_step_pl,
+    ref_le_pointwise,
+    ref_linear_combine,
+    ref_pl_canonical,
     ref_refine,
     step_functions,
+    wide_pl_points,
 )
 
 seeds = st.integers(0, 10**9)
@@ -514,3 +518,58 @@ class TestSweepsDoNotEvaluatePerPoint:
             mp.setattr(PLFunction, "eval", _raise_on_eval)
             mp.setattr(StepFunction, "eval", _raise_on_eval)
             assert results() == expected
+
+
+wide_functions = st.one_of(
+    wide_pl_points().map(lambda p: PLFunction(tuple(p[0]), tuple(p[1]))), step_functions()
+)
+
+
+class TestIntegerPathsMatchFractionReferences:
+    """Integer slopes, integer interpolation and cross-multiplied signs give
+    exactly what the Fraction arithmetic gave, on functions with collinear
+    runs, negative values and mixed, large denominators."""
+
+    @given(wide_pl_points())
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_points(self, profile):
+        bps, vals = profile
+        f = PLFunction(tuple(bps), tuple(vals))
+        assert (f.breakpoints, f.values) == ref_pl_canonical(bps, vals)
+        assert all(type(x) is F for x in f.breakpoints + f.values)
+
+    @given(wide_pl_points(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_non_increasing_breakpoints_rejected(self, profile, data):
+        bps, vals = profile
+        if len(bps) < 3:
+            return
+        i = data.draw(st.integers(1, len(bps) - 2))
+        bps[i] = data.draw(st.sampled_from([bps[i - 1], bps[i + 1]]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PLFunction(tuple(bps), tuple(vals))
+
+    def test_collinear_runs(self):
+        line = PLFunction((0, F(1, 3), F(1, 2), F(2, 3), 1), (-1, 0, F(1, 2), 1, 2))
+        assert line.breakpoints == (0, 1) and line.values == (-1, 2)
+        kink = PLFunction((0, F(1, 4), F(1, 2), F(3, 4), 1), (0, 1, 2, 1, 0))
+        assert kink.breakpoints == (0, F(1, 2), 1)
+        big = F(1, 10**9)
+        runs = PLFunction((0, big, 2 * big, F(1, 2), 1), (0, -big, -2 * big, -1, 0))
+        assert runs.breakpoints == (0, 2 * big, F(1, 2), 1)
+
+    @given(st.lists(wide_pl_points(), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_refine_and_linear_combine(self, profiles):
+        fns = [PLFunction(tuple(b), tuple(v)) for b, v in profiles]
+        assert refine(*fns) == ref_refine(*fns)
+        coeffs = [F(k - 2, k + 1) for k in range(len(fns))]
+        out, ref = linear_combine(coeffs, fns), ref_linear_combine(coeffs, fns)
+        assert out == ref
+        assert out.to_json() == ref.to_json()
+
+    @given(wide_functions, wide_functions, st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_le_pointwise(self, f, g, strict):
+        assert le_pointwise(f, g, strict) == ref_le_pointwise(f, g, strict)
+        assert le_pointwise(f, f, strict) == ref_le_pointwise(f, f, strict)
