@@ -19,8 +19,10 @@ from .pwcalc import (
     ZERO,
     Interval,
     StepFunction,
-    frac,
+    add_steps,
     is_lsc,
+    json_int,
+    le_pointwise,
 )
 
 
@@ -80,9 +82,25 @@ def _validate_open_set(intervals: Sequence[Interval]) -> tuple:
     return ivs
 
 
-def _union_contains(outer: Sequence[Interval], inner: Sequence[Interval]) -> bool:
-    # a connected interval inside a disjoint union lies inside one component
-    return all(any(o.contains_interval(i) for o in outer) for i in inner)
+def _indicator(opens: Sequence[Interval]) -> StepFunction:
+    """The 0/1 step function of a validated open set: 1 on each interval's
+    open cell and at its closed endpoints (only 0 and 1 can be closed), so
+    a point shared by two touching intervals stays 0."""
+    pts, at, cells = [ZERO], [ZERO], []
+    for iv in opens:
+        if iv.lo != pts[-1]:
+            pts.append(iv.lo)
+            cells.append(ZERO)
+            at.append(ZERO)
+        at[-1] = ONE if iv.lo_closed else ZERO
+        pts.append(iv.hi)
+        cells.append(ONE)
+        at.append(ONE if iv.hi_closed else ZERO)
+    if pts[-1] != ONE:
+        pts.append(ONE)
+        cells.append(ZERO)
+        at.append(ZERO)
+    return StepFunction.from_profile(pts, at, cells)
 
 
 @dataclass(frozen=True)
@@ -98,16 +116,11 @@ class NestedPresentation:
         opens = tuple(_validate_open_set(s) for s in self.opens)
         if len(opens) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} open sets, got {len(opens)}")
-        for bigger, smaller in zip(opens, opens[1:]):
-            if not _union_contains(bigger, smaller):
+        indicators = [_indicator(s) for s in opens]
+        for bigger, smaller in zip(indicators, indicators[1:]):
+            if not le_pointwise(smaller, bigger):
                 raise ValueError("open sets are not nested")
         object.__setattr__(self, "opens", opens)
-
-    def membership_count(self, t: Fraction) -> int:
-        t = frac(t)
-        return sum(
-            1 for s in self.opens if any(iv.contains(t) for iv in s)
-        )
 
     def to_json(self) -> dict:
         return {
@@ -118,7 +131,7 @@ class NestedPresentation:
     @classmethod
     def from_json(cls, obj: dict) -> "NestedPresentation":
         return cls(
-            int(obj["n"]),
+            json_int(obj["n"], "n"),
             tuple(
                 tuple(Interval.from_json(iv) for iv in s) for s in obj["opens"]
             ),
@@ -127,24 +140,13 @@ class NestedPresentation:
 
 def dim_from_nested(p: NestedPresentation) -> StepFunction:
     """Dimension function d(t) = 1 + #{i : t in A_i} of a presentation."""
-    pts = {ZERO, ONE}
-    for s in p.opens:
-        for iv in s:
-            pts.add(iv.lo)
-            pts.add(iv.hi)
-    pts = sorted(pts)
-    point_vals = [Fraction(1 + p.membership_count(t)) for t in pts]
-    open_vals = [
-        Fraction(1 + p.membership_count((a + b) / 2))
-        for a, b in zip(pts, pts[1:])
-    ]
-    return StepFunction.from_profile(pts, point_vals, open_vals)
+    return add_steps([StepFunction.constant(1), *(_indicator(s) for s in p.opens)])
 
 
-def _superlevel(d: StepFunction, level: int) -> tuple:
-    """The set {t : d(t) >= level} as a sorted tuple of intervals."""
+def _superlevel(pieces: tuple, level: int) -> tuple:
+    """The set {t : d(t) >= level}, given d's pieces, as a sorted tuple of intervals."""
     out = []
-    for piece in d.pieces:
+    for piece in pieces:
         if piece.value < level:
             continue
         iv = piece.interval
@@ -161,5 +163,6 @@ def nested_from_dim(d: StepFunction) -> NestedPresentation:
     """Recover the nested presentation; superlevel sets of an lsc function are open."""
     ensure_dimension_function(d)
     n = int(d.max_value())
-    opens = tuple(_superlevel(d, level) for level in range(2, n + 1))
+    pieces = d.pieces
+    opens = tuple(_superlevel(pieces, level) for level in range(2, n + 1))
     return NestedPresentation(n, opens)

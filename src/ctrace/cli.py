@@ -65,6 +65,8 @@ from .pwcalc import (
     frac,
     frac_pair,
     function_from_json,
+    json_bool,
+    json_int,
     le_pointwise,
     weighted_sup_norm,
 )
@@ -136,7 +138,7 @@ def _pw_eval(payload, args):
 def _pw_le(payload, args):
     f = function_from_json(payload["f"])
     g = function_from_json(payload["g"])
-    res = le_pointwise(f, g, strict=bool(payload.get("strict", False)))
+    res = le_pointwise(f, g, strict=json_bool(payload.get("strict", False), "strict"))
     out = {"holds": res.holds, "witness": _opt_pair(res.witness)}
     return out, OK if res.holds else REFUTED
 
@@ -176,7 +178,7 @@ def _pattern_apply(payload, args):
     out = apply_pattern(
         EigenPattern.from_json(payload["pattern"]),
         _pl(payload["f"]),
-        normalized=bool(payload.get("normalized", False)),
+        normalized=json_bool(payload.get("normalized", False), "normalized"),
     )
     return out.to_json(), OK
 
@@ -200,7 +202,7 @@ def _pattern_compat(payload, args):
 def _pattern_density(payload, args):
     res = density_check(
         EigenPattern.from_json(payload["pattern"]),
-        _capped("d", int(payload["d"]), MAX_BINS),
+        _capped("d", json_int(payload["d"], "d"), MAX_BINS),
         frac(payload["delta"]),
     )
     out = {
@@ -248,7 +250,7 @@ def _pattern_uniqhyp(payload, args):
     rep = uniqueness_hypothesis_check(
         EigenPattern.from_json(payload["phi"]),
         EigenPattern.from_json(payload["psi"]),
-        _capped("d", int(payload["d"]), MAX_BINS),
+        _capped("d", json_int(payload["d"], "d"), MAX_BINS),
         frac(payload["delta"]),
         _steps(payload["w_dom"]),
         _steps(payload["w_cod"]),
@@ -312,7 +314,7 @@ def _invariant_range(payload, args):
         _group(payload),
         TraceNormMap.from_json(payload["f"]),
         frac(payload["x"]),
-        require_positive=bool(payload.get("require_positive", True)),
+        require_positive=json_bool(payload.get("require_positive", True), "require_positive"),
     )
     out = {"member": res.member, "failing_vertex": res.failing_vertex}
     return out, OK if res.member else REFUTED

@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .pwcalc import frac, frac_pair
+from .pwcalc import frac, frac_pair, json_int
 
 INF = math.inf
 
@@ -70,7 +70,7 @@ class SimplexModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimplexModel":
-        return cls(int(obj["k"]))
+        return cls(json_int(obj["k"], "k"))
 
 
 @dataclass(frozen=True)

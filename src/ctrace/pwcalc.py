@@ -51,6 +51,20 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
+def json_bool(x, what: str) -> bool:
+    """``x`` if it is a JSON boolean; anything else is a schema error."""
+    if not isinstance(x, bool):
+        raise TypeError(f"{what} must be a JSON boolean, not {x!r}")
+    return x
+
+
+def json_int(x, what: str) -> int:
+    """``x`` if it is a JSON integer (not a boolean, not a float)."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{what} must be a JSON integer, not {x!r}")
+    return x
+
+
 def frac_pair(x: Fraction) -> list:
     """Encode a Fraction as a reduced [numerator, denominator] pair."""
     return [x.numerator, x.denominator]
@@ -90,15 +104,6 @@ class Interval:
             return False
         return True
 
-    def contains_interval(self, other: "Interval") -> bool:
-        lo_ok = self.lo < other.lo or (
-            self.lo == other.lo and (self.lo_closed or not other.lo_closed)
-        )
-        hi_ok = other.hi < self.hi or (
-            other.hi == self.hi and (self.hi_closed or not other.hi_closed)
-        )
-        return lo_ok and hi_ok
-
     def sample(self) -> Fraction:
         """A point guaranteed to lie in the interval."""
         if self.is_point:
@@ -117,7 +122,8 @@ class Interval:
     def from_json(cls, obj: dict) -> "Interval":
         return cls(
             frac(obj["lo"]), frac(obj["hi"]),
-            bool(obj["lo_closed"]), bool(obj["hi_closed"]),
+            json_bool(obj["lo_closed"], "lo_closed"),
+            json_bool(obj["hi_closed"], "hi_closed"),
         )
 
 

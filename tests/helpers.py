@@ -566,3 +566,95 @@ def wide_pl_points(draw):
             alpha, beta = draw(wide_fractions), draw(wide_fractions)
         vals.append(alpha + beta * t if draw(st.integers(0, 4)) else draw(wide_fractions))
     return pts, vals
+
+
+# ---------------------------------------------------------------------------
+# nested-presentation references
+# ---------------------------------------------------------------------------
+#
+# ``dim_from_nested`` now adds the 0/1 indicators of the open sets and the
+# nesting check compares consecutive indicators with ``le_pointwise``.
+# These are the versions they replaced: a membership count at every
+# endpoint and midpoint, and an interval-by-interval containment scan.
+
+
+def _ref_contains_interval(outer, inner) -> bool:
+    lo_ok = outer.lo < inner.lo or (
+        outer.lo == inner.lo and (outer.lo_closed or not inner.lo_closed)
+    )
+    hi_ok = inner.hi < outer.hi or (
+        inner.hi == outer.hi and (outer.hi_closed or not inner.hi_closed)
+    )
+    return lo_ok and hi_ok
+
+
+def ref_nested(n, opens) -> tuple:
+    """The validated open sets, or the ValueError a presentation raises."""
+    from ctrace.blocks import _validate_open_set
+
+    if n < 1:
+        raise ValueError("matrix size must be >= 1")
+    opens = tuple(_validate_open_set(s) for s in opens)
+    if len(opens) != n - 1:
+        raise ValueError(f"expected {n - 1} open sets, got {len(opens)}")
+    for bigger, smaller in zip(opens, opens[1:]):
+        # a connected interval inside a disjoint union lies inside one component
+        if not all(any(_ref_contains_interval(o, i) for o in bigger) for i in smaller):
+            raise ValueError("open sets are not nested")
+    return opens
+
+
+def ref_dim_from_nested(p) -> StepFunction:
+    def count(t):
+        return 1 + sum(1 for s in p.opens if any(iv.contains(t) for iv in s))
+
+    pts = {ZERO, ONE}
+    for s in p.opens:
+        for iv in s:
+            pts.update((iv.lo, iv.hi))
+    pts = sorted(pts)
+    point_vals = [Fraction(count(t)) for t in pts]
+    open_vals = [Fraction(count((a + b) / 2)) for a, b in zip(pts, pts[1:])]
+    return StepFunction.from_profile(pts, point_vals, open_vals)
+
+
+def open_set_on(pts, cells, at) -> tuple:
+    """The set holding the cells (pts[i], pts[i+1]) where cells[i] and the
+    points pts[j] where at[j], as maximal intervals.  It is open when a
+    point is held only where its neighbouring cells are."""
+    from ctrace.pwcalc import Interval
+
+    out, lo = [], None
+    for i, inside in enumerate(cells):
+        if not inside:
+            continue
+        if lo is None:
+            lo, lo_closed = pts[i], at[i]
+        if i + 1 < len(cells) and cells[i + 1] and at[i + 1]:
+            continue  # the interval runs on through pts[i + 1]
+        out.append(Interval(lo, pts[i + 1], lo_closed, at[i + 1]))
+        lo = None
+    return tuple(out)
+
+
+@st.composite
+def open_set_chains(draw, max_sets=4):
+    """Open sets on one grid of cut points: the superlevel sets of random
+    lsc levels, so nested, except that one set is sometimes redrawn on its
+    own.  Touching intervals that share an open point, sets closed at 0 or
+    1, [0,1] itself and the empty set all come up."""
+    pts = draw(cut_points(max_cuts=4))
+    k = draw(st.integers(0, max_sets))
+    cells = draw(st.lists(st.integers(0, k), min_size=len(pts) - 1, max_size=len(pts) - 1))
+    # a point's level is at most that of each neighbouring cell
+    at = [draw(st.integers(0, min(cells[max(j - 1, 0):j + 1]))) for j in range(len(pts))]
+    sets = [
+        open_set_on(pts, [c >= level for c in cells], [a >= level for a in at])
+        for level in range(1, k + 1)
+    ]
+    if k and draw(st.booleans()):
+        own = draw(st.lists(st.booleans(), min_size=len(pts) - 1, max_size=len(pts) - 1))
+        own_at = [all(own[max(j - 1, 0):j + 1]) and draw(st.booleans())
+                  for j in range(len(pts))]
+        sets[draw(st.integers(0, k - 1))] = open_set_on(pts, own, own_at)
+    return sets

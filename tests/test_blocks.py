@@ -13,9 +13,21 @@ from ctrace.blocks import (
     validate_special,
 )
 from ctrace.existence import pinched_dimension_function
-from ctrace.pwcalc import Interval, Piece, StepFunction, is_lsc, le_pointwise
+from ctrace.pwcalc import (
+    Interval,
+    PLFunction,
+    Piece,
+    StepFunction,
+    is_lsc,
+    le_pointwise,
+)
 
-from helpers import rand_lsc_int_step
+from helpers import (
+    open_set_chains,
+    rand_lsc_int_step,
+    ref_dim_from_nested,
+    ref_nested,
+)
 
 seeds = st.integers(0, 10**9)
 
@@ -146,3 +158,102 @@ class TestProperties:
     def test_json_round_trip(self):
         p = nested_from_dim(pinched_dimension_function())
         assert NestedPresentation.from_json(p.to_json()) == p
+
+
+def outcome(build):
+    """What ``build()`` returns, or the message of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+HALF = F(1, 2)
+LOWER = Interval(0, HALF, True, False)            # [0, 1/2)
+UPPER = Interval(HALF, 1, False, True)            # (1/2, 1]
+INNER = Interval(F(1, 4), F(3, 4), False, False)  # (1/4, 3/4)
+
+NESTING_CASES = {
+    "empty chain": (1, ()),
+    "empty set": (2, ((),)),
+    "empty inside full": (3, ((FULL,), ())),
+    "full inside empty": (3, ((), (FULL,))),
+    "full twice": (3, ((FULL,), (FULL,))),
+    "touching at an open point": (2, ((LOWER, UPPER),)),
+    "touching inside full": (3, ((FULL,), (LOWER, UPPER))),
+    "full inside touching": (3, ((LOWER, UPPER), (FULL,))),
+    "bridge over the open point": (3, ((LOWER, UPPER), (INNER,))),
+    "closed at 0 inside open at 0": (
+        3, ((Interval(0, HALF, False, False),), (LOWER,))),
+    "open at 0 inside closed at 0": (
+        3, ((LOWER,), (Interval(0, HALF, False, False),))),
+    "closed at 1 inside open at 1": (
+        3, ((Interval(HALF, 1, False, False),), (UPPER,))),
+    "closed at both ends": (3, ((LOWER, UPPER), (LOWER, UPPER))),
+    "disjoint halves": (3, ((LOWER,), (UPPER,))),
+    "count off by one": (3, ((FULL,),)),
+    "closed inside, before the count": (
+        4, ((Interval(F(1, 4), HALF, True, False),),)),
+}
+
+
+class TestIndicatorSweepMatchesReferences:
+    """``dim_from_nested`` and the nesting check against the membership
+    count and the interval containment scan they replaced."""
+
+    def check(self, n, sets):
+        new = outcome(lambda: NestedPresentation(n, sets))
+        ref = outcome(lambda: ref_nested(n, sets))
+        if isinstance(ref, str):
+            assert new == ref
+            return
+        assert new.opens == ref
+        d = dim_from_nested(new)
+        expected = ref_dim_from_nested(new)
+        assert d == expected
+        assert d.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("name", sorted(NESTING_CASES))
+    def test_cases(self, name):
+        self.check(*NESTING_CASES[name])
+
+    def test_cases_cover_both_verdicts(self):
+        verdicts = {name: outcome(lambda: ref_nested(*case))
+                    for name, case in NESTING_CASES.items()}
+        assert verdicts["touching inside full"] == ((FULL,), (LOWER, UPPER))
+        assert verdicts["full inside touching"] == "ValueError: open sets are not nested"
+        assert verdicts["bridge over the open point"] == "ValueError: open sets are not nested"
+        assert verdicts["closed inside, before the count"].startswith(
+            "ValueError: interval closed at 1/4")
+
+    @given(open_set_chains(), st.integers(-1, 1), st.sampled_from([None, "closed", "point"]))
+    @settings(max_examples=400, deadline=None)
+    def test_random_chains(self, sets, shift, bad):
+        if bad and sets:
+            # a set that is not open must be refused before the count
+            flaw = (Interval(F(1, 3), F(2, 3), True, False) if bad == "closed"
+                    else Interval(F(1, 3), F(1, 3)))
+            sets = sets[:-1] + [sets[-1] + (flaw,)]
+        self.check(len(sets) + 1 + shift, sets)
+
+    @given(seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_matches_reference(self, seed):
+        d = rand_lsc_int_step(random.Random(seed), max_jumps=8, vmax=6)
+        p = nested_from_dim(d)
+        assert ref_nested(p.n, p.opens) == p.opens
+        assert ref_dim_from_nested(p) == dim_from_nested(p) == d
+
+    def test_no_point_evaluation(self, monkeypatch):
+        def refuse(self, t):
+            raise AssertionError("eval called")
+
+        monkeypatch.setattr(StepFunction, "eval", refuse)
+        monkeypatch.setattr(PLFunction, "eval", refuse)
+        p = NestedPresentation(3, ((LOWER, UPPER), (Interval(0, F(1, 4), True, False),)))
+        assert dim_from_nested(p) == StepFunction.from_profile(
+            [F(0), F(1, 4), HALF, F(1)], [3, 2, 1, 2], [3, 2, 2]
+        )
+        assert nested_from_dim(dim_from_nested(p)) == p
+        with pytest.raises(ValueError, match="not nested"):
+            NestedPresentation(3, ((LOWER,), (UPPER,)))

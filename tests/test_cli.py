@@ -394,6 +394,75 @@ class TestWorkLimits:
                            f"d {MAX_BINS + 1} exceeds the limit")
 
 
+def _flagged_piece(flag, value):
+    blob = StepFunction.constant(2).to_json()
+    blob["pieces"][0][flag] = value
+    return blob
+
+
+_HALF_OPEN = {"lo": [0, 1], "hi": [1, 2], "lo_closed": True, "hi_closed": False}
+_IDENTITY = PLFunction.identity().to_json()
+_ONE_BIN = EigenPattern.identities(1).to_json()
+_RANGE = {"group": {"kind": "qZ", "q": [1, 1]}, "pairing": [[1, 1]],
+          "f": [[5, 2]], "x": [2, 1]}
+_UNIQHYP = {"phi": _ONE_BIN, "psi": _ONE_BIN, "d": 1, "delta": [1, 2],
+            "w_dom": unit_weight().to_json(), "w_cod": unit_weight().to_json()}
+
+
+class TestStrictJsonTypes:
+    """Flags must be JSON booleans and counts JSON integers: anything else
+    is a schema error (exit 2), never coerced into a verdict."""
+
+    BOOLEAN_CASES = [
+        (["pw", "le"], {"f": _IDENTITY, "g": _IDENTITY, "strict": "false"}, "strict"),
+        (["pw", "le"], {"f": _IDENTITY, "g": _IDENTITY, "strict": 0}, "strict"),
+        (["pattern", "apply"], {"pattern": _ONE_BIN, "f": _IDENTITY, "normalized": 1},
+         "normalized"),
+        (["invariant", "range"], dict(_RANGE, require_positive="true"), "require_positive"),
+        (["block", "validate"], _flagged_piece("lo_closed", "false"), "lo_closed"),
+        (["block", "validate"], _flagged_piece("hi_closed", 1), "hi_closed"),
+        (["block", "from-nested"],
+         {"n": 2, "opens": [[dict(_HALF_OPEN, hi_closed="false")]]}, "hi_closed"),
+    ]
+
+    INTEGER_CASES = [
+        (["block", "from-nested"], {"n": 2.7, "opens": [[_HALF_OPEN]]}, "n"),
+        (["block", "from-nested"], {"n": 2.0, "opens": [[_HALF_OPEN]]}, "n"),
+        (["block", "from-nested"], {"n": True, "opens": []}, "n"),
+        (["pattern", "density"], {"pattern": _ONE_BIN, "d": True, "delta": [1, 2]}, "d"),
+        (["pattern", "density"], {"pattern": _ONE_BIN, "d": 1.9, "delta": [1, 2]}, "d"),
+        (["pattern", "uniqhyp"], dict(_UNIQHYP, d=True), "d"),
+        (["pattern", "uniqhyp"], dict(_UNIQHYP, d=1.9), "d"),
+        (["invariant", "ai"], {"group": {"kind": "Q"}, "pairing": [[[1, 1]]],
+                               "simplex": {"k": 1.0}, "f": [[5, 2]]}, "k"),
+        (["invariant", "ai"], {"group": {"kind": "Q"}, "pairing": [[[1, 1]]],
+                               "simplex": {"k": True}, "f": [[5, 2]]}, "k"),
+    ]
+
+    def check_refused(self, capsys, tmp_path, args, payload, field, kind):
+        code, out, err = run(capsys, args, payload, tmp_path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {field} must be a JSON {kind}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args,payload,field", BOOLEAN_CASES)
+    def test_flags_must_be_booleans(self, capsys, tmp_path, args, payload, field):
+        self.check_refused(capsys, tmp_path, args, payload, field, "boolean")
+
+    @pytest.mark.parametrize("args,payload,field", INTEGER_CASES)
+    def test_counts_must_be_integers(self, capsys, tmp_path, args, payload, field):
+        self.check_refused(capsys, tmp_path, args, payload, field, "integer")
+
+    def test_missing_flags_keep_their_defaults(self, capsys, tmp_path):
+        code, out, _ = run(capsys, ["pw", "le"], {"f": _IDENTITY, "g": _IDENTITY}, tmp_path)
+        assert code == 0 and json.loads(out)["holds"] is True
+        code, _, _ = run(capsys, ["pw", "le"],
+                         {"f": _IDENTITY, "g": _IDENTITY, "strict": True}, tmp_path)
+        assert code == 1
+        code, out, _ = run(capsys, ["invariant", "range"], _RANGE, tmp_path)
+        assert code == 0 and json.loads(out)["member"] is True
+
+
 class TestDeterminism:
     def test_identical_inputs_identical_bytes(self, capsys, tmp_path):
         payload = pinched_gap_payload()
