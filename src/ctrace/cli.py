@@ -9,8 +9,9 @@ Exit codes: 0 verified/true, 1 refuted/false (witness in the JSON),
 4 not decidable.
 
 A payload that is a JSON array is treated as a batch of independent
-per-interval instances: each entry is processed on its own, the results
-are concatenated, and the worst exit code wins.
+per-interval instances: each entry is processed on its own into its own
+result slot (a schema error or an infeasible entry gives an error object
+there), the slots are printed as one array, and the worst exit code wins.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .blocks import (
     NestedPresentation,
@@ -76,6 +76,11 @@ REFUTED = 1
 BAD_INPUT = 2
 INFEASIBLE = 3
 NOT_DECIDABLE = 4
+
+# Exceptions that mean the payload is malformed: exit 2 with a message.
+# OverflowError comes from float() of a huge integer, RecursionError from
+# json.load of deeply nested arrays.
+SCHEMA_ERRORS = (ValueError, KeyError, TypeError, IndexError, OverflowError, RecursionError)
 
 # Work limits: a payload of a few bytes must not ask for unbounded work.
 MAX_NESTED_SETS = 1000   # open sets read by from-nested, or written by to-nested
@@ -339,18 +344,14 @@ def _invariant_decompose(payload, args):
 
 def _invariant_classify(payload, args):
     group = _group(payload)
-    points = payload["points"]
-    rows = []
-    for xy in points:
+    points = []
+    for xy in payload["points"]:
         x, y = ext(xy[0]), ext(xy[1])
-        cls = classify_point((x, y), group)
-        rows.append({"x": ext_json(x), "y": ext_json(y), "class": cls.value})
+        points.append((x, y, classify_point((x, y), group).value))
     if args.plot_out:
         with open(args.plot_out, "w", encoding="utf-8") as fh:
-            for r in rows:
-                x = r["x"] if r["x"] == "inf" else Fraction(*r["x"])
-                y = r["y"] if r["y"] == "inf" else Fraction(*r["y"])
-                fh.write(f"{x} {y} {r['class']}\n")
+            fh.writelines(f"{x} {y} {cls}\n" for x, y, cls in points)
+    rows = [{"x": ext_json(x), "y": ext_json(y), "class": cls} for x, y, cls in points]
     return {"points": rows}, OK
 
 
@@ -427,6 +428,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(result) -> str:
+    # a non-finite float has no JSON form: refuse it rather than print NaN
+    return json.dumps(result, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _run(handler, payload, args) -> tuple:
+    """The JSON line and exit code of one payload; infeasible is an answer."""
+    try:
+        result, code = handler(payload, args)
+    except Infeasible as exc:
+        result, code = {
+            "error": "infeasible",
+            "message": str(exc),
+            "witness": _opt_pair(getattr(exc, "witness", None)),
+        }, INFEASIBLE
+    return _dumps(result), code
+
+
+def _run_entry(handler, entry, args) -> tuple:
+    """One batch entry: a schema error fills its own slot."""
+    try:
+        return _run(handler, entry, args)
+    except SCHEMA_ERRORS as exc:
+        return _dumps({"error": "bad_input", "message": str(exc)}), BAD_INPUT
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -436,26 +463,14 @@ def main(argv=None) -> int:
         return OK if code == 0 else BAD_INPUT
     handler, takes_payload = _HANDLERS[(args.group_cmd, args.sub_cmd)]
     try:
-        try:
-            payload = _load_payload(args) if takes_payload else None
-            if takes_payload and isinstance(payload, list):
-                results, codes = [], [OK]
-                for entry in payload:
-                    res, code = handler(entry, args)
-                    results.append(res)
-                    codes.append(code)
-                result, code = results, max(codes)
-            else:
-                result, code = handler(payload, args)
-        except Infeasible as exc:
-            result, code = {
-                "error": "infeasible",
-                "message": str(exc),
-                "witness": _opt_pair(getattr(exc, "witness", None)),
-            }, INFEASIBLE
-        # a non-finite float has no JSON form: refuse it rather than print NaN
-        line = json.dumps(result, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    except (ValueError, KeyError, TypeError, IndexError, json.JSONDecodeError) as exc:
+        payload = _load_payload(args) if takes_payload else None
+        if takes_payload and isinstance(payload, list):
+            slots = [_run_entry(handler, entry, args) for entry in payload]
+            line = "[" + ",".join(text for text, _ in slots) + "]"
+            code = max([OK, *(c for _, c in slots)])
+        else:
+            line, code = _run(handler, payload, args)
+    except SCHEMA_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return BAD_INPUT
     _emit(line)

@@ -39,6 +39,7 @@ from .pwcalc import (
     compose_step_pl,
     frac,
     frac_pair,
+    json_obj,
     le_pointwise,
     unit_weight,
     weighted_sup_norm,
@@ -55,11 +56,9 @@ def choose_delta(eps, m: int) -> Fraction:
     return eps / (2 * m * m)
 
 
-def _window(s: Fraction, delta: Fraction) -> tuple:
-    return max(ZERO, s - delta), min(ONE, s + delta)
-
-
-def _check_windows(d: StepFunction, delta: Fraction):
+def _windows(d: StepFunction, delta: Fraction) -> list:
+    """``(jump, a, b)`` for each jump of d, [a, b] its window of half-width
+    delta cut to [0,1]; no other breakpoint of d lies within 2*delta of a jump."""
     jumps = d.jumps()
     points = [j.t for j in jumps]
     for s, s2 in zip(points, points[1:]):
@@ -76,7 +75,7 @@ def _check_windows(d: StepFunction, delta: Fraction):
             raise ValueError(
                 f"window around {s} reaches an endpoint; shrink delta"
             )
-    return jumps
+    return [(j, max(ZERO, j.t - delta), min(ONE, j.t + delta)) for j in jumps]
 
 
 def _push(pts: list, t, v) -> None:
@@ -94,34 +93,22 @@ def make_underapprox(d: StepFunction, delta) -> PLFunction:
 
     Around each jump s, within the window of half-width delta, f'
     interpolates linearly between the window-edge values of d and the
-    point value d(s); in particular f'(s) = d(s).
+    point value d(s); in particular f'(s) = d(s).  No other breakpoint
+    lies in a window, so its edge values are the jump's one-sided limits.
     """
     delta = frac(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     ensure_dimension_function(d)
-    jumps = _check_windows(d, delta)
-    pts = [(ZERO, d.eval(ZERO))]
-    for j in jumps:
-        a, b = _window(j.t, delta)
+    pts = [(ZERO, d.point_values[0])]
+    for j, a, b in _windows(d, delta):
         if a > ZERO:
-            _push(pts, a, d.eval(a))
+            _push(pts, a, j.left)
         _push(pts, j.t, j.value)
         if b < ONE:
-            _push(pts, b, d.eval(b))
-    _push(pts, ONE, d.eval(ONE))
+            _push(pts, b, j.right)
+    _push(pts, ONE, d.point_values[-1])
     return PLFunction.from_pairs(pts)
-
-
-def _clamp_target(j) -> str:
-    """Clamp position for a jump: a window edge whose d-value already
-    equals the point value if one exists (left edge preferred), else the
-    jump point itself."""
-    if j.left is not None and j.left == j.value:
-        return "left"
-    if j.right is not None and j.right == j.value:
-        return "right"
-    return "center"
 
 
 def squash_map(d: StepFunction, delta) -> PLFunction:
@@ -130,28 +117,25 @@ def squash_map(d: StepFunction, delta) -> PLFunction:
 
     sigma is the identity away from the jump windows of d; each window
     [s-delta, s+delta] is clamped to a point of minimal d-value among
-    the window edges and s, and sigma rejoins the identity along linear
-    ramps of half the available gap (at most delta/2 wide).
+    the window edges and s (a window edge whose one-sided limit equals
+    d(s), the left one first, else s itself), and sigma rejoins the
+    identity along linear ramps of half the available gap (at most
+    delta/2 wide).
     """
     delta = frac(delta)
     ensure_dimension_function(d)
-    jumps = _check_windows(d, delta)
+    windows = _windows(d, delta)
     pts = [(ZERO, ZERO)]
-    windows = [_window(j.t, delta) for j in jumps]
-    for idx, j in enumerate(jumps):
-        a, b = windows[idx]
-        side = _clamp_target(j)
-        c = {"left": a, "right": b, "center": j.t}[side]
+    for idx, (j, a, b) in enumerate(windows):
+        c = a if j.left == j.value else b if j.right == j.value else j.t
         if c != a:
-            prev_end = windows[idx - 1][1] if idx > 0 else ZERO
+            prev_end = windows[idx - 1][2] if idx > 0 else ZERO
             w_left = min(delta, a - prev_end) / 2
             _push(pts, a - w_left, a - w_left)
-            _push(pts, a, c)
-        else:
-            _push(pts, a, c)
+        _push(pts, a, c)
         _push(pts, b, c)
         if c != b:
-            next_start = windows[idx + 1][0] if idx + 1 < len(windows) else ONE
+            next_start = windows[idx + 1][1] if idx + 1 < len(windows) else ONE
             w_right = min(delta, next_start - b) / 2
             _push(pts, b + w_right, b + w_right)
     _push(pts, ONE, ONE)
@@ -229,7 +213,7 @@ class PerturbationCertificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PerturbationCertificate":
-        if obj.get("kind") != "perturbation_certificate":
+        if json_obj(obj, "a certificate").get("kind") != "perturbation_certificate":
             raise ValueError("not a perturbation certificate")
         return cls(
             d_a=StepFunction.from_json(obj["d_A"]),

@@ -20,12 +20,17 @@ from __future__ import annotations
 
 import bisect
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Fraction itself also reads decimals and exponents, and "1e-10000000"
+# would cost it a 10^7-digit power before anything could refuse it
+_RATIONAL_STR = re.compile(r"\s*[-+]?\d+(?:/\d+)?\s*")
 
 
 def frac(x) -> Fraction:
@@ -37,6 +42,8 @@ def frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL_STR.fullmatch(x):
+            raise ValueError(f"{x!r} is not an integer or a/b rational")
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -55,6 +62,13 @@ def json_bool(x, what: str) -> bool:
     """``x`` if it is a JSON boolean; anything else is a schema error."""
     if not isinstance(x, bool):
         raise TypeError(f"{what} must be a JSON boolean, not {x!r}")
+    return x
+
+
+def json_obj(x, what: str) -> dict:
+    """``x`` if it is a JSON object; anything else is a schema error."""
+    if not isinstance(x, dict):
+        raise TypeError(f"{what} must be a JSON object, not {type(x).__name__}")
     return x
 
 
@@ -297,7 +311,7 @@ class StepFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StepFunction":
-        if obj.get("kind") != "step":
+        if json_obj(obj, "a step function").get("kind") != "step":
             raise ValueError("not a step-function payload")
         return cls(tuple(Piece.from_json(p) for p in obj["pieces"]))
 
@@ -429,7 +443,7 @@ class PLFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PLFunction":
-        if obj.get("kind") != "pl":
+        if json_obj(obj, "a piecewise-linear function").get("kind") != "pl":
             raise ValueError("not a piecewise-linear payload")
         pts = obj["points"]
         return cls(
@@ -441,7 +455,7 @@ PiecewiseFunction = Union[PLFunction, StepFunction]
 
 
 def function_from_json(obj: dict) -> PiecewiseFunction:
-    kind = obj.get("kind")
+    kind = json_obj(obj, "a function").get("kind")
     if kind == "pl":
         return PLFunction.from_json(obj)
     if kind == "step":

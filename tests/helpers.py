@@ -658,3 +658,132 @@ def open_set_chains(draw, max_sets=4):
                   for j in range(len(pts))]
         sets[draw(st.integers(0, k - 1))] = open_set_on(pts, own, own_at)
     return sets
+
+
+# ---------------------------------------------------------------------------
+# point-evaluating references for f' and sigma
+# ---------------------------------------------------------------------------
+#
+# ``make_underapprox`` and ``squash_map`` now take one pass over the jump
+# windows and read every value from the jump records and the profile.
+# These are the versions they replaced: the windows checked in one pass and
+# recomputed in another, d evaluated at the window edges and at 0 and 1,
+# and the clamp point chosen by a side name.
+
+
+def _window(s: Fraction, delta: Fraction) -> tuple:
+    return max(ZERO, s - delta), min(ONE, s + delta)
+
+
+def _check_windows(d: StepFunction, delta: Fraction):
+    jumps = d.jumps()
+    points = [j.t for j in jumps]
+    for s, s2 in zip(points, points[1:]):
+        if not s2 - s > 2 * delta:
+            raise ValueError(
+                f"windows overlap: jumps at {s} and {s2} closer than 2*delta"
+            )
+    for s in points:
+        if s == ZERO or s == ONE:
+            if not delta < ONE:
+                raise ValueError("window around an endpoint jump covers all of [0,1]")
+        elif not (delta < s and delta < ONE - s):
+            raise ValueError(
+                f"window around {s} reaches an endpoint; shrink delta"
+            )
+    return jumps
+
+
+def _clamp_target(j) -> str:
+    if j.left is not None and j.left == j.value:
+        return "left"
+    if j.right is not None and j.right == j.value:
+        return "right"
+    return "center"
+
+
+def ref_make_underapprox(d: StepFunction, delta) -> PLFunction:
+    from ctrace.blocks import ensure_dimension_function
+    from ctrace.existence import _push
+    from ctrace.pwcalc import frac
+
+    delta = frac(delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    ensure_dimension_function(d)
+    jumps = _check_windows(d, delta)
+    pts = [(ZERO, d.eval(ZERO))]
+    for j in jumps:
+        a, b = _window(j.t, delta)
+        if a > ZERO:
+            _push(pts, a, d.eval(a))
+        _push(pts, j.t, j.value)
+        if b < ONE:
+            _push(pts, b, d.eval(b))
+    _push(pts, ONE, d.eval(ONE))
+    return PLFunction.from_pairs(pts)
+
+
+def ref_squash_map(d: StepFunction, delta) -> PLFunction:
+    from ctrace.blocks import ensure_dimension_function
+    from ctrace.existence import _push
+    from ctrace.pwcalc import frac
+
+    delta = frac(delta)
+    ensure_dimension_function(d)
+    jumps = _check_windows(d, delta)
+    pts = [(ZERO, ZERO)]
+    windows = [_window(j.t, delta) for j in jumps]
+    for idx, j in enumerate(jumps):
+        a, b = windows[idx]
+        side = _clamp_target(j)
+        c = {"left": a, "right": b, "center": j.t}[side]
+        if c != a:
+            prev_end = windows[idx - 1][1] if idx > 0 else ZERO
+            w_left = min(delta, a - prev_end) / 2
+            _push(pts, a - w_left, a - w_left)
+            _push(pts, a, c)
+        else:
+            _push(pts, a, c)
+        _push(pts, b, c)
+        if c != b:
+            next_start = windows[idx + 1][0] if idx + 1 < len(windows) else ONE
+            w_right = min(delta, next_start - b) / 2
+            _push(pts, b + w_right, b + w_right)
+    _push(pts, ONE, ONE)
+    return PLFunction.from_pairs(pts)
+
+
+@st.composite
+def jump_windows_cases(draw, max_jumps=8):
+    """(d, delta): an lsc integer step function with up to ``max_jumps``
+    jumps, and a delta that often makes two windows overlap, an interior
+    window reach 0 or 1, or an endpoint window cover [0,1].
+
+    Each point value is the value of its left cell (a left clamp), of its
+    right cell (a right clamp) or lies below both (a clamp at the jump),
+    and 0 and 1 often carry a jump.  Sometimes d is not a dimension
+    function at all (a value 0, or an upper semicontinuous point)."""
+    pts = draw(cut_points(max_cuts=max_jumps))
+    opens = draw(st.lists(st.integers(1, 4), min_size=len(pts) - 1, max_size=len(pts) - 1))
+    vals = []
+    for i in range(len(pts)):
+        sides = opens[max(i - 1, 0):i + 1]
+        kind = draw(st.sampled_from(["left", "right", "center"]))
+        if kind == "center" and min(sides) > 1:
+            vals.append(draw(st.integers(1, min(sides) - 1)))
+        else:
+            vals.append(sides[0] if kind == "left" else sides[-1])
+        vals[-1] = min(vals[-1], *sides)
+    if draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, len(pts) - 1))
+        vals[i] = draw(st.sampled_from([0, 5]))
+    d = StepFunction.from_profile(pts, vals, opens)
+    gaps = [t2 - t for t, t2 in zip(pts, pts[1:])]
+    delta = draw(st.one_of(
+        st.fractions(0, 1, max_denominator=64),
+        st.sampled_from([min(gaps) / 2, min(gaps) / 2 + Fraction(1, 97),
+                         min(gaps) / 2 - Fraction(1, 97), pts[1], 1 - pts[-2],
+                         ONE, Fraction(-1, 8)]),
+    ))
+    return d, delta

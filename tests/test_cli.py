@@ -18,9 +18,10 @@ from ctrace.unitary import IsometryPath
 
 
 def run(capsys, args, payload=None, tmp_path=None):
+    """main() on a payload file; a str payload is written verbatim."""
     if payload is not None:
         path = tmp_path / "payload.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         args = args + [str(path)]
     code = main(args)
     out = capsys.readouterr()
@@ -36,6 +37,20 @@ def pinched_gap_payload(m=6):
         "pattern": EigenPattern.identities(m).to_json(),
         "d_src": pinched_dimension_function().to_json(),
         "d_tgt": StepFunction.constant(2 * m - 1).to_json(),
+    }
+
+
+def infeasible_payload(m=6):
+    pattern = EigenPattern.identities(m)
+    return {
+        "d_A": pinched_dimension_function().to_json(),
+        "pattern": pattern.to_json(),
+        "d_B": StepFunction.constant(2 * m - 1).to_json(),
+        "delta": [1, 16],
+        "eps": [1, 2],
+        "test_elements": [PLFunction.identity().to_json()],
+        "w_dom": unit_weight().to_json(),
+        "w_cod": push_dimension(pattern, unit_weight()).to_json(),
     }
 
 
@@ -65,18 +80,7 @@ class TestExitCodes:
         assert "usage" in out.err.lower()
 
     def test_exit_3_infeasible_perturbation(self, capsys, tmp_path):
-        m = 6
-        pattern = EigenPattern.identities(m)
-        payload = {
-            "d_A": pinched_dimension_function().to_json(),
-            "pattern": pattern.to_json(),
-            "d_B": StepFunction.constant(2 * m - 1).to_json(),
-            "delta": [1, 16],
-            "eps": [1, 2],
-            "test_elements": [PLFunction.identity().to_json()],
-            "w_dom": unit_weight().to_json(),
-            "w_cod": push_dimension(pattern, unit_weight()).to_json(),
-        }
+        payload = infeasible_payload()
         code, out, _ = run(capsys, ["exist", "perturb"], payload, tmp_path)
         assert code == 3
         blob = json.loads(out)
@@ -342,6 +346,115 @@ class TestSubcommands:
         }
         code, out, _ = run(capsys, ["pw", "le"], [holds, fails], tmp_path)
         assert code == 1
+
+
+class TestBatchSlots:
+    def test_schema_error_fills_its_own_slot(self, capsys, tmp_path):
+        f = PLFunction.identity().to_json()
+        code, out, err = run(capsys, ["pw", "eval"], [{"f": f, "t": [1, 2]}, {"f": f}], tmp_path)
+        assert code == 2
+        assert out == '[{"value":[1,2]},{"error":"bad_input","message":"\'t\'"}]\n'
+        assert err == ""
+
+    def test_infeasible_entry_fills_its_own_slot(self, capsys, tmp_path):
+        code, single, _ = run(capsys, ["exist", "perturb"], infeasible_payload(), tmp_path)
+        assert code == 3
+        feasible = dict(infeasible_payload(), d_B=StepFunction.constant(12).to_json())
+        code, good, _ = run(capsys, ["exist", "perturb"], feasible, tmp_path)
+        assert code == 0
+        code, out, _ = run(
+            capsys, ["exist", "perturb"], [feasible, infeasible_payload()], tmp_path
+        )
+        assert code == 3
+        assert json.loads(out) == [json.loads(good), json.loads(single)]
+        assert json.loads(single)["error"] == "infeasible"
+
+    def test_worst_code_over_all_slots(self, capsys, tmp_path):
+        holds = {"f": PLFunction.constant(0).to_json(), "g": PLFunction.constant(1).to_json()}
+        fails = {"f": PLFunction.constant(2).to_json(), "g": PLFunction.constant(1).to_json()}
+        code, out, _ = run(capsys, ["pw", "le"], [fails, {"f": 1}, holds], tmp_path)
+        assert code == 2
+        slots = json.loads(out)
+        assert slots[0]["holds"] is False and slots[2]["holds"] is True
+        assert slots[1]["error"] == "bad_input"
+        code, out, _ = run(capsys, ["pw", "le"], [], tmp_path)
+        assert (code, out) == (0, "[]\n")
+
+    def test_successful_batch_prints_the_same_bytes(self, capsys, tmp_path):
+        entries = [{"f": PLFunction.identity().to_json(), "t": [k, 4]} for k in range(5)]
+        code, out, _ = run(capsys, ["pw", "eval"], entries, tmp_path)
+        assert code == 0
+        assert out == ('[{"value":[0,1]},{"value":[1,4]},{"value":[1,2]},'
+                       '{"value":[3,4]},{"value":[1,1]}]\n')
+
+    def test_non_array_schema_error_keeps_stdout_empty(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["pw", "eval"], {"f": PLFunction.identity().to_json()},
+                             tmp_path)
+        assert (code, out, err) == (2, "", "error: 't'\n")
+
+
+class TestEscapingExceptions:
+    """Inputs that used to escape main() with a traceback and exit 1."""
+
+    def check_refused(self, code, out, err, message):
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_function_that_is_not_an_object(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["pw", "eval"], {"f": [1, 2], "t": [1, 2]}, tmp_path)
+        self.check_refused(code, out, err, "a function must be a JSON object")
+
+    def test_eigenfunction_that_is_not_an_object(self, capsys, tmp_path):
+        payload = {"pattern": {"eigenfunctions": [5]}, "f": PLFunction.identity().to_json()}
+        code, out, err = run(capsys, ["pattern", "apply"], payload, tmp_path)
+        self.check_refused(code, out, err, "must be a JSON object")
+
+    def test_certificate_that_is_not_an_object(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["exist", "verify"], 1, tmp_path)
+        self.check_refused(code, out, err, "a certificate must be a JSON object")
+        code, out, err = run(capsys, ["exist", "verify"], [1], tmp_path)
+        assert code == 2
+        assert json.loads(out) == [
+            {"error": "bad_input", "message": "a certificate must be a JSON object, not int"}
+        ]
+
+    @pytest.mark.parametrize("where", ["t_jump", "tol", "sample t"])
+    def test_huge_integer_in_a_float_field(self, capsys, tmp_path, where):
+        blob = _jump_path().to_json()
+        if where == "sample t":
+            blob["samples"][0]["t"] = 10**400
+        else:
+            blob[where] = 10**400
+        code, out, err = run(capsys, ["unitary", "patch"], blob, tmp_path)
+        self.check_refused(code, out, err, "too large to convert to float")
+
+    def test_deeply_nested_arrays(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["pw", "eval"], "[" * 200_000, tmp_path)
+        self.check_refused(code, out, err, "recursion")
+
+
+class TestRationalStrings:
+    def test_exponent_is_refused_at_once(self, capsys, tmp_path):
+        payload = {"f": PLFunction.identity().to_json(), "t": "1e-10000000"}
+        code, out, err = run(capsys, ["pw", "eval"], payload, tmp_path)
+        assert (code, out) == (2, "")
+        assert err == "error: '1e-10000000' is not an integer or a/b rational\n"
+
+    @pytest.mark.parametrize("t", ["0.5", "1/2.0", "5e-1"])
+    def test_decimals_are_refused(self, capsys, tmp_path, t):
+        payload = {"f": PLFunction.identity().to_json(), "t": t}
+        code, out, err = run(capsys, ["pw", "eval"], payload, tmp_path)
+        assert (code, out) == (2, "")
+        assert repr(t) in err
+
+    def test_integer_and_a_over_b_strings_still_work(self, capsys, tmp_path):
+        payload = {"f": PLFunction.identity().to_json(), "t": " 1/3 "}
+        code, out, _ = run(capsys, ["pw", "eval"], payload, tmp_path)
+        assert (code, json.loads(out)) == (0, {"value": [1, 3]})
+        code = main(["exist", "counterexample", "--delta", "1/10", "--eps0", "1/5"])
+        assert code == 0
 
 
 class TestWorkLimits:

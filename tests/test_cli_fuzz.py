@@ -1,0 +1,212 @@
+"""Fuzz every payload handler of the command line, in-process through main().
+
+Each case starts from one valid payload per handler, replaces one random
+subtree (or drops one key) with random JSON -- non-objects, NaN and
+Infinity tokens, huge integers, strings -- and runs the result alone and
+as one entry of a batch of 1-3.  Whatever the payload, main() returns an
+exit code in 0..4, no exception escapes, and stdout is exactly one JSON
+line, except on exit 2 for a payload that is not an array, where stdout is
+empty and stderr carries the message.  In a batch, the fuzzed entry's slot
+holds what it gives alone, and the worst exit code wins.
+"""
+
+import contextlib
+import functools
+import io
+import json
+import sys
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from ctrace.blocks import nested_from_dim
+from ctrace.cli import _HANDLERS, BAD_INPUT, main
+from ctrace.existence import make_underapprox, perturb_pattern, pinched_dimension_function
+from ctrace.patterns import EigenPattern, push_dimension
+from ctrace.pwcalc import PLFunction, StepFunction, combine_steps, unit_weight
+from ctrace.unitary import IsometryPath, patch_at_singularity
+
+MAX_EXAMPLES = 30
+
+
+def valid_payloads() -> dict:
+    """One small payload per handler that reads one, each a valid input."""
+    d = pinched_dimension_function()
+    pl = PLFunction.from_pairs([(0, F(1, 4)), (F(1, 2), F(3, 4)), (1, F(1, 2))])
+    one = StepFunction.constant(1).to_json()
+    pattern = EigenPattern.identities(2)
+    spread = EigenPattern((PLFunction.constant(F(1, 4)), PLFunction.constant(F(3, 4))))
+    d_b = combine_steps([push_dimension(pattern, d)], lambda v: v + 1)
+    w_cod = push_dimension(pattern, unit_weight())
+    cert = perturb_pattern(d, make_underapprox(d, F(1, 16)), pattern, d_b, F(1, 16),
+                           [PLFunction.identity()], F(2), unit_weight(), w_cod)
+    e11 = np.array([[1, 0], [0, 0]], dtype=complex)
+    ts = np.linspace(0, 1, 5)
+    path = IsometryPath(ts, [e11 if t <= 0.5 else np.eye(2) for t in ts], 0.5, 1e-9, 1.0)
+    group = {"kind": "qZ", "q": [1, 2], "pairing": [[[1, 1]], [[3, 2]]]}
+    return {
+        ("pw", "eval"): {"f": pl.to_json(), "t": "1/3"},
+        ("pw", "le"): {"f": pl.to_json(), "g": d.to_json(), "strict": True},
+        ("pw", "norm"): {"f": pl.to_json(), "w": d.to_json()},
+        ("block", "validate"): d.to_json(),
+        ("block", "from-nested"): nested_from_dim(d).to_json(),
+        ("block", "to-nested"): d.to_json(),
+        ("pattern", "apply"): {"pattern": pattern.to_json(), "f": pl.to_json(),
+                               "normalized": False},
+        ("pattern", "push"): {"pattern": pattern.to_json(), "d": d.to_json()},
+        ("pattern", "compat"): {"pattern": pattern.to_json(), "f": pl.to_json(),
+                                "d_B": d_b.to_json(), "slack": [0, 1]},
+        ("pattern", "density"): {"pattern": spread.to_json(), "d": 2, "delta": [1, 8]},
+        ("pattern", "gap"): {"pattern": pattern.to_json(), "d_src": d.to_json(),
+                             "d_tgt": d_b.to_json()},
+        ("pattern", "chain"): {
+            "stages": [{"pattern": EigenPattern.identities(1).to_json(),
+                        "dim": StepFunction.constant(3).to_json()}],
+            "tau": EigenPattern.identities(1).to_json(),
+            "d_target": StepFunction.constant(3).to_json(),
+            "f": PLFunction.constant(1).to_json(), "delta_1": [1, 1], "eps_n": [1, 2]},
+        ("pattern", "uniqhyp"): {"phi": spread.to_json(), "psi": spread.to_json(), "d": 2,
+                                 "delta": [1, 8], "w_dom": one, "w_cod": one},
+        ("exist", "fprime"): {"d": d.to_json(), "delta": [1, 8]},
+        ("exist", "perturb"): {
+            "d_A": d.to_json(), "pattern": pattern.to_json(), "d_B": d_b.to_json(),
+            "delta": [1, 16], "eps": [2, 1], "test_elements": [PLFunction.identity().to_json()],
+            "w_dom": unit_weight().to_json(), "w_cod": w_cod.to_json()},
+        ("exist", "verify"): cert.to_json(),
+        ("invariant", "eval"): {"f": [[5, 2], "inf"], "s": [[1, 2], [1, 2]]},
+        ("invariant", "range"): {"group": group, "f": [[5, 2], [9, 2]], "x": [1, 1]},
+        ("invariant", "ai"): {"group": group, "simplex": {"k": 2}, "f": [[5, 2], [5, 1]]},
+        ("invariant", "decompose"): {"f": [[5, 2], "inf"], "caps": [[1, 1], [3, 1]]},
+        ("invariant", "classify"): {"group": group,
+                                    "points": [[[5, 2], [5, 2]], ["inf", [2, 1]]]},
+        ("unitary", "patch"): path.to_json(),
+        ("unitary", "validate"): {"path": path.to_json(),
+                                  "unitaries": patch_at_singularity(path).to_json()["samples"]},
+    }
+
+
+PAYLOADS = valid_payloads()
+
+
+def _keys(x) -> set:
+    if isinstance(x, dict):
+        return set(x).union(*map(_keys, x.values()))
+    if isinstance(x, list):
+        return set().union(*map(_keys, x))
+    return set()
+
+
+KEYS = sorted(set().union(*map(_keys, PAYLOADS.values())))
+
+HUGE = st.sampled_from([10**400, -10**400, 2**64, 10**1000, 1 << 4000])
+TOKENS = st.sampled_from(["inf", "1/0", "1e-10000000", "1/3", " -3/0 ", "0x10", "NaN",
+                          "pl", "step", "Q", "qZ", "perturbation_certificate"])
+leaves = st.one_of(st.none(), st.booleans(), st.integers(), HUGE, st.floats(),
+                   st.text(max_size=6), TOKENS)
+json_values = st.recursive(
+    leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.one_of(st.sampled_from(KEYS), st.text(max_size=3)), kids,
+                        max_size=4),
+    ),
+    max_leaves=8,
+)
+
+DROP = object()
+
+
+def subtrees(x, at=()):
+    """Paths to every subtree of a JSON value, the value itself first."""
+    yield at
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, value in items:
+        yield from subtrees(value, at + (key,))
+
+
+def replaced(x, at, new):
+    """A copy of x with the subtree at ``at`` replaced (or its key dropped)."""
+    if not at:
+        return new
+    x = dict(x) if isinstance(x, dict) else list(x)
+    if len(at) == 1 and new is DROP:
+        del x[at[0]]
+    else:
+        x[at[0]] = replaced(x[at[0]], at[1:], new)
+    return x
+
+
+def call(argv, text):
+    """main() on a payload read from stdin: (exit code, stdout, stderr)."""
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def _no_constant(token):
+    raise AssertionError(f"non-finite {token} on stdout")
+
+
+def check(payload, code, out, err):
+    """The contract on one run; the parsed stdout, or None if it is empty."""
+    assert code in range(5)
+    if code == BAD_INPUT and not isinstance(payload, list):
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n")
+        assert "Traceback" not in err
+        return None
+    assert out.endswith("\n") and out.count("\n") == 1
+    parsed = json.loads(out, parse_constant=_no_constant)
+    if isinstance(payload, list):
+        assert isinstance(parsed, list) and len(parsed) == len(payload)
+    return parsed
+
+
+def as_slot(code, out, err):
+    """What a run gives as one batch slot."""
+    if out:
+        return json.loads(out)
+    return {"error": "bad_input", "message": err[len("error: "):-1]}
+
+
+@functools.lru_cache(maxsize=None)
+def valid_run(argv):
+    code, out, err = call(argv, json.dumps(PAYLOADS[argv]))
+    assert code in (0, 1) and out, (argv, code, err)
+    return code, json.loads(out)
+
+
+def test_every_payload_handler_is_fuzzed():
+    assert set(PAYLOADS) == {key for key, (_, reads) in _HANDLERS.items() if reads}
+    assert len(PAYLOADS) == 23
+
+
+@pytest.mark.parametrize("argv", sorted(PAYLOADS), ids="-".join)
+@settings(max_examples=MAX_EXAMPLES, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_any_payload_gets_a_defined_answer(argv, data):
+    valid = PAYLOADS[argv]
+    at = data.draw(st.sampled_from(list(subtrees(valid))), label="at")
+    new = data.draw(st.one_of(st.just(DROP), json_values) if at else json_values, label="new")
+    payload = replaced(valid, at, new)
+    code, out, err = call(argv, json.dumps(payload))
+    check(payload, code, out, err)
+
+    valid_code, valid_slot = valid_run(argv)
+    n = data.draw(st.integers(1, 3), label="batch size")
+    i = data.draw(st.integers(0, n - 1), label="fuzzed entry")
+    batch = [valid] * i + [payload] + [valid] * (n - 1 - i)
+    b_code, b_out, b_err = call(argv, json.dumps(batch))
+    slots = check(batch, b_code, b_out, b_err)
+    assert slots[:i] + slots[i + 1:] == [valid_slot] * (n - 1)
+    if not isinstance(payload, list):
+        assert slots[i] == as_slot(code, out, err)
+        assert b_code == max(code, valid_code if n > 1 else 0)

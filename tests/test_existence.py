@@ -33,11 +33,14 @@ from ctrace.pwcalc import (
 )
 
 from helpers import (
+    jump_windows_cases,
     rand_lsc_int_step,
     rand_pattern,
     rand_pl,
     rand_pl_unit,
+    ref_make_underapprox,
     ref_perturb_pattern,
+    ref_squash_map,
     ref_verify_certificate,
 )
 
@@ -183,6 +186,69 @@ class TestSquashMap:
         assert le_pointwise(compose_step_pl(d, sigma), f_prime)
         diff = sigma - PLFunction.identity()
         assert weighted_sup_norm(diff, unit_weight()).value <= 2 * delta
+
+
+def _profile(pts, vals, opens):
+    return StepFunction.from_profile([F(t) for t in pts], vals, opens)
+
+
+# (name, d, delta): each window shape and clamp kind, and each refusal
+WINDOW_CASES = [
+    ("left clamp", _profile([0, F(1, 2), 1], [1, 1, 2], [1, 2]), F(1, 8)),
+    ("right clamp", _profile([0, F(1, 2), 1], [3, 2, 2], [3, 2]), F(1, 8)),
+    ("center clamp", _profile([0, F(1, 2), 1], [2, 1, 2], [2, 2]), F(1, 8)),
+    ("jump at 0", _profile([0, F(1, 2), 1], [1, 2, 3], [2, 3]), F(1, 8)),
+    ("jump at 1", _profile([0, F(1, 2), 1], [1, 1, 1], [1, 2]), F(1, 8)),
+    ("jumps at 0 and 1 only", _profile([0, 1], [1, 1], [2]), F(1, 3)),
+    ("three clamps, ramps cut short", _profile(
+        [0, F(1, 4), F(1, 2), F(3, 4), 1], [2, 2, 1, 1, 1], [2, 3, 1, 2]), F(1, 9)),
+    ("windows touch", _profile([0, F(1, 4), F(1, 2), 1], [1, 1, 1, 1], [1, 2, 1]), F(1, 8)),
+    ("windows overlap", _profile([0, F(1, 2), F(9, 16), 1], [1, 1, 2, 3], [1, 2, 3]), F(1, 8)),
+    ("window reaches 0", _profile([0, F(1, 16), 1], [1, 1, 2], [1, 2]), F(1, 8)),
+    ("window reaches 1", _profile([0, F(15, 16), 1], [1, 1, 2], [1, 2]), F(1, 8)),
+    ("endpoint window covers [0,1]", _profile([0, 1], [1, 2], [2]), F(1)),
+    ("no jumps, huge delta", StepFunction.constant(3), F(5)),
+    ("zero delta", _profile([0, F(1, 2), 1], [1, 1, 2], [1, 2]), F(0)),
+    ("negative delta", _profile([0, F(1, 2), 1], [1, 1, 2], [1, 2]), F(-1, 8)),
+    ("not lsc", _profile([0, F(1, 2), 1], [1, 3, 2], [1, 2]), F(1, 8)),
+    ("value 0", _profile([0, F(1, 2), 1], [0, 1, 2], [1, 2]), F(1, 8)),
+]
+
+
+def _run(fn, d, delta):
+    """(result, its JSON) or (exception type, message)."""
+    try:
+        out = fn(d, delta)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+    return out, out.to_json()
+
+
+class TestJumpWindowsMatchReferences:
+    def check(self, d, delta):
+        assert _run(make_underapprox, d, delta) == _run(ref_make_underapprox, d, delta)
+        assert _run(squash_map, d, delta) == _run(ref_squash_map, d, delta)
+
+    @pytest.mark.parametrize("name,d,delta", WINDOW_CASES, ids=[c[0] for c in WINDOW_CASES])
+    def test_cases(self, name, d, delta):
+        self.check(d, delta)
+
+    @given(jump_windows_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_random_functions(self, case):
+        self.check(*case)
+
+    def test_no_point_evaluation_of_d(self, monkeypatch):
+        expected = [(_run(ref_make_underapprox, d, delta), _run(ref_squash_map, d, delta))
+                    for _, d, delta in WINDOW_CASES]
+
+        def refuse(self, t):
+            raise AssertionError("StepFunction.eval called")
+
+        monkeypatch.setattr(StepFunction, "eval", refuse)
+        got = [(_run(make_underapprox, d, delta), _run(squash_map, d, delta))
+               for _, d, delta in WINDOW_CASES]
+        assert got == expected
 
 
 class TestPerturbPattern:

@@ -20,6 +20,7 @@ from ctrace.pwcalc import (
     frac,
     function_from_json,
     is_lsc,
+    json_obj,
     le_pointwise,
     linear_combine,
     merged_points,
@@ -77,6 +78,26 @@ class TestConstruction:
     def test_frac_zero_denominator(self, x):
         with pytest.raises(ValueError):
             frac(x)
+
+    @pytest.mark.parametrize("x,value", [("3/4", F(3, 4)), (" -3/4 ", F(-3, 4)),
+                                         ("+2", F(2)), ("7\n", F(7))])
+    def test_frac_strings(self, x, value):
+        assert frac(x) == value
+
+    @pytest.mark.parametrize("x", ["0.5", "1e3", "1e-10000000", "1_000", "3 / 4", "",
+                                   "inf", "0x10", "3/-4"])
+    def test_frac_strings_are_integers_or_a_over_b(self, x):
+        with pytest.raises(ValueError, match="not an integer or a/b rational") as info:
+            frac(x)
+        assert repr(x) in str(info.value)
+
+    @pytest.mark.parametrize("x", [[1, 2], 5, "pl", None])
+    def test_json_obj_refuses_non_objects(self, x):
+        with pytest.raises(TypeError, match="must be a JSON object"):
+            json_obj(x, "a function")
+        for parse in (function_from_json, PLFunction.from_json, StepFunction.from_json):
+            with pytest.raises(TypeError, match="must be a JSON object"):
+                parse(x)
 
     def test_pl_collinear_points_removed(self):
         f = PLFunction((0, F(1, 4), F(1, 2), 1), (0, F(1, 4), F(1, 2), 1))
