@@ -21,44 +21,7 @@ import json
 import os
 import sys
 
-from .blocks import (
-    NestedPresentation,
-    dim_from_nested,
-    nested_from_dim,
-    validate_special,
-)
 from .errors import Infeasible
-from .existence import (
-    PerturbationCertificate,
-    make_underapprox,
-    perturb_pattern,
-    reproduce_counterexample,
-    verify_certificate,
-)
-from .invariant import (
-    AiVerdict,
-    GroupModel,
-    SimplexModel,
-    TraceNormMap,
-    ai_criterion,
-    classify_point,
-    dimension_range_membership,
-    ext,
-    ext_json,
-    lsc_decompose,
-    trace_norm_eval,
-)
-from .patterns import (
-    ChainStage,
-    EigenPattern,
-    apply_pattern,
-    check_compat,
-    compute_gap,
-    density_check,
-    push_dimension,
-    uniqueness_hypothesis_check,
-    verify_chain,
-)
 from .pwcalc import (
     PLFunction,
     StepFunction,
@@ -123,7 +86,9 @@ def _capped(what: str, value, cap: int):
     return value
 
 
-def _group(payload) -> GroupModel:
+def _group(payload):
+    from .invariant import GroupModel
+
     # the pairing matrix may sit beside the group object or inside it
     obj = dict(payload["group"])
     if "pairing" in payload:
@@ -132,6 +97,8 @@ def _group(payload) -> GroupModel:
 
 
 # --- handlers: each takes (payload, args) and returns (result, exit code) --
+# Each imports what it uses from its own group's module, so a subcommand
+# loads only that group's modules (and only `unitary` loads numpy).
 
 
 def _pw_eval(payload, args):
@@ -158,6 +125,8 @@ def _pw_norm(payload, args):
 
 
 def _block_validate(payload, args):
+    from .blocks import validate_special
+
     check = validate_special(_steps(payload))
     out = {
         "valid": check.valid,
@@ -168,11 +137,15 @@ def _block_validate(payload, args):
 
 
 def _block_from_nested(payload, args):
+    from .blocks import NestedPresentation, dim_from_nested
+
     _capped("number of open sets", len(payload["opens"]), MAX_NESTED_SETS)
     return dim_from_nested(NestedPresentation.from_json(payload)).to_json(), OK
 
 
 def _block_to_nested(payload, args):
+    from .blocks import nested_from_dim
+
     d = _steps(payload)
     # a largest value v gives v - 1 open sets
     _capped("largest value", d.max_value(), MAX_NESTED_SETS + 1)
@@ -180,6 +153,8 @@ def _block_to_nested(payload, args):
 
 
 def _pattern_apply(payload, args):
+    from .patterns import EigenPattern, apply_pattern
+
     out = apply_pattern(
         EigenPattern.from_json(payload["pattern"]),
         _pl(payload["f"]),
@@ -189,11 +164,15 @@ def _pattern_apply(payload, args):
 
 
 def _pattern_push(payload, args):
+    from .patterns import EigenPattern, push_dimension
+
     out = push_dimension(EigenPattern.from_json(payload["pattern"]), _steps(payload["d"]))
     return out.to_json(), OK
 
 
 def _pattern_compat(payload, args):
+    from .patterns import EigenPattern, check_compat
+
     res = check_compat(
         EigenPattern.from_json(payload["pattern"]),
         _pl(payload["f"]),
@@ -205,6 +184,8 @@ def _pattern_compat(payload, args):
 
 
 def _pattern_density(payload, args):
+    from .patterns import EigenPattern, density_check
+
     res = density_check(
         EigenPattern.from_json(payload["pattern"]),
         _capped("d", json_int(payload["d"], "d"), MAX_BINS),
@@ -219,6 +200,8 @@ def _pattern_density(payload, args):
 
 
 def _pattern_gap(payload, args):
+    from .patterns import EigenPattern, compute_gap
+
     rep = compute_gap(
         EigenPattern.from_json(payload["pattern"]),
         _steps(payload["d_src"]),
@@ -228,6 +211,8 @@ def _pattern_gap(payload, args):
 
 
 def _pattern_chain(payload, args):
+    from .patterns import ChainStage, EigenPattern, verify_chain
+
     stages = [
         ChainStage(EigenPattern.from_json(s["pattern"]), _steps(s["dim"]))
         for s in payload["stages"]
@@ -252,6 +237,8 @@ def _pattern_chain(payload, args):
 
 
 def _pattern_uniqhyp(payload, args):
+    from .patterns import EigenPattern, uniqueness_hypothesis_check
+
     rep = uniqueness_hypothesis_check(
         EigenPattern.from_json(payload["phi"]),
         EigenPattern.from_json(payload["psi"]),
@@ -271,11 +258,16 @@ def _pattern_uniqhyp(payload, args):
 
 
 def _exist_fprime(payload, args):
+    from .existence import make_underapprox
+
     out = make_underapprox(_steps(payload["d"]), frac(payload["delta"]))
     return out.to_json(), OK
 
 
 def _exist_perturb(payload, args):
+    from .existence import make_underapprox, perturb_pattern
+    from .patterns import EigenPattern
+
     d_a = _steps(payload["d_A"])
     delta = frac(payload["delta"])
     f_prime = (
@@ -298,23 +290,31 @@ def _exist_perturb(payload, args):
 
 
 def _exist_verify(payload, args):
+    from .existence import PerturbationCertificate, verify_certificate
+
     check = verify_certificate(PerturbationCertificate.from_json(payload))
     return check.to_json(), OK if check.ok else REFUTED
 
 
 def _exist_counterexample(payload, args):
+    from .existence import reproduce_counterexample
+
     rep = reproduce_counterexample(frac(args.delta), frac(args.eps0))
     ok = rep.hypothesis_ok and rep.infeasible_ok
     return rep.to_json(), OK if ok else REFUTED
 
 
 def _invariant_eval(payload, args):
+    from .invariant import TraceNormMap, ext_json, trace_norm_eval
+
     f = TraceNormMap.from_json(payload["f"])
     value = trace_norm_eval(f, [frac(c) for c in payload["s"]])
     return {"value": ext_json(value)}, OK
 
 
 def _invariant_range(payload, args):
+    from .invariant import TraceNormMap, dimension_range_membership
+
     res = dimension_range_membership(
         _group(payload),
         TraceNormMap.from_json(payload["f"]),
@@ -326,6 +326,8 @@ def _invariant_range(payload, args):
 
 
 def _invariant_ai(payload, args):
+    from .invariant import AiVerdict, SimplexModel, TraceNormMap, ai_criterion
+
     group = _group(payload)
     rep = ai_criterion(group, SimplexModel.from_json(payload["simplex"]),
                        TraceNormMap.from_json(payload["f"]))
@@ -335,6 +337,8 @@ def _invariant_ai(payload, args):
 
 
 def _invariant_decompose(payload, args):
+    from .invariant import TraceNormMap, lsc_decompose
+
     parts = lsc_decompose(
         TraceNormMap.from_json(payload["f"]),
         [frac(c) for c in payload["caps"]],
@@ -343,6 +347,8 @@ def _invariant_decompose(payload, args):
 
 
 def _invariant_classify(payload, args):
+    from .invariant import classify_point, ext, ext_json
+
     group = _group(payload)
     points = []
     for xy in payload["points"]:
@@ -356,7 +362,6 @@ def _invariant_classify(payload, args):
 
 
 def _unitary_patch(payload, args):
-    # imported here so that the exact subcommands start without numpy
     from .unitary import IsometryPath, patch_at_singularity
 
     res = patch_at_singularity(IsometryPath.from_json(payload))
@@ -429,8 +434,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dumps(result) -> str:
-    # a non-finite float has no JSON form: refuse it rather than print NaN
-    return json.dumps(result, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    # An exact result may hold integers longer than Python's int-to-str
+    # limit (4300 digits by default): lift it for the output only, so that
+    # json.load keeps it on input.  Pythons before 3.10.7 have no limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        # a non-finite float has no JSON form: refuse it rather than print NaN
+        return json.dumps(result, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _run(handler, payload, args) -> tuple:

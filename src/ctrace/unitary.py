@@ -81,8 +81,18 @@ def unitary_defect(w: np.ndarray):
     return _norms(_h(w) @ w - _I2)
 
 
+def _overflow_quiet():
+    """Silence numpy where a huge finite entry overflows a defect to inf or NaN.
+
+    The checks that run under it test ``~(defect <= tol)``, so such a
+    defect fails them: a NaN is never ``<=`` anything.
+    """
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _not_rank_one(w: np.ndarray, tol: float) -> np.ndarray:
-    return (partial_isometry_defect(w) > tol) | (rank_one_defect(w) > tol)
+    with _overflow_quiet():
+        return ~((partial_isometry_defect(w) <= tol) & (rank_one_defect(w) <= tol))
 
 
 def _complements(a: np.ndarray, tol: float) -> np.ndarray:
@@ -175,16 +185,17 @@ class IsometryPath:
     def check_structure(self):
         """Raise unless the rank/unitarity and continuity invariants hold."""
         j = self.jump_index
-        bad = np.concatenate([
-            _not_rank_one(self.mats[: j + 1], self.tol),
-            unitary_defect(self.mats[j + 1:]) > self.tol,
-        ])
+        allowance = self.lipschitz * self.step + self.tol
+        with _overflow_quiet():
+            bad = np.concatenate([
+                _not_rank_one(self.mats[: j + 1], self.tol),
+                ~(unitary_defect(self.mats[j + 1:]) <= self.tol),
+            ])
+            broken = ~(_norms(np.diff(self.mats, axis=0)) <= allowance)
         if bad.any():
             i = int(bad.argmax())
             kind = "a rank-one partial isometry" if i <= j else "unitary"
             raise ValueError(f"sample {i} (t={self.ts[i]}) is not {kind} within tol")
-        allowance = self.lipschitz * self.step + self.tol
-        broken = _norms(np.diff(self.mats, axis=0)) > allowance
         broken[j: j + 1] = False  # the rank jump itself may be discontinuous
         if broken.any():
             raise ValueError(f"discrete continuity violated at sample {int(broken.argmax())}")
@@ -325,10 +336,11 @@ def validate_unitary_path(unitaries, path: IsometryPath) -> PathReport:
         raise ValueError("unitary path entries must be finite")
     j = path.jump_index
     pre, post = path.mats[: j + 1], path.mats[j + 1:]
-    p_init = _h(pre) @ pre  # after the jump: the constant extension p_init[-1]
-    max_action = max(_norms((mats[: j + 1] - pre) @ p_init).max(),
-                     _norms((mats[j + 1:] - post) @ p_init[-1]).max(initial=0.0))
-    max_unit = float(unitary_defect(mats).max())
-    max_jump = float(_norms(np.diff(mats, axis=0)).max())
+    with _overflow_quiet():
+        p_init = _h(pre) @ pre  # after the jump: the constant extension p_init[-1]
+        max_action = max(_norms((mats[: j + 1] - pre) @ p_init).max(),
+                         _norms((mats[j + 1:] - post) @ p_init[-1]).max(initial=0.0))
+        max_unit = float(unitary_defect(mats).max())
+        max_jump = float(_norms(np.diff(mats, axis=0)).max())
     allowance = path.lipschitz * path.step + path.tol
     return PathReport(max_unit, max_jump, allowance, float(max_action), 2 * path.tol)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctrace.cli import MAX_BINS, MAX_NESTED_SETS, main
+from ctrace.cli import BAD_INPUT, MAX_BINS, MAX_NESTED_SETS, REFUTED, main
 from ctrace.existence import make_underapprox, pinched_dimension_function
 from ctrace.patterns import EigenPattern, push_dimension
 from ctrace.pwcalc import PLFunction, StepFunction, unit_weight
@@ -175,6 +175,29 @@ class TestUnitaryInputChecks:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    # A huge finite entry overflows the defects to inf or NaN, which must
+    # fail the checks (a NaN passes no `>` test) without a numpy warning.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("index", [0, 10], ids=["pre-jump", "post-jump"])
+    @pytest.mark.parametrize("v", [1e155, 1e200, 1e300])
+    def test_huge_entry_is_refused(self, capsys, tmp_path, index, v):
+        blob = _jump_path().to_json()
+        blob["samples"][index]["re"] = [[v, v], [v, -v]]
+        code, out, err = run(capsys, ["unitary", "patch"], blob, tmp_path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: sample {index} ") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_unitary_entry_is_not_validated(self, capsys, tmp_path):
+        path = _jump_path().to_json()
+        unitaries = path["samples"]
+        unitaries[10] = dict(unitaries[10], re=[[1e300, 1e300], [1e300, -1e300]])
+        payload = {"path": path, "unitaries": unitaries}
+        code, _, err = run(capsys, ["unitary", "validate"], payload, tmp_path)
+        assert code in (REFUTED, BAD_INPUT)
+        assert "Warning" not in err
 
 
 class TestSubcommands:
@@ -455,6 +478,30 @@ class TestRationalStrings:
         assert (code, json.loads(out)) == (0, {"value": [1, 3]})
         code = main(["exist", "counterexample", "--delta", "1/10", "--eps0", "1/5"])
         assert code == 0
+
+
+class TestLongIntegers:
+    # f is the line from (0,0) to (1, 1/(10**2500+1)); at t = 1/(10**2500-1)
+    # it is 1/(10**5000-1), whose denominator has 5000 digits
+    N = 10 ** 2500
+    F_LINE = {"kind": "pl", "points": [[[0, 1], [0, 1]], [[1, 1], [1, N + 1]]]}
+
+    def test_result_longer_than_the_int_str_limit(self, capsys, tmp_path):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        payload = {"f": self.F_LINE, "t": [1, self.N - 1]}
+        code, out, err = run(capsys, ["pw", "eval"], payload, tmp_path)
+        assert (code, err) == (0, "")
+        assert out == '{"value":[1,' + "9" * 5000 + "]}\n"
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no int-to-str limit")
+    def test_input_keeps_the_int_str_limit(self, capsys, tmp_path):
+        payload = '{"f":' + json.dumps(self.F_LINE) + ',"t":[1,' + "9" * 5000 + "]}"
+        code, out, err = run(capsys, ["pw", "eval"], payload, tmp_path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestWorkLimits:
