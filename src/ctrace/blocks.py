@@ -118,7 +118,8 @@ class NestedPresentation:
             raise ValueError(f"expected {self.n - 1} open sets, got {len(opens)}")
         indicators = [_indicator(s) for s in opens]
         for bigger, smaller in zip(indicators, indicators[1:]):
-            if not le_pointwise(smaller, bigger):
+            # indicators are canonical, so equal sets are equal functions
+            if smaller != bigger and not le_pointwise(smaller, bigger):
                 raise ValueError("open sets are not nested")
         object.__setattr__(self, "opens", opens)
 

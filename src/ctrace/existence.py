@@ -123,6 +123,8 @@ def squash_map(d: StepFunction, delta) -> PLFunction:
     delta/2 wide).
     """
     delta = frac(delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     ensure_dimension_function(d)
     windows = _windows(d, delta)
     pts = [(ZERO, ZERO)]

@@ -1,8 +1,9 @@
 """Exact calculus of piecewise-linear and step functions on [0,1].
 
 All coordinates and values are arbitrary-precision rationals
-(:class:`fractions.Fraction`); there is no floating point anywhere in
-this module.  Operations are pure and return canonical representations:
+(:class:`fractions.Fraction`); floats appear in this module only as
+order keys with an exact fallback on ties (:func:`_keyed`), never as
+values.  Operations are pure and return canonical representations:
 collinear interior breakpoints and equal-valued adjacent step pieces are
 always merged, so ``==`` between two values is equality as functions on
 [0,1].  A step function is stored as its profile: its values at its
@@ -468,6 +469,16 @@ def function_from_json(obj: dict) -> PiecewiseFunction:
 # ---------------------------------------------------------------------------
 
 
+def _keyed(xs) -> list:
+    """``(float, x)`` order keys for Fractions ``xs``.
+
+    int/int true division is correctly rounded, so the float is monotone
+    in x: keys with different floats compare on the float alone, and only
+    equal floats fall back to comparing the Fractions.
+    """
+    return [(x.numerator / x.denominator, x) for x in xs]
+
+
 def merged_points(*fns: PiecewiseFunction) -> tuple:
     """Sorted union of all breakpoints / partition points, including 0 and 1."""
     runs = []
@@ -480,10 +491,11 @@ def merged_points(*fns: PiecewiseFunction) -> tuple:
             raise TypeError(f"not a piecewise function: {f!r}")
     runs.append(ONE)
     # each function's points are one sorted run, which sorted() merges
-    pts = [ZERO]
-    for t in sorted(runs):
-        if t != pts[-1]:
+    pts, last = [ZERO], 0.0
+    for x, t in sorted(_keyed(runs)):
+        if x != last or t != pts[-1]:
             pts.append(t)
+            last = x
     return tuple(pts)
 
 
@@ -612,29 +624,39 @@ class Extremum:
         return self.side == AT
 
 
-def _extremum(pts, h, at_value, cell_value, pick) -> Extremum:
-    """Extremum by ``pick`` (min or max) of a mapped linear quantity h.
+def _sup_scan(pts, at, above, below, h_above, h_below) -> tuple:
+    """The largest value of a quantity that is linear in some h on each cell.
 
-    ``h`` is a :func:`refine` sample triple; ``at_value(i, v)`` maps h's
-    value at point i and ``cell_value(i, v)`` a limit on cell i.  h is
-    constant on a cell when its limits agree; the mapped values cannot
-    tell (|h| has equal limits when h runs from -1 to 1).  Candidates go
-    point, cell, next point; ``pick`` keeps the first of equal ones.
+    Values are integer ``(num, den)`` pairs with ``den > 0``: ``at[i]`` at
+    ``pts[i]``, ``above[i]`` and ``below[i]`` the limits at ``pts[i]+``
+    and ``pts[i+1]-``, and ``h_above``, ``h_below`` h's own limits there.
+    The cell is one candidate at its midpoint when h's limits agree; the
+    values cannot tell (|h| has equal limits when h runs from -1 to 1).
+    Candidates go point, cell, next point and are compared by
+    cross-multiplying, so the first of equal ones wins.  Returns ``(num,
+    den, t, side)``; only the winner's midpoint is built.
     """
-    h_at, h_above, h_below = h
-
-    def candidates():
-        for i, t in enumerate(pts):
-            yield at_value(i, h_at[i]), t, AT
-            if i + 1 < len(pts):
-                a, b, hA, hB = t, pts[i + 1], h_above[i], h_below[i]
-                if hA == hB:
-                    yield cell_value(i, hA), (a + b) / 2, AT
-                else:
-                    yield cell_value(i, hA), a, ABOVE
-                    yield cell_value(i, hB), b, BELOW
-
-    return Extremum(*pick(candidates(), key=lambda c: c[0]))
+    bn, bd = at[0]
+    won, side = 0, AT  # a point index, or a cell index when side is None
+    for i in range(len(pts) - 1):
+        xn, xd = above[i]
+        hn, hd = h_above[i]
+        gn, gd = h_below[i]
+        if hn * gd == gn * hd:
+            if xn * bd > bn * xd:
+                bn, bd, won, side = xn, xd, i, None
+        else:
+            if xn * bd > bn * xd:
+                bn, bd, won, side = xn, xd, i, ABOVE
+            xn, xd = below[i]
+            if xn * bd > bn * xd:
+                bn, bd, won, side = xn, xd, i + 1, BELOW
+        xn, xd = at[i + 1]
+        if xn * bd > bn * xd:
+            bn, bd, won, side = xn, xd, i + 1, AT
+    if side is None:
+        return bn, bd, (pts[won] + pts[won + 1]) / 2, AT
+    return bn, bd, pts[won], side
 
 
 def weighted_sup_norm(f: PLFunction, w: StepFunction) -> Extremum:
@@ -650,18 +672,27 @@ def weighted_sup_norm(f: PLFunction, w: StepFunction) -> Extremum:
         raise TypeError("weights are step functions")
     if w.min_value() <= 0:
         raise ValueError("weight must be strictly positive")
-    pts, (f_samples, (w_at, w_open, _)) = refine(f, w)
-    return _extremum(
-        pts, f_samples,
-        lambda i, v: abs(v) / w_at[i], lambda i, v: abs(v) / w_open[i], max,
-    )
+    pts, ((f_at, _, _), (w_at, w_open, _)) = refine(f, w)
+    h = [(v.numerator, v.denominator) for v in f_at]
+    # |f| / w as (|fn| * wd) / (fd * wn), with wn > 0
+    at = [(abs(fn) * v.denominator, fd * v.numerator) for (fn, fd), v in zip(h, w_at)]
+    above = [(abs(fn) * v.denominator, fd * v.numerator) for (fn, fd), v in zip(h, w_open)]
+    below = [(abs(fn) * v.denominator, fd * v.numerator) for (fn, fd), v in zip(h[1:], w_open)]
+    num, den, t, side = _sup_scan(pts, at, above, below, h, h[1:])
+    return Extremum(Fraction(num, den), t, side)
 
 
 def inf_difference(upper: PiecewiseFunction, lower: PiecewiseFunction) -> Extremum:
     """Exact infimum of upper(t) - lower(t) over [0,1], with attainment info."""
     pts, (u, l) = refine(upper, lower)
-    h = tuple([x - y for x, y in zip(us, ls)] for us, ls in zip(u, l))
-    return _extremum(pts, h, lambda i, v: v, lambda i, v: v, min)
+    # the supremum of lower - upper, as unreduced integer pairs
+    at, above, below = (
+        [(y.numerator * x.denominator - x.numerator * y.denominator, x.denominator * y.denominator)
+         for x, y in zip(us, ls)]
+        for us, ls in zip(u, l)
+    )
+    num, den, t, side = _sup_scan(pts, at, above, below, above, below)
+    return Extremum(Fraction(-num, den), t, side)
 
 
 def is_lsc(d: StepFunction) -> LeResult:
@@ -713,27 +744,37 @@ def _preimage_refinement(g: PLFunction, targets: Sequence[Fraction]) -> tuple:
     with g mapping the cell after ``pts[k]`` into (targets[i],
     targets[i+1]) (None where g is constant there).  Only the targets
     strictly inside a segment's range have preimages in it; two bisects
-    find them, and they are emitted in t-order.
+    over :func:`_keyed` targets find them, and they are emitted in
+    t-order.
     """
     if not g.into_unit_interval():
         raise ValueError("inner function must map [0,1] into [0,1]")
+    keys, bps, ys = _keyed(targets), g.breakpoints, _keyed(g.values)
     pts, g_vals, hits, cells = [], [], [], []
-    for t0, t1, y0, y1 in g.segments():
+    for t0, t1, y0, y1 in zip(bps, bps[1:], ys, ys[1:]):
         pts.append(t0)
-        g_vals.append(y0)
+        g_vals.append(y0[1])
         hits.append(None)
         if y0 == y1:
             cells.append(None)
             continue
         rising = y0 < y1
-        lo = bisect.bisect_right(targets, min(y0, y1))
-        hi = bisect.bisect_left(targets, max(y0, y1))
+        lo = bisect.bisect_right(keys, y0 if rising else y1)
+        hi = bisect.bisect_left(keys, y1 if rising else y0)
         cells.append(lo - 1 if rising else hi - 1)
-        scale = (t1 - t0) / (y1 - y0)
+        if lo == hi:
+            continue
+        # the preimage of p/q is (a*q + b*p) / (c*q) on this segment
+        scale = (t1 - t0) / (y1[1] - y0[1])
+        alpha = t0 - scale * y0[1]
+        a = alpha.numerator * scale.denominator
+        b = scale.numerator * alpha.denominator
+        c = alpha.denominator * scale.denominator
         for i in (range(lo, hi) if rising else range(hi - 1, lo - 1, -1)):
-            c = targets[i]
-            pts.append(t0 + (c - y0) * scale)
-            g_vals.append(c)
+            y = targets[i]
+            q = y.denominator
+            pts.append(Fraction(a * q + b * y.numerator, c * q))
+            g_vals.append(y)
             hits.append(i)
             cells.append(i if rising else i - 1)
     pts.append(ONE)

@@ -12,6 +12,7 @@ integers for speed; all reported values are exact.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 import os
 import random
@@ -787,3 +788,152 @@ def jump_windows_cases(draw, max_jumps=8):
                          ONE, Fraction(-1, 8)]),
     ))
     return d, delta
+
+
+# ---------------------------------------------------------------------------
+# Fraction-ordered references for the keyed merge, search and scan
+# ---------------------------------------------------------------------------
+#
+# ``merged_points`` and ``_preimage_refinement`` now order points by
+# (float, Fraction) keys, and the extrema scan integer pairs compared by
+# cross-multiplying.  These are the versions they replaced: sorts, bisects
+# and ``max``/``min`` on the Fractions themselves; the two extrema sample
+# through ``ref_refine``.
+
+
+def ref_merged_points(*fns) -> tuple:
+    runs = []
+    for f in fns:
+        runs.extend(f.breakpoints if isinstance(f, PLFunction) else f.points)
+    runs.append(ONE)
+    pts = [ZERO]
+    for t in sorted(runs):
+        if t != pts[-1]:
+            pts.append(t)
+    return tuple(pts)
+
+
+def ref_preimage_bisect(g: PLFunction, targets) -> tuple:
+    """``(pts, g_vals, hits, cells)`` from Fraction bisects."""
+    pts, g_vals, hits, cells = [], [], [], []
+    for t0, t1, y0, y1 in g.segments():
+        pts.append(t0)
+        g_vals.append(y0)
+        hits.append(None)
+        if y0 == y1:
+            cells.append(None)
+            continue
+        rising = y0 < y1
+        lo = bisect.bisect_right(targets, min(y0, y1))
+        hi = bisect.bisect_left(targets, max(y0, y1))
+        cells.append(lo - 1 if rising else hi - 1)
+        scale = (t1 - t0) / (y1 - y0)
+        for i in (range(lo, hi) if rising else range(hi - 1, lo - 1, -1)):
+            c = targets[i]
+            pts.append(t0 + (c - y0) * scale)
+            g_vals.append(c)
+            hits.append(i)
+            cells.append(i if rising else i - 1)
+    pts.append(ONE)
+    g_vals.append(g.values[-1])
+    hits.append(None)
+    return pts, g_vals, hits, cells
+
+
+@contextlib.contextmanager
+def fraction_ordered_kernels():
+    """Run ``pwcalc`` with ``ref_merged_points`` and ``ref_preimage_bisect``
+    in place of the keyed kernels, so that ``refine``, the compositions and
+    ``le_pointwise`` give the Fraction-ordered answers."""
+    import pytest
+
+    from ctrace import pwcalc
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pwcalc, "merged_points", ref_merged_points)
+        mp.setattr(pwcalc, "_preimage_refinement", ref_preimage_bisect)
+        yield
+
+
+def _ref_extremum(pts, h, at_value, cell_value, pick):
+    from ctrace.pwcalc import ABOVE, AT, BELOW, Extremum
+
+    h_at, h_above, h_below = h
+
+    def candidates():
+        for i, t in enumerate(pts):
+            yield at_value(i, h_at[i]), t, AT
+            if i + 1 < len(pts):
+                a, b, hA, hB = t, pts[i + 1], h_above[i], h_below[i]
+                if hA == hB:
+                    yield cell_value(i, hA), (a + b) / 2, AT
+                else:
+                    yield cell_value(i, hA), a, ABOVE
+                    yield cell_value(i, hB), b, BELOW
+
+    return Extremum(*pick(candidates(), key=lambda c: c[0]))
+
+
+def ref_weighted_sup_norm(f: PLFunction, w: StepFunction):
+    pts, (f_samples, (w_at, w_open, _)) = ref_refine(f, w)
+    return _ref_extremum(
+        pts, f_samples,
+        lambda i, v: abs(v) / w_at[i], lambda i, v: abs(v) / w_open[i], max,
+    )
+
+
+def ref_inf_difference(upper, lower):
+    pts, (u, l) = ref_refine(upper, lower)
+    h = tuple([x - y for x, y in zip(us, ls)] for us, ls in zip(u, l))
+    return _ref_extremum(pts, h, lambda i, v: v, lambda i, v: v, min)
+
+
+# Interior points that put float keys to the test: a few bases, each also
+# moved by 10^-17 (often the same float), 10^-30 and 10^-400 (always the
+# same float); points whose float is 0.0 or 1.0; a huge denominator whose
+# float is 0.5; and plain points.
+_NUDGES = [Fraction(1, 10**k) for k in (17, 30, 400)]
+NEAR_TIES = sorted({
+    *(b + s * e for b in (Fraction(1, 3), Fraction(1, 2), Fraction(5, 7))
+      for e in _NUDGES for s in (-1, 0, 1)),
+    Fraction(1, 10**400), Fraction(3, 10**400), 1 - Fraction(1, 10**30),
+    Fraction(2**200 - 1, 2**201 + 3), Fraction(1, 4), Fraction(3, 4),
+})
+
+# a few values, so that cells are often constant and extremum candidates tie
+tie_values = st.sampled_from([Fraction(v) for v in (-1, 0, 1, 2)] + [
+    Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2) + Fraction(1, 10**30),
+])
+
+
+@st.composite
+def near_tie_cut_points(draw, max_cuts=6):
+    inner = draw(st.lists(st.sampled_from(NEAR_TIES), max_size=max_cuts, unique=True))
+    return [ZERO] + sorted(inner) + [ONE]
+
+
+@st.composite
+def near_tie_pl_functions(draw):
+    pts = draw(near_tie_cut_points())
+    vals = draw(st.lists(tie_values, min_size=len(pts), max_size=len(pts)))
+    return PLFunction(tuple(pts), tuple(vals))
+
+
+@st.composite
+def near_tie_step_functions(draw, values=tie_values):
+    pts = draw(near_tie_cut_points())
+    point_vals = draw(st.lists(values, min_size=len(pts), max_size=len(pts)))
+    open_vals = draw(st.lists(values, min_size=len(pts) - 1, max_size=len(pts) - 1))
+    return StepFunction.from_profile(pts, point_vals, open_vals)
+
+
+@st.composite
+def near_tie_inner_functions(draw, targets=()):
+    """Maps [0,1] -> [0,1] whose values land on ``targets``, on points with
+    the same float as a target, or stay constant."""
+    pts = draw(near_tie_cut_points())
+    value = st.sampled_from(sorted({ZERO, ONE, *NEAR_TIES, *targets}))
+    vals = [draw(value)]
+    for _ in pts[1:]:
+        vals.append(vals[-1] if draw(st.integers(0, 3)) == 0 else draw(value))
+    return PLFunction(tuple(pts), tuple(vals))

@@ -244,6 +244,17 @@ class TestIndicatorSweepMatchesReferences:
         assert ref_nested(p.n, p.opens) == p.opens
         assert ref_dim_from_nested(p) == dim_from_nested(p) == d
 
+    def test_equal_sets_skip_the_sweep(self, monkeypatch):
+        import ctrace.blocks
+
+        def refuse(f, g, strict=False):
+            raise AssertionError("le_pointwise called")
+
+        monkeypatch.setattr(ctrace.blocks, "le_pointwise", refuse)
+        assert NestedPresentation(1001, ((FULL,),) * 1000).opens == ((FULL,),) * 1000
+        sets = [split_open(HALF) for _ in range(3)]
+        assert NestedPresentation(4, sets).opens == tuple(sets)
+
     def test_no_point_evaluation(self, monkeypatch):
         def refuse(self, t):
             raise AssertionError("eval called")

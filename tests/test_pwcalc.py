@@ -17,8 +17,10 @@ from ctrace.pwcalc import (
     combine_steps,
     compose_pl,
     compose_step_pl,
+    _preimage_refinement,
     frac,
     function_from_json,
+    inf_difference,
     is_lsc,
     json_obj,
     le_pointwise,
@@ -30,7 +32,12 @@ from ctrace.pwcalc import (
 )
 
 from helpers import (
+    NEAR_TIES,
+    fraction_ordered_kernels,
     inner_functions,
+    near_tie_inner_functions,
+    near_tie_pl_functions,
+    near_tie_step_functions,
     oracle_inf_diff,
     oracle_le,
     oracle_weighted_sup,
@@ -41,10 +48,14 @@ from helpers import (
     rand_step,
     ref_compose_pl,
     ref_compose_step_pl,
+    ref_inf_difference,
     ref_le_pointwise,
     ref_linear_combine,
+    ref_merged_points,
     ref_pl_canonical,
+    ref_preimage_bisect,
     ref_refine,
+    ref_weighted_sup_norm,
     step_functions,
     wide_pl_points,
 )
@@ -594,3 +605,96 @@ class TestIntegerPathsMatchFractionReferences:
     def test_le_pointwise(self, f, g, strict):
         assert le_pointwise(f, g, strict) == ref_le_pointwise(f, g, strict)
         assert le_pointwise(f, f, strict) == ref_le_pointwise(f, f, strict)
+
+
+near_tie_functions = st.one_of(near_tie_pl_functions(), near_tie_step_functions())
+near_tie_weights = near_tie_step_functions(
+    values=st.sampled_from([F(1), F(2), F(1, 2), F(1, 2) + F(1, 10**30)]))
+
+
+def _extremum_fields(e):
+    assert type(e.value) is F and type(e.at) is F
+    return e.value, e.at, e.side
+
+
+class TestKeyedKernelsMatchFractionReferences:
+    """Float-keyed merges and bisects and the integer extremum scan give
+    exactly what Fraction sorts, bisects and ``max``/``min`` gave, on points
+    that share a float, round to 0.0 or 1.0 or carry huge denominators,
+    and on values that make cells constant and candidates tie."""
+
+    def test_near_ties_share_floats(self):
+        floats = [t.numerator / t.denominator for t in NEAR_TIES]
+        assert len(set(floats)) < len(NEAR_TIES) - 10
+        assert 0.0 in floats and 1.0 in floats
+
+    @given(st.lists(near_tie_functions, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_merged_points(self, fns):
+        out = merged_points(*fns)
+        assert out == ref_merged_points(*fns)
+        assert all(type(t) is F for t in out)
+        assert refine(*fns) == ref_refine(*fns)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_preimages_and_compositions(self, data):
+        f = data.draw(near_tie_pl_functions())
+        d = data.draw(near_tie_step_functions())
+        g = data.draw(near_tie_inner_functions(f.breakpoints + d.points))
+        for targets in (f.breakpoints, d.points):
+            assert _preimage_refinement(g, targets) == ref_preimage_bisect(g, targets)
+        out = compose_pl(f, g), compose_step_pl(d, g)
+        with fraction_ordered_kernels():
+            ref = compose_pl(f, g), compose_step_pl(d, g)
+        assert out == ref
+        assert [h.to_json() for h in out] == [h.to_json() for h in ref]
+
+    @given(near_tie_functions, near_tie_functions, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_le_pointwise(self, f, g, strict):
+        out = le_pointwise(f, g, strict), le_pointwise(g, f, strict)
+        with fraction_ordered_kernels():
+            ref = le_pointwise(f, g, strict), le_pointwise(g, f, strict)
+        assert out == ref
+
+    @given(near_tie_functions, near_tie_functions, near_tie_pl_functions(), near_tie_weights)
+    @example(  # |f| has equal limits on a cell where f is not constant
+        PLFunction.identity(), PLFunction.identity(), PLFunction((0, 1), (-1, 1)),
+        StepFunction.from_profile((0, 1), (2, 2), (1,)))
+    @settings(max_examples=200, deadline=None)
+    def test_extrema(self, upper, lower, f, w):
+        for u, l in ((upper, lower), (lower, upper), (upper, upper)):
+            out = _extremum_fields(inf_difference(u, l))
+            assert out == _extremum_fields(ref_inf_difference(u, l))
+            with fraction_ordered_kernels():
+                assert out == _extremum_fields(inf_difference(u, l))
+        out = _extremum_fields(weighted_sup_norm(f, w))
+        assert out == _extremum_fields(ref_weighted_sup_norm(f, w))
+        assert _extremum_fields(weighted_sup_norm(-f, w)) == out
+
+    def test_merge_makes_no_order_comparison(self, monkeypatch):
+        rng = random.Random(10)
+
+        def points():
+            cuts = {F(rng.randrange(1, 10**6), rng.randrange(10**6, 2 * 10**6)) for _ in range(198)}
+            return [F(0), *sorted(cuts), F(1)]
+
+        pts = points()
+        pl = PLFunction(tuple(pts), tuple(F(rng.randrange(-50, 50), rng.randrange(1, 20)) for _ in pts))
+        pts = points()
+        step = StepFunction.from_profile(
+            pts, [F(i % 3) for i in range(len(pts))], [F(i % 2) for i in range(len(pts) - 1)])
+        assert len(pl.breakpoints) > 190 and len(step.points) > 190
+        expected = ref_merged_points(pl, step, pl)
+        assert len({t.numerator / t.denominator for t in expected}) == len(expected)
+        calls = []
+        for name in ("__lt__", "__gt__", "__le__", "__ge__"):
+            def counted(a, b, orig=getattr(F, name)):
+                calls.append(orig)
+                return orig(a, b)
+            monkeypatch.setattr(F, name, counted)
+        assert merged_points(pl, step, pl) == expected
+        assert calls == []
+        ref_merged_points(pl, step)
+        assert calls  # the counters see the Fraction sort
