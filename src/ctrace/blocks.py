@@ -144,26 +144,28 @@ def dim_from_nested(p: NestedPresentation) -> StepFunction:
     return add_steps([StepFunction.constant(1), *(_indicator(s) for s in p.opens)])
 
 
-def _superlevel(pieces: tuple, level: int) -> tuple:
-    """The set {t : d(t) >= level}, given d's pieces, as a sorted tuple of intervals."""
-    out = []
-    for piece in pieces:
-        if piece.value < level:
-            continue
-        iv = piece.interval
-        if out:
-            prev = out[-1]
-            if prev.hi == iv.lo and (prev.hi_closed or iv.lo_closed):
-                out[-1] = Interval(prev.lo, iv.hi, prev.lo_closed, iv.hi_closed)
-                continue
-        out.append(iv)
-    return tuple(out)
-
-
 def nested_from_dim(d: StepFunction) -> NestedPresentation:
-    """Recover the nested presentation; superlevel sets of an lsc function are open."""
+    """Recover the nested presentation in one walk along d's profile.
+
+    d is lsc, so it rises only onto a cell (or at 0) and falls only onto a
+    point: a rise starts the sets of the levels it passes and a fall ends
+    them, both open at that point.  Sets still running at 1 end there, closed.
+    """
     ensure_dimension_function(d)
     n = int(d.max_value())
-    pieces = d.pieces
-    opens = tuple(_superlevel(pieces, level) for level in range(2, n + 1))
-    return NestedPresentation(n, opens)
+    opens = [[] for _ in range(n - 1)]  # opens[k] is the set of level k + 2
+    starts = []  # (lo, lo_closed) of the running interval of each level from 2 up
+
+    def move(value, t, closed):
+        while len(starts) < value - 1:
+            starts.append((t, closed))
+        while len(starts) > value - 1:
+            lo, lo_closed = starts.pop()
+            opens[len(starts)].append(Interval(lo, t, lo_closed, closed))
+
+    for i, t in enumerate(d.points):
+        move(int(d.point_values[i]), t, t == ZERO)
+        if i < len(d.open_values):
+            move(int(d.open_values[i]), t, False)
+    move(1, ONE, True)
+    return NestedPresentation(n, tuple(tuple(s) for s in opens))

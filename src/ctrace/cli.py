@@ -72,14 +72,6 @@ def _load_payload(args):
     return json.load(sys.stdin)
 
 
-def _steps(obj) -> StepFunction:
-    return StepFunction.from_json(obj)
-
-
-def _pl(obj) -> PLFunction:
-    return PLFunction.from_json(obj)
-
-
 def _capped(what: str, value, cap: int):
     if value > cap:
         raise ValueError(f"{what} {value} exceeds the limit {cap}")
@@ -116,7 +108,9 @@ def _pw_le(payload, args):
 
 
 def _pw_norm(payload, args):
-    res = weighted_sup_norm(_pl(payload["f"]), _steps(payload["w"]))
+    res = weighted_sup_norm(
+        PLFunction.from_json(payload["f"]), StepFunction.from_json(payload["w"])
+    )
     return {
         "value": frac_pair(res.value),
         "at": frac_pair(res.at),
@@ -127,7 +121,7 @@ def _pw_norm(payload, args):
 def _block_validate(payload, args):
     from .blocks import validate_special
 
-    check = validate_special(_steps(payload))
+    check = validate_special(StepFunction.from_json(payload))
     out = {
         "valid": check.valid,
         "reason": check.reason,
@@ -146,7 +140,7 @@ def _block_from_nested(payload, args):
 def _block_to_nested(payload, args):
     from .blocks import nested_from_dim
 
-    d = _steps(payload)
+    d = StepFunction.from_json(payload)
     # a largest value v gives v - 1 open sets
     _capped("largest value", d.max_value(), MAX_NESTED_SETS + 1)
     return nested_from_dim(d).to_json(), OK
@@ -157,7 +151,7 @@ def _pattern_apply(payload, args):
 
     out = apply_pattern(
         EigenPattern.from_json(payload["pattern"]),
-        _pl(payload["f"]),
+        PLFunction.from_json(payload["f"]),
         normalized=json_bool(payload.get("normalized", False), "normalized"),
     )
     return out.to_json(), OK
@@ -166,7 +160,9 @@ def _pattern_apply(payload, args):
 def _pattern_push(payload, args):
     from .patterns import EigenPattern, push_dimension
 
-    out = push_dimension(EigenPattern.from_json(payload["pattern"]), _steps(payload["d"]))
+    out = push_dimension(
+        EigenPattern.from_json(payload["pattern"]), StepFunction.from_json(payload["d"])
+    )
     return out.to_json(), OK
 
 
@@ -175,8 +171,8 @@ def _pattern_compat(payload, args):
 
     res = check_compat(
         EigenPattern.from_json(payload["pattern"]),
-        _pl(payload["f"]),
-        _steps(payload["d_B"]),
+        PLFunction.from_json(payload["f"]),
+        StepFunction.from_json(payload["d_B"]),
         slack=frac(payload.get("slack", 0)),
     )
     out = {"holds": res.holds, "witness": _opt_pair(res.witness)}
@@ -204,8 +200,8 @@ def _pattern_gap(payload, args):
 
     rep = compute_gap(
         EigenPattern.from_json(payload["pattern"]),
-        _steps(payload["d_src"]),
-        _steps(payload["d_tgt"]),
+        StepFunction.from_json(payload["d_src"]),
+        StepFunction.from_json(payload["d_tgt"]),
     )
     return rep.to_json(), OK if rep.satisfied else REFUTED
 
@@ -214,14 +210,14 @@ def _pattern_chain(payload, args):
     from .patterns import ChainStage, EigenPattern, verify_chain
 
     stages = [
-        ChainStage(EigenPattern.from_json(s["pattern"]), _steps(s["dim"]))
+        ChainStage(EigenPattern.from_json(s["pattern"]), StepFunction.from_json(s["dim"]))
         for s in payload["stages"]
     ]
     rep = verify_chain(
         stages,
         EigenPattern.from_json(payload["tau"]),
-        _steps(payload["d_target"]),
-        _pl(payload["f"]),
+        StepFunction.from_json(payload["d_target"]),
+        PLFunction.from_json(payload["f"]),
         frac(payload["delta_1"]),
         frac(payload["eps_n"]),
     )
@@ -244,8 +240,8 @@ def _pattern_uniqhyp(payload, args):
         EigenPattern.from_json(payload["psi"]),
         _capped("d", json_int(payload["d"], "d"), MAX_BINS),
         frac(payload["delta"]),
-        _steps(payload["w_dom"]),
-        _steps(payload["w_cod"]),
+        StepFunction.from_json(payload["w_dom"]),
+        StepFunction.from_json(payload["w_cod"]),
     )
     out = {
         "holds": rep.holds,
@@ -260,7 +256,7 @@ def _pattern_uniqhyp(payload, args):
 def _exist_fprime(payload, args):
     from .existence import make_underapprox
 
-    out = make_underapprox(_steps(payload["d"]), frac(payload["delta"]))
+    out = make_underapprox(StepFunction.from_json(payload["d"]), frac(payload["delta"]))
     return out.to_json(), OK
 
 
@@ -268,10 +264,10 @@ def _exist_perturb(payload, args):
     from .existence import make_underapprox, perturb_pattern
     from .patterns import EigenPattern
 
-    d_a = _steps(payload["d_A"])
+    d_a = StepFunction.from_json(payload["d_A"])
     delta = frac(payload["delta"])
     f_prime = (
-        _pl(payload["f_prime"])
+        PLFunction.from_json(payload["f_prime"])
         if "f_prime" in payload
         else make_underapprox(d_a, delta)
     )
@@ -279,12 +275,12 @@ def _exist_perturb(payload, args):
         d_a,
         f_prime,
         EigenPattern.from_json(payload["pattern"]),
-        _steps(payload["d_B"]),
+        StepFunction.from_json(payload["d_B"]),
         delta,
-        [_pl(a) for a in payload.get("test_elements", [])],
+        [PLFunction.from_json(a) for a in payload.get("test_elements", [])],
         frac(payload["eps"]),
-        _steps(payload["w_dom"]),
-        _steps(payload["w_cod"]),
+        StepFunction.from_json(payload["w_dom"]),
+        StepFunction.from_json(payload["w_cod"]),
     )
     return cert.to_json(), OK
 

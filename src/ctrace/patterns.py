@@ -14,22 +14,22 @@ a chain of stages.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence, Union
 
 from .blocks import ensure_dimension_function
 from .errors import PreconditionFailed
 from .pwcalc import (
     AT,
-    Extremum,
     LeResult,
     ONE,
     PLFunction,
     StepFunction,
     ZERO,
-    _preimage_refinement,
     combine_steps,
     compose_pl,
     compose_step_pl,
@@ -38,6 +38,7 @@ from .pwcalc import (
     inf_difference,
     le_pointwise,
     linear_combine,
+    merged_points,
     weighted_sup_norm,
 )
 
@@ -71,19 +72,6 @@ class EigenPattern:
     @classmethod
     def identities(cls, m: int) -> "EigenPattern":
         return cls(tuple(PLFunction.identity() for _ in range(m)))
-
-    def then(self, later: "EigenPattern") -> "EigenPattern":
-        """The pattern of the composite map: first self, then ``later``.
-
-        apply_pattern(self.then(later), f) == apply_pattern(later, apply_pattern(self, f)).
-        """
-        return EigenPattern(
-            tuple(
-                compose_pl(mine, theirs)
-                for theirs in later.eigenfunctions
-                for mine in self.eigenfunctions
-            )
-        )
 
     def to_json(self) -> dict:
         return {"eigenfunctions": [f.to_json() for f in self.eigenfunctions]}
@@ -157,28 +145,28 @@ def density_check(pattern: EigenPattern, d: int, delta) -> DensityResult:
     holds at least the fraction ``delta`` of the eigenvalues.
 
     Subintervals are closed, so boundary points count for both
-    neighbors.  Exact: the counts are piecewise constant in t.
+    neighbors.  Exact: each distinct eigenfunction is pushed through the
+    slot function (2j on the cut j/d, 2j+1 inside bin j), and the slots
+    are read at every breakpoint and cut preimage, then at the midpoints.
     """
     delta = frac(delta)
     if d < 1:
         raise ValueError("need at least one subinterval")
     if not ZERO < delta <= Fraction(1, d):
         raise ValueError("delta must lie in (0, 1/d]")
-    m = pattern.multiplicity
-    needed = delta * m
+    needed = math.ceil(delta * pattern.multiplicity)  # counts are integers
     cuts = [Fraction(j, d) for j in range(d + 1)]
-    pts = set()
-    for lam in pattern.eigenfunctions:
-        pts.update(_preimage_refinement(lam, cuts)[0])
-    pts = sorted(pts)
-    samples = list(pts)
-    samples.extend((a + b) / 2 for a, b in zip(pts, pts[1:]))
-    for t in samples:
-        values = [lam.eval(t) for lam in pattern.eigenfunctions]
+    slots = StepFunction.from_profile(cuts, range(0, 2 * d + 1, 2), range(1, 2 * d, 2))
+    counts = pattern.counts
+    pushes = [(compose_step_pl(slots, lam), n) for lam, n in counts.items()]
+    # the eigenfunctions' own breakpoints stay samples, where witnesses lie
+    pts = merged_points(*(push for push, _ in pushes), *counts)
+    for t in chain(pts, ((a + b) / 2 for a, b in zip(pts, pts[1:]))):
+        tally = [0] * (2 * d + 1)
+        for push, n in pushes:
+            tally[push.eval(t).numerator] += n
         for j in range(d):
-            lo, hi = cuts[j], cuts[j + 1]
-            count = sum(1 for v in values if lo <= v <= hi)
-            if count < needed:
+            if sum(tally[2 * j: 2 * j + 3]) < needed:
                 return DensityResult(False, t, j)
     return DensityResult(True)
 

@@ -18,7 +18,7 @@ with explicit tolerances: phases and polar data are irrational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -183,8 +183,14 @@ class IsometryPath:
         return int(np.searchsorted(self.ts, self.t_jump + _STEP_RTOL * self.step) - 1)
 
     def check_structure(self):
-        """Raise unless the rank/unitarity and continuity invariants hold."""
+        """Raise unless the jump is on a sample and the rank/unitarity and
+        continuity invariants hold."""
         j = self.jump_index
+        if abs(self.t_jump - self.ts[j]) > _STEP_RTOL * self.step:
+            raise ValueError(
+                f"t_jump={self.t_jump} falls between samples {j} and {j + 1}: "
+                "the patch needs the jump on a sample"
+            )
         allowance = self.lipschitz * self.step + self.tol
         with _overflow_quiet():
             bad = np.concatenate([
@@ -309,14 +315,10 @@ class PathReport:
         return self.ok
 
     def to_json(self) -> dict:
-        return {
-            "max_unitarity_defect": self.max_unitarity_defect,
-            "max_continuity_jump": self.max_continuity_jump,
-            "continuity_allowance": self.continuity_allowance,
-            "max_action_mismatch": self.max_action_mismatch,
-            "action_tolerance": self.action_tolerance,
-            "ok": self.ok,
-        }
+        # a defect that overflowed to inf or NaN has no JSON number: null
+        out = {k: v if np.isfinite(v) else None for k, v in asdict(self).items()}
+        out["ok"] = self.ok
+        return out
 
 
 def validate_unitary_path(unitaries, path: IsometryPath) -> PathReport:

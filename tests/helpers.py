@@ -937,3 +937,112 @@ def near_tie_inner_functions(draw, targets=()):
     for _ in pts[1:]:
         vals.append(vals[-1] if draw(st.integers(0, 3)) == 0 else draw(value))
     return PLFunction(tuple(pts), tuple(vals))
+
+
+# ---------------------------------------------------------------------------
+# per-sample references for the density check and the nested presentation
+# ---------------------------------------------------------------------------
+#
+# ``density_check`` now reads each distinct eigenfunction's slot from its
+# push through one slot step function, and ``nested_from_dim`` builds every
+# set in one walk along d's profile.  These are the versions they replaced:
+# every eigenfunction evaluated at every sample and every bin rescanned,
+# and one pass over d's pieces per level.
+
+
+def ref_density_check(pattern, d: int, delta):
+    from ctrace.patterns import DensityResult
+    from ctrace.pwcalc import _preimage_refinement, frac
+
+    delta = frac(delta)
+    if d < 1:
+        raise ValueError("need at least one subinterval")
+    if not ZERO < delta <= Fraction(1, d):
+        raise ValueError("delta must lie in (0, 1/d]")
+    needed = delta * pattern.multiplicity
+    cuts = [Fraction(j, d) for j in range(d + 1)]
+    pts = set()
+    for lam in pattern.eigenfunctions:
+        pts.update(_preimage_refinement(lam, cuts)[0])
+    pts = sorted(pts)
+    samples = pts + [(a + b) / 2 for a, b in zip(pts, pts[1:])]
+    for t in samples:
+        values = [lam.eval(t) for lam in pattern.eigenfunctions]
+        for j in range(d):
+            lo, hi = cuts[j], cuts[j + 1]
+            if sum(1 for v in values if lo <= v <= hi) < needed:
+                return DensityResult(False, t, j)
+    return DensityResult(True)
+
+
+def _ref_superlevel(pieces, level: int) -> tuple:
+    """The set {t : d(t) >= level}, given d's pieces, as a sorted tuple of intervals."""
+    from ctrace.pwcalc import Interval
+
+    out = []
+    for piece in pieces:
+        if piece.value < level:
+            continue
+        iv = piece.interval
+        if out:
+            prev = out[-1]
+            if prev.hi == iv.lo and (prev.hi_closed or iv.lo_closed):
+                out[-1] = Interval(prev.lo, iv.hi, prev.lo_closed, iv.hi_closed)
+                continue
+        out.append(iv)
+    return tuple(out)
+
+
+def ref_nested_from_dim(d: StepFunction):
+    from ctrace.blocks import NestedPresentation, ensure_dimension_function
+
+    ensure_dimension_function(d)
+    n = int(d.max_value())
+    pieces = d.pieces
+    return NestedPresentation(n, tuple(_ref_superlevel(pieces, level) for level in range(2, n + 1)))
+
+
+def composite_pattern(first, later):
+    """The pattern of the composite map: first ``first``, then ``later``, so
+    apply_pattern(composite_pattern(p, q), f) == apply_pattern(q, apply_pattern(p, f))."""
+    from ctrace.patterns import EigenPattern
+    from ctrace.pwcalc import compose_pl
+
+    return EigenPattern(tuple(
+        compose_pl(mine, theirs)
+        for theirs in later.eigenfunctions
+        for mine in first.eigenfunctions
+    ))
+
+
+@st.composite
+def density_cases(draw, max_d=5):
+    """(pattern, d, delta): eigenfunctions drawn with repeats from a few
+    whose values land on the cuts j/d, some of them constant on a cut, and
+    a delta in (0, 1/d] that makes the needed count an integer or not."""
+    from ctrace.patterns import EigenPattern
+
+    d = draw(st.integers(1, max_d))
+    cuts = [Fraction(j, d) for j in range(d + 1)]
+    constants = st.sampled_from(cuts).map(PLFunction.constant)
+    distinct = draw(st.lists(st.one_of(inner_functions(cuts), constants),
+                             min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=10))
+    delta = Fraction(1, d) * draw(st.fractions(0, 1, max_denominator=6).filter(bool))
+    return EigenPattern(tuple(picks)), d, delta
+
+
+@st.composite
+def dimension_functions(draw, max_cuts=6, max_value=6):
+    """lsc integer step functions >= 1: random cells, or a staircase that
+    climbs one level per cut and comes back down; each point takes the
+    smaller neighbouring cell or dips below it, so a pinch splits a
+    superlevel set into touching open intervals."""
+    pts = draw(cut_points(max_cuts=max_cuts))
+    k = len(pts) - 1
+    if draw(st.booleans()):
+        cells = [1 + min(i, k - 1 - i) for i in range(k)]
+    else:
+        cells = draw(st.lists(st.integers(1, max_value), min_size=k, max_size=k))
+    at = [draw(st.integers(1, min(cells[max(j - 1, 0):j + 1]))) for j in range(k + 1)]
+    return StepFunction.from_profile(pts, at, cells)

@@ -23,10 +23,12 @@ from ctrace.pwcalc import (
 )
 
 from helpers import (
+    dimension_functions,
     open_set_chains,
     rand_lsc_int_step,
     ref_dim_from_nested,
     ref_nested,
+    ref_nested_from_dim,
 )
 
 seeds = st.integers(0, 10**9)
@@ -268,3 +270,36 @@ class TestIndicatorSweepMatchesReferences:
         assert nested_from_dim(dim_from_nested(p)) == p
         with pytest.raises(ValueError, match="not nested"):
             NestedPresentation(3, ((LOWER,), (UPPER,)))
+
+
+class TestNestedFromDimMatchesReference:
+    """``nested_from_dim`` against the per-level superlevel scan it replaced."""
+
+    def check(self, d):
+        p, expected = nested_from_dim(d), ref_nested_from_dim(d)
+        assert p == expected
+        assert p.to_json() == expected.to_json()
+        return p
+
+    @given(dimension_functions())
+    @settings(max_examples=300, deadline=None)
+    def test_random_dimension_functions(self, d):
+        self.check(d)
+
+    def test_pinches_give_touching_intervals(self):
+        third = F(1, 3)
+        d = StepFunction.from_profile([F(0), third, 2 * third, F(1)], [2, 1, 2, 3], [3, 3, 3])
+        assert self.check(d).opens == (
+            (Interval(0, third, True, False), Interval(third, 1, False, True)),
+            (Interval(0, third, False, False), Interval(third, 2 * third, False, False),
+             Interval(2 * third, 1, False, True)),
+        )
+
+    def test_staircase(self):
+        k = 40
+        pts = [F(i, 2 * k) for i in range(2 * k + 1)]
+        cells = [1 + min(i, 2 * k - 1 - i) for i in range(2 * k)]
+        at = [min(cells[max(j - 1, 0):j + 1]) for j in range(2 * k + 1)]
+        p = self.check(StepFunction.from_profile(pts, at, cells))
+        assert p.n == k
+        assert p.opens[-1] == (Interval(F(k - 1, 2 * k), F(k + 1, 2 * k), False, False),)

@@ -195,9 +195,21 @@ class TestUnitaryInputChecks:
         unitaries = path["samples"]
         unitaries[10] = dict(unitaries[10], re=[[1e300, 1e300], [1e300, -1e300]])
         payload = {"path": path, "unitaries": unitaries}
-        code, _, err = run(capsys, ["unitary", "validate"], payload, tmp_path)
-        assert code in (REFUTED, BAD_INPUT)
-        assert "Warning" not in err
+        code, out, err = run(capsys, ["unitary", "validate"], payload, tmp_path)
+        assert code == REFUTED
+        assert err == ""
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert report["max_unitarity_defect"] is None
+
+    def test_off_grid_jump_is_not_patched(self, capsys, tmp_path):
+        from test_unitary import off_grid_path
+
+        code, out, err = run(capsys, ["unitary", "patch"], off_grid_path().to_json(), tmp_path)
+        assert code == BAD_INPUT
+        assert out == ""
+        assert err == "error: t_jump=0.5 falls between samples 499 and 500: " \
+            "the patch needs the jump on a sample\n"
 
 
 class TestSubcommands:

@@ -30,6 +30,8 @@ from ctrace.pwcalc import (
 )
 
 from helpers import (
+    composite_pattern,
+    density_cases,
     oracle_inf_diff,
     pl_functions,
     rand_lsc_int_step,
@@ -39,6 +41,7 @@ from helpers import (
     rand_positive_step,
     ref_apply_difference,
     ref_apply_pattern,
+    ref_density_check,
     ref_push_dimension,
     repeated_patterns,
 )
@@ -112,7 +115,7 @@ class TestApplyPattern:
         first = rand_pattern(rng, max_m=3)
         second = rand_pattern(rng, max_m=3)
         f = rand_pl(rng, max_breaks=2)
-        combined = first.then(second)
+        combined = composite_pattern(first, second)
         assert apply_pattern(combined, f) == apply_pattern(
             second, apply_pattern(first, f)
         )
@@ -281,6 +284,53 @@ class TestDensityCheck:
             density_check(pattern, 2, F(3, 4))
         with pytest.raises(ValueError):
             density_check(pattern, 2, 0)
+
+
+def centres_and_falling_lines(d):
+    """d constants at the bin centres and d falling lines through
+    (1/2, (j+1)/(d+2)): each line crosses every cut, and the check holds
+    for delta = 1/(4d)."""
+    centres = [PLFunction.constant(F(2 * j + 1, 2 * d)) for j in range(d)]
+    lines = []
+    for j in range(d):
+        mid = F(j + 1, d + 2)
+        drop = min(mid, 1 - mid)
+        lines.append(PLFunction((F(0), F(1)), (mid + drop, mid - drop)))
+    return EigenPattern(tuple(centres + lines))
+
+
+class TestDensityMatchesReference:
+    """``density_check`` against the per-sample scan it replaced."""
+
+    @given(density_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_random_cases(self, case):
+        pattern, d, delta = case
+        assert density_check(pattern, d, delta) == ref_density_check(pattern, d, delta)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    def test_centres_and_falling_lines(self, d):
+        pattern = centres_and_falling_lines(d)
+        assert density_check(pattern, d, F(1, 4 * d))
+        for delta in (F(1, 2 * d), F(1, d)):
+            res = density_check(pattern, d, delta)
+            assert res == ref_density_check(pattern, d, delta)
+
+    def test_values_on_cuts_count_for_both_bins(self):
+        on_cut = EigenPattern((PLFunction.constant(F(1, 2)),) * 3)
+        assert density_check(on_cut, 2, F(1, 2))
+        tent = EigenPattern((PLFunction.from_pairs([(0, 0), (F(1, 2), F(1, 2)), (1, 0)]),))
+        res = density_check(tent, 2, F(1, 2))
+        assert res == ref_density_check(tent, 2, F(1, 2))
+        assert (res.witness_t, res.witness_bin) == (F(0), 1)
+
+    def test_no_eigenfunction_evaluation(self, monkeypatch):
+        def refuse(self, t):
+            raise AssertionError("PLFunction.eval called")
+
+        expected = ref_density_check(centres_and_falling_lines(4), 4, F(1, 8))
+        monkeypatch.setattr(PLFunction, "eval", refuse)
+        assert density_check(centres_and_falling_lines(4), 4, F(1, 8)) == expected
 
 
 class TestRampFunctions:

@@ -210,6 +210,11 @@ def _ref_unitary_defect(w):
 
 def ref_check_structure(path):
     j = path.jump_index
+    if abs(path.t_jump - path.ts[j]) > 1e-6 * path.step:
+        raise ValueError(
+            f"t_jump={path.t_jump} falls between samples {j} and {j + 1}: "
+            "the patch needs the jump on a sample"
+        )
     for i, w in enumerate(path.mats):
         if i <= j:
             if _ref_not_rank_one(w, path.tol):
@@ -315,6 +320,13 @@ def random_path(rng, m, t_jump_offset=0.0, lipschitz=40.0):
     return IsometryPath(ts, mats, t_jump, TOL, lipschitz)
 
 
+def off_grid_path():
+    """1000 samples on [0, 1] with t_jump = 0.5, between samples 499 and 500."""
+    path = random_path(np.random.default_rng(1965), 1000, t_jump_offset=0.5)
+    assert path.t_jump == 0.5 and path.jump_index == 499
+    return path
+
+
 def raised(fn, *args):
     with pytest.raises(ValueError) as info:
         fn(*args)
@@ -328,6 +340,14 @@ class TestStackedAgainstLoops:
     ])
     def test_patch_and_validate_agree(self, seed, m, offset):
         path = random_path(np.random.default_rng(seed), m, offset)
+        if offset:
+            # a jump between samples is refused; patch the same family with
+            # the jump moved onto the last sample before it
+            message = raised(patch_at_singularity, path)
+            assert message == raised(ref_patch, path)
+            assert "falls between samples" in message
+            path = IsometryPath(path.ts, path.mats, path.ts[path.jump_index],
+                                path.tol, path.lipschitz)
         res = patch_at_singularity(path)
         out, c, residual = ref_patch(path)
         assert np.max(np.abs(res.unitaries - out)) <= 1e-12
@@ -373,6 +393,21 @@ class TestStackedAgainstLoops:
         message = raised(patch_at_singularity, bad)
         assert message == raised(ref_patch, bad)
         assert expect in message
+
+    def test_off_grid_jump_is_refused(self):
+        path = off_grid_path()
+        message = raised(patch_at_singularity, path)
+        assert message == raised(ref_patch, path)
+        assert message == (
+            "t_jump=0.5 falls between samples 499 and 500: the patch needs the jump on a sample"
+        )
+        # validate still reports on the family, against the same jump index
+        rep = validate_unitary_path(path.mats, path)
+        assert np.allclose(astuple(rep), ref_validate(path.mats, path), rtol=0, atol=1e-12)
+
+    def test_jump_within_the_step_tolerance_is_on_the_sample(self):
+        path = random_path(np.random.default_rng(4), 1001, t_jump_offset=1e-7)
+        assert patch_at_singularity(path).jump_index == path.jump_index
 
     def test_orthogonal_complements_are_refused(self):
         ts = np.linspace(0.0, 1.0, 11)
