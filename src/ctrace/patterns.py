@@ -38,7 +38,7 @@ from .pwcalc import (
     inf_difference,
     le_pointwise,
     linear_combine,
-    merged_points,
+    refine,
     weighted_sup_norm,
 )
 
@@ -146,8 +146,9 @@ def density_check(pattern: EigenPattern, d: int, delta) -> DensityResult:
 
     Subintervals are closed, so boundary points count for both
     neighbors.  Exact: each distinct eigenfunction is pushed through the
-    slot function (2j on the cut j/d, 2j+1 inside bin j), and the slots
-    are read at every breakpoint and cut preimage, then at the midpoints.
+    slot function (2j on the cut j/d, 2j+1 inside bin j), and one
+    ``refine`` walk reads the pushes' slots at every breakpoint and cut
+    preimage, then on the cells, for their midpoints.
     """
     delta = frac(delta)
     if d < 1:
@@ -158,13 +159,15 @@ def density_check(pattern: EigenPattern, d: int, delta) -> DensityResult:
     cuts = [Fraction(j, d) for j in range(d + 1)]
     slots = StepFunction.from_profile(cuts, range(0, 2 * d + 1, 2), range(1, 2 * d, 2))
     counts = pattern.counts
-    pushes = [(compose_step_pl(slots, lam), n) for lam, n in counts.items()]
     # the eigenfunctions' own breakpoints stay samples, where witnesses lie
-    pts = merged_points(*(push for push, _ in pushes), *counts)
-    for t in chain(pts, ((a + b) / 2 for a, b in zip(pts, pts[1:]))):
+    pts, samples = refine(*(compose_step_pl(slots, lam) for lam in counts), points_of=tuple(counts))
+    at = zip(*(push_at for push_at, _, _ in samples))
+    cells = zip(*(push_cells for _, push_cells, _ in samples))
+    midpoints = ((a + b) / 2 for a, b in zip(pts, pts[1:]))
+    for t, row in chain(zip(pts, at), zip(midpoints, cells)):
         tally = [0] * (2 * d + 1)
-        for push, n in pushes:
-            tally[push.eval(t).numerator] += n
+        for slot, n in zip(row, counts.values()):
+            tally[slot.numerator] += n
         for j in range(d):
             if sum(tally[2 * j: 2 * j + 3]) < needed:
                 return DensityResult(False, t, j)

@@ -224,7 +224,18 @@ class StepFunction:
             t, v, cell = frac(t), frac(v), frac(cell)
             if t <= pts[-1]:
                 raise ValueError("profile points must be strictly increasing")
-            if len(pts) > 1 and opens[-1] == vals[-1] == cell:
+            pts.append(t)
+            vals.append(v)
+            opens.append(cell)
+        self._store(pts, vals, opens)
+
+    def _store(self, points, point_values, open_values) -> None:
+        """Store a valid profile of Fractions in canonical form."""
+        pts, vals, opens = [points[0]], [point_values[0]], []
+        for t, v, cell in zip(points[1:], point_values[1:], open_values):
+            # Fractions are reduced, so equal ones have equal terms
+            if opens and (opens[-1].numerator == vals[-1].numerator == cell.numerator
+                          and opens[-1].denominator == vals[-1].denominator == cell.denominator):
                 # the previous point changes nothing: widen its left cell
                 pts.pop()
                 vals.pop()
@@ -235,6 +246,14 @@ class StepFunction:
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "point_values", tuple(vals))
         object.__setattr__(self, "open_values", tuple(opens))
+
+    @classmethod
+    def _from_kernel(cls, points, point_values, open_values) -> "StepFunction":
+        """Build from a profile a kernel made: Fraction points strictly
+        increasing from 0 to 1 and Fraction values, so only canonicalised."""
+        self = object.__new__(cls)
+        self._store(points, point_values, open_values)
+        return self
 
     @classmethod
     def constant(cls, v) -> "StepFunction":
@@ -346,6 +365,10 @@ class PLFunction:
             raise ValueError("need at least the two endpoints 0 and 1")
         if bps[0] != ZERO or bps[-1] != ONE:
             raise ValueError("breakpoints must start at 0 and end at 1")
+        self._store(bps, vals)
+
+    def _store(self, bps, vals) -> None:
+        """Store Fraction points from 0 to 1 without collinear interior ones."""
         # The last kept point is always the previous input point, so the
         # slope into the current point is the slope of the segment it would
         # extend; equal slopes drop the previous point.  Kept points are
@@ -370,6 +393,14 @@ class PLFunction:
             pn, pd, qn, qd = tn, td, vn, vd
         object.__setattr__(self, "breakpoints", tuple(kept_t))
         object.__setattr__(self, "values", tuple(kept_v))
+
+    @classmethod
+    def _from_kernel(cls, bps, vals) -> "PLFunction":
+        """Build from Fraction breakpoints and values a kernel made, already
+        running from 0 to 1, so only collinear points are dropped."""
+        self = object.__new__(cls)
+        self._store(bps, vals)
+        return self
 
     @classmethod
     def constant(cls, v) -> "PLFunction":
@@ -480,81 +511,104 @@ def _keyed(xs) -> list:
 
 
 def merged_points(*fns: PiecewiseFunction) -> tuple:
-    """Sorted union of all breakpoints / partition points, including 0 and 1."""
-    runs = []
-    for f in fns:
+    """Sorted union of all breakpoints / partition points, including 0 and 1.
+
+    Returns ``(pts, own)``: ``own[i]`` gives the position in ``pts`` of each
+    of ``fns[i]``'s own points, in order.  Every function starts at 0 and
+    ends at 1, so only interior points are merged, each keyed with the
+    index of its function.
+    """
+    keys = []
+    for i, f in enumerate(fns):
         if isinstance(f, PLFunction):
-            runs.extend(f.breakpoints)
+            run = f.breakpoints
         elif isinstance(f, StepFunction):
-            runs.extend(f.points)
+            run = f.points
         else:
             raise TypeError(f"not a piecewise function: {f!r}")
-    runs.append(ONE)
+        keys.extend((t.numerator / t.denominator, t, i) for t in run[1:-1])
+    own = [[0] for _ in fns]
     # each function's points are one sorted run, which sorted() merges
     pts, last = [ZERO], 0.0
-    for x, t in sorted(_keyed(runs)):
-        if x != last or t != pts[-1]:
+    for x, t, i in sorted(keys):
+        # only equal floats need the terms, and equal reduced Fractions share them
+        if x != last or t.numerator != pts[-1].numerator or t.denominator != pts[-1].denominator:
             pts.append(t)
             last = x
-    return tuple(pts)
+        own[i].append(len(pts) - 1)
+    pts.append(ONE)
+    for pos in own:
+        pos.append(len(pts) - 1)
+    return tuple(pts), own
 
 
-def _walk_pl(f: PLFunction, pts) -> list:
-    """f's values at ``pts``, a sorted superset of its breakpoints."""
-    at = [f.values[0]]
-    k = 1
-    for t0, t1, v0, v1 in f.segments():
-        if pts[k] != t1:
-            # f(p/q) = (a*q + b*p) / (c*q) on this segment, in integers
-            slope = (v1 - v0) / (t1 - t0)
-            alpha = v0 - slope * t0
-            a = alpha.numerator * slope.denominator
-            b = slope.numerator * alpha.denominator
-            c = alpha.denominator * slope.denominator
-            while pts[k] != t1:
-                q = pts[k].denominator
-                at.append(Fraction(a * q + b * pts[k].numerator, c * q))
-                k += 1
-        at.append(v1)
-        k += 1
+def _line(x0: Fraction, x1: Fraction, y0: Fraction, y1: Fraction) -> tuple:
+    """Integers ``(a, b, c)`` with ``c > 0`` such that the line through
+    (x0, y0) and (x1, y1), x0 != x1, takes the value (a*q + b*p) / (c*q)
+    at x = p/q."""
+    a0, b0, a1, b1 = x0.numerator, x0.denominator, x1.numerator, x1.denominator
+    n0, d0, n1, d1 = y0.numerator, y0.denominator, y1.numerator, y1.denominator
+    # the slope sn/sd, with sd > 0
+    sn, sd = (n1 * d0 - n0 * d1) * b0 * b1, (a1 * b0 - a0 * b1) * d0 * d1
+    if sd < 0:
+        sn, sd = -sn, -sd
+    g = math.gcd(sn, sd)
+    sn, sd = sn // g, sd // g
+    # y0 + (p/q - a0/b0) * sn/sd over the denominator d0*b0*sd*q
+    a, b, c = n0 * b0 * sd - d0 * a0 * sn, d0 * b0 * sn, d0 * b0 * sd
+    g = math.gcd(a, b, c)
+    return a // g, b // g, c // g
+
+
+def _walk_pl(f: PLFunction, pts, pos) -> list:
+    """f's values at ``pts``, where its breakpoints sit at positions ``pos``."""
+    bps, vals = f.breakpoints, f.values
+    at = [vals[0]]
+    for k in range(len(pos) - 1):
+        if pos[k + 1] - pos[k] > 1:
+            a, b, c = _line(bps[k], bps[k + 1], vals[k], vals[k + 1])
+            for t in pts[pos[k] + 1:pos[k + 1]]:
+                q = t.denominator
+                at.append(Fraction(a * q + b * t.numerator, c * q))
+        at.append(vals[k + 1])
     return at
 
 
-def _walk_step(f: StepFunction, pts) -> tuple:
-    """f's values at ``pts``, a sorted superset of its points, and on
-    the open cells between them."""
-    own, vals, opens = f.points, f.point_values, f.open_values
+def _walk_step(f: StepFunction, pos) -> tuple:
+    """f's values at the merged points and on the open cells between them,
+    where its own points sit at positions ``pos``."""
+    vals, opens = f.point_values, f.open_values
     at, cells = [], []
-    k = 0  # own[k] is the next of f's points; t lies in f's cell k - 1
-    for t in pts[:-1]:
-        if t == own[k]:
-            at.append(vals[k])
-            k += 1
-        else:
-            at.append(opens[k - 1])
-        cells.append(opens[k - 1])
+    for k, cell in enumerate(opens):
+        n = pos[k + 1] - pos[k]
+        at.append(vals[k])
+        if n > 1:
+            at += [cell] * (n - 1)
+        cells += [cell] * n
     at.append(vals[-1])
     return at, cells
 
 
-def refine(*fns: PiecewiseFunction) -> tuple:
+def refine(*fns: PiecewiseFunction, points_of: Sequence[PiecewiseFunction] = ()) -> tuple:
     """Sample functions on their merged refinement ``pts``.
 
     Returns ``(pts, samples)`` with one ``(at, above, below)`` triple of
     lists per function: ``at[i]`` is its value at ``pts[i]``, and
     ``above[i]``, ``below[i]`` its limits at ``pts[i]+`` and ``pts[i+1]-``,
-    which determine it on that cell since it is linear there.  Every
+    which determine it on that cell since it is linear there.  The
+    breakpoints of ``points_of`` join ``pts`` without being sampled.  Every
     exact comparison in this module samples its functions through here.
-    Each function is walked once along ``pts``, one cursor per function.
+    Each function is walked once along ``pts``, by the positions of its
+    own points in it.
     """
-    pts = merged_points(*fns)
+    pts, own = merged_points(*fns, *points_of)
     samples = []
-    for f in fns:
+    for f, pos in zip(fns, own):
         if isinstance(f, PLFunction):
-            at = _walk_pl(f, pts)
+            at = _walk_pl(f, pts, pos)
             samples.append((at, at[:-1], at[1:]))
         else:
-            at, cells = _walk_step(f, pts)
+            at, cells = _walk_step(f, pos)
             samples.append((at, cells, cells))
     return pts, samples
 
@@ -731,63 +785,86 @@ def linear_combine(coeffs: Sequence, fns: Sequence[PLFunction]) -> PLFunction:
             num = num * (d // g) + cn * v.numerator * (den // g)
             den = den // g * d
         vals.append(Fraction(num, den))
-    return PLFunction(pts, tuple(vals))
+    return PLFunction._from_kernel(pts, vals)
 
 
 def _preimage_refinement(g: PLFunction, targets: Sequence[Fraction]) -> tuple:
     """g's breakpoints and the preimages of ``targets``, in increasing order.
 
-    ``targets`` runs strictly increasing from 0 to 1.  Returns ``(pts,
-    g_vals, hits, cells)``: ``g_vals[k]`` is g's value at ``pts[k]``;
-    ``hits[k]`` is the index of that value in ``targets`` when ``pts[k]``
-    is a preimage (None at g's own breakpoints); ``cells[k]`` is the i
-    with g mapping the cell after ``pts[k]`` into (targets[i],
-    targets[i+1]) (None where g is constant there).  Only the targets
-    strictly inside a segment's range have preimages in it; two bisects
-    over :func:`_keyed` targets find them, and they are emitted in
-    t-order.
+    ``targets`` runs strictly increasing from 0 to 1.  A value is placed by
+    its slot: slot 2i is ``targets[i]`` and slot 2i+1 the open gap
+    (targets[i], targets[i+1]).  Returns ``(pts, g_vals, at, cells)``:
+    ``g_vals[k]`` is g's value at ``pts[k]`` and ``at[k]`` its slot, and
+    ``cells[k]`` the slot g maps the open cell after ``pts[k]`` into (where
+    g is constant there, its value's slot).  One bisect over
+    :func:`_keyed` targets places each breakpoint value of g, which also
+    checks that g maps into [0,1]; a segment's preimages are the targets
+    strictly between its two end slots, emitted in t-order.
     """
-    if not g.into_unit_interval():
-        raise ValueError("inner function must map [0,1] into [0,1]")
-    keys, bps, ys = _keyed(targets), g.breakpoints, _keyed(g.values)
-    pts, g_vals, hits, cells = [], [], [], []
-    for t0, t1, y0, y1 in zip(bps, bps[1:], ys, ys[1:]):
+    keys, top = _keyed(targets), 2 * len(targets) - 2
+    slots = []
+    for y in g.values:
+        x = y.numerator / y.denominator
+        r = bisect.bisect_right(keys, (x, y))
+        # targets[r - 1] <= y < targets[r]: y is in gap r - 1 unless it is
+        # targets[r - 1], whose reduced terms it then shares
+        s = 2 * r - 1
+        if r and keys[r - 1][0] == x:
+            t = targets[r - 1]
+            if t.numerator == y.numerator and t.denominator == y.denominator:
+                s -= 1
+        if not 0 <= s <= top:
+            raise ValueError("inner function must map [0,1] into [0,1]")
+        slots.append(s)
+    bps, ys = g.breakpoints, g.values
+    pts, g_vals, at, cells = [], [], [], []
+    for t0, t1, y0, y1, s0, s1 in zip(bps, bps[1:], ys, ys[1:], slots, slots[1:]):
         pts.append(t0)
-        g_vals.append(y0[1])
-        hits.append(None)
-        if y0 == y1:
-            cells.append(None)
+        g_vals.append(y0)
+        at.append(s0)
+        if s0 == s1:
+            # constant, or inside one gap: no target in between
+            cells.append(s0)
             continue
-        rising = y0 < y1
-        lo = bisect.bisect_right(keys, y0 if rising else y1)
-        hi = bisect.bisect_left(keys, y1 if rising else y0)
-        cells.append(lo - 1 if rising else hi - 1)
+        rising = s0 < s1
+        if rising:
+            cells.append(s0 | 1)
+            lo, hi = s0 // 2 + 1, (s1 + 1) // 2
+        else:
+            cells.append((s0 - 1) | 1)
+            lo, hi = s1 // 2 + 1, (s0 + 1) // 2
         if lo == hi:
             continue
-        # the preimage of p/q is (a*q + b*p) / (c*q) on this segment
-        scale = (t1 - t0) / (y1[1] - y0[1])
-        alpha = t0 - scale * y0[1]
-        a = alpha.numerator * scale.denominator
-        b = scale.numerator * alpha.denominator
-        c = alpha.denominator * scale.denominator
+        # the preimage of p/q on this segment
+        a, b, c = _line(y0, y1, t0, t1)
         for i in (range(lo, hi) if rising else range(hi - 1, lo - 1, -1)):
             y = targets[i]
             q = y.denominator
             pts.append(Fraction(a * q + b * y.numerator, c * q))
             g_vals.append(y)
-            hits.append(i)
-            cells.append(i if rising else i - 1)
+            at.append(2 * i)
+            cells.append(2 * i + 1 if rising else 2 * i - 1)
     pts.append(ONE)
-    g_vals.append(g.values[-1])
-    hits.append(None)
-    return pts, g_vals, hits, cells
+    g_vals.append(ys[-1])
+    at.append(slots[-1])
+    return pts, g_vals, at, cells
 
 
 def compose_pl(f: PLFunction, g: PLFunction) -> PLFunction:
     """Exact composition f(g(t)) for g mapping [0,1] into [0,1]."""
-    pts, g_vals, hits, _ = _preimage_refinement(g, f.breakpoints)
-    values = [f.eval(y) if i is None else f.values[i] for y, i in zip(g_vals, hits)]
-    return PLFunction(tuple(pts), tuple(values))
+    pts, g_vals, at, _ = _preimage_refinement(g, f.breakpoints)
+    bps, vals = f.breakpoints, f.values
+    out = []
+    for y, s in zip(g_vals, at):
+        i = s >> 1
+        if s & 1:
+            # y lies inside f's segment i
+            a, b, c = _line(bps[i], bps[i + 1], vals[i], vals[i + 1])
+            q = y.denominator
+            out.append(Fraction(a * q + b * y.numerator, c * q))
+        else:
+            out.append(vals[i])
+    return PLFunction._from_kernel(pts, out)
 
 
 def compose_step_pl(d: StepFunction, g: PLFunction) -> StepFunction:
@@ -796,13 +873,11 @@ def compose_step_pl(d: StepFunction, g: PLFunction) -> StepFunction:
     Finite because g is piecewise monotone; preserves lower
     semicontinuity of d.
     """
-    pts, g_vals, hits, cells = _preimage_refinement(g, d.points)
-    point_vals = [d.eval(y) if i is None else d.point_values[i]
-                  for y, i in zip(g_vals, hits)]
-    # where g is constant on a cell, d keeps its value at the cell's start
-    open_vals = [v if c is None else d.open_values[c]
-                 for v, c in zip(point_vals, cells)]
-    return StepFunction.from_profile(pts, point_vals, open_vals)
+    pts, _, at, cells = _preimage_refinement(g, d.points)
+    # d's value on each slot: point values on even slots, cells on odd ones
+    by_slot = [None] * (2 * len(d.points) - 1)
+    by_slot[::2], by_slot[1::2] = d.point_values, d.open_values
+    return StepFunction._from_kernel(pts, [by_slot[s] for s in at], [by_slot[c] for c in cells])
 
 
 def combine_steps(steps: Sequence[StepFunction],

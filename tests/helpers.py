@@ -72,7 +72,7 @@ def oracle_le(f, g, strict=False, grid=GRID):
     def bad(x, y):
         return x > y or (strict and x == y)
 
-    pts = merged_points(f, g)
+    pts = merged_points(f, g)[0]
     for t in pts:
         if bad(f.eval(t), g.eval(t)):
             return False, t
@@ -104,7 +104,7 @@ def oracle_weighted_sup(f, w, grid=GRID) -> Fraction:
         if num * best_den > best_num * den:
             best_num, best_den = num, den
 
-    pts = merged_points(f, w)
+    pts = merged_points(f, w)[0]
     for t in pts:
         v, wv = abs(f.eval(t)), w.eval(t)
         offer(v.numerator * wv.denominator, v.denominator * wv.numerator)
@@ -131,7 +131,7 @@ def oracle_inf_diff(upper, lower, grid=GRID) -> Fraction:
         if best is None or v < best:
             best = v
 
-    pts = merged_points(upper, lower)
+    pts = merged_points(upper, lower)[0]
     for t in pts:
         offer(upper.eval(t) - lower.eval(t))
     for a, b in zip(pts, pts[1:]):
@@ -291,6 +291,12 @@ def ref_refine(*fns) -> tuple:
 
 
 def ref_preimage_refinement(g: PLFunction, targets) -> tuple:
+    """``(pts, g_vals, at, cells)`` as ``_preimage_refinement`` gives them:
+    every target checked against every segment, and each slot (2i on
+    ``targets[i]``, 2i+1 inside the gap after it) found by Fraction
+    bisects, for a cell at the value of its midpoint."""
+    if min(g.values) < 0 or max(g.values) > 1:
+        raise ValueError("inner function must map [0,1] into [0,1]")
     values = dict(zip(g.breakpoints, g.values))
     for t0, t1, y0, y1 in g.segments():
         if y0 == y1:
@@ -300,16 +306,24 @@ def ref_preimage_refinement(g: PLFunction, targets) -> tuple:
             if lo < c < hi:
                 values[t0 + (c - y0) * (t1 - t0) / (y1 - y0)] = c
     pts = sorted(values)
-    return pts, [values[t] for t in pts]
+    g_vals = [values[t] for t in pts]
+
+    def slot(y):
+        i = bisect.bisect_left(targets, y)
+        return 2 * i if i < len(targets) and targets[i] == y else 2 * i - 1
+
+    at = [slot(y) for y in g_vals]
+    cells = [slot((ya + yb) / 2) for ya, yb in zip(g_vals, g_vals[1:])]
+    return pts, g_vals, at, cells
 
 
 def ref_compose_pl(f: PLFunction, g: PLFunction) -> PLFunction:
-    pts, g_vals = ref_preimage_refinement(g, f.breakpoints)
+    pts, g_vals, _, _ = ref_preimage_refinement(g, f.breakpoints)
     return PLFunction(tuple(pts), tuple(f.eval(y) for y in g_vals))
 
 
 def ref_compose_step_pl(d: StepFunction, g: PLFunction) -> StepFunction:
-    pts, g_vals = ref_preimage_refinement(g, d.points)
+    pts, g_vals, _, _ = ref_preimage_refinement(g, d.points)
     point_vals = [d.eval(y) for y in g_vals]
     open_vals = [d.eval((ya + yb) / 2) for ya, yb in zip(g_vals, g_vals[1:])]
     return StepFunction.from_profile(pts, point_vals, open_vals)
@@ -794,65 +808,57 @@ def jump_windows_cases(draw, max_jumps=8):
 # Fraction-ordered references for the keyed merge, search and scan
 # ---------------------------------------------------------------------------
 #
-# ``merged_points`` and ``_preimage_refinement`` now order points by
-# (float, Fraction) keys, and the extrema scan integer pairs compared by
-# cross-multiplying.  These are the versions they replaced: sorts, bisects
-# and ``max``/``min`` on the Fractions themselves; the two extrema sample
-# through ``ref_refine``.
+# ``merged_points`` and ``_preimage_refinement`` order points by (float,
+# Fraction) keys and hand back integer positions and slots, and the extrema
+# scan integer pairs compared by cross-multiplying.  These references sort,
+# look up and compare the Fractions themselves (``ref_preimage_refinement``
+# above is the one for the compositions); the two extrema sample through
+# ``ref_refine``.
 
 
 def ref_merged_points(*fns) -> tuple:
+    """``(pts, own)`` from a Fraction sort, and each function's own points
+    found in ``pts`` by Fraction hashing."""
     runs = []
     for f in fns:
-        runs.extend(f.breakpoints if isinstance(f, PLFunction) else f.points)
+        runs.extend(_points(f))
     runs.append(ONE)
     pts = [ZERO]
     for t in sorted(runs):
         if t != pts[-1]:
             pts.append(t)
-    return tuple(pts)
+    index = {t: k for k, t in enumerate(pts)}
+    return tuple(pts), [[index[t] for t in _points(f)] for f in fns]
 
 
-def ref_preimage_bisect(g: PLFunction, targets) -> tuple:
-    """``(pts, g_vals, hits, cells)`` from Fraction bisects."""
-    pts, g_vals, hits, cells = [], [], [], []
-    for t0, t1, y0, y1 in g.segments():
-        pts.append(t0)
-        g_vals.append(y0)
-        hits.append(None)
-        if y0 == y1:
-            cells.append(None)
-            continue
-        rising = y0 < y1
-        lo = bisect.bisect_right(targets, min(y0, y1))
-        hi = bisect.bisect_left(targets, max(y0, y1))
-        cells.append(lo - 1 if rising else hi - 1)
-        scale = (t1 - t0) / (y1 - y0)
-        for i in (range(lo, hi) if rising else range(hi - 1, lo - 1, -1)):
-            c = targets[i]
-            pts.append(t0 + (c - y0) * scale)
-            g_vals.append(c)
-            hits.append(i)
-            cells.append(i if rising else i - 1)
-    pts.append(ONE)
-    g_vals.append(g.values[-1])
-    hits.append(None)
-    return pts, g_vals, hits, cells
+def _points(f) -> tuple:
+    return f.breakpoints if isinstance(f, PLFunction) else f.points
 
 
 @contextlib.contextmanager
 def fraction_ordered_kernels():
-    """Run ``pwcalc`` with ``ref_merged_points`` and ``ref_preimage_bisect``
-    in place of the keyed kernels, so that ``refine``, the compositions and
-    ``le_pointwise`` give the Fraction-ordered answers."""
+    """Run ``pwcalc`` with ``ref_merged_points`` and
+    ``ref_preimage_refinement`` in place of the keyed kernels, so that
+    ``refine``, the compositions and ``le_pointwise`` give the
+    Fraction-ordered answers.  The block must call one of them: a block
+    that reaches neither would compare the keyed kernels with themselves."""
     import pytest
 
     from ctrace import pwcalc
 
+    calls = []
+
+    def counted(ref):
+        def run(*args):
+            calls.append(ref)
+            return ref(*args)
+        return run
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pwcalc, "merged_points", ref_merged_points)
-        mp.setattr(pwcalc, "_preimage_refinement", ref_preimage_bisect)
+        mp.setattr(pwcalc, "merged_points", counted(ref_merged_points))
+        mp.setattr(pwcalc, "_preimage_refinement", counted(ref_preimage_refinement))
         yield
+    assert calls, "no Fraction-ordered kernel ran inside fraction_ordered_kernels()"
 
 
 def _ref_extremum(pts, h, at_value, cell_value, pick):

@@ -53,7 +53,7 @@ from helpers import (
     ref_linear_combine,
     ref_merged_points,
     ref_pl_canonical,
-    ref_preimage_bisect,
+    ref_preimage_refinement,
     ref_refine,
     ref_weighted_sup_norm,
     step_functions,
@@ -488,7 +488,7 @@ class TestCursorWalksMatchReferences:
     @settings(max_examples=150, deadline=None)
     def test_refine(self, fns):
         assert refine(*fns) == ref_refine(*fns)
-        assert merged_points(*fns) == ref_refine(*fns)[0]
+        assert merged_points(*fns)[0] == ref_refine(*fns)[0]
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -617,6 +617,24 @@ def _extremum_fields(e):
     return e.value, e.at, e.side
 
 
+def tie_free_pair(seed=10):
+    """A PL and a step function of about 200 points each whose interior
+    points all have distinct floats."""
+    rng = random.Random(seed)
+
+    def points():
+        cuts = {F(rng.randrange(1, 10**6), rng.randrange(10**6, 2 * 10**6)) for _ in range(198)}
+        return [F(0), *sorted(cuts), F(1)]
+
+    pts = points()
+    pl = PLFunction(tuple(pts), tuple(F(rng.randrange(-50, 50), rng.randrange(1, 20)) for _ in pts))
+    pts = points()
+    step = StepFunction.from_profile(
+        pts, [F(i % 3) for i in range(len(pts))], [F(i % 2) for i in range(len(pts) - 1)])
+    assert len(pl.breakpoints) > 190 and len(step.points) > 190
+    return pl, step
+
+
 class TestKeyedKernelsMatchFractionReferences:
     """Float-keyed merges and bisects and the integer extremum scan give
     exactly what Fraction sorts, bisects and ``max``/``min`` gave, on points
@@ -633,7 +651,7 @@ class TestKeyedKernelsMatchFractionReferences:
     def test_merged_points(self, fns):
         out = merged_points(*fns)
         assert out == ref_merged_points(*fns)
-        assert all(type(t) is F for t in out)
+        assert all(type(t) is F for t in out[0])
         assert refine(*fns) == ref_refine(*fns)
 
     @given(st.data())
@@ -643,7 +661,7 @@ class TestKeyedKernelsMatchFractionReferences:
         d = data.draw(near_tie_step_functions())
         g = data.draw(near_tie_inner_functions(f.breakpoints + d.points))
         for targets in (f.breakpoints, d.points):
-            assert _preimage_refinement(g, targets) == ref_preimage_bisect(g, targets)
+            assert _preimage_refinement(g, targets) == ref_preimage_refinement(g, targets)
         out = compose_pl(f, g), compose_step_pl(d, g)
         with fraction_ordered_kernels():
             ref = compose_pl(f, g), compose_step_pl(d, g)
@@ -674,20 +692,9 @@ class TestKeyedKernelsMatchFractionReferences:
         assert _extremum_fields(weighted_sup_norm(-f, w)) == out
 
     def test_merge_makes_no_order_comparison(self, monkeypatch):
-        rng = random.Random(10)
-
-        def points():
-            cuts = {F(rng.randrange(1, 10**6), rng.randrange(10**6, 2 * 10**6)) for _ in range(198)}
-            return [F(0), *sorted(cuts), F(1)]
-
-        pts = points()
-        pl = PLFunction(tuple(pts), tuple(F(rng.randrange(-50, 50), rng.randrange(1, 20)) for _ in pts))
-        pts = points()
-        step = StepFunction.from_profile(
-            pts, [F(i % 3) for i in range(len(pts))], [F(i % 2) for i in range(len(pts) - 1)])
-        assert len(pl.breakpoints) > 190 and len(step.points) > 190
+        pl, step = tie_free_pair()
         expected = ref_merged_points(pl, step, pl)
-        assert len({t.numerator / t.denominator for t in expected}) == len(expected)
+        assert len({t.numerator / t.denominator for t in expected[0]}) == len(expected[0])
         calls = []
         for name in ("__lt__", "__gt__", "__le__", "__ge__"):
             def counted(a, b, orig=getattr(F, name)):
@@ -698,3 +705,85 @@ class TestKeyedKernelsMatchFractionReferences:
         assert calls == []
         ref_merged_points(pl, step)
         assert calls  # the counters see the Fraction sort
+
+
+def _refuse(*args):
+    raise AssertionError("a composition evaluated a function or scanned its range")
+
+
+class TestPositionWalks:
+    """``refine`` walks by integer positions and the compositions read
+    slots: no Fraction comparison in a tie-free refine, and no ``eval``
+    or ``into_unit_interval`` in a composition."""
+
+    def test_refine_makes_no_fraction_comparison(self, monkeypatch):
+        pl, step = tie_free_pair()
+        expected = ref_refine(pl, step)
+        assert len(expected[0]) > 390
+        calls = []
+        for name in ("__eq__", "_richcmp"):
+            def counted(*args, orig=getattr(F, name)):
+                calls.append(orig)
+                return orig(*args)
+            monkeypatch.setattr(F, name, counted)
+        out = refine(pl, step)
+        assert calls == []
+        ref_merged_points(pl, step)
+        assert calls  # the counters see the Fraction sort and lookup
+        monkeypatch.undo()
+        assert out == expected
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_compositions_make_no_eval(self, data):
+        f = data.draw(pl_functions())
+        d = data.draw(step_functions())
+        g = data.draw(inner_functions(f.breakpoints + d.points))
+        expected = ref_compose_pl(f, g), ref_compose_step_pl(d, g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PLFunction, "eval", _refuse)
+            mp.setattr(StepFunction, "eval", _refuse)
+            mp.setattr(PLFunction, "into_unit_interval", _refuse)
+            out = compose_pl(f, g), compose_step_pl(d, g)
+        assert out == expected
+
+    def test_stored_values_stay_fractions(self):
+        f = PLFunction((0, F(1, 3), 1), (2, -1, 5))
+        d = StepFunction.from_profile((0, F(1, 2), 1), (1, 3, 2), (4, 2))
+        g = PLFunction((0, F(1, 4), F(1, 2), 1), (F(1, 5), 1, F(1, 3), F(2, 3)))
+        for h in (compose_pl(f, g), linear_combine([1, F(1, 2)], [f, g])):
+            assert all(type(x) is F for x in h.breakpoints + h.values)
+        h = compose_step_pl(d, g)
+        assert all(type(x) is F for x in h.points + h.point_values + h.open_values)
+
+
+class TestKeyedRangeCheck:
+    """The range check of the compositions reads the slots of g's values:
+    a value off [0,1] by less than a float can tell is still refused, and
+    values exactly on 0, 1 and the targets are kept."""
+
+    f = PLFunction((0, F(1, 3), F(1, 2), 1), (3, -1, F(1, 2), 2))
+    d = StepFunction.from_profile((0, F(1, 4), F(1, 2), 1), (1, 5, 2, 2), (4, 3, 6))
+
+    @pytest.mark.parametrize("value", [1 + F(1, 10**20), F(-1, 10**400)])
+    def test_escape_hidden_by_a_float_tie(self, value):
+        assert value.numerator / value.denominator in (0.0, 1.0)
+        for g in (PLFunction((0, F(1, 2), 1), (F(1, 2), value, F(1, 2))),
+                  PLFunction((0, 1), (value, F(1, 3)))):
+            with pytest.raises(ValueError, match=r"inner function must map \[0,1\] into \[0,1\]"):
+                compose_pl(self.f, g)
+            with pytest.raises(ValueError, match=r"inner function must map \[0,1\] into \[0,1\]"):
+                compose_step_pl(self.d, g)
+
+    def test_values_on_the_ends_and_every_target(self):
+        targets = sorted({*self.f.breakpoints, *self.d.points})
+        # up through every target, down through them again, then back to 1
+        values = targets + targets[-2::-1] + [F(1)]
+        g = PLFunction(tuple(F(k, len(values) - 1) for k in range(len(values))), tuple(values))
+        assert set(targets) <= set(g.values)
+        out = compose_pl(self.f, g), compose_step_pl(self.d, g)
+        ref = ref_compose_pl(self.f, g), ref_compose_step_pl(self.d, g)
+        assert out == ref
+        assert [h.to_json() for h in out] == [h.to_json() for h in ref]
+        with fraction_ordered_kernels():
+            assert (compose_pl(self.f, g), compose_step_pl(self.d, g)) == out
