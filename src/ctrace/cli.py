@@ -25,8 +25,6 @@ from .errors import Infeasible
 from .pwcalc import (
     PLFunction,
     StepFunction,
-    compose_pl,
-    compose_step_pl,
     frac,
     frac_pair,
     function_from_json,
@@ -118,13 +116,6 @@ def _pw_norm(payload, args):
         "at": frac_pair(res.at),
         "side": res.side,
     }, OK
-
-
-def _pw_compose(payload, args):
-    f = function_from_json(payload["f"])
-    g = PLFunction.from_json(payload["g"])
-    out = compose_pl(f, g) if isinstance(f, PLFunction) else compose_step_pl(f, g)
-    return out.to_json(), OK
 
 
 def _block_validate(payload, args):
@@ -385,7 +376,6 @@ _HANDLERS = {
     ("pw", "eval"): (_pw_eval, True),
     ("pw", "le"): (_pw_le, True),
     ("pw", "norm"): (_pw_norm, True),
-    ("pw", "compose"): (_pw_compose, True),
     ("block", "validate"): (_block_validate, True),
     ("block", "from-nested"): (_block_from_nested, True),
     ("block", "to-nested"): (_block_to_nested, True),

@@ -18,8 +18,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Sequence, Union
+from itertools import chain, repeat
+from operator import sub
+from typing import Iterator, Sequence, Union
 
 from .blocks import ensure_dimension_function
 from .errors import PreconditionFailed
@@ -38,7 +39,7 @@ from .pwcalc import (
     inf_difference,
     le_pointwise,
     linear_combine,
-    refine,
+    merged_points,
     weighted_sup_norm,
 )
 
@@ -140,15 +141,30 @@ class DensityResult:
         return self.holds
 
 
+def _lazy_at_points(push: StepFunction, pos) -> Iterator:
+    """``push``'s values at the merged points, where its own points sit
+    at positions ``pos``: each own point's value, then its cell's value
+    up to the next own point."""
+    runs = (chain((v,), repeat(cell, b - a - 1))
+            for v, cell, a, b in zip(push.point_values, push.open_values, pos, pos[1:]))
+    return chain(chain.from_iterable(runs), push.point_values[-1:])
+
+
+def _lazy_on_cells(push: StepFunction, pos) -> Iterator:
+    """``push``'s values on the merged cells, where its own points sit at
+    positions ``pos``."""
+    return chain.from_iterable(map(repeat, push.open_values, map(sub, pos[1:], pos)))
+
+
 def density_check(pattern: EigenPattern, d: int, delta) -> DensityResult:
     """Check that at every t, each of the d subintervals [j/d,(j+1)/d]
     holds at least the fraction ``delta`` of the eigenvalues.
 
     Subintervals are closed, so boundary points count for both
     neighbors.  Exact: each distinct eigenfunction is pushed through the
-    slot function (2j on the cut j/d, 2j+1 inside bin j), and one
-    ``refine`` walk reads the pushes' slots at every breakpoint and cut
-    preimage, then on the cells, for their midpoints.
+    slot function (2j on the cut j/d, 2j+1 inside bin j), and the slots
+    are read at every breakpoint and cut preimage, then at the midpoints,
+    walking each push lazily by its own positions in the merged points.
     """
     delta = frac(delta)
     if d < 1:
@@ -159,12 +175,15 @@ def density_check(pattern: EigenPattern, d: int, delta) -> DensityResult:
     cuts = [Fraction(j, d) for j in range(d + 1)]
     slots = StepFunction.from_profile(cuts, range(0, 2 * d + 1, 2), range(1, 2 * d, 2))
     counts = pattern.counts
+    pushes = [compose_step_pl(slots, lam) for lam in counts]
     # the eigenfunctions' own breakpoints stay samples, where witnesses lie
-    pts, samples = refine(*(compose_step_pl(slots, lam) for lam in counts), points_of=tuple(counts))
-    at = zip(*(push_at for push_at, _, _ in samples))
-    cells = zip(*(push_cells for _, push_cells, _ in samples))
+    pts, own = merged_points(*pushes, *counts)
+    # each push's slots at the points, then on the cells, read lazily so
+    # that a check failing early walks few of them
+    at = zip(*map(_lazy_at_points, pushes, own))
+    on_cells = zip(*map(_lazy_on_cells, pushes, own))
     midpoints = ((a + b) / 2 for a, b in zip(pts, pts[1:]))
-    for t, row in chain(zip(pts, at), zip(midpoints, cells)):
+    for t, row in chain(zip(pts, at), zip(midpoints, on_cells)):
         tally = [0] * (2 * d + 1)
         for slot, n in zip(row, counts.values()):
             tally[slot.numerator] += n

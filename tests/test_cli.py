@@ -13,7 +13,7 @@ import pytest
 from ctrace.cli import BAD_INPUT, MAX_BINS, MAX_NESTED_SETS, REFUTED, main
 from ctrace.existence import make_underapprox, pinched_dimension_function
 from ctrace.patterns import EigenPattern, push_dimension
-from ctrace.pwcalc import PLFunction, StepFunction, compose_pl, compose_step_pl, unit_weight
+from ctrace.pwcalc import PLFunction, StepFunction, unit_weight
 from ctrace.unitary import IsometryPath
 
 
@@ -116,28 +116,6 @@ class TestExitCodes:
         assert proc.stderr == b""
         assert proc.returncode == main(argv) == 0
         assert capsys.readouterr().out.startswith("{")
-
-
-class TestPwCompose:
-    f = PLFunction((0, F(1, 2), 1), (3, -1, 2))
-    d = StepFunction.from_profile((0, F(1, 2), 1), (1, 5, 2), (4, 3))
-
-    def test_prints_the_composition(self, capsys, tmp_path):
-        g = PLFunction((0, F(1, 3), 1), (F(1, 4), 1, 0))
-        for outer, expected in ((self.f, compose_pl(self.f, g)), (self.d, compose_step_pl(self.d, g))):
-            payload = {"f": outer.to_json(), "g": g.to_json()}
-            code, out, _ = run(capsys, ["pw", "compose"], payload, tmp_path)
-            assert code == 0
-            assert json.loads(out) == expected.to_json()
-
-    @pytest.mark.parametrize("value", [1 + F(1, 10**20), F(-1, 10**400)])
-    def test_escape_hidden_by_a_float_tie_is_bad_input(self, capsys, tmp_path, value):
-        g = PLFunction((0, F(1, 2), 1), (F(1, 2), value, F(1, 2)))
-        for outer in (self.f, self.d):
-            payload = {"f": outer.to_json(), "g": g.to_json()}
-            code, out, err = run(capsys, ["pw", "compose"], payload, tmp_path)
-            assert code == BAD_INPUT and out == ""
-            assert err == "error: inner function must map [0,1] into [0,1]\n"
 
 
 class TestMalformedRationals:

@@ -50,7 +50,6 @@ def valid_payloads() -> dict:
         ("pw", "eval"): {"f": pl.to_json(), "t": "1/3"},
         ("pw", "le"): {"f": pl.to_json(), "g": d.to_json(), "strict": True},
         ("pw", "norm"): {"f": pl.to_json(), "w": d.to_json()},
-        ("pw", "compose"): {"f": d.to_json(), "g": pl.to_json()},
         ("block", "validate"): d.to_json(),
         ("block", "from-nested"): nested_from_dim(d).to_json(),
         ("block", "to-nested"): d.to_json(),
@@ -186,7 +185,7 @@ def valid_run(argv):
 
 def test_every_payload_handler_is_fuzzed():
     assert set(PAYLOADS) == {key for key, (_, reads) in _HANDLERS.items() if reads}
-    assert len(PAYLOADS) == 24
+    assert len(PAYLOADS) == 23
 
 
 @pytest.mark.parametrize("argv", sorted(PAYLOADS), ids="-".join)

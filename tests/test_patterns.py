@@ -324,13 +324,22 @@ class TestDensityMatchesReference:
         assert res == ref_density_check(tent, 2, F(1, 2))
         assert (res.witness_t, res.witness_bin) == (F(0), 1)
 
+    def test_failure_seen_only_between_samples(self):
+        # bin 1 is held on the cut 1/2 at both ends and empty in between
+        crossing = EigenPattern((PLFunction((0, 1), (F(1, 2), 0)), PLFunction((0, 1), (0, F(1, 2)))))
+        res = density_check(crossing, 2, F(1, 2))
+        assert res == ref_density_check(crossing, 2, F(1, 2))
+        assert (res.holds, res.witness_t, res.witness_bin) == (False, F(1, 2), 1)
+
     def test_no_eigenfunction_evaluation(self, monkeypatch):
         def refuse(self, t):
-            raise AssertionError("PLFunction.eval called")
+            raise AssertionError("eval called")
 
-        expected = ref_density_check(centres_and_falling_lines(4), 4, F(1, 8))
+        pattern = centres_and_falling_lines(4)
+        expected = [ref_density_check(pattern, 4, delta) for delta in (F(1, 8), F(1, 4))]
         monkeypatch.setattr(PLFunction, "eval", refuse)
-        assert density_check(centres_and_falling_lines(4), 4, F(1, 8)) == expected
+        monkeypatch.setattr(StepFunction, "eval", refuse)
+        assert [density_check(pattern, 4, delta) for delta in (F(1, 8), F(1, 4))] == expected
 
 
 class TestRampFunctions:
