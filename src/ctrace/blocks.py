@@ -19,10 +19,10 @@ from .pwcalc import (
     ZERO,
     Interval,
     StepFunction,
-    add_steps,
     is_lsc,
     json_int,
     le_pointwise,
+    linear_combine_steps,
 )
 
 
@@ -47,16 +47,13 @@ def validate_special(d: StepFunction) -> SpecialCheck:
     lsc = is_lsc(d)
     if not lsc:
         return SpecialCheck(False, "not lower semicontinuous", lsc.witness)
-    for p in d.pieces:
-        if p.value.denominator != 1:
-            return SpecialCheck(
-                False, f"non-integer value {p.value}", p.interval.sample()
-            )
-        if p.value < 1:
-            return SpecialCheck(
-                False, f"value {p.value} below 1", p.interval.sample()
-            )
-    return SpecialCheck(True)
+    if all(v.denominator == 1 and v.numerator >= 1 for v in d.point_values + d.open_values):
+        return SpecialCheck(True)
+    # the pieces carry the same values; the first failing one gives the witness
+    p = next(p for p in d.pieces if p.value.denominator != 1 or p.value < 1)
+    if p.value.denominator != 1:
+        return SpecialCheck(False, f"non-integer value {p.value}", p.interval.sample())
+    return SpecialCheck(False, f"value {p.value} below 1", p.interval.sample())
 
 
 def ensure_dimension_function(d: StepFunction) -> StepFunction:
@@ -141,7 +138,8 @@ class NestedPresentation:
 
 def dim_from_nested(p: NestedPresentation) -> StepFunction:
     """Dimension function d(t) = 1 + #{i : t in A_i} of a presentation."""
-    return add_steps([StepFunction.constant(1), *(_indicator(s) for s in p.opens)])
+    steps = [StepFunction.constant(1), *(_indicator(s) for s in p.opens)]
+    return linear_combine_steps([1] * len(steps), steps)
 
 
 def nested_from_dim(d: StepFunction) -> NestedPresentation:

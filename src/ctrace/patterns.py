@@ -31,7 +31,6 @@ from .pwcalc import (
     PLFunction,
     StepFunction,
     ZERO,
-    combine_steps,
     compose_pl,
     compose_step_pl,
     frac,
@@ -39,6 +38,7 @@ from .pwcalc import (
     inf_difference,
     le_pointwise,
     linear_combine,
+    linear_combine_steps,
     merged_points,
     weighted_sup_norm,
 )
@@ -115,11 +115,7 @@ def push_dimension(pattern: EigenPattern, d: StepFunction) -> StepFunction:
     """
     ensure_dimension_function(d)
     counts = pattern.counts
-    weights = list(counts.values())
-    return combine_steps(
-        [compose_step_pl(d, lam) for lam in counts],
-        lambda *vs: sum((n * v for n, v in zip(weights, vs)), ZERO),
-    )
+    return linear_combine_steps(list(counts.values()), [compose_step_pl(d, lam) for lam in counts])
 
 
 def check_compat(pattern: EigenPattern, f: PLFunction, d_target: StepFunction,

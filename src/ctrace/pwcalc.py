@@ -51,7 +51,8 @@ def frac(x) -> Fraction:
             raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, (list, tuple)) and len(x) == 2:
         num, den = x
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in x):
+        if isinstance(num, bool) or isinstance(den, bool) or not (
+                isinstance(num, int) and isinstance(den, int)):
             raise TypeError(f"a [num, den] pair needs two integers, not {x!r}")
         if den == 0:
             raise ValueError(f"zero denominator in {x!r}")
@@ -394,6 +395,14 @@ class PLFunction:
         object.__setattr__(self, "breakpoints", tuple(kept_t))
         object.__setattr__(self, "values", tuple(kept_v))
 
+    def __hash__(self):
+        # the dataclass hash, once: patterns count their eigenfunctions often
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.breakpoints, self.values)))
+            return self._hash
+
     @classmethod
     def _from_kernel(cls, bps, vals) -> "PLFunction":
         """Build from Fraction breakpoints and values a kernel made, already
@@ -438,14 +447,9 @@ class PLFunction:
                 self.values[i], self.values[i + 1],
             )
 
-    def min_value(self) -> Fraction:
-        return min(self.values)
-
-    def max_value(self) -> Fraction:
-        return max(self.values)
-
     def into_unit_interval(self) -> bool:
-        return self.min_value() >= ZERO and self.max_value() <= ONE
+        # denominators are positive
+        return all(0 <= v.numerator <= v.denominator for v in self.values)
 
     def shift(self, c) -> "PLFunction":
         c = frac(c)
@@ -478,9 +482,8 @@ class PLFunction:
         if json_obj(obj, "a piecewise-linear function").get("kind") != "pl":
             raise ValueError("not a piecewise-linear payload")
         pts = obj["points"]
-        return cls(
-            tuple(frac(t) for t, _ in pts), tuple(frac(v) for _, v in pts)
-        )
+        # __post_init__ coerces each coordinate
+        return cls(tuple(t for t, _ in pts), tuple(v for _, v in pts))
 
 
 PiecewiseFunction = Union[PLFunction, StepFunction]
@@ -765,27 +768,42 @@ def is_lsc(d: StepFunction) -> LeResult:
 # ---------------------------------------------------------------------------
 
 
-def linear_combine(coeffs: Sequence, fns: Sequence[PLFunction]) -> PLFunction:
-    """Exact pointwise linear combination sum(c_i * f_i)."""
+def _weighted_sums(coeffs: Sequence, fns: Sequence, cells: bool = False) -> tuple:
+    """``refine(*fns)``'s points and sum(c_i * f_i) at each of them, then on
+    each cell after them when ``cells``.  Each value is summed as one
+    integer ratio over a running common denominator and reduced once."""
     if not coeffs or not fns:
         raise ValueError("empty linear combination")
     if len(coeffs) != len(fns):
         raise ValueError("coefficient/function count mismatch")
-    coeffs = [frac(c) for c in coeffs]
+    terms = [(c.numerator, c.denominator) for c in map(frac, coeffs)]
     pts, samples = refine(*fns)
-    terms = [(c.numerator, c.denominator) for c in coeffs]
-    vals = []
-    # each value is summed as one integer ratio over a running common
-    # denominator and reduced once
-    for vs in zip(*(at for at, _, _ in samples)):
+    out = []
+    for vs in zip(*(at + opens if cells else at for at, opens, _ in samples)):
         num, den = 0, 1
         for (cn, cd), v in zip(terms, vs):
             d = cd * v.denominator
-            g = math.gcd(den, d)
-            num = num * (d // g) + cn * v.numerator * (den // g)
-            den = den // g * d
-        vals.append(Fraction(num, den))
-    return PLFunction._from_kernel(pts, vals)
+            if d == 1:
+                num += cn * v.numerator * den
+            else:
+                g = math.gcd(den, d)
+                num = num * (d // g) + cn * v.numerator * (den // g)
+                den = den // g * d
+        out.append(Fraction(num) if den == 1 else Fraction(num, den))
+    return pts, out
+
+
+def linear_combine(coeffs: Sequence, fns: Sequence[PLFunction]) -> PLFunction:
+    """Exact pointwise linear combination sum(c_i * f_i)."""
+    return PLFunction._from_kernel(*_weighted_sums(coeffs, fns))
+
+
+def linear_combine_steps(coeffs: Sequence, steps: Sequence[StepFunction]) -> StepFunction:
+    """Exact pointwise linear combination sum(c_i * s_i) of step functions."""
+    if not all(isinstance(s, StepFunction) for s in steps):
+        raise TypeError("linear_combine_steps combines step functions")
+    pts, sums = _weighted_sums(coeffs, steps, cells=True)
+    return StepFunction._from_kernel(pts, sums[:len(pts)], sums[len(pts):])
 
 
 def _preimage_refinement(g: PLFunction, targets: Sequence[Fraction]) -> tuple:
@@ -889,10 +907,6 @@ def combine_steps(steps: Sequence[StepFunction],
     point_vals = [op(*vs) for vs in zip(*(at for at, _, _ in samples))]
     open_vals = [op(*vs) for vs in zip(*(opens for _, opens, _ in samples))]
     return StepFunction.from_profile(pts, point_vals, open_vals)
-
-
-def add_steps(steps: Sequence[StepFunction]) -> StepFunction:
-    return combine_steps(steps, lambda *vs: sum(vs, ZERO))
 
 
 def unit_weight() -> StepFunction:

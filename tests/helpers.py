@@ -343,6 +343,22 @@ def ref_add_steps(steps) -> StepFunction:
     return StepFunction.from_profile(pts, point_vals, open_vals)
 
 
+def ref_validate_special(d: StepFunction):
+    """The piece-by-piece value check, after the lsc check."""
+    from ctrace.blocks import SpecialCheck
+    from ctrace.pwcalc import is_lsc
+
+    lsc = is_lsc(d)
+    if not lsc:
+        return SpecialCheck(False, "not lower semicontinuous", lsc.witness)
+    for p in d.pieces:
+        if p.value.denominator != 1:
+            return SpecialCheck(False, f"non-integer value {p.value}", p.interval.sample())
+        if p.value < 1:
+            return SpecialCheck(False, f"value {p.value} below 1", p.interval.sample())
+    return SpecialCheck(True)
+
+
 def ref_apply_pattern(pattern, f: PLFunction, normalized=False) -> PLFunction:
     fns = [ref_compose_pl(f, lam) for lam in pattern.eigenfunctions]
     coeff = Fraction(1, pattern.multiplicity) if normalized else Fraction(1)
@@ -381,6 +397,18 @@ def step_functions(draw, lo=-2, hi=3):
     point_vals = draw(st.lists(values, min_size=len(pts), max_size=len(pts)))
     open_vals = draw(st.lists(values, min_size=len(pts) - 1, max_size=len(pts) - 1))
     return StepFunction.from_profile(pts, point_vals, open_vals)
+
+
+@st.composite
+def lsc_step_functions(draw):
+    """Lower semicontinuous step functions whose values are often integers,
+    sometimes below 1 and sometimes not integers at all."""
+    pts = draw(cut_points())
+    value = st.sampled_from([Fraction(v) for v in (-1, 0, "1/2", 1, 2, "5/2", 3)])
+    cells = draw(st.lists(value, min_size=len(pts) - 1, max_size=len(pts) - 1))
+    # a point takes at most its neighbouring cells' values
+    at = [min(draw(value), *cells[max(i - 1, 0):i + 1]) for i in range(len(pts))]
+    return StepFunction.from_profile(pts, at, cells)
 
 
 @st.composite

@@ -24,11 +24,13 @@ from ctrace.pwcalc import (
 
 from helpers import (
     dimension_functions,
+    lsc_step_functions,
     open_set_chains,
     rand_lsc_int_step,
     ref_dim_from_nested,
     ref_nested,
     ref_nested_from_dim,
+    ref_validate_special,
 )
 
 seeds = st.integers(0, 10**9)
@@ -124,6 +126,11 @@ class TestValidateSpecial:
         check = validate_special(StepFunction.constant(F(5, 2)))
         assert not check
         assert "non-integer" in check.reason
+
+    @given(st.one_of(lsc_step_functions(), dimension_functions()))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_piece_reference(self, d):
+        assert validate_special(d) == ref_validate_special(d)
 
 
 class TestProperties:

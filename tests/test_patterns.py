@@ -24,6 +24,7 @@ from ctrace.patterns import (
 from ctrace.pwcalc import (
     PLFunction,
     StepFunction,
+    compose_pl,
     le_pointwise,
     linear_combine,
     unit_weight,
@@ -174,11 +175,52 @@ class TestCountedPatternsMatchReferences:
         assert out == ref
         assert out.to_json() == ref.to_json()
 
+    @given(st.data(), seeds, st.integers(2, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_push_dimension_repeated_large_values(self, data, seed, k):
+        d = rand_lsc_int_step(random.Random(seed), vmax=10**30)
+        pattern = EigenPattern(data.draw(repeated_patterns(d.points)).eigenfunctions * k)
+        assert min(pattern.counts.values()) >= 2
+        out, ref = push_dimension(pattern, d), ref_push_dimension(pattern, d)
+        assert out == ref
+        assert out.to_json() == ref.to_json()
+
     def test_counts_keep_first_seen_order(self):
         lam, mu = PLFunction.identity(), PLFunction.constant(F(1, 3))
         pattern = EigenPattern((mu, lam, mu, mu))
         assert list(pattern.counts.items()) == [(mu, 3), (lam, 1)]
         assert pattern.to_json() == {"eigenfunctions": [f.to_json() for f in (mu, lam, mu, mu)]}
+        # equal functions built by other routes share one slot, whether
+        # or not they have cached their hash yet
+        nu = PLFunction((0, F(1, 2), 1), (F(1, 3), 1, 0))
+        same = (PLFunction((0, F(1, 4), F(1, 2), 1), (F(1, 3), F(2, 3), 1, 0)),
+                compose_pl(nu, lam), PLFunction.from_json(nu.to_json()))
+        hash(same[1])
+        counts = EigenPattern((nu, lam, *same, lam)).counts
+        assert list(counts.items()) == [(nu, 4), (lam, 2)]
+        assert all(counts[f] == 4 for f in same)
+
+
+class TestPushedSumIsInteger:
+    """push_dimension sums its pushes on integer terms."""
+
+    def test_no_fraction_arithmetic(self, monkeypatch):
+        rng = random.Random(13)
+        d = rand_lsc_int_step(rng, vmax=10**12)
+        lam, mu = rand_pl_unit(rng), PLFunction.constant(F(1, 2))
+        pattern = EigenPattern((lam, mu, lam, lam, mu))
+        refs = [ref_push_dimension(pattern, e) for e in (d, pinched_dimension_function())]
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic")
+
+        with monkeypatch.context() as mp:
+            for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+                mp.setattr(F, name, refuse)
+            with pytest.raises(AssertionError, match="Fraction arithmetic"):
+                F(1, 2) + 1
+            outs = [push_dimension(pattern, e) for e in (d, pinched_dimension_function())]
+        assert outs == refs
 
 
 class TestApplyDifference:

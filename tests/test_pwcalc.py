@@ -1,19 +1,21 @@
 """Exact calculus: construction, evaluation, composition, comparison."""
 
+import copy
+import pickle
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ctrace.existence import pinched_dimension_function
-from ctrace.patterns import ramp_functions
+from ctrace.patterns import EigenPattern, ramp_functions
 from ctrace.pwcalc import (
     Interval,
     PLFunction,
     Piece,
     StepFunction,
-    add_steps,
     combine_steps,
     compose_pl,
     compose_step_pl,
@@ -25,6 +27,7 @@ from ctrace.pwcalc import (
     json_obj,
     le_pointwise,
     linear_combine,
+    linear_combine_steps,
     merged_points,
     refine,
     unit_weight,
@@ -80,15 +83,38 @@ class TestConstruction:
         with pytest.raises(TypeError):
             frac(0.5)
 
-    @pytest.mark.parametrize("pair", [[1.9, 2], [True, 2], [1, False], ["3", "4"], [1, None]])
+    @pytest.mark.parametrize("pair", [[1.9, 2], [True, 2], [1, False], ["3", "4"], [1, None],
+                                      [True, 1], [1.0, 2], ["1", 2], (1, True)])
     def test_frac_pair_needs_two_ints(self, pair):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError) as info:
             frac(pair)
+        assert str(info.value) == f"a [num, den] pair needs two integers, not {pair!r}"
+
+    def test_frac_short_pair(self):
+        with pytest.raises(TypeError) as info:
+            frac([1])
+        assert str(info.value) == "cannot interpret [1] as a rational"
+
+    def test_frac_pair_takes_int_subclasses(self):
+        class Count(int):
+            pass
+
+        assert frac([Count(3), Count(-4)]) == F(-3, 4)
+
+    def test_pl_from_json_refuses_what_frac_refuses(self):
+        bad = {"kind": "pl", "points": [[[0, 1], [1, 2]], [[1, 1], [True, 1]]]}
+        with pytest.raises(TypeError) as info:
+            PLFunction.from_json(bad)
+        assert str(info.value) == "a [num, den] pair needs two integers, not [True, 1]"
+        bad["points"][1][1] = [1, 0]
+        with pytest.raises(ValueError, match=r"zero denominator in \[1, 0\]"):
+            PLFunction.from_json(bad)
 
     @pytest.mark.parametrize("x", [[1, 0], (0, 0), "1/0", " -3/0 "])
     def test_frac_zero_denominator(self, x):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             frac(x)
+        assert str(info.value) == f"zero denominator in {x!r}"
 
     @pytest.mark.parametrize("x,value", [("3/4", F(3, 4)), (" -3/4 ", F(-3, 4)),
                                          ("+2", F(2)), ("7\n", F(7))])
@@ -237,6 +263,101 @@ class TestLinearCombine:
             linear_combine([], [])
         with pytest.raises(ValueError):
             linear_combine([1], [PLFunction.identity(), PLFunction.identity()])
+
+
+class TestLinearCombineSteps:
+    """The integer weighted sum of step functions equals the Fraction one."""
+
+    coefficients = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=7))
+
+    @given(st.lists(st.tuples(coefficients, step_functions()), min_size=1, max_size=4))
+    @example([(-2, StepFunction.from_profile((0, F(1, 3), 1), (F(1, 2), F(-3, 4), 2), (F(5, 4), 0))),
+              (0, StepFunction.constant(F(7, 3))),
+              (F(3, 4), StepFunction.from_profile((0, F(1, 2), 1), (0, F(1, 3), 1), (F(-1, 2), 3)))])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_combine_steps(self, terms):
+        coeffs, steps = [c for c, _ in terms], [s for _, s in terms]
+        out = linear_combine_steps(coeffs, steps)
+        ref = combine_steps(steps, lambda *vs: sum((F(c) * v for c, v in zip(coeffs, vs)), F(0)))
+        assert out == ref
+        assert out.to_json() == ref.to_json()
+        assert all(type(x) is F for x in out.points + out.point_values + out.open_values)
+
+    def test_rejects_empty_mismatched_and_pl(self):
+        s = StepFunction.constant(1)
+        with pytest.raises(ValueError, match="empty linear combination"):
+            linear_combine_steps([], [])
+        with pytest.raises(ValueError, match="count mismatch"):
+            linear_combine_steps([1], [s, s])
+        with pytest.raises(TypeError, match="combines step functions"):
+            linear_combine_steps([1, 1], [s, PLFunction.identity()])
+
+
+class TestCachedHash:
+    """A PLFunction hashes its fields once and is otherwise the dataclass:
+    the same hash, equality, repr and fields, through copies too."""
+
+    @staticmethod
+    def routes():
+        f = PLFunction((0, F(1, 3), 1), (F(1, 2), 0, F(2, 3)))
+        # the constructor, the kernel constructor, the JSON parser
+        return [f, compose_pl(f, PLFunction.identity()), PLFunction.from_json(f.to_json())]
+
+    def test_hash_is_the_field_hash(self):
+        for f in self.routes():
+            assert hash(f) == hash((f.breakpoints, f.values))
+            assert hash(f) == hash((f.breakpoints, f.values))  # now from the cache
+
+    def test_second_hash_reads_no_fraction(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Fraction hashed again")
+
+        for f in self.routes():
+            h = hash(f)
+            with monkeypatch.context() as mp:
+                mp.setattr(F, "__hash__", refuse)
+                with pytest.raises(AssertionError, match="hashed again"):
+                    hash(F(1, 3))
+                assert hash(f) == h
+                assert EigenPattern((f, f)).counts[f] == 2
+
+    def test_dataclass_surface_unchanged(self):
+        f, g, h = self.routes()
+        text = f"PLFunction(breakpoints={f.breakpoints!r}, values={f.values!r})"
+        assert repr(f) == text
+        hash(f)  # only f caches its hash
+        assert repr(f) == repr(g) == repr(h) == text
+        assert f == g == h and g == f
+        assert f != PLFunction.identity()
+        assert [x.name for x in fields(f)] == ["breakpoints", "values"]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_copies_keep_equality_and_hash(self, cached):
+        for f in self.routes():
+            if cached:
+                hash(f)
+            for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+                assert g == f
+                assert hash(g) == hash(f) == hash((g.breakpoints, g.values))
+
+
+class TestIntoUnitInterval:
+    """The range test reads integer terms: 0 and 1 are inside, and values
+    off [0,1] by less than a float can tell are outside."""
+
+    @pytest.mark.parametrize("value,inside", [
+        (F(0), True), (F(1), True), (F(-1, 10**400), False), (1 + F(1, 10**20), False),
+    ])
+    def test_ends_and_float_ties(self, value, inside):
+        assert float(value) in (0.0, 1.0)
+        for g in (PLFunction((0, F(1, 2), 1), (F(1, 2), value, F(1, 2))),
+                  PLFunction((0, 1), (value, 1 - value))):
+            assert g.into_unit_interval() is inside
+            if inside:
+                assert EigenPattern((g,)).eigenfunctions == (g,)
+            else:
+                with pytest.raises(ValueError, match=r"must map \[0,1\] into \[0,1\]"):
+                    EigenPattern((g,))
 
 
 class TestComposePL:
@@ -472,7 +593,7 @@ class TestCompositionIdentityProperties:
     def test_step_addition_matches_pointwise(self, seed):
         rng = random.Random(seed)
         s1, s2 = rand_step(rng), rand_step(rng)
-        total = add_steps([s1, s2])
+        total = linear_combine_steps([1, 1], [s1, s2])
         for k in range(0, 33):
             t = F(k, 32)
             assert total.eval(t) == s1.eval(t) + s2.eval(t)
