@@ -73,6 +73,8 @@ def _validate_open_set(intervals: Sequence[Interval]) -> tuple:
             raise ValueError(f"interval closed at {iv.lo} is not open in [0,1]")
         if iv.hi_closed and iv.hi != ONE:
             raise ValueError(f"interval closed at {iv.hi} is not open in [0,1]")
+        if iv.lo < ZERO or iv.hi > ONE:
+            raise ValueError(f"interval from {iv.lo} to {iv.hi} reaches outside [0,1]")
     for cur, nxt in zip(ivs, ivs[1:]):
         if cur.hi > nxt.lo:
             raise ValueError("intervals of an open set must be disjoint")

@@ -17,6 +17,7 @@ there), the slots are printed as one array, and the worst exit code wins.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -350,9 +351,8 @@ def _invariant_classify(payload, args):
     for xy in payload["points"]:
         x, y = ext(xy[0]), ext(xy[1])
         points.append((x, y, classify_point((x, y), group).value))
-    if args.plot_out:
-        with open(args.plot_out, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{x} {y} {cls}\n" for x, y, cls in points)
+    if args.plot:
+        args.plot.writelines(f"{x} {y} {cls}\n" for x, y, cls in points)
     rows = [{"x": ext_json(x), "y": ext_json(y), "class": cls} for x, y, cls in points]
     return {"points": rows}, OK
 
@@ -473,15 +473,20 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else BAD_INPUT
         return OK if code == 0 else BAD_INPUT
     handler, takes_payload = _HANDLERS[(args.group_cmd, args.sub_cmd)]
+    plot_out = getattr(args, "plot_out", None)
     try:
         payload = _load_payload(args) if takes_payload else None
-        if takes_payload and isinstance(payload, list):
-            slots = [_run_entry(handler, entry, args) for entry in payload]
-            line = "[" + ",".join(text for text, _ in slots) + "]"
-            code = max([OK, *(c for _, c in slots)])
-        else:
-            line, code = _run(handler, payload, args)
-    except SCHEMA_ERRORS as exc:
+        # one plot file for all entries of a batch, opened before any runs
+        plot = open(plot_out, "w", encoding="utf-8") if plot_out else contextlib.nullcontext()
+        with plot as args.plot:
+            if takes_payload and isinstance(payload, list):
+                slots = [_run_entry(handler, entry, args) for entry in payload]
+                line = "[" + ",".join(text for text, _ in slots) + "]"
+                code = max([OK, *(c for _, c in slots)])
+            else:
+                line, code = _run(handler, payload, args)
+    except (OSError, *SCHEMA_ERRORS) as exc:
+        # OSError: an unreadable payload file or an unwritable plot file
         sys.stderr.write(f"error: {exc}\n")
         return BAD_INPUT
     _emit(line)

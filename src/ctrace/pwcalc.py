@@ -100,12 +100,16 @@ class Interval:
     hi_closed: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", frac(self.lo))
-        object.__setattr__(self, "hi", frac(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+        self._store(frac(self.lo), frac(self.hi), self.lo_closed, self.hi_closed)
+
+    def _store(self, lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> "Interval":
+        """Check and store Fraction ends and their flags; returns ``self``."""
+        if lo > hi:
+            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+        if lo == hi and not (lo_closed and hi_closed):
             raise ValueError("a single-point interval must be closed on both sides")
+        vars(self).update(lo=lo, hi=hi, lo_closed=lo_closed, hi_closed=hi_closed)
+        return self
 
     @property
     def is_point(self) -> bool:
@@ -136,7 +140,8 @@ class Interval:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Interval":
-        return cls(
+        # coerced as read, so the first defect is the one reported, and stored once
+        return object.__new__(cls)._store(
             frac(obj["lo"]), frac(obj["hi"]),
             json_bool(obj["lo_closed"], "lo_closed"),
             json_bool(obj["hi_closed"], "hi_closed"),
@@ -151,15 +156,6 @@ class Piece:
     def __post_init__(self):
         object.__setattr__(self, "value", frac(self.value))
 
-    def to_json(self) -> dict:
-        out = self.interval.to_json()
-        out["value"] = frac_pair(self.value)
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Piece":
-        return cls(Interval.from_json(obj), frac(obj["value"]))
-
 
 @dataclass(frozen=True, init=False)
 class StepFunction:
@@ -169,9 +165,9 @@ class StepFunction:
     is the value at ``points[i]`` and ``open_values[i]`` the value on the
     open cell after it.  Canonical form drops every interior point whose
     value equals both neighbouring cells, so ``==`` is equality as
-    functions.  Pieces are the boundary form: ``StepFunction(pieces)``
-    checks that they tile [0,1] exactly once, and :attr:`pieces` gives
-    back the maximal constant intervals that JSON and witnesses use.
+    functions.  ``StepFunction(pieces)`` takes :class:`Piece` objects or
+    ``(Interval, value)`` pairs and checks that they tile [0,1] exactly
+    once; :attr:`pieces` gives back the maximal constant intervals.
     """
 
     points: tuple
@@ -179,56 +175,36 @@ class StepFunction:
     open_values: tuple
 
     def __init__(self, pieces):
-        pieces = tuple(
-            p if isinstance(p, Piece) else Piece(p[0], p[1]) for p in pieces
-        )
+        pieces = [(p.interval, p.value) if isinstance(p, Piece) else (p[0], frac(p[1]))
+                  for p in pieces]
         if not pieces:
             raise ValueError("a step function needs at least one piece")
-        pieces = tuple(sorted(pieces, key=lambda p: (p.interval.lo, not p.interval.lo_closed)))
-        first, last = pieces[0].interval, pieces[-1].interval
+        pieces.sort(key=lambda p: (p[0].lo, not p[0].lo_closed))
+        first, last = pieces[0][0], pieces[-1][0]
         if first.lo != ZERO or not first.lo_closed:
             raise ValueError("pieces must start at 0 (closed)")
         if last.hi != ONE or not last.hi_closed:
             raise ValueError("pieces must end at 1 (closed)")
-        for cur, nxt in zip(pieces, pieces[1:]):
-            if cur.interval.hi != nxt.interval.lo:
+        for (cur, _), (nxt, _) in zip(pieces, pieces[1:]):
+            if cur.hi != nxt.lo:
                 raise ValueError(
-                    f"pieces do not tile [0,1]: gap or overlap at "
-                    f"{cur.interval.hi} vs {nxt.interval.lo}"
+                    f"pieces do not tile [0,1]: gap or overlap at {cur.hi} vs {nxt.lo}"
                 )
-            if cur.interval.hi_closed == nxt.interval.lo_closed:
+            if cur.hi_closed == nxt.lo_closed:
                 raise ValueError(
-                    f"endpoint {cur.interval.hi} covered "
-                    f"{'twice' if cur.interval.hi_closed else 'by no piece'}"
+                    f"endpoint {cur.hi} covered {'twice' if cur.hi_closed else 'by no piece'}"
                 )
         # the tiling covers each endpoint once, by a closed side
         points, point_values, open_values = [ZERO], [], []
-        for p in pieces:
-            iv = p.interval
+        for iv, value in pieces:
             if iv.lo_closed:
-                point_values.append(p.value)
+                point_values.append(value)
             if not iv.is_point:
                 points.append(iv.hi)
-                open_values.append(p.value)
+                open_values.append(value)
                 if iv.hi_closed:
-                    point_values.append(p.value)
-        self._set_profile(points, point_values, open_values)
-
-    def _set_profile(self, points, point_values, open_values) -> None:
-        """Check and store a profile in canonical form."""
-        if len(point_values) != len(points) or len(open_values) != len(points) - 1:
-            raise ValueError("a profile needs one value per point and per gap")
-        if len(points) < 2 or frac(points[0]) != ZERO or frac(points[-1]) != ONE:
-            raise ValueError("profile points must start at 0 and end at 1")
-        pts, vals, opens = [ZERO], [frac(point_values[0])], []
-        for t, v, cell in zip(points[1:], point_values[1:], open_values):
-            t, v, cell = frac(t), frac(v), frac(cell)
-            if t <= pts[-1]:
-                raise ValueError("profile points must be strictly increasing")
-            pts.append(t)
-            vals.append(v)
-            opens.append(cell)
-        self._store(pts, vals, opens)
+                    point_values.append(value)
+        self._store(points, point_values, open_values)
 
     def _store(self, points, point_values, open_values) -> None:
         """Store a valid profile of Fractions in canonical form."""
@@ -265,25 +241,37 @@ class StepFunction:
                      point_values: Sequence[Fraction],
                      open_values: Sequence[Fraction]) -> "StepFunction":
         """Build from values at ``points`` and on the open gaps between them."""
-        self = object.__new__(cls)
-        self._set_profile(points, point_values, open_values)
-        return self
+        if len(point_values) != len(points) or len(open_values) != len(points) - 1:
+            raise ValueError("a profile needs one value per point and per gap")
+        if len(points) < 2 or frac(points[0]) != ZERO or frac(points[-1]) != ONE:
+            raise ValueError("profile points must start at 0 and end at 1")
+        pts, vals, opens = [ZERO], [frac(point_values[0])], []
+        for t, v, cell in zip(points[1:], point_values[1:], open_values):
+            t, v, cell = frac(t), frac(v), frac(cell)
+            if t <= pts[-1]:
+                raise ValueError("profile points must be strictly increasing")
+            pts.append(t)
+            vals.append(v)
+            opens.append(cell)
+        return cls._from_kernel(pts, vals, opens)
+
+    def _runs(self):
+        """The maximal constant intervals, in order, as (lo, hi, lo_closed, hi_closed, value)."""
+        pts, vals, opens = self.points, self.point_values, self.open_values
+        lo, lo_closed, value = pts[0], True, vals[0]
+        for i in range(1, len(pts)):
+            if opens[i - 1] != value:
+                yield lo, pts[i - 1], lo_closed, True, value
+                lo, lo_closed, value = pts[i - 1], False, opens[i - 1]
+            if vals[i] != value:
+                yield lo, pts[i], lo_closed, False, value
+                lo, lo_closed, value = pts[i], True, vals[i]
+        yield lo, pts[-1], lo_closed, True, value
 
     @property
     def pieces(self) -> tuple:
         """The maximal constant intervals, in order, as :class:`Piece` objects."""
-        pts, vals, opens = self.points, self.point_values, self.open_values
-        out = []
-        lo, lo_closed, value = pts[0], True, vals[0]
-        for i in range(1, len(pts)):
-            if opens[i - 1] != value:
-                out.append(Piece(Interval(lo, pts[i - 1], lo_closed, True), value))
-                lo, lo_closed, value = pts[i - 1], False, opens[i - 1]
-            if vals[i] != value:
-                out.append(Piece(Interval(lo, pts[i], lo_closed, False), value))
-                lo, lo_closed, value = pts[i], True, vals[i]
-        out.append(Piece(Interval(lo, pts[-1], lo_closed, True), value))
-        return tuple(out)
+        return tuple(Piece(Interval(lo, hi, lc, hc), v) for lo, hi, lc, hc, v in self._runs())
 
     def eval(self, t) -> Fraction:
         """Exact value at t: its point value, or the value of its open cell."""
@@ -328,13 +316,18 @@ class StepFunction:
         return tuple(out)
 
     def to_json(self) -> dict:
-        return {"kind": "step", "pieces": [p.to_json() for p in self.pieces]}
+        return {"kind": "step", "pieces": [
+            {"lo": frac_pair(lo), "hi": frac_pair(hi), "lo_closed": lc, "hi_closed": hc,
+             "value": frac_pair(v)}
+            for lo, hi, lc, hc, v in self._runs()
+        ]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "StepFunction":
         if json_obj(obj, "a step function").get("kind") != "step":
             raise ValueError("not a step-function payload")
-        return cls(tuple(Piece.from_json(p) for p in obj["pieces"]))
+        # lazily, so each piece's value is coerced before the next piece is read
+        return cls((Interval.from_json(p), p["value"]) for p in obj["pieces"])
 
 
 @dataclass(frozen=True)
@@ -592,19 +585,18 @@ def _walk_step(f: StepFunction, pos) -> tuple:
     return at, cells
 
 
-def refine(*fns: PiecewiseFunction, points_of: Sequence[PiecewiseFunction] = ()) -> tuple:
+def refine(*fns: PiecewiseFunction) -> tuple:
     """Sample functions on their merged refinement ``pts``.
 
     Returns ``(pts, samples)`` with one ``(at, above, below)`` triple of
     lists per function: ``at[i]`` is its value at ``pts[i]``, and
     ``above[i]``, ``below[i]`` its limits at ``pts[i]+`` and ``pts[i+1]-``,
-    which determine it on that cell since it is linear there.  The
-    breakpoints of ``points_of`` join ``pts`` without being sampled.  Every
-    exact comparison in this module samples its functions through here.
-    Each function is walked once along ``pts``, by the positions of its
-    own points in it.
+    which determine it on that cell since it is linear there.  Every exact
+    comparison in this module samples its functions through here.  Each
+    function is walked once along ``pts``, by the positions of its own
+    points in it.
     """
-    pts, own = merged_points(*fns, *points_of)
+    pts, own = merged_points(*fns)
     samples = []
     for f, pos in zip(fns, own):
         if isinstance(f, PLFunction):

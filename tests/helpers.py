@@ -1080,3 +1080,91 @@ def dimension_functions(draw, max_cuts=6, max_value=6):
         cells = draw(st.lists(st.integers(1, max_value), min_size=k, max_size=k))
     at = [draw(st.integers(1, min(cells[max(j - 1, 0):j + 1]))) for j in range(k + 1)]
     return StepFunction.from_profile(pts, at, cells)
+
+
+# ---------------------------------------------------------------------------
+# step-function JSON references
+# ---------------------------------------------------------------------------
+#
+# ``StepFunction.from_json`` now reads each piece into an ``(Interval,
+# value)`` pair and ``to_json`` writes dicts straight from the profile.
+# These are the versions they replaced: every piece through ``Interval``
+# and ``Piece``, the tiling check on the pieces, and the profile checked
+# again by ``from_profile``; and the pieces written by their own
+# ``to_json``.
+
+
+def ref_step_from_json(obj) -> StepFunction:
+    from ctrace.pwcalc import Interval, Piece, frac, json_bool, json_obj
+
+    if json_obj(obj, "a step function").get("kind") != "step":
+        raise ValueError("not a step-function payload")
+    pieces = tuple(
+        Piece(Interval(frac(p["lo"]), frac(p["hi"]), json_bool(p["lo_closed"], "lo_closed"),
+                       json_bool(p["hi_closed"], "hi_closed")), frac(p["value"]))
+        for p in obj["pieces"]
+    )
+    if not pieces:
+        raise ValueError("a step function needs at least one piece")
+    pieces = tuple(sorted(pieces, key=lambda p: (p.interval.lo, not p.interval.lo_closed)))
+    first, last = pieces[0].interval, pieces[-1].interval
+    if first.lo != ZERO or not first.lo_closed:
+        raise ValueError("pieces must start at 0 (closed)")
+    if last.hi != ONE or not last.hi_closed:
+        raise ValueError("pieces must end at 1 (closed)")
+    for cur, nxt in zip(pieces, pieces[1:]):
+        if cur.interval.hi != nxt.interval.lo:
+            raise ValueError(
+                f"pieces do not tile [0,1]: gap or overlap at "
+                f"{cur.interval.hi} vs {nxt.interval.lo}"
+            )
+        if cur.interval.hi_closed == nxt.interval.lo_closed:
+            raise ValueError(
+                f"endpoint {cur.interval.hi} covered "
+                f"{'twice' if cur.interval.hi_closed else 'by no piece'}"
+            )
+    points, point_values, open_values = [ZERO], [], []
+    for p in pieces:
+        iv = p.interval
+        if iv.lo_closed:
+            point_values.append(p.value)
+        if not iv.is_point:
+            points.append(iv.hi)
+            open_values.append(p.value)
+            if iv.hi_closed:
+                point_values.append(p.value)
+    return StepFunction.from_profile(points, point_values, open_values)
+
+
+def ref_step_to_json(s: StepFunction) -> dict:
+    from ctrace.pwcalc import Interval, Piece, frac_pair
+
+    pts, vals, opens = s.points, s.point_values, s.open_values
+    pieces = []
+    lo, lo_closed, value = pts[0], True, vals[0]
+    for i in range(1, len(pts)):
+        if opens[i - 1] != value:
+            pieces.append(Piece(Interval(lo, pts[i - 1], lo_closed, True), value))
+            lo, lo_closed, value = pts[i - 1], False, opens[i - 1]
+        if vals[i] != value:
+            pieces.append(Piece(Interval(lo, pts[i], lo_closed, False), value))
+            lo, lo_closed, value = pts[i], True, vals[i]
+    pieces.append(Piece(Interval(lo, pts[-1], lo_closed, True), value))
+    out = []
+    for p in pieces:
+        blob = p.interval.to_json()
+        blob["value"] = frac_pair(p.value)
+        out.append(blob)
+    return {"kind": "step", "pieces": out}
+
+
+@st.composite
+def wide_step_functions(draw):
+    """Step functions with large denominators in points and values, whose
+    point values often differ from both neighbouring cells, so that single-
+    point pieces are common."""
+    pts = draw(wide_cut_points())
+    values = st.one_of(tie_values, wide_fractions)
+    open_vals = draw(st.lists(values, min_size=len(pts) - 1, max_size=len(pts) - 1))
+    point_vals = draw(st.lists(values, min_size=len(pts), max_size=len(pts)))
+    return StepFunction.from_profile(pts, point_vals, open_vals)

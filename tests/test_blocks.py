@@ -76,6 +76,25 @@ class TestDimFromNested:
             NestedPresentation(2, ((Interval(F(1, 4), F(1, 2), True, False),),))
 
 
+    @pytest.mark.parametrize("lo,hi,lo_closed,hi_closed,named", [
+        (F(1, 2), 2, False, False, "from 1/2 to 2"),
+        (-1, F(1, 2), False, False, "from -1 to 1/2"),
+        (0, 2, True, False, "from 0 to 2"),
+        (-1, 1, False, True, "from -1 to 1"),
+        (F(3, 2), 2, False, False, "from 3/2 to 2"),
+        (-2, -1, False, False, "from -2 to -1"),
+    ])
+    def test_refuses_sets_reaching_outside_the_unit_interval(self, lo, hi, lo_closed,
+                                                             hi_closed, named):
+        outside = Interval(lo, hi, lo_closed, hi_closed)
+        for s in ((outside,), (Interval(F(1, 4), F(1, 3), False, False), outside)):
+            with pytest.raises(ValueError) as info:
+                NestedPresentation(2, (s,))
+            assert str(info.value) == f"interval {named} reaches outside [0,1]"
+        # the closed-end and single-point refusals keep their messages
+        with pytest.raises(ValueError, match="interval closed at 2 is not open"):
+            NestedPresentation(2, ((Interval(F(1, 2), 2, False, True),),))
+
 class TestNestedFromDim:
     def test_constant_three(self):
         p = nested_from_dim(StepFunction.constant(3))

@@ -383,6 +383,16 @@ class TestSubcommands:
         assert code == 1
 
 
+    @pytest.mark.parametrize("lo,hi", [([1, 2], [2, 1]), ([-1, 1], [1, 2])])
+    def test_block_from_nested_refuses_sets_outside_unit_interval(self, capsys, tmp_path,
+                                                                  lo, hi):
+        outside = {"lo": lo, "hi": hi, "lo_closed": False, "hi_closed": False}
+        code, out, err = run(capsys, ["block", "from-nested"],
+                             {"n": 2, "opens": [[outside]]}, tmp_path)
+        a, b = (f"{n}" if d == 1 else f"{n}/{d}" for n, d in (lo, hi))
+        assert (code, out) == (2, "")
+        assert err == f"error: interval from {a} to {b} reaches outside [0,1]\n"
+
 class TestBatchSlots:
     def test_schema_error_fills_its_own_slot(self, capsys, tmp_path):
         f = PLFunction.identity().to_json()
@@ -427,6 +437,66 @@ class TestBatchSlots:
                              tmp_path)
         assert (code, out, err) == (2, "", "error: 't'\n")
 
+
+
+class TestFileErrors:
+    """An unreadable payload file or an unwritable plot file is exit 2 with
+    one message, and a batch writes every successful entry's plot rows."""
+
+    CLASSIFY = {"group": {"kind": "Q", "pairing": [[[1, 1]], [[1, 1]]]},
+                "points": [[[1, 1], [1, 1]]]}
+
+    def check_refused(self, code, out, err, message):
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_missing_payload_file(self, capsys, tmp_path):
+        code = main(["pw", "eval", str(tmp_path / "missing.json")])
+        out = capsys.readouterr()
+        self.check_refused(code, out.out, out.err, "No such file or directory")
+
+    def test_directory_as_payload_file(self, capsys, tmp_path):
+        code = main(["block", "validate", str(tmp_path)])
+        out = capsys.readouterr()
+        self.check_refused(code, out.out, out.err, "Is a directory")
+
+    def test_plot_file_in_missing_directory(self, capsys, tmp_path):
+        plot = tmp_path / "nodir" / "plot.dat"
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(self.CLASSIFY))
+        code = main(["invariant", "classify", "--plot-out", str(plot), str(path)])
+        out = capsys.readouterr()
+        self.check_refused(code, out.out, out.err, "No such file or directory")
+        assert not plot.parent.exists()
+
+    def test_missing_file_in_a_fresh_process(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctrace.cli", "pw", "eval", str(tmp_path / "missing.json")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr.startswith(b"error: ") and b"missing.json" in proc.stderr
+
+    def test_batch_plot_keeps_every_successful_entry(self, capsys, tmp_path):
+        second = dict(self.CLASSIFY, points=[[[2, 1], [3, 1]], [[1, 1], "inf"]])
+        bad = dict(self.CLASSIFY, points=[[[1, 1]]])
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps([self.CLASSIFY, bad, second]))
+        plot = tmp_path / "plot.dat"
+        code = main(["invariant", "classify", "--plot-out", str(plot), str(path)])
+        slots = json.loads(capsys.readouterr().out)
+        assert code == 2 and slots[1]["error"] == "bad_input"
+        assert plot.read_text().splitlines() == [
+            "1 1 ai-diagonal",
+            "2 3 off-diagonal",
+            "1 inf unbounded-boundary",
+        ]
 
 class TestEscapingExceptions:
     """Inputs that used to escape main() with a traceback and exit 1."""

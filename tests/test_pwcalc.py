@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ctrace.existence import pinched_dimension_function
+from ctrace import pwcalc
 from ctrace.patterns import EigenPattern, ramp_functions
 from ctrace.pwcalc import (
     Interval,
@@ -58,9 +59,12 @@ from helpers import (
     ref_pl_canonical,
     ref_preimage_refinement,
     ref_refine,
+    ref_step_from_json,
+    ref_step_to_json,
     ref_weighted_sup_norm,
     step_functions,
     wide_pl_points,
+    wide_step_functions,
 )
 
 seeds = st.integers(0, 10**9)
@@ -223,6 +227,189 @@ class TestProfileBoundary:
         with pytest.raises(ValueError):
             StepFunction.from_profile(bad, point_vals + [0], open_vals + [0])
 
+
+
+def _piece(lo, hi, lo_closed=True, hi_closed=True, value=(1, 1)):
+    return {"lo": list(lo), "hi": list(hi), "lo_closed": lo_closed, "hi_closed": hi_closed,
+            "value": list(value) if isinstance(value, tuple) else value}
+
+
+def _step(*pieces):
+    return {"kind": "step", "pieces": list(pieces)}
+
+
+HALF, ZERO_, ONE_ = (1, 2), (0, 1), (1, 1)
+# [0,1/2) -> 1, {1/2} -> 2, (1/2,1] -> 3
+GOOD_PIECES = (
+    _piece(ZERO_, HALF, True, False, (1, 1)),
+    _piece(HALF, HALF, True, True, (2, 1)),
+    _piece(HALF, ONE_, False, True, (3, 1)),
+)
+
+
+DROP = object()
+
+
+def _with(i, **changes):
+    """GOOD_PIECES with piece i changed (a value of DROP deletes the key)."""
+    pieces = [dict(p) for p in GOOD_PIECES]
+    for key, value in changes.items():
+        if value is DROP:
+            del pieces[i][key]
+        else:
+            pieces[i][key] = value
+    return pieces
+
+
+MALFORMED_STEPS = {
+    "empty": _step(),
+    "gap": _step(_piece(ZERO_, (1, 4)), _piece(HALF, ONE_, False)),
+    "overlap": _step(_piece(ZERO_, (3, 4)), _piece(HALF, ONE_, False)),
+    "end covered twice": _step(_piece(ZERO_, HALF), _piece(HALF, ONE_)),
+    "end covered by no piece": _step(_piece(ZERO_, HALF, True, False),
+                                     _piece(HALF, ONE_, False, True)),
+    "point covered twice": _step(_piece(ZERO_, ZERO_), _piece(ZERO_, ONE_)),
+    "point covered twice, other order": _step(_piece(ZERO_, ONE_), _piece(ZERO_, ZERO_)),
+    "not starting at 0": _step(_piece((1, 4), ONE_)),
+    "open at 0": _step(_piece(ZERO_, ONE_, False, True)),
+    "not ending at 1": _step(_piece(ZERO_, (3, 4))),
+    "open at 1": _step(_piece(ZERO_, ONE_, True, False)),
+    "beyond 1": _step(_piece(ZERO_, (2, 1))),
+    "lo > hi": _step(_piece((3, 4), (1, 4))),
+    "open single point": _step(*_with(1, hi_closed=False)),
+    "integer flag": _step(*_with(0, lo_closed=1)),
+    "string flag": _step(*_with(2, hi_closed="true")),
+    "null flag": _step(*_with(1, lo_closed=None)),
+    "boolean end": _step(*_with(0, lo=True)),
+    "boolean value": _step(*_with(1, value=[True, 1])),
+    "zero denominator end": _step(*_with(2, hi=[1, 0])),
+    "zero denominator value": _step(*_with(0, value="1/0")),
+    "float end": _step(*_with(1, lo=0.5)),
+    "decimal string value": _step(*_with(2, value="0.5")),
+    "missing lo": _step(*_with(0, lo=DROP)),
+    "missing hi_closed": _step(*_with(2, hi_closed=DROP)),
+    "missing value": _step(*_with(1, value=DROP)),
+    "missing pieces": {"kind": "step"},
+    "missing kind": {"pieces": list(GOOD_PIECES)},
+    "wrong kind": {"kind": "pl", "pieces": list(GOOD_PIECES)},
+    "not an object": [list(GOOD_PIECES)],
+    "piece is a number": _step(GOOD_PIECES[0], 5, GOOD_PIECES[2]),
+    "piece is a list": _step([[0, 1], [1, 1], True, True, [1, 1]]),
+    "piece is a string": _step("lo"),
+    "pieces is a number": {"kind": "step", "pieces": 5},
+    "pieces is an object": {"kind": "step", "pieces": GOOD_PIECES[0]},
+    "bad value, then bad interval": _step(*_with(0, value="1/0")[:1],
+                                          *_with(1, lo=[3, 4])[1:]),
+    "bad interval, then bad value": _step(*_with(0, lo=[3, 4])[:1],
+                                          *_with(1, value="1/0")[1:]),
+    "tiling defect, then bad value": _step(_piece(ZERO_, (1, 4)), _piece(HALF, ONE_, False),
+                                           _piece(HALF, HALF, value="x")),
+    "bad lo and missing hi": _step(*_with(0, lo="1.5", hi=DROP)),
+    "bad hi and bad flag": _step(*_with(2, hi=[1, 0], lo_closed=0)),
+    "bad lo and bad value": _step(*_with(1, lo=[True, 2], value=[1, 0])),
+    "lo > hi and bad value": _step(*_with(0, lo=[3, 4], value=None)),
+    "bad end and missing value": _step(*_with(2, lo=[1, 0], value=DROP)),
+}
+
+
+def _outcome(parse, payload):
+    try:
+        return parse(payload).to_json()
+    except Exception as exc:  # the refusal, compared by type and message
+        return type(exc), str(exc)
+
+
+class TestStepJsonBoundary:
+    """Step functions cross the JSON boundary as (interval, value) pairs and
+    profile walks, and do what the Piece round trip did."""
+
+    @given(st.one_of(wide_step_functions(), step_functions(), near_tie_step_functions()),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_piece_reference(self, s, rng):
+        blob = s.to_json()
+        assert blob == ref_step_to_json(s)
+        shuffled = {"kind": "step", "pieces": list(blob["pieces"])}
+        rng.shuffle(shuffled["pieces"])
+        out, ref = StepFunction.from_json(shuffled), ref_step_from_json(shuffled)
+        assert out == ref == s
+        assert out.to_json() == blob
+        assert StepFunction(s.pieces) == s
+        assert [p.interval for p in s.pieces] == [Interval.from_json(p) for p in blob["pieces"]]
+
+    def test_single_point_pieces_and_large_denominators(self):
+        t = F(10**30 + 1, 10**30 + 2)
+        s = StepFunction.from_profile([0, t, 1], [F(-1, 10**40), 5, 0], [F(1, 3), F(1, 3)])
+        blob = s.to_json()
+        assert blob == ref_step_to_json(s)
+        assert [[p["lo"], p["hi"]] for p in blob["pieces"]] == [
+            [[0, 1], [0, 1]], [[0, 1], [t.numerator, t.denominator]],
+            [[t.numerator, t.denominator]] * 2, [[t.numerator, t.denominator], [1, 1]],
+            [[1, 1], [1, 1]],
+        ]
+        assert StepFunction.from_json(blob) == ref_step_from_json(blob) == s
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_STEPS))
+    def test_malformed_payload_refused_like_the_reference(self, name):
+        payload = MALFORMED_STEPS[name]
+        out = _outcome(StepFunction.from_json, payload)
+        assert isinstance(out, tuple), f"{name} was accepted"
+        assert out == _outcome(ref_step_from_json, payload)
+
+    def test_string_rationals_accepted_like_the_reference(self):
+        pieces = _with(1, lo="1/2", hi=" 1/2 ", value="2")
+        payload = _step(*pieces)
+        assert _outcome(StepFunction.from_json, payload) == _outcome(ref_step_from_json, payload)
+        assert StepFunction.from_json(payload) == StepFunction.from_json(_step(*GOOD_PIECES))
+
+    def test_from_json_coerces_each_coordinate_once(self, monkeypatch):
+        s = StepFunction.from_profile([0, F(1, 3), F(1, 2), 1], [1, 2, 3, 0], [4, 5, 6])
+        blob = s.to_json()
+        calls = []
+        real = pwcalc.frac
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        def no_piece(self):
+            raise AssertionError("a Piece was built")
+
+        monkeypatch.setattr(pwcalc, "frac", counting)
+        monkeypatch.setattr(Piece, "__post_init__", no_piece)
+        assert StepFunction.from_json(blob) == s
+        # lo, hi and value of each piece, each once
+        assert len(calls) == 3 * len(blob["pieces"]) == 3 * 7
+
+    def test_to_json_builds_no_interval_or_piece(self, monkeypatch):
+        s = pinched_dimension_function()
+        expected = ref_step_to_json(s)
+
+        def refuse(self):
+            raise AssertionError("built while writing JSON")
+
+        monkeypatch.setattr(Interval, "__post_init__", refuse)
+        monkeypatch.setattr(Piece, "__post_init__", refuse)
+        monkeypatch.setattr(pwcalc, "frac", refuse)
+        assert s.to_json() == expected
+
+    def test_pairs_are_pieces(self):
+        iv = Interval(0, 1)
+        assert StepFunction([(iv, "1/2")]) == StepFunction([Piece(iv, F(1, 2))])
+        assert StepFunction([(iv, "1/2")]) == StepFunction.constant(F(1, 2))
+        with pytest.raises(ValueError, match="not an integer or a/b rational"):
+            StepFunction([(iv, "0.5")])
+
+    def test_interval_from_json_is_the_constructed_interval(self):
+        for iv in (Interval(0, F(1, 2), True, False), Interval(F(1, 3), F(1, 3)),
+                   Interval(F(10**20, 10**20 + 1), 1, False, True)):
+            parsed = Interval.from_json(iv.to_json())
+            assert parsed == iv and hash(parsed) == hash(iv) and repr(parsed) == repr(iv)
+            for copied in (copy.copy(parsed), copy.deepcopy(parsed),
+                           pickle.loads(pickle.dumps(parsed))):
+                assert copied == iv
+            with pytest.raises(AttributeError):
+                parsed.lo = F(0)
 
 class TestEval:
     def test_identity_at_half(self):
