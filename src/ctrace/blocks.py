@@ -18,6 +18,7 @@ from .pwcalc import (
     ONE,
     ZERO,
     Interval,
+    Record,
     StepFunction,
     is_lsc,
     json_int,
@@ -27,7 +28,7 @@ from .pwcalc import (
 
 
 @dataclass(frozen=True)
-class SpecialCheck:
+class SpecialCheck(Record):
     valid: bool
     reason: Union[str, None] = None
     witness: Union[Fraction, None] = None
@@ -103,7 +104,7 @@ def _indicator(opens: Sequence[Interval]) -> StepFunction:
 
 
 @dataclass(frozen=True)
-class NestedPresentation:
+class NestedPresentation(Record):
     """Nested-open-set presentation: n-1 open subsets with A_{i+1} <= A_i."""
 
     n: int
@@ -121,12 +122,6 @@ class NestedPresentation:
             if smaller != bigger and not le_pointwise(smaller, bigger):
                 raise ValueError("open sets are not nested")
         object.__setattr__(self, "opens", opens)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "opens": [[iv.to_json() for iv in s] for s in self.opens],
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "NestedPresentation":

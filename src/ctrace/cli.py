@@ -31,6 +31,8 @@ from .pwcalc import (
     function_from_json,
     json_bool,
     json_int,
+    json_list,
+    json_obj,
     le_pointwise,
     weighted_sup_norm,
 )
@@ -62,10 +64,6 @@ def _emit(line: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _opt_pair(x):
-    return None if x is None else frac_pair(x)
-
-
 def _load_payload(args):
     if args.infile and args.infile != "-":
         with open(args.infile, "r", encoding="utf-8") as fh:
@@ -83,7 +81,7 @@ def _group(payload):
     from .invariant import GroupModel
 
     # the pairing matrix may sit beside the group object or inside it
-    obj = dict(payload["group"])
+    obj = dict(json_obj(payload["group"], "group"))
     if "pairing" in payload:
         obj["pairing"] = payload["pairing"]
     return GroupModel.from_json(obj)
@@ -104,31 +102,21 @@ def _pw_le(payload, args):
     f = function_from_json(payload["f"])
     g = function_from_json(payload["g"])
     res = le_pointwise(f, g, strict=json_bool(payload.get("strict", False), "strict"))
-    out = {"holds": res.holds, "witness": _opt_pair(res.witness)}
-    return out, OK if res.holds else REFUTED
+    return res.to_json(), OK if res else REFUTED
 
 
 def _pw_norm(payload, args):
     res = weighted_sup_norm(
         PLFunction.from_json(payload["f"]), StepFunction.from_json(payload["w"])
     )
-    return {
-        "value": frac_pair(res.value),
-        "at": frac_pair(res.at),
-        "side": res.side,
-    }, OK
+    return res.to_json(), OK
 
 
 def _block_validate(payload, args):
     from .blocks import validate_special
 
-    check = validate_special(StepFunction.from_json(payload))
-    out = {
-        "valid": check.valid,
-        "reason": check.reason,
-        "witness": _opt_pair(check.witness),
-    }
-    return out, OK if check.valid else REFUTED
+    res = validate_special(StepFunction.from_json(payload))
+    return res.to_json(), OK if res else REFUTED
 
 
 def _block_from_nested(payload, args):
@@ -176,8 +164,7 @@ def _pattern_compat(payload, args):
         StepFunction.from_json(payload["d_B"]),
         slack=frac(payload.get("slack", 0)),
     )
-    out = {"holds": res.holds, "witness": _opt_pair(res.witness)}
-    return out, OK if res.holds else REFUTED
+    return res.to_json(), OK if res else REFUTED
 
 
 def _pattern_density(payload, args):
@@ -188,12 +175,7 @@ def _pattern_density(payload, args):
         _capped("d", json_int(payload["d"], "d"), MAX_BINS),
         frac(payload["delta"]),
     )
-    out = {
-        "holds": res.holds,
-        "witness_t": _opt_pair(res.witness_t),
-        "witness_bin": res.witness_bin,
-    }
-    return out, OK if res.holds else REFUTED
+    return res.to_json(), OK if res else REFUTED
 
 
 def _pattern_gap(payload, args):
@@ -214,7 +196,7 @@ def _pattern_chain(payload, args):
         ChainStage(EigenPattern.from_json(s["pattern"]), StepFunction.from_json(s["dim"]))
         for s in payload["stages"]
     ]
-    rep = verify_chain(
+    res = verify_chain(
         stages,
         EigenPattern.from_json(payload["tau"]),
         StepFunction.from_json(payload["d_target"]),
@@ -222,21 +204,13 @@ def _pattern_chain(payload, args):
         frac(payload["delta_1"]),
         frac(payload["eps_n"]),
     )
-    out = {
-        "verified": rep.verified,
-        "margin": _opt_pair(rep.margin),
-        "margin_at": _opt_pair(rep.margin_at),
-        "reason": rep.reason,
-        "witness": _opt_pair(rep.witness),
-        "stage_gaps": [g.to_json() for g in rep.stage_gaps],
-    }
-    return out, OK if rep.verified else REFUTED
+    return res.to_json(), OK if res else REFUTED
 
 
 def _pattern_uniqhyp(payload, args):
     from .patterns import EigenPattern, uniqueness_hypothesis_check
 
-    rep = uniqueness_hypothesis_check(
+    res = uniqueness_hypothesis_check(
         EigenPattern.from_json(payload["phi"]),
         EigenPattern.from_json(payload["psi"]),
         _capped("d", json_int(payload["d"], "d"), MAX_BINS),
@@ -244,14 +218,7 @@ def _pattern_uniqhyp(payload, args):
         StepFunction.from_json(payload["w_dom"]),
         StepFunction.from_json(payload["w_cod"]),
     )
-    out = {
-        "holds": rep.holds,
-        "density_ok": rep.density_ok,
-        "failing_ramp": rep.failing_ramp,
-        "lhs_norm": _opt_pair(rep.lhs_norm),
-        "rhs_bound": _opt_pair(rep.rhs_bound),
-    }
-    return out, OK if rep.holds else REFUTED
+    return res.to_json(), OK if res else REFUTED
 
 
 def _exist_fprime(payload, args):
@@ -305,7 +272,7 @@ def _invariant_eval(payload, args):
     from .invariant import TraceNormMap, ext_json, trace_norm_eval
 
     f = TraceNormMap.from_json(payload["f"])
-    value = trace_norm_eval(f, [frac(c) for c in payload["s"]])
+    value = trace_norm_eval(f, [frac(c) for c in json_list(payload["s"], "s")])
     return {"value": ext_json(value)}, OK
 
 
@@ -318,8 +285,7 @@ def _invariant_range(payload, args):
         frac(payload["x"]),
         require_positive=json_bool(payload.get("require_positive", True), "require_positive"),
     )
-    out = {"member": res.member, "failing_vertex": res.failing_vertex}
-    return out, OK if res.member else REFUTED
+    return res.to_json(), OK if res else REFUTED
 
 
 def _invariant_ai(payload, args):
@@ -338,18 +304,20 @@ def _invariant_decompose(payload, args):
 
     parts = lsc_decompose(
         TraceNormMap.from_json(payload["f"]),
-        [frac(c) for c in payload["caps"]],
+        [frac(c) for c in json_list(payload["caps"], "caps")],
     )
     return {"parts": [[frac_pair(v) for v in part] for part in parts]}, OK
 
 
 def _invariant_classify(payload, args):
-    from .invariant import classify_point, ext, ext_json
+    from .invariant import classify_point, ext_json, json_ext
 
     group = _group(payload)
     points = []
-    for xy in payload["points"]:
-        x, y = ext(xy[0]), ext(xy[1])
+    for xy in json_list(payload["points"], "points"):
+        if len(json_list(xy, "each entry of points")) != 2:
+            raise ValueError(f"each entry of points must have two coordinates, not {len(xy)}")
+        x, y = (json_ext(c, "points") for c in xy)
         points.append((x, y, classify_point((x, y), group).value))
     if args.plot:
         args.plot.writelines(f"{x} {y} {cls}\n" for x, y, cls in points)
@@ -452,7 +420,7 @@ def _run(handler, payload, args) -> tuple:
         result, code = {
             "error": "infeasible",
             "message": str(exc),
-            "witness": _opt_pair(getattr(exc, "witness", None)),
+            "witness": None if exc.witness is None else frac_pair(exc.witness),
         }, INFEASIBLE
     return _dumps(result), code
 

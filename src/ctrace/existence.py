@@ -33,6 +33,7 @@ from .patterns import EigenPattern, apply_difference, check_compat, push_dimensi
 from .pwcalc import (
     ONE,
     PLFunction,
+    Record,
     StepFunction,
     ZERO,
     compose_pl,
@@ -145,13 +146,10 @@ def squash_map(d: StepFunction, delta) -> PLFunction:
 
 
 @dataclass(frozen=True)
-class EigenFact:
+class EigenFact(Record):
     """Per-eigenfunction certificate entry: the exact sup distance."""
 
     sup_distance: Fraction
-
-    def to_json(self) -> dict:
-        return {"sup_distance": frac_pair(self.sup_distance)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "EigenFact":
@@ -159,14 +157,11 @@ class EigenFact:
 
 
 @dataclass(frozen=True)
-class ElementFact:
+class ElementFact(Record):
     """Per-test-element certificate entry: deviation and allowed bound."""
 
     deviation: Fraction
     bound: Fraction
-
-    def to_json(self) -> dict:
-        return {"deviation": frac_pair(self.deviation), "bound": frac_pair(self.bound)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ElementFact":
@@ -330,14 +325,14 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
 
 
 @dataclass(frozen=True)
-class CheckItem:
+class CheckItem(Record):
     name: str
     ok: bool
     detail: str = ""
 
 
 @dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(Record):
     ok: bool
     items: tuple
 
@@ -346,14 +341,6 @@ class CertificateCheck:
 
     def failures(self) -> list:
         return [i for i in self.items if not i.ok]
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "items": [
-                {"name": i.name, "ok": i.ok, "detail": i.detail} for i in self.items
-            ],
-        }
 
 
 def verify_certificate(cert: PerturbationCertificate) -> CertificateCheck:

@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .pwcalc import frac, frac_pair, json_int
+from .pwcalc import Record, frac, frac_pair, json_int, json_list
 
 INF = math.inf
 
@@ -37,6 +37,14 @@ def ext(x) -> ExtRational:
     return frac(x)
 
 
+def json_ext(x, what: str) -> ExtRational:
+    """:func:`ext` of a JSON value, where only the 'inf' token is infinite:
+    a float (JSON reads 1e400 as one) is a schema error."""
+    if isinstance(x, float):
+        raise TypeError(f"{what} must hold rationals or 'inf', not the float {x!r}")
+    return ext(x)
+
+
 def ext_json(x: ExtRational):
     return "inf" if x == INF else frac_pair(x)
 
@@ -46,7 +54,7 @@ def is_finite(x: ExtRational) -> bool:
 
 
 @dataclass(frozen=True)
-class SimplexModel:
+class SimplexModel(Record):
     """Base of the trace cone with k extreme points."""
 
     k: int
@@ -65,9 +73,6 @@ class SimplexModel:
             raise ValueError("barycentric coordinates must sum to 1")
         return coords
 
-    def to_json(self) -> dict:
-        return {"k": self.k}
-
     @classmethod
     def from_json(cls, obj: dict) -> "SimplexModel":
         return cls(json_int(obj["k"], "k"))
@@ -81,12 +86,16 @@ class TraceNormMap:
     vertex_values: tuple
 
     def __post_init__(self):
-        vals = tuple(ext(v) for v in self.vertex_values)
+        self._store(tuple(ext(v) for v in self.vertex_values))
+
+    def _store(self, vals: tuple) -> "TraceNormMap":
+        """Check and store coerced vertex values; returns ``self``."""
         if not vals:
             raise ValueError("need at least one vertex value")
         if any(is_finite(v) and v <= 0 for v in vals):
             raise ValueError("vertex values must be strictly positive")
-        object.__setattr__(self, "vertex_values", vals)
+        vars(self).update(vertex_values=vals)
+        return self
 
     @property
     def k(self) -> int:
@@ -101,7 +110,8 @@ class TraceNormMap:
 
     @classmethod
     def from_json(cls, obj: Sequence) -> "TraceNormMap":
-        return cls(tuple(ext(v) for v in obj))
+        # payloads call the map f
+        return object.__new__(cls)._store(tuple(json_ext(v, "f") for v in json_list(obj, "f")))
 
 
 def trace_norm_eval(f: TraceNormMap, s: Sequence) -> ExtRational:
@@ -136,21 +146,22 @@ class GroupModel:
     q: Union[Fraction, None] = None
 
     def __post_init__(self):
-        kind = GroupKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        rates = tuple(frac(r) for r in self.rates)
+        self._store(GroupKind(self.kind), tuple(frac(r) for r in self.rates), self.q)
+
+    def _store(self, kind: GroupKind, rates: tuple, q) -> "GroupModel":
+        """Check and store a kind, coerced rates and a scale; returns ``self``."""
         if not rates:
             raise ValueError("need at least one state rate")
-        object.__setattr__(self, "rates", rates)
         if kind is GroupKind.SCALED_INTEGERS:
-            if self.q is None:
+            if q is None:
                 raise ValueError("scaled-integer groups need a scale q")
-            q = frac(self.q)
+            q = frac(q)
             if q <= 0:
                 raise ValueError("scale q must be positive")
-            object.__setattr__(self, "q", q)
         else:
-            object.__setattr__(self, "q", None)
+            q = None
+        vars(self).update(kind=kind, rates=rates, q=q)
+        return self
 
     @property
     def k(self) -> int:
@@ -175,20 +186,18 @@ class GroupModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupModel":
-        pairing = obj["pairing"]
         rates = []
-        for row in pairing:
+        for row in json_list(obj["pairing"], "pairing"):
             if isinstance(row, (list, tuple)) and row and isinstance(row[0], (list, tuple)):
                 if len(row) != 1:
                     raise ValueError("pairing rows must have exactly one generator column")
-                rates.append(frac(row[0]))
-            else:
-                rates.append(frac(row))
-        return cls(GroupKind(obj["kind"]), tuple(rates), obj.get("q"))
+                row = row[0]
+            rates.append(frac(row))
+        return object.__new__(cls)._store(GroupKind(obj["kind"]), tuple(rates), obj.get("q"))
 
 
 @dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(Record):
     member: bool
     failing_vertex: Union[int, None] = None
 
@@ -257,14 +266,8 @@ class AiReport:
 
 def _range_bound(group: GroupModel, f: TraceNormMap) -> ExtRational:
     """sup of the set {x : rate_j * x < f_j for all j} (infinity if unconstrained)."""
-    bound = INF
-    for j in range(group.k):
-        fj = f.vertex_values[j]
-        if is_finite(fj):
-            ratio = fj / group.rates[j]
-            if bound == INF or ratio < bound:
-                bound = ratio
-    return bound
+    return min((fj / r for fj, r in zip(f.vertex_values, group.rates) if is_finite(fj)),
+               default=INF)
 
 
 def ai_criterion(group: GroupModel, simplex: SimplexModel,
@@ -283,21 +286,14 @@ def ai_criterion(group: GroupModel, simplex: SimplexModel,
             AiVerdict.NOT_DECIDABLE,
             reason="no order unit: some state rate is not strictly positive",
         )
-    bound = _range_bound(group, f)
-    checks = []
-    for j in range(group.k):
-        fj = f.vertex_values[j]
-        if bound == INF:
-            sup = INF
-        elif group.kind is GroupKind.DENSE_RATIONALS:
-            sup = group.rates[j] * bound
-        else:
-            n = bound / group.q
-            best = (n - 1) if n.denominator == 1 else Fraction(math.floor(n))
-            sup = group.rates[j] * group.q * best
-        checks.append(VertexCheck(fj, sup, sup == fj))
+    top = _range_bound(group, f)
+    if top != INF and group.kind is GroupKind.SCALED_INTEGERS:
+        # the largest element of q*Z strictly below the bound
+        top = group.q * (math.ceil(top / group.q) - 1)
+    sups = [INF if top == INF else r * top for r in group.rates]
+    checks = tuple(VertexCheck(fj, sup, sup == fj) for fj, sup in zip(f.vertex_values, sups))
     verdict = AiVerdict.AI if all(c.equal for c in checks) else AiVerdict.NOT_AI
-    return AiReport(verdict, tuple(checks))
+    return AiReport(verdict, checks)
 
 
 def lsc_decompose(f: TraceNormMap, caps: Sequence) -> list:

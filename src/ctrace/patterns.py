@@ -29,12 +29,12 @@ from .pwcalc import (
     LeResult,
     ONE,
     PLFunction,
+    Record,
     StepFunction,
     ZERO,
     compose_pl,
     compose_step_pl,
     frac,
-    frac_pair,
     inf_difference,
     le_pointwise,
     linear_combine,
@@ -45,7 +45,7 @@ from .pwcalc import (
 
 
 @dataclass(frozen=True)
-class EigenPattern:
+class EigenPattern(Record):
     """A nonempty multiset of eigenfunctions [0,1] -> [0,1]."""
 
     eigenfunctions: tuple
@@ -73,9 +73,6 @@ class EigenPattern:
     @classmethod
     def identities(cls, m: int) -> "EigenPattern":
         return cls(tuple(PLFunction.identity() for _ in range(m)))
-
-    def to_json(self) -> dict:
-        return {"eigenfunctions": [f.to_json() for f in self.eigenfunctions]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "EigenPattern":
@@ -128,7 +125,7 @@ def check_compat(pattern: EigenPattern, f: PLFunction, d_target: StepFunction,
 
 
 @dataclass(frozen=True)
-class DensityResult:
+class DensityResult(Record):
     holds: bool
     witness_t: Union[Fraction, None] = None
     witness_bin: Union[int, None] = None
@@ -205,7 +202,7 @@ def ramp_functions(d: int) -> list:
 
 
 @dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(Record):
     holds: bool
     density_ok: bool
     failing_ramp: Union[int, None] = None
@@ -242,7 +239,7 @@ def uniqueness_hypothesis_check(phi: EigenPattern, psi: EigenPattern, d: int,
 
 
 @dataclass(frozen=True)
-class GapReport:
+class GapReport(Record):
     """Exact infimum of target minus pushed-source, with its witness."""
 
     gap: Fraction
@@ -252,13 +249,6 @@ class GapReport:
     @property
     def satisfied(self) -> bool:
         return self.gap > 0
-
-    def to_json(self) -> dict:
-        return {
-            "gap": frac_pair(self.gap),
-            "at": frac_pair(self.at),
-            "attained": self.attained,
-        }
 
 
 def compute_gap(pattern: EigenPattern, d_src: StepFunction,
@@ -279,7 +269,7 @@ class ChainStage:
 
 
 @dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Record):
     verified: bool
     margin: Union[Fraction, None] = None
     margin_at: Union[Fraction, None] = None
@@ -295,9 +285,10 @@ def verify_chain(stages: Sequence, tau: EigenPattern, d_target: StepFunction,
                  f: PLFunction, delta_1, eps_n) -> ChainReport:
     """Push f through the chain and certify the strict target inequality.
 
-    ``stages`` lists (pattern, source dimension function) pairs for the
-    horizontal maps, in order; ``tau`` is the final map into the algebra
-    with dimension function ``d_target``.  Patterns apply in normalized
+    ``stages`` lists the :class:`ChainStage` of each horizontal map, in
+    order: its pattern and its source algebra's dimension function;
+    ``tau`` is the final map into the algebra with dimension function
+    ``d_target``.  Patterns apply in normalized
     (constant-preserving) form, so adding a constant commutes with the
     chain.  Verifies exactly: every consecutive-stage gap exceeds
     delta_1; the pushed function plus delta_1 stays strictly below the
@@ -305,7 +296,6 @@ def verify_chain(stages: Sequence, tau: EigenPattern, d_target: StepFunction,
     function stays strictly below the target.  Returns the minimal
     residual margin between target and pushed function.
     """
-    stages = [s if isinstance(s, ChainStage) else ChainStage(*s) for s in stages]
     if not stages:
         raise PreconditionFailed("chain needs at least one stage")
     delta_1, eps_n = frac(delta_1), frac(eps_n)

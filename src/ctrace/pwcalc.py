@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -81,13 +81,43 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def json_list(x, what: str) -> list:
+    """``x`` if it is a JSON array; a string or an object is a schema error."""
+    if not isinstance(x, (list, tuple)):
+        raise TypeError(f"{what} must be a JSON array, not {type(x).__name__}")
+    return x
+
+
 def frac_pair(x: Fraction) -> list:
     """Encode a Fraction as a reduced [numerator, denominator] pair."""
     return [x.numerator, x.denominator]
 
 
+def _json_value(x):
+    if isinstance(x, Fraction):
+        return frac_pair(x)
+    if isinstance(x, (list, tuple)):
+        return [_json_value(v) for v in x]
+    if hasattr(x, "to_json"):
+        return x.to_json()
+    return x
+
+
+class Record:
+    """A dataclass whose JSON form is its fields, by name.
+
+    A ``Fraction`` becomes a ``[num, den]`` pair, a tuple or list an
+    array, anything with a ``to_json`` its own form, and everything else
+    (booleans, integers, strings, ``None``) stays as it is.  The field
+    names are the JSON keys, so a field added to a record reaches stdout.
+    """
+
+    def to_json(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A nonempty rational subinterval of [0,1] with endpoint flags.
 
     Degenerate single-point intervals are allowed and must be closed on
@@ -129,14 +159,6 @@ class Interval:
         if self.is_point:
             return self.lo
         return (self.lo + self.hi) / 2
-
-    def to_json(self) -> dict:
-        return {
-            "lo": frac_pair(self.lo),
-            "hi": frac_pair(self.hi),
-            "lo_closed": self.lo_closed,
-            "hi_closed": self.hi_closed,
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "Interval":
@@ -609,7 +631,7 @@ def refine(*fns: PiecewiseFunction) -> tuple:
 
 
 @dataclass(frozen=True)
-class LeResult:
+class LeResult(Record):
     holds: bool
     witness: Union[Fraction, None] = None
 
@@ -663,7 +685,7 @@ BELOW = "below"   # one-sided limit approaching the point from below
 
 
 @dataclass(frozen=True)
-class Extremum:
+class Extremum(Record):
     value: Fraction
     at: Fraction
     side: str

@@ -25,6 +25,7 @@ from ctrace.pwcalc import (
     PLFunction,
     StepFunction,
     ZERO,
+    frac_pair,
     merged_points,
 )
 
@@ -1168,3 +1169,103 @@ def wide_step_functions(draw):
     open_vals = draw(st.lists(values, min_size=len(pts) - 1, max_size=len(pts) - 1))
     point_vals = draw(st.lists(values, min_size=len(pts), max_size=len(pts)))
     return StepFunction.from_profile(pts, point_vals, open_vals)
+
+
+# ---------------------------------------------------------------------------
+# hand-written JSON forms of the result records
+# ---------------------------------------------------------------------------
+#
+# A result record's ``to_json`` now comes from ``pwcalc.Record``: its
+# dataclass fields by name.  These are the forms it replaced, written out
+# key by key as the CLI handlers and the records' own ``to_json`` methods
+# wrote them.
+
+
+def _ref_opt_pair(x):
+    return None if x is None else frac_pair(x)
+
+
+def ref_le_result_json(res) -> dict:
+    return {"holds": res.holds, "witness": _ref_opt_pair(res.witness)}
+
+
+def ref_extremum_json(res) -> dict:
+    return {"value": frac_pair(res.value), "at": frac_pair(res.at), "side": res.side}
+
+
+def ref_interval_json(iv) -> dict:
+    return {
+        "lo": frac_pair(iv.lo),
+        "hi": frac_pair(iv.hi),
+        "lo_closed": iv.lo_closed,
+        "hi_closed": iv.hi_closed,
+    }
+
+
+def ref_special_check_json(check) -> dict:
+    return {"valid": check.valid, "reason": check.reason, "witness": _ref_opt_pair(check.witness)}
+
+
+def ref_nested_json(p) -> dict:
+    return {"n": p.n, "opens": [[ref_interval_json(iv) for iv in s] for s in p.opens]}
+
+
+def ref_pattern_json(p) -> dict:
+    return {"eigenfunctions": [f.to_json() for f in p.eigenfunctions]}
+
+
+def ref_density_json(res) -> dict:
+    return {
+        "holds": res.holds,
+        "witness_t": _ref_opt_pair(res.witness_t),
+        "witness_bin": res.witness_bin,
+    }
+
+
+def ref_uniqueness_json(rep) -> dict:
+    return {
+        "holds": rep.holds,
+        "density_ok": rep.density_ok,
+        "failing_ramp": rep.failing_ramp,
+        "lhs_norm": _ref_opt_pair(rep.lhs_norm),
+        "rhs_bound": _ref_opt_pair(rep.rhs_bound),
+    }
+
+
+def ref_gap_json(rep) -> dict:
+    return {"gap": frac_pair(rep.gap), "at": frac_pair(rep.at), "attained": rep.attained}
+
+
+def ref_chain_json(rep) -> dict:
+    return {
+        "verified": rep.verified,
+        "margin": _ref_opt_pair(rep.margin),
+        "margin_at": _ref_opt_pair(rep.margin_at),
+        "reason": rep.reason,
+        "witness": _ref_opt_pair(rep.witness),
+        "stage_gaps": [ref_gap_json(g) for g in rep.stage_gaps],
+    }
+
+
+def ref_eigen_fact_json(e) -> dict:
+    return {"sup_distance": frac_pair(e.sup_distance)}
+
+
+def ref_element_fact_json(e) -> dict:
+    return {"deviation": frac_pair(e.deviation), "bound": frac_pair(e.bound)}
+
+
+def ref_check_item_json(i) -> dict:
+    return {"name": i.name, "ok": i.ok, "detail": i.detail}
+
+
+def ref_certificate_check_json(check) -> dict:
+    return {"ok": check.ok, "items": [ref_check_item_json(i) for i in check.items]}
+
+
+def ref_simplex_json(s) -> dict:
+    return {"k": s.k}
+
+
+def ref_membership_json(res) -> dict:
+    return {"member": res.member, "failing_vertex": res.failing_vertex}

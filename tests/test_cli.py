@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -804,3 +805,39 @@ class TestPayloadShapes:
              "d_B": StepFunction.constant(2).to_json(), "slack": [0, 1]}, tmp_path,
         )
         assert code == 0
+
+
+GROUP = {"kind": "qZ", "q": [1, 2], "pairing": [[[1, 1]], [[3, 2]]]}
+
+
+class TestInvariantArraysAndInfinity:
+    """A string where an array belongs, a float where a rational or "inf"
+    belongs, or a point without exactly two coordinates is a schema error
+    that names its field; none is read as something else."""
+
+    @pytest.mark.parametrize("sub, payload, field", [
+        ("eval", {"f": "12", "s": [0, 1]}, "f"),
+        ("eval", {"f": [[5, 2], "inf"], "s": "12"}, "s"),
+        ("decompose", {"f": [[5, 2], "inf"], "caps": "12"}, "caps"),
+        ("range", {"group": {"kind": "Q"}, "pairing": "12", "f": [[5, 2], [9, 2]],
+                   "x": [1, 1]}, "pairing"),
+        ("ai", '{"group":{"kind":"Q","pairing":[1]},"simplex":{"k":1},"f":[1e400]}', "f"),
+        ("classify", '{"group":{"kind":"Q","pairing":[1,1]},"points":[[1e400,2]]}', "points"),
+        ("classify", {"group": GROUP, "points": [[1, 1, 7]]}, "points"),
+        ("classify", {"group": GROUP, "points": [[1]]}, "points"),
+        ("classify", {"group": GROUP, "points": "12"}, "points"),
+        ("classify", {"group": GROUP, "points": ["12"]}, "points"),
+        ("classify", {"group": [["kind", "Q"], ["pairing", [1, 1]]], "points": [[1, 1]]},
+         "group"),
+    ])
+    def test_refused_naming_the_field(self, capsys, tmp_path, sub, payload, field):
+        code, out, err = run(capsys, ["invariant", sub], payload, tmp_path)
+        assert code == BAD_INPUT
+        assert out == ""
+        assert re.search(rf"\b{field}\b", err), err
+
+    def test_inf_token_still_reads_as_infinity(self, capsys, tmp_path):
+        payload = {"group": GROUP, "points": [["inf", [2, 1]], [" Infinity ", 3]]}
+        code, out, _ = run(capsys, ["invariant", "classify"], payload, tmp_path)
+        assert code == 0
+        assert [p["x"] for p in json.loads(out)["points"]] == ["inf", "inf"]

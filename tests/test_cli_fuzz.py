@@ -12,6 +12,7 @@ holds what it gives alone, and the worst exit code wins.
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import sys
@@ -186,6 +187,42 @@ def valid_run(argv):
 def test_every_payload_handler_is_fuzzed():
     assert set(PAYLOADS) == {key for key, (_, reads) in _HANDLERS.items() if reads}
     assert len(PAYLOADS) == 23
+
+
+# Exit code and sha256 prefix of each valid payload's stdout, as printed
+# when every handler still wrote its result's keys out by hand: the bytes
+# must not move.
+STDOUT_DIGESTS = {
+    ("block", "from-nested"): (0, "1dde6384c015afc8"),
+    ("block", "to-nested"): (0, "adfc7affa9eb0b0b"),
+    ("block", "validate"): (0, "293a1dc9ce158f53"),
+    ("exist", "fprime"): (0, "5a026ede8f781383"),
+    ("exist", "perturb"): (0, "e94e349acfdfc111"),
+    ("exist", "verify"): (0, "185d969339ec7583"),
+    ("invariant", "ai"): (1, "13ec621f9052c9a1"),
+    ("invariant", "classify"): (0, "646e94a6ad2d1ff2"),
+    ("invariant", "decompose"): (0, "de51cdabb87eb2ec"),
+    ("invariant", "eval"): (0, "8e9dba8cfa107b9f"),
+    ("invariant", "range"): (0, "42045c324bf14e7e"),
+    ("pattern", "apply"): (0, "74560478f60045ec"),
+    ("pattern", "chain"): (0, "0a18faea86548c65"),
+    ("pattern", "compat"): (0, "1cd6a9b905e2cea2"),
+    ("pattern", "density"): (0, "32fdb7d4822e5af5"),
+    ("pattern", "gap"): (0, "c5a9ebaab9e41665"),
+    ("pattern", "push"): (0, "64c2ddae4c718a1c"),
+    ("pattern", "uniqhyp"): (0, "59d3a66ceac87990"),
+    ("pw", "eval"): (0, "d514f911277d4ff8"),
+    ("pw", "le"): (0, "1cd6a9b905e2cea2"),
+    ("pw", "norm"): (0, "0a02a372c660c48f"),
+    ("unitary", "patch"): (0, "fb25869a18677468"),
+    ("unitary", "validate"): (0, "aade40de90f58b78"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PAYLOADS), ids="-".join)
+def test_valid_payload_stdout_is_pinned(argv):
+    code, out, _ = call(argv, json.dumps(PAYLOADS[argv]))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == STDOUT_DIGESTS[argv], out
 
 
 @pytest.mark.parametrize("argv", sorted(PAYLOADS), ids="-".join)

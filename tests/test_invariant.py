@@ -1,12 +1,15 @@
 """Invariant-range models: trace-norm maps, range membership, AI criterion."""
 
+import functools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctrace import invariant
 from ctrace.invariant import (
     INF,
     AiVerdict,
@@ -18,6 +21,7 @@ from ctrace.invariant import (
     ai_criterion,
     classify_point,
     dimension_range_membership,
+    ext,
     lsc_decompose,
     trace_norm_eval,
 )
@@ -258,3 +262,34 @@ class TestJson:
     def test_trace_norm_round_trip(self):
         f = TraceNormMap((F(5, 2), "inf"))
         assert TraceNormMap.from_json(f.to_json()) == f
+
+    def test_json_reads_only_the_inf_token_as_infinite(self):
+        assert TraceNormMap.from_json(["inf", [1, 2]]).vertex_values == (INF, F(1, 2))
+        # JSON reads 1e400 as a float infinity
+        with pytest.raises(TypeError, match="f must hold rationals or 'inf', not the float inf"):
+            TraceNormMap.from_json([math.inf])
+        # the library still takes a float infinity
+        assert ext(math.inf) == INF
+        assert TraceNormMap((math.inf, 2)).vertex_values == (INF, F(2))
+
+    def test_json_arrays_must_be_arrays(self):
+        with pytest.raises(TypeError, match="f must be a JSON array, not str"):
+            TraceNormMap.from_json("12")
+        with pytest.raises(TypeError, match="pairing must be a JSON array, not str"):
+            GroupModel.from_json({"kind": "Q", "pairing": "12"})
+
+    def test_from_json_coerces_each_value_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("ext", "frac"):
+            real = getattr(invariant, name)
+            monkeypatch.setattr(invariant, name, functools.partial(_counted, calls, name, real))
+        TraceNormMap.from_json([[5, 2], "inf", "3"])
+        assert calls == {"ext": 3, "frac": 2}
+        calls.clear()
+        GroupModel.from_json({"kind": "qZ", "q": [1, 2], "pairing": [[[1, 1]], [3, 2]]})
+        assert calls == {"frac": 3}
+
+
+def _counted(calls, name, real, x):
+    calls[name] += 1
+    return real(x)

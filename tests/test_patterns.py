@@ -517,6 +517,18 @@ class TestVerifyChain:
         assert rep.verified
         assert rep.margin == 2
 
+    def test_stages_are_chain_stages(self):
+        # the (pattern, dim) tuple form is gone
+        with pytest.raises(AttributeError):
+            verify_chain(
+                [(EigenPattern.identities(1), StepFunction.constant(3))],
+                EigenPattern.identities(1),
+                StepFunction.constant(3),
+                PLFunction.constant(1),
+                delta_1=1,
+                eps_n=F(1, 2),
+            )
+
     def test_eps_exceeding_delta_is_a_precondition_error(self):
         with pytest.raises(PreconditionFailed):
             verify_chain(

@@ -25,6 +25,7 @@ from ctrace.pwcalc import (
     function_from_json,
     inf_difference,
     is_lsc,
+    json_list,
     json_obj,
     le_pointwise,
     linear_combine,
@@ -131,6 +132,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not an integer or a/b rational") as info:
             frac(x)
         assert repr(x) in str(info.value)
+
+    @pytest.mark.parametrize("x", ["12", {"0": 1}, 5, None])
+    def test_json_list_refuses_non_arrays(self, x):
+        with pytest.raises(TypeError, match=f"caps must be a JSON array, not {type(x).__name__}"):
+            json_list(x, "caps")
+        assert json_list([1, "2"], "caps") == [1, "2"]
 
     @pytest.mark.parametrize("x", [[1, 2], 5, "pl", None])
     def test_json_obj_refuses_non_objects(self, x):
