@@ -48,7 +48,7 @@ def validate_special(d: StepFunction) -> SpecialCheck:
     lsc = is_lsc(d)
     if not lsc:
         return SpecialCheck(False, "not lower semicontinuous", lsc.witness)
-    if all(v.denominator == 1 and v.numerator >= 1 for v in d.point_values + d.open_values):
+    if all(den == 1 and num >= 1 for num, den in d._vals + d._opens):
         return SpecialCheck(True)
     # the pieces carry the same values; the first failing one gives the witness
     p = next(p for p in d.pieces if p.value.denominator != 1 or p.value < 1)

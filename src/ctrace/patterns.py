@@ -39,8 +39,8 @@ from .pwcalc import (
     le_pointwise,
     linear_combine,
     linear_combine_steps,
-    merged_points,
     weighted_sup_norm,
+    _merge,
 )
 
 
@@ -139,14 +139,14 @@ def _lazy_at_points(push: StepFunction, pos) -> Iterator:
     at positions ``pos``: each own point's value, then its cell's value
     up to the next own point."""
     runs = (chain((v,), repeat(cell, b - a - 1))
-            for v, cell, a, b in zip(push.point_values, push.open_values, pos, pos[1:]))
-    return chain(chain.from_iterable(runs), push.point_values[-1:])
+            for v, cell, a, b in zip(push._vals, push._opens, pos, pos[1:]))
+    return chain(chain.from_iterable(runs), push._vals[-1:])
 
 
 def _lazy_on_cells(push: StepFunction, pos) -> Iterator:
     """``push``'s values on the merged cells, where its own points sit at
     positions ``pos``."""
-    return chain.from_iterable(map(repeat, push.open_values, map(sub, pos[1:], pos)))
+    return chain.from_iterable(map(repeat, push._opens, map(sub, pos[1:], pos)))
 
 
 def density_check(pattern: EigenPattern, d: int, delta) -> DensityResult:
@@ -170,19 +170,19 @@ def density_check(pattern: EigenPattern, d: int, delta) -> DensityResult:
     counts = pattern.counts
     pushes = [compose_step_pl(slots, lam) for lam in counts]
     # the eigenfunctions' own breakpoints stay samples, where witnesses lie
-    pts, own = merged_points(*pushes, *counts)
-    # each push's slots at the points, then on the cells, read lazily so
-    # that a check failing early walks few of them
+    pts, own = _merge(*pushes, *counts)
+    # each push's slots, as integer pairs, at the points, then on the
+    # cells, read lazily so that a check failing early walks few of them
     at = zip(*map(_lazy_at_points, pushes, own))
     on_cells = zip(*map(_lazy_on_cells, pushes, own))
-    midpoints = ((a + b) / 2 for a, b in zip(pts, pts[1:]))
+    midpoints = ((an * bd + bn * ad, 2 * ad * bd) for (an, ad), (bn, bd) in zip(pts, pts[1:]))
     for t, row in chain(zip(pts, at), zip(midpoints, on_cells)):
         tally = [0] * (2 * d + 1)
-        for slot, n in zip(row, counts.values()):
-            tally[slot.numerator] += n
+        for (slot, _), n in zip(row, counts.values()):
+            tally[slot] += n
         for j in range(d):
             if sum(tally[2 * j: 2 * j + 3]) < needed:
-                return DensityResult(False, t, j)
+                return DensityResult(False, Fraction(*t), j)
     return DensityResult(True)
 
 

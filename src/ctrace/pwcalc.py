@@ -1,9 +1,11 @@
 """Exact calculus of piecewise-linear and step functions on [0,1].
 
-All coordinates and values are arbitrary-precision rationals
-(:class:`fractions.Fraction`); floats appear in this module only as
-order keys with an exact fallback on ties (:func:`_keyed`), never as
-values.  Operations are pure and return canonical representations:
+A function stores its rational coordinates as reduced integer ``(num,
+den)`` pairs, den > 0, and the kernels pass each other such pairs, left
+unreduced where the next loop only sums or compares them; a
+:class:`fractions.Fraction` is built only for what a caller reads.
+Floats appear only as order keys with an exact fallback on ties.
+Operations are pure and return canonical representations:
 collinear interior breakpoints and equal-valued adjacent step pieces are
 always merged, so ``==`` between two values is equality as functions on
 [0,1].  A step function is stored as its profile: its values at its
@@ -20,8 +22,10 @@ the endpoint it is approached from.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import re
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -36,19 +40,12 @@ _RATIONAL_STR = re.compile(r"\s*[-+]?\d+(?:/\d+)?\s*")
 
 def frac(x) -> Fraction:
     """Coerce ``x`` (Fraction, int, 'a/b' string, or [num, den] integer pair) to a Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool):
-        raise TypeError("booleans are not rationals")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        if not _RATIONAL_STR.fullmatch(x):
-            raise ValueError(f"{x!r} is not an integer or a/b rational")
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
+    return x if isinstance(x, Fraction) else Fraction(*_reduced(x))
+
+
+def _reduced(x) -> tuple:
+    """The reduced terms ``(num, den)``, den > 0, of what :func:`frac` reads."""
+    # pairs first: a Fraction check of anything else takes the slow ABC path
     if isinstance(x, (list, tuple)) and len(x) == 2:
         num, den = x
         if isinstance(num, bool) or isinstance(den, bool) or not (
@@ -56,7 +53,22 @@ def frac(x) -> Fraction:
             raise TypeError(f"a [num, den] pair needs two integers, not {x!r}")
         if den == 0:
             raise ValueError(f"zero denominator in {x!r}")
-        return Fraction(num, den)
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        return num // g, den // g
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, bool):
+        raise TypeError("booleans are not rationals")
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, str):
+        if not _RATIONAL_STR.fullmatch(x):
+            raise ValueError(f"{x!r} is not an integer or a/b rational")
+        try:
+            x = Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+        return x.numerator, x.denominator
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
@@ -113,7 +125,12 @@ class Record:
     """
 
     def to_json(self) -> dict:
-        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+        return {name: _json_value(getattr(self, name)) for name in _field_names(type(self))}
+
+
+@functools.cache
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass(frozen=True)
@@ -134,25 +151,17 @@ class Interval(Record):
 
     def _store(self, lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> "Interval":
         """Check and store Fraction ends and their flags; returns ``self``."""
-        if lo > hi:
+        order = lo.numerator * hi.denominator - hi.numerator * lo.denominator
+        if order > 0:
             raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-        if lo == hi and not (lo_closed and hi_closed):
+        if order == 0 and not (lo_closed and hi_closed):
             raise ValueError("a single-point interval must be closed on both sides")
         vars(self).update(lo=lo, hi=hi, lo_closed=lo_closed, hi_closed=hi_closed)
         return self
 
     @property
     def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    def contains(self, t: Fraction) -> bool:
-        if t < self.lo or t > self.hi:
-            return False
-        if t == self.lo and not self.lo_closed:
-            return False
-        if t == self.hi and not self.hi_closed:
-            return False
-        return True
+        return (self.lo.numerator, self.lo.denominator) == (self.hi.numerator, self.hi.denominator)
 
     def sample(self) -> Fraction:
         """A point guaranteed to lie in the interval."""
@@ -179,8 +188,58 @@ class Piece:
         object.__setattr__(self, "value", frac(self.value))
 
 
-@dataclass(frozen=True, init=False)
-class StepFunction:
+def _term_hash(n: int, d: int) -> int:
+    """``hash(Fraction(n, d))`` of reduced terms, by Python's rule for rationals."""
+    m = sys.hash_info.modulus
+    h = abs(n) * pow(d, -1, m) % m if d % m else sys.hash_info.inf
+    h = -h if n < 0 else h
+    return -2 if h == -1 else h
+
+
+class _Stored:
+    """A function stored as reduced pairs: ``_stored`` names the attributes
+    holding the terms of the dataclass fields ``_public``, whose tuples of
+    Fractions are built on first read.  Equality, the hash (the Fraction
+    tuples' hash) and ``eval`` read the terms, so they build no such tuple."""
+
+    _public: tuple
+    _stored: tuple
+
+    def __getattr__(self, name):
+        # reached only for a missing attribute: a public tuple not built yet
+        try:
+            terms = vars(self)[self._stored[self._public.index(name)]]
+        except (ValueError, KeyError):
+            raise AttributeError(name) from None
+        vars(self)[name] = out = tuple(Fraction(n, d) for n, d in terms)
+        return out
+
+    @classmethod
+    def _from_kernel(cls, *terms):
+        """Build from a valid profile of reduced pairs a kernel made."""
+        self = object.__new__(cls)
+        self._store(*terms)
+        return self
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        own, theirs = vars(self), vars(other)
+        h = own.get("_hash")  # unequal cached hashes settle it
+        return (h is None or theirs.get("_hash", h) == h) and all(
+            own[s] == theirs[s] for s in self._stored)
+
+    def __hash__(self):
+        # once: patterns count their eigenfunctions often
+        own = vars(self)
+        if "_hash" not in own:
+            own["_hash"] = hash(tuple(tuple(_term_hash(n, d) for n, d in own[s])
+                                      for s in self._stored))
+        return own["_hash"]
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class StepFunction(_Stored):
     """A finite-piece function on [0,1], stored as its profile.
 
     ``points`` runs strictly increasing from 0 to 1; ``point_values[i]``
@@ -195,20 +254,22 @@ class StepFunction:
     points: tuple
     point_values: tuple
     open_values: tuple
+    _public, _stored = ("points", "point_values", "open_values"), ("_pts", "_vals", "_opens")
 
     def __init__(self, pieces):
         pieces = [(p.interval, p.value) if isinstance(p, Piece) else (p[0], frac(p[1]))
                   for p in pieces]
         if not pieces:
             raise ValueError("a step function needs at least one piece")
-        pieces.sort(key=lambda p: (p[0].lo, not p[0].lo_closed))
+        # float keys, exact on equal floats; reduced Fractions have equal terms when equal
+        pieces.sort(key=lambda p: (float(p[0].lo), p[0].lo, not p[0].lo_closed))
         first, last = pieces[0][0], pieces[-1][0]
-        if first.lo != ZERO or not first.lo_closed:
+        if first.lo.numerator != 0 or not first.lo_closed:
             raise ValueError("pieces must start at 0 (closed)")
-        if last.hi != ONE or not last.hi_closed:
+        if last.hi.numerator != 1 or last.hi.denominator != 1 or not last.hi_closed:
             raise ValueError("pieces must end at 1 (closed)")
         for (cur, _), (nxt, _) in zip(pieces, pieces[1:]):
-            if cur.hi != nxt.lo:
+            if cur.hi.numerator != nxt.lo.numerator or cur.hi.denominator != nxt.lo.denominator:
                 raise ValueError(
                     f"pieces do not tile [0,1]: gap or overlap at {cur.hi} vs {nxt.lo}"
                 )
@@ -226,15 +287,13 @@ class StepFunction:
                 open_values.append(value)
                 if iv.hi_closed:
                     point_values.append(value)
-        self._store(points, point_values, open_values)
+        self._store(*(list(map(_reduced, xs)) for xs in (points, point_values, open_values)))
 
     def _store(self, points, point_values, open_values) -> None:
-        """Store a valid profile of Fractions in canonical form."""
+        """Store a valid profile of reduced pairs in canonical form."""
         pts, vals, opens = [points[0]], [point_values[0]], []
         for t, v, cell in zip(points[1:], point_values[1:], open_values):
-            # Fractions are reduced, so equal ones have equal terms
-            if opens and (opens[-1].numerator == vals[-1].numerator == cell.numerator
-                          and opens[-1].denominator == vals[-1].denominator == cell.denominator):
+            if opens and opens[-1] == vals[-1] == cell:
                 # the previous point changes nothing: widen its left cell
                 pts.pop()
                 vals.pop()
@@ -242,17 +301,7 @@ class StepFunction:
                 opens.append(cell)
             pts.append(t)
             vals.append(v)
-        object.__setattr__(self, "points", tuple(pts))
-        object.__setattr__(self, "point_values", tuple(vals))
-        object.__setattr__(self, "open_values", tuple(opens))
-
-    @classmethod
-    def _from_kernel(cls, points, point_values, open_values) -> "StepFunction":
-        """Build from a profile a kernel made: Fraction points strictly
-        increasing from 0 to 1 and Fraction values, so only canonicalised."""
-        self = object.__new__(cls)
-        self._store(points, point_values, open_values)
-        return self
+        vars(self).update(_pts=tuple(pts), _vals=tuple(vals), _opens=tuple(opens))
 
     @classmethod
     def constant(cls, v) -> "StepFunction":
@@ -265,12 +314,12 @@ class StepFunction:
         """Build from values at ``points`` and on the open gaps between them."""
         if len(point_values) != len(points) or len(open_values) != len(points) - 1:
             raise ValueError("a profile needs one value per point and per gap")
-        if len(points) < 2 or frac(points[0]) != ZERO or frac(points[-1]) != ONE:
+        if len(points) < 2 or _reduced(points[0]) != (0, 1) or _reduced(points[-1]) != (1, 1):
             raise ValueError("profile points must start at 0 and end at 1")
-        pts, vals, opens = [ZERO], [frac(point_values[0])], []
+        pts, vals, opens = [(0, 1)], [_reduced(point_values[0])], []
         for t, v, cell in zip(points[1:], point_values[1:], open_values):
-            t, v, cell = frac(t), frac(v), frac(cell)
-            if t <= pts[-1]:
+            t, v, cell = _reduced(t), _reduced(v), _reduced(cell)
+            if t[0] * pts[-1][1] <= pts[-1][0] * t[1]:
                 raise ValueError("profile points must be strictly increasing")
             pts.append(t)
             vals.append(v)
@@ -278,8 +327,9 @@ class StepFunction:
         return cls._from_kernel(pts, vals, opens)
 
     def _runs(self):
-        """The maximal constant intervals, in order, as (lo, hi, lo_closed, hi_closed, value)."""
-        pts, vals, opens = self.points, self.point_values, self.open_values
+        """The maximal constant intervals, in order, as (lo, hi, lo_closed,
+        hi_closed, value) with ends and value as reduced pairs."""
+        pts, vals, opens = self._pts, self._vals, self._opens
         lo, lo_closed, value = pts[0], True, vals[0]
         for i in range(1, len(pts)):
             if opens[i - 1] != value:
@@ -293,54 +343,43 @@ class StepFunction:
     @property
     def pieces(self) -> tuple:
         """The maximal constant intervals, in order, as :class:`Piece` objects."""
-        return tuple(Piece(Interval(lo, hi, lc, hc), v) for lo, hi, lc, hc, v in self._runs())
+        return tuple(Piece(Interval(Fraction(*lo), Fraction(*hi), lc, hc), Fraction(*v))
+                     for lo, hi, lc, hc, v in self._runs())
 
     def eval(self, t) -> Fraction:
         """Exact value at t: its point value, or the value of its open cell."""
         t = frac(t)
         if t < ZERO or t > ONE:
             raise ValueError(f"t={t} outside [0,1]")
-        i = bisect.bisect_left(self.points, t)
-        if self.points[i] == t:
-            return self.point_values[i]
-        return self.open_values[i - 1]
+        i = bisect.bisect_left(self._pts, t, key=lambda p: Fraction(*p))
+        return Fraction(*(self._vals[i] if self._pts[i] == (t.numerator, t.denominator)
+                          else self._opens[i - 1]))
 
     def partition_points(self) -> tuple:
         return self.points
 
     def min_value(self) -> Fraction:
-        return min(self.point_values + self.open_values)
+        return Fraction(*min(self._vals + self._opens, key=_by_value))
 
     def max_value(self) -> Fraction:
-        return max(self.point_values + self.open_values)
+        return Fraction(*max(self._vals + self._opens, key=_by_value))
 
     def scale(self, c) -> "StepFunction":
-        c = frac(c)
-        return StepFunction.from_profile(
-            self.points,
-            [c * v for v in self.point_values],
-            [c * v for v in self.open_values],
-        )
+        return linear_combine_steps([c], [self])
 
     def jumps(self) -> tuple:
         """Discontinuity records (t, left limit, value, right limit).
 
         Limits are None beyond the endpoints 0 and 1.
         """
-        pts, vals, opens = self.points, self.point_values, self.open_values
-        out = []
-        for i, t in enumerate(pts):
-            v = vals[i]
-            left = opens[i - 1] if i > 0 else None
-            right = opens[i] if i + 1 < len(pts) else None
-            if (left is not None and left != v) or (right is not None and right != v):
-                out.append(Jump(t, left, v, right))
-        return tuple(out)
+        opens = self.open_values
+        return tuple(Jump(t, left, v, right) for t, left, v, right
+                     in zip(self.points, (None, *opens), self.point_values, (*opens, None))
+                     if (left is not None and left != v) or (right is not None and right != v))
 
     def to_json(self) -> dict:
         return {"kind": "step", "pieces": [
-            {"lo": frac_pair(lo), "hi": frac_pair(hi), "lo_closed": lc, "hi_closed": hc,
-             "value": frac_pair(v)}
+            {"lo": list(lo), "hi": list(hi), "lo_closed": lc, "hi_closed": hc, "value": list(v)}
             for lo, hi, lc, hc, v in self._runs()
         ]}
 
@@ -360,8 +399,8 @@ class Jump:
     right: Union[Fraction, None]
 
 
-@dataclass(frozen=True)
-class PLFunction:
+@dataclass(frozen=True, eq=False)
+class PLFunction(_Stored):
     """A continuous piecewise-linear function on [0,1].
 
     ``breakpoints`` is strictly increasing from 0 to 1; between
@@ -371,31 +410,32 @@ class PLFunction:
 
     breakpoints: tuple
     values: tuple
+    _public, _stored = ("breakpoints", "values"), ("_pts", "_vals")
 
     def __post_init__(self):
-        bps = tuple(frac(t) for t in self.breakpoints)
-        vals = tuple(frac(v) for v in self.values)
+        own = vars(self)
+        bps = tuple(map(_reduced, own.pop("breakpoints")))
+        vals = tuple(map(_reduced, own.pop("values")))
         if len(bps) != len(vals):
             raise ValueError("breakpoints and values must have equal length")
         if len(bps) < 2:
             raise ValueError("need at least the two endpoints 0 and 1")
-        if bps[0] != ZERO or bps[-1] != ONE:
+        if bps[0] != (0, 1) or bps[-1] != (1, 1):
             raise ValueError("breakpoints must start at 0 and end at 1")
         self._store(bps, vals)
 
     def _store(self, bps, vals) -> None:
-        """Store Fraction points from 0 to 1 without collinear interior ones."""
+        """Store reduced pairs from 0 to 1 without collinear interior points."""
         # The last kept point is always the previous input point, so the
         # slope into the current point is the slope of the segment it would
         # extend; equal slopes drop the previous point.  Kept points are
         # never collinear, so nothing before it can drop too.  Slopes are
         # integer ratios num/den with den > 0 exactly when t increases.
         kept_t, kept_v = [bps[0]], [vals[0]]
-        pn, pd = 0, 1
-        qn, qd = vals[0].numerator, vals[0].denominator
+        (pn, pd), (qn, qd) = bps[0], vals[0]
         sn = sd = 0
         for t, v in zip(bps[1:], vals[1:]):
-            tn, td, vn, vd = t.numerator, t.denominator, v.numerator, v.denominator
+            (tn, td), (vn, vd) = t, v
             den = (tn * pd - pn * td) * (vd * qd)
             if den <= 0:
                 raise ValueError("breakpoints must be strictly increasing")
@@ -407,28 +447,10 @@ class PLFunction:
                 kept_v.append(v)
                 sn, sd = num, den
             pn, pd, qn, qd = tn, td, vn, vd
-        object.__setattr__(self, "breakpoints", tuple(kept_t))
-        object.__setattr__(self, "values", tuple(kept_v))
-
-    def __hash__(self):
-        # the dataclass hash, once: patterns count their eigenfunctions often
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.breakpoints, self.values)))
-            return self._hash
-
-    @classmethod
-    def _from_kernel(cls, bps, vals) -> "PLFunction":
-        """Build from Fraction breakpoints and values a kernel made, already
-        running from 0 to 1, so only collinear points are dropped."""
-        self = object.__new__(cls)
-        self._store(bps, vals)
-        return self
+        vars(self).update(_pts=tuple(kept_t), _vals=tuple(kept_v))
 
     @classmethod
     def constant(cls, v) -> "PLFunction":
-        v = frac(v)
         return cls((ZERO, ONE), (v, v))
 
     @classmethod
@@ -438,41 +460,29 @@ class PLFunction:
     @classmethod
     def from_pairs(cls, pairs: Iterable) -> "PLFunction":
         pairs = list(pairs)
-        return cls(
-            tuple(t for t, _ in pairs), tuple(v for _, v in pairs)
-        )
+        return cls(tuple(t for t, _ in pairs), tuple(v for _, v in pairs))
 
     def eval(self, t) -> Fraction:
         """Exact value at t by linear interpolation."""
         t = frac(t)
         if t < ZERO or t > ONE:
             raise ValueError(f"t={t} outside [0,1]")
-        i = bisect.bisect_right(self.breakpoints, t) - 1
-        if i >= len(self.breakpoints) - 1:
-            return self.values[-1]
-        t0, t1 = self.breakpoints[i], self.breakpoints[i + 1]
-        v0, v1 = self.values[i], self.values[i + 1]
-        return v0 + (t - t0) * (v1 - v0) / (t1 - t0)
-
-    def segments(self):
-        """Yield (t0, t1, v0, v1) for each maximal linear segment."""
-        for i in range(len(self.breakpoints) - 1):
-            yield (
-                self.breakpoints[i], self.breakpoints[i + 1],
-                self.values[i], self.values[i + 1],
-            )
+        bps, vals = self._pts, self._vals
+        i = bisect.bisect_right(bps, t, key=lambda p: Fraction(*p)) - 1
+        if i >= len(bps) - 1:
+            return Fraction(*vals[-1])
+        a, b, c = _line(bps[i], bps[i + 1], vals[i], vals[i + 1])
+        return Fraction(a * t.denominator + b * t.numerator, c * t.denominator)
 
     def into_unit_interval(self) -> bool:
         # denominators are positive
-        return all(0 <= v.numerator <= v.denominator for v in self.values)
+        return all(0 <= n <= d for n, d in self._vals)
 
     def shift(self, c) -> "PLFunction":
-        c = frac(c)
-        return PLFunction(self.breakpoints, tuple(v + c for v in self.values))
+        return linear_combine([1, c], [self, PLFunction.constant(1)])
 
     def scale(self, c) -> "PLFunction":
-        c = frac(c)
-        return PLFunction(self.breakpoints, tuple(c * v for v in self.values))
+        return linear_combine([c], [self])
 
     def __add__(self, other: "PLFunction") -> "PLFunction":
         return linear_combine([1, 1], [self, other])
@@ -484,13 +494,8 @@ class PLFunction:
         return self.scale(-1)
 
     def to_json(self) -> dict:
-        return {
-            "kind": "pl",
-            "points": [
-                [frac_pair(t), frac_pair(v)]
-                for t, v in zip(self.breakpoints, self.values)
-            ],
-        }
+        return {"kind": "pl",
+                "points": [[list(t), list(v)] for t, v in zip(self._pts, self._vals)]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PLFunction":
@@ -518,14 +523,32 @@ def function_from_json(obj: dict) -> PiecewiseFunction:
 # ---------------------------------------------------------------------------
 
 
-def _keyed(xs) -> list:
-    """``(float, x)`` order keys for Fractions ``xs``.
-
-    int/int true division is correctly rounded, so the float is monotone
-    in x: keys with different floats compare on the float alone, and only
-    equal floats fall back to comparing the Fractions.
-    """
-    return [(x.numerator / x.denominator, x) for x in xs]
+def _merge(*fns, exact: bool = False) -> tuple:
+    """:func:`merged_points` on reduced pairs.  Points sort by their floats,
+    monotone as int/int division rounds correctly; terms order equal floats
+    right only for equal values, so a merge meeting two values that share a
+    float is redone on exact keys."""
+    keys = []
+    for i, f in enumerate(fns):
+        if not isinstance(f, _Stored):
+            raise TypeError(f"not a piecewise function: {f!r}")
+        keys.extend((p[0] / p[1], p, i) for p in f._pts[1:-1])
+    # each function's points are one sorted run, which sort() merges
+    keys.sort(key=(lambda k: (k[0], Fraction(*k[1]), k[2])) if exact else None)
+    pts, own = [(0, 1)], [[0] for _ in fns]
+    lx, tied = 0.0, False
+    for x, p, i in keys:
+        if x != lx or p != pts[-1]:
+            tied |= x == lx
+            pts.append(p)
+            lx = x
+        own[i].append(len(pts) - 1)
+    if tied and not exact:
+        return _merge(*fns, exact=True)
+    pts.append((1, 1))
+    for pos in own:
+        pos.append(len(pts) - 1)
+    return pts, own
 
 
 def merged_points(*fns: PiecewiseFunction) -> tuple:
@@ -533,39 +556,17 @@ def merged_points(*fns: PiecewiseFunction) -> tuple:
 
     Returns ``(pts, own)``: ``own[i]`` gives the position in ``pts`` of each
     of ``fns[i]``'s own points, in order.  Every function starts at 0 and
-    ends at 1, so only interior points are merged, each keyed with the
-    index of its function.
+    ends at 1, so only interior points are merged.
     """
-    keys = []
-    for i, f in enumerate(fns):
-        if isinstance(f, PLFunction):
-            run = f.breakpoints
-        elif isinstance(f, StepFunction):
-            run = f.points
-        else:
-            raise TypeError(f"not a piecewise function: {f!r}")
-        keys.extend((t.numerator / t.denominator, t, i) for t in run[1:-1])
-    own = [[0] for _ in fns]
-    # each function's points are one sorted run, which sorted() merges
-    pts, last = [ZERO], 0.0
-    for x, t, i in sorted(keys):
-        # only equal floats need the terms, and equal reduced Fractions share them
-        if x != last or t.numerator != pts[-1].numerator or t.denominator != pts[-1].denominator:
-            pts.append(t)
-            last = x
-        own[i].append(len(pts) - 1)
-    pts.append(ONE)
-    for pos in own:
-        pos.append(len(pts) - 1)
-    return tuple(pts), own
+    pts, own = _merge(*fns)
+    return tuple(Fraction(n, d) for n, d in pts), own
 
 
-def _line(x0: Fraction, x1: Fraction, y0: Fraction, y1: Fraction) -> tuple:
+def _line(x0: tuple, x1: tuple, y0: tuple, y1: tuple) -> tuple:
     """Integers ``(a, b, c)`` with ``c > 0`` such that the line through
     (x0, y0) and (x1, y1), x0 != x1, takes the value (a*q + b*p) / (c*q)
     at x = p/q."""
-    a0, b0, a1, b1 = x0.numerator, x0.denominator, x1.numerator, x1.denominator
-    n0, d0, n1, d1 = y0.numerator, y0.denominator, y1.numerator, y1.denominator
+    (a0, b0), (a1, b1), (n0, d0), (n1, d1) = x0, x1, y0, y1
     # the slope sn/sd, with sd > 0
     sn, sd = (n1 * d0 - n0 * d1) * b0 * b1, (a1 * b0 - a0 * b1) * d0 * d1
     if sd < 0:
@@ -580,29 +581,25 @@ def _line(x0: Fraction, x1: Fraction, y0: Fraction, y1: Fraction) -> tuple:
 
 def _walk_pl(f: PLFunction, pts, pos) -> list:
     """f's values at ``pts``, where its breakpoints sit at positions ``pos``."""
-    bps, vals = f.breakpoints, f.values
+    bps, vals = f._pts, f._vals
     at = [vals[0]]
     for k in range(len(pos) - 1):
         if pos[k + 1] - pos[k] > 1:
             a, b, c = _line(bps[k], bps[k + 1], vals[k], vals[k + 1])
-            for t in pts[pos[k] + 1:pos[k + 1]]:
-                q = t.denominator
-                at.append(Fraction(a * q + b * t.numerator, c * q))
+            at += [(a * q + b * p, c * q) for p, q in pts[pos[k] + 1:pos[k + 1]]]
         at.append(vals[k + 1])
     return at
 
 
-def _walk_step(f: StepFunction, pos) -> tuple:
-    """f's values at the merged points and on the open cells between them,
-    where its own points sit at positions ``pos``."""
-    vals, opens = f.point_values, f.open_values
+def _walk_step(vals, opens, pos) -> tuple:
+    """A step function's values at the merged points and on the cells
+    between them, from its values ``vals`` at its own points, ``opens`` on
+    its cells, and their positions ``pos``."""
     at, cells = [], []
-    for k, cell in enumerate(opens):
-        n = pos[k + 1] - pos[k]
-        at.append(vals[k])
-        if n > 1:
-            at += [cell] * (n - 1)
-        cells += [cell] * n
+    for v, cell, a, b in zip(vals, opens, pos, pos[1:]):
+        at.append(v)
+        at += [cell] * (b - a - 1)
+        cells += [cell] * (b - a)
     at.append(vals[-1])
     return at, cells
 
@@ -613,19 +610,19 @@ def refine(*fns: PiecewiseFunction) -> tuple:
     Returns ``(pts, samples)`` with one ``(at, above, below)`` triple of
     lists per function: ``at[i]`` is its value at ``pts[i]``, and
     ``above[i]``, ``below[i]`` its limits at ``pts[i]+`` and ``pts[i+1]-``,
-    which determine it on that cell since it is linear there.  Every exact
-    comparison in this module samples its functions through here.  Each
-    function is walked once along ``pts``, by the positions of its own
-    points in it.
+    which determine it on that cell since it is linear there, all integer
+    pairs (the points reduced).  Every exact comparison in this module
+    samples its functions through here, walking each once along ``pts`` by
+    the positions of its own points in it.
     """
-    pts, own = merged_points(*fns)
+    pts, own = _merge(*fns)
     samples = []
     for f, pos in zip(fns, own):
         if isinstance(f, PLFunction):
             at = _walk_pl(f, pts, pos)
             samples.append((at, at[:-1], at[1:]))
         else:
-            at, cells = _walk_step(f, pos)
+            at, cells = _walk_step(f._vals, f._opens, pos)
             samples.append((at, cells, cells))
     return pts, samples
 
@@ -641,23 +638,21 @@ class LeResult(Record):
 
 def _violation_point(a, b, hA, hB, allow_equal):
     """A point of (a,b) where the linear h with limits (hA,hB) is > 0 (or >= 0)."""
-    if allow_equal and hA == 0 and hB == 0:
+    if (allow_equal and hA == 0 and hB == 0) or (hA > 0 and hB > 0):
         return (a + b) / 2
-    if hA > 0 and hB > 0:
-        return (a + b) / 2
-    if hA > 0:
+    if hA > 0 or hB > 0:
         root = a + (b - a) * hA / (hA - hB)
-        return (a + root) / 2
-    if hB > 0:
-        root = a + (b - a) * hA / (hA - hB)
-        return (root + b) / 2
+        return (a + root) / 2 if hA > 0 else (root + b) / 2
     return None
 
 
-def _sign_of_difference(x: Fraction, y: Fraction) -> int:
-    """The sign of x - y, from cross-multiplied integer numerators."""
-    lhs, rhs = x.numerator * y.denominator, y.numerator * x.denominator
+def _sign_of_difference(x: tuple, y: tuple) -> int:
+    """The sign of x - y, from cross-multiplied integer pairs."""
+    lhs, rhs = x[0] * y[1], y[0] * x[1]
     return (lhs > rhs) - (lhs < rhs)
+
+
+_by_value = functools.cmp_to_key(_sign_of_difference)
 
 
 def le_pointwise(f: PiecewiseFunction, g: PiecewiseFunction,
@@ -670,11 +665,13 @@ def le_pointwise(f: PiecewiseFunction, g: PiecewiseFunction,
     for t, fv, gv in zip(pts, f_at, g_at):
         d = _sign_of_difference(fv, gv)
         if d > 0 or (strict and d == 0):
-            return LeResult(False, t)
+            return LeResult(False, Fraction(*t))
     cells = zip(pts, pts[1:], f_above, f_below, g_above, g_below)
     for a, b, fa, fb, ga, gb in cells:
         sA, sB = _sign_of_difference(fa, ga), _sign_of_difference(fb, gb)
         if sA > 0 or sB > 0 or (strict and sA == 0 and sB == 0):
+            # only the failing cell becomes Fractions
+            a, b, fa, fb, ga, gb = (Fraction(*x) for x in (a, b, fa, fb, ga, gb))
             return LeResult(False, _violation_point(a, b, fa - ga, fb - gb, strict))
     return LeResult(True, None)
 
@@ -705,7 +702,7 @@ def _sup_scan(pts, at, above, below, h_above, h_below) -> tuple:
     values cannot tell (|h| has equal limits when h runs from -1 to 1).
     Candidates go point, cell, next point and are compared by
     cross-multiplying, so the first of equal ones wins.  Returns ``(num,
-    den, t, side)``; only the winner's midpoint is built.
+    den, t, side)`` with the winner's point t a Fraction.
     """
     bn, bd = at[0]
     won, side = 0, AT  # a point index, or a cell index when side is None
@@ -726,8 +723,9 @@ def _sup_scan(pts, at, above, below, h_above, h_below) -> tuple:
         if xn * bd > bn * xd:
             bn, bd, won, side = xn, xd, i + 1, AT
     if side is None:
-        return bn, bd, (pts[won] + pts[won + 1]) / 2, AT
-    return bn, bd, pts[won], side
+        (pn, pd), (qn, qd) = pts[won], pts[won + 1]
+        return bn, bd, Fraction(pn * qd + qn * pd, 2 * pd * qd), AT
+    return bn, bd, Fraction(*pts[won]), side
 
 
 def weighted_sup_norm(f: PLFunction, w: StepFunction) -> Extremum:
@@ -741,14 +739,13 @@ def weighted_sup_norm(f: PLFunction, w: StepFunction) -> Extremum:
         raise TypeError("weighted_sup_norm expects a piecewise-linear function")
     if not isinstance(w, StepFunction):
         raise TypeError("weights are step functions")
-    if w.min_value() <= 0:
+    if any(n <= 0 for n, _ in w._vals + w._opens):
         raise ValueError("weight must be strictly positive")
-    pts, ((f_at, _, _), (w_at, w_open, _)) = refine(f, w)
-    h = [(v.numerator, v.denominator) for v in f_at]
+    pts, ((h, _, _), (w_at, w_open, _)) = refine(f, w)
     # |f| / w as (|fn| * wd) / (fd * wn), with wn > 0
-    at = [(abs(fn) * v.denominator, fd * v.numerator) for (fn, fd), v in zip(h, w_at)]
-    above = [(abs(fn) * v.denominator, fd * v.numerator) for (fn, fd), v in zip(h, w_open)]
-    below = [(abs(fn) * v.denominator, fd * v.numerator) for (fn, fd), v in zip(h[1:], w_open)]
+    at = [(abs(fn) * wd, fd * wn) for (fn, fd), (wn, wd) in zip(h, w_at)]
+    above = [(abs(fn) * wd, fd * wn) for (fn, fd), (wn, wd) in zip(h, w_open)]
+    below = [(abs(fn) * wd, fd * wn) for (fn, fd), (wn, wd) in zip(h[1:], w_open)]
     num, den, t, side = _sup_scan(pts, at, above, below, h, h[1:])
     return Extremum(Fraction(num, den), t, side)
 
@@ -758,8 +755,7 @@ def inf_difference(upper: PiecewiseFunction, lower: PiecewiseFunction) -> Extrem
     pts, (u, l) = refine(upper, lower)
     # the supremum of lower - upper, as unreduced integer pairs
     at, above, below = (
-        [(y.numerator * x.denominator - x.numerator * y.denominator, x.denominator * y.denominator)
-         for x, y in zip(us, ls)]
+        [(yn * xd - xn * yd, xd * yd) for (xn, xd), (yn, yd) in zip(us, ls)]
         for us, ls in zip(u, l)
     )
     num, den, t, side = _sup_scan(pts, at, above, below, above, below)
@@ -768,12 +764,11 @@ def inf_difference(upper: PiecewiseFunction, lower: PiecewiseFunction) -> Extrem
 
 def is_lsc(d: StepFunction) -> LeResult:
     """Check lower semicontinuity: no point value exceeds a one-sided limit."""
-    pts, vals, opens = d.points, d.point_values, d.open_values
+    pts, vals, opens = d._pts, d._vals, d._opens
     for i, t in enumerate(pts):
-        if i > 0 and vals[i] > opens[i - 1]:
-            return LeResult(False, t)
-        if i + 1 < len(pts) and vals[i] > opens[i]:
-            return LeResult(False, t)
+        if (i > 0 and _sign_of_difference(vals[i], opens[i - 1]) > 0) or (
+                i + 1 < len(pts) and _sign_of_difference(vals[i], opens[i]) > 0):
+            return LeResult(False, Fraction(*t))
     return LeResult(True, None)
 
 
@@ -790,20 +785,21 @@ def _weighted_sums(coeffs: Sequence, fns: Sequence, cells: bool = False) -> tupl
         raise ValueError("empty linear combination")
     if len(coeffs) != len(fns):
         raise ValueError("coefficient/function count mismatch")
-    terms = [(c.numerator, c.denominator) for c in map(frac, coeffs)]
+    terms = [_reduced(c) for c in coeffs]
     pts, samples = refine(*fns)
     out = []
     for vs in zip(*(at + opens if cells else at for at, opens, _ in samples)):
         num, den = 0, 1
-        for (cn, cd), v in zip(terms, vs):
-            d = cd * v.denominator
+        for (cn, cd), (vn, vd) in zip(terms, vs):
+            d = cd * vd
             if d == 1:
-                num += cn * v.numerator * den
+                num += cn * vn * den
             else:
                 g = math.gcd(den, d)
-                num = num * (d // g) + cn * v.numerator * (den // g)
+                num = num * (d // g) + cn * vn * (den // g)
                 den = den // g * d
-        out.append(Fraction(num) if den == 1 else Fraction(num, den))
+        g = math.gcd(num, den)
+        out.append((num // g, den // g))
     return pts, out
 
 
@@ -820,35 +816,35 @@ def linear_combine_steps(coeffs: Sequence, steps: Sequence[StepFunction]) -> Ste
     return StepFunction._from_kernel(pts, sums[:len(pts)], sums[len(pts):])
 
 
-def _preimage_refinement(g: PLFunction, targets: Sequence[Fraction]) -> tuple:
+def _preimage_refinement(g: PLFunction, targets: Sequence) -> tuple:
     """g's breakpoints and the preimages of ``targets``, in increasing order.
 
-    ``targets`` runs strictly increasing from 0 to 1.  A value is placed by
-    its slot: slot 2i is ``targets[i]`` and slot 2i+1 the open gap
-    (targets[i], targets[i+1]).  Returns ``(pts, g_vals, at, cells)``:
-    ``g_vals[k]`` is g's value at ``pts[k]`` and ``at[k]`` its slot, and
-    ``cells[k]`` the slot g maps the open cell after ``pts[k]`` into (where
-    g is constant there, its value's slot).  One bisect over
-    :func:`_keyed` targets places each breakpoint value of g, which also
+    Points and values are reduced pairs, ``targets`` strictly increasing
+    from 0 to 1.  A value is placed by its slot: slot 2i is ``targets[i]``
+    and slot 2i+1 the open gap after it.  Returns ``(pts, g_vals, at,
+    cells)``: ``g_vals[k]`` is g's value at ``pts[k]`` and ``at[k]`` its
+    slot, and ``cells[k]`` the slot of the open cell after ``pts[k]``.  One
+    bisect over the targets' floats places each value of g, which also
     checks that g maps into [0,1]; a segment's preimages are the targets
     strictly between its two end slots, emitted in t-order.
     """
-    keys, top = _keyed(targets), 2 * len(targets) - 2
+    xs, top = [n / d for n, d in targets], 2 * len(targets) - 2
     slots = []
-    for y in g.values:
-        x = y.numerator / y.denominator
-        r = bisect.bisect_right(keys, (x, y))
-        # targets[r - 1] <= y < targets[r]: y is in gap r - 1 unless it is
-        # targets[r - 1], whose reduced terms it then shares
+    for y in g._vals:
+        yn, yd = y
+        x = yn / yd
+        r = bisect.bisect_right(xs, x)
         s = 2 * r - 1
-        if r and keys[r - 1][0] == x:
-            t = targets[r - 1]
-            if t.numerator == y.numerator and t.denominator == y.denominator:
-                s -= 1
+        if r and xs[r - 1] == x:
+            # the targets sharing y's float are placed exactly: r counts
+            # those <= y, and y is the last of them or in the gap after it
+            lo = bisect.bisect_left(xs, x, 0, r)
+            r = lo + sum(tn * yd <= yn * td for tn, td in targets[lo:r])
+            s = 2 * r - 1 - (r > lo and targets[r - 1] == y)
         if not 0 <= s <= top:
             raise ValueError("inner function must map [0,1] into [0,1]")
         slots.append(s)
-    bps, ys = g.breakpoints, g.values
+    bps, ys = g._pts, g._vals
     pts, g_vals, at, cells = [], [], [], []
     for t0, t1, y0, y1, s0, s1 in zip(bps, bps[1:], ys, ys[1:], slots, slots[1:]):
         pts.append(t0)
@@ -870,13 +866,14 @@ def _preimage_refinement(g: PLFunction, targets: Sequence[Fraction]) -> tuple:
         # the preimage of p/q on this segment
         a, b, c = _line(y0, y1, t0, t1)
         for i in (range(lo, hi) if rising else range(hi - 1, lo - 1, -1)):
-            y = targets[i]
-            q = y.denominator
-            pts.append(Fraction(a * q + b * y.numerator, c * q))
-            g_vals.append(y)
+            p, q = targets[i]
+            n, d = a * q + b * p, c * q
+            k = math.gcd(n, d)
+            pts.append((n // k, d // k))
+            g_vals.append(targets[i])
             at.append(2 * i)
             cells.append(2 * i + 1 if rising else 2 * i - 1)
-    pts.append(ONE)
+    pts.append((1, 1))
     g_vals.append(ys[-1])
     at.append(slots[-1])
     return pts, g_vals, at, cells
@@ -884,16 +881,17 @@ def _preimage_refinement(g: PLFunction, targets: Sequence[Fraction]) -> tuple:
 
 def compose_pl(f: PLFunction, g: PLFunction) -> PLFunction:
     """Exact composition f(g(t)) for g mapping [0,1] into [0,1]."""
-    pts, g_vals, at, _ = _preimage_refinement(g, f.breakpoints)
-    bps, vals = f.breakpoints, f.values
+    pts, g_vals, at, _ = _preimage_refinement(g, f._pts)
+    bps, vals = f._pts, f._vals
     out = []
-    for y, s in zip(g_vals, at):
+    for (p, q), s in zip(g_vals, at):
         i = s >> 1
         if s & 1:
             # y lies inside f's segment i
             a, b, c = _line(bps[i], bps[i + 1], vals[i], vals[i + 1])
-            q = y.denominator
-            out.append(Fraction(a * q + b * y.numerator, c * q))
+            n, d = a * q + b * p, c * q
+            k = math.gcd(n, d)
+            out.append((n // k, d // k))
         else:
             out.append(vals[i])
     return PLFunction._from_kernel(pts, out)
@@ -905,10 +903,10 @@ def compose_step_pl(d: StepFunction, g: PLFunction) -> StepFunction:
     Finite because g is piecewise monotone; preserves lower
     semicontinuity of d.
     """
-    pts, _, at, cells = _preimage_refinement(g, d.points)
+    pts, _, at, cells = _preimage_refinement(g, d._pts)
     # d's value on each slot: point values on even slots, cells on odd ones
-    by_slot = [None] * (2 * len(d.points) - 1)
-    by_slot[::2], by_slot[1::2] = d.point_values, d.open_values
+    by_slot = [None] * (2 * len(d._pts) - 1)
+    by_slot[::2], by_slot[1::2] = d._vals, d._opens
     return StepFunction._from_kernel(pts, [by_slot[s] for s in at], [by_slot[c] for c in cells])
 
 
@@ -917,10 +915,11 @@ def combine_steps(steps: Sequence[StepFunction],
     """Pointwise combination op(v_1, ..., v_n) of several step functions."""
     if not steps:
         raise ValueError("nothing to combine")
-    pts, samples = refine(*steps)
-    point_vals = [op(*vs) for vs in zip(*(at for at, _, _ in samples))]
-    open_vals = [op(*vs) for vs in zip(*(opens for _, opens, _ in samples))]
-    return StepFunction.from_profile(pts, point_vals, open_vals)
+    pts, own = _merge(*steps)
+    walks = [_walk_step(s.point_values, s.open_values, pos) for s, pos in zip(steps, own)]
+    at, on_cells = zip(*(at for at, _ in walks)), zip(*(cells for _, cells in walks))
+    return StepFunction._from_kernel(pts, [_reduced(op(*vs)) for vs in at],
+                                     [_reduced(op(*vs)) for vs in on_cells])
 
 
 def unit_weight() -> StepFunction:

@@ -275,6 +275,22 @@ def rand_pattern(rng: random.Random, max_m=8, max_breaks=3):
 # every point they need, so they stay easy to check by eye.
 
 
+def as_fractions(pairs) -> list:
+    """Fractions of a kernel's integer ``(num, den)`` pairs."""
+    return [Fraction(n, d) for n, d in pairs]
+
+
+def as_pairs(xs) -> list:
+    """The reduced ``(num, den)`` pairs the kernels take, of Fractions ``xs``."""
+    return [(x.numerator, x.denominator) for x in xs]
+
+
+def refine_as_fractions(out) -> tuple:
+    """``refine``'s pairs as Fractions, in the shape ``ref_refine`` gives."""
+    pts, samples = out
+    return tuple(as_fractions(pts)), [tuple(map(as_fractions, s)) for s in samples]
+
+
 def ref_refine(*fns) -> tuple:
     pts = {ZERO, ONE}
     for f in fns:
@@ -299,7 +315,8 @@ def ref_preimage_refinement(g: PLFunction, targets) -> tuple:
     if min(g.values) < 0 or max(g.values) > 1:
         raise ValueError("inner function must map [0,1] into [0,1]")
     values = dict(zip(g.breakpoints, g.values))
-    for t0, t1, y0, y1 in g.segments():
+    bps, ys = g.breakpoints, g.values
+    for t0, t1, y0, y1 in zip(bps, bps[1:], ys, ys[1:]):
         if y0 == y1:
             continue
         lo, hi = min(y0, y1), max(y0, y1)
@@ -648,9 +665,20 @@ def ref_nested(n, opens) -> tuple:
     return opens
 
 
+def interval_contains(iv, t) -> bool:
+    """Whether the Interval ``iv`` contains the point t."""
+    if t < iv.lo or t > iv.hi:
+        return False
+    if t == iv.lo and not iv.lo_closed:
+        return False
+    if t == iv.hi and not iv.hi_closed:
+        return False
+    return True
+
+
 def ref_dim_from_nested(p) -> StepFunction:
     def count(t):
-        return 1 + sum(1 for s in p.opens if any(iv.contains(t) for iv in s))
+        return 1 + sum(1 for s in p.opens if any(interval_contains(iv, t) for iv in s))
 
     pts = {ZERO, ONE}
     for s in p.opens:
@@ -837,12 +865,12 @@ def jump_windows_cases(draw, max_jumps=8):
 # Fraction-ordered references for the keyed merge, search and scan
 # ---------------------------------------------------------------------------
 #
-# ``merged_points`` and ``_preimage_refinement`` order points by (float,
-# Fraction) keys and hand back integer positions and slots, and the extrema
-# scan integer pairs compared by cross-multiplying.  These references sort,
-# look up and compare the Fractions themselves (``ref_preimage_refinement``
-# above is the one for the compositions); the two extrema sample through
-# ``ref_refine``.
+# ``merged_points`` and ``_preimage_refinement`` order integer-pair points
+# by their floats, exactly where floats tie, and hand back integer
+# positions and slots, and the extrema scan integer pairs compared by
+# cross-multiplying.  These references sort, look up and compare the
+# Fractions themselves (``ref_preimage_refinement`` above is the one for
+# the compositions); the two extrema sample through ``ref_refine``.
 
 
 def ref_merged_points(*fns) -> tuple:
@@ -867,7 +895,8 @@ def _points(f) -> tuple:
 @contextlib.contextmanager
 def fraction_ordered_kernels():
     """Run ``pwcalc`` with ``ref_merged_points`` and
-    ``ref_preimage_refinement`` in place of the keyed kernels, so that
+    ``ref_preimage_refinement``, their points as integer pairs, in place
+    of the keyed kernels, so that
     ``refine``, the compositions and ``le_pointwise`` give the
     Fraction-ordered answers.  The block must call one of them: a block
     that reaches neither would compare the keyed kernels with themselves."""
@@ -883,9 +912,17 @@ def fraction_ordered_kernels():
             return ref(*args)
         return run
 
+    def merge(*fns):
+        pts, own = ref_merged_points(*fns)
+        return as_pairs(pts), own
+
+    def preimages(g, targets):
+        pts, g_vals, at, cells = ref_preimage_refinement(g, as_fractions(targets))
+        return as_pairs(pts), as_pairs(g_vals), at, cells
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pwcalc, "merged_points", counted(ref_merged_points))
-        mp.setattr(pwcalc, "_preimage_refinement", counted(ref_preimage_refinement))
+        mp.setattr(pwcalc, "_merge", counted(merge))
+        mp.setattr(pwcalc, "_preimage_refinement", counted(preimages))
         yield
     assert calls, "no Fraction-ordered kernel ran inside fraction_ordered_kernels()"
 
@@ -987,7 +1024,7 @@ def near_tie_inner_functions(draw, targets=()):
 
 def ref_density_check(pattern, d: int, delta):
     from ctrace.patterns import DensityResult
-    from ctrace.pwcalc import _preimage_refinement, frac
+    from ctrace.pwcalc import frac
 
     delta = frac(delta)
     if d < 1:
@@ -998,7 +1035,7 @@ def ref_density_check(pattern, d: int, delta):
     cuts = [Fraction(j, d) for j in range(d + 1)]
     pts = set()
     for lam in pattern.eigenfunctions:
-        pts.update(_preimage_refinement(lam, cuts)[0])
+        pts.update(ref_preimage_refinement(lam, cuts)[0])
     pts = sorted(pts)
     samples = pts + [(a + b) / 2 for a, b in zip(pts, pts[1:])]
     for t in samples:

@@ -1,8 +1,10 @@
-"""Module layering: the exact core imports without the numerical layer, and
-each CLI subcommand loads only its own group's modules."""
+"""Module layering: the exact core imports without the numerical layer,
+each CLI subcommand loads only its own group's modules, and no module
+reads Fraction's private attributes."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -114,3 +116,13 @@ def test_cli_import_loads_no_handler_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_reads_private_fraction_attributes():
+    # Fraction's _numerator, _denominator and constructors like
+    # _from_coprime_ints are private and differ between Python 3.10, 3.11
+    # and 3.12; the package reads only numerator and denominator
+    private = re.compile(r"\b_(numerator|denominator|from_coprime_ints)\b")
+    readers = [p.name for p in sorted((Path(SRC) / "ctrace").glob("*.py"))
+               if private.search(p.read_text())]
+    assert readers == []

@@ -38,8 +38,11 @@ from ctrace.pwcalc import (
 
 from helpers import (
     NEAR_TIES,
+    as_fractions,
+    as_pairs,
     fraction_ordered_kernels,
     inner_functions,
+    interval_contains,
     near_tie_inner_functions,
     near_tie_pl_functions,
     near_tie_step_functions,
@@ -63,6 +66,7 @@ from helpers import (
     ref_step_from_json,
     ref_step_to_json,
     ref_weighted_sup_norm,
+    refine_as_fractions,
     step_functions,
     wide_pl_points,
     wide_step_functions,
@@ -189,7 +193,7 @@ class TestConstruction:
 def scan_eval(s, t):
     """Reference value at t: the piece scan StepFunction.eval once was."""
     for p in s.pieces:
-        if p.interval.contains(t):
+        if interval_contains(p.interval, t):
             return p.value
     raise AssertionError("pieces do not cover t")
 
@@ -802,7 +806,7 @@ class TestCursorWalksMatchReferences:
     @given(st.lists(piecewise_functions, min_size=1, max_size=4))
     @settings(max_examples=150, deadline=None)
     def test_refine(self, fns):
-        assert refine(*fns) == ref_refine(*fns)
+        assert refine_as_fractions(refine(*fns)) == ref_refine(*fns)
         assert merged_points(*fns)[0] == ref_refine(*fns)[0]
 
     @given(st.data())
@@ -909,7 +913,7 @@ class TestIntegerPathsMatchFractionReferences:
     @settings(max_examples=60, deadline=None)
     def test_refine_and_linear_combine(self, profiles):
         fns = [PLFunction(tuple(b), tuple(v)) for b, v in profiles]
-        assert refine(*fns) == ref_refine(*fns)
+        assert refine_as_fractions(refine(*fns)) == ref_refine(*fns)
         coeffs = [F(k - 2, k + 1) for k in range(len(fns))]
         out, ref = linear_combine(coeffs, fns), ref_linear_combine(coeffs, fns)
         assert out == ref
@@ -967,7 +971,7 @@ class TestKeyedKernelsMatchFractionReferences:
         out = merged_points(*fns)
         assert out == ref_merged_points(*fns)
         assert all(type(t) is F for t in out[0])
-        assert refine(*fns) == ref_refine(*fns)
+        assert refine_as_fractions(refine(*fns)) == ref_refine(*fns)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -976,7 +980,9 @@ class TestKeyedKernelsMatchFractionReferences:
         d = data.draw(near_tie_step_functions())
         g = data.draw(near_tie_inner_functions(f.breakpoints + d.points))
         for targets in (f.breakpoints, d.points):
-            assert _preimage_refinement(g, targets) == ref_preimage_refinement(g, targets)
+            pts, g_vals, at, cells = _preimage_refinement(g, as_pairs(targets))
+            out = as_fractions(pts), as_fractions(g_vals), at, cells
+            assert out == ref_preimage_refinement(g, targets)
         out = compose_pl(f, g), compose_step_pl(d, g)
         with fraction_ordered_kernels():
             ref = compose_pl(f, g), compose_step_pl(d, g)
@@ -1046,7 +1052,7 @@ class TestPositionWalks:
         ref_merged_points(pl, step)
         assert calls  # the counters see the Fraction sort and lookup
         monkeypatch.undo()
-        assert out == expected
+        assert refine_as_fractions(out) == expected
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -1070,6 +1076,61 @@ class TestPositionWalks:
             assert all(type(x) is F for x in h.breakpoints + h.values)
         h = compose_step_pl(d, g)
         assert all(type(x) is F for x in h.points + h.point_values + h.open_values)
+
+
+def _count_fraction_builds(monkeypatch) -> list:
+    """Patch ``Fraction.__new__`` to note every Fraction built from now on."""
+    calls, new = [], F.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    return calls
+
+
+class TestKernelsPassIntegerPairs:
+    """The kernels hand each other integer pairs: on two functions of
+    about 200 points, ``refine``, ``linear_combine`` and ``le_pointwise``
+    build no Fraction but the outputs a caller reads, and the answers
+    are the Fraction references'."""
+
+    def test_only_outputs_become_fractions(self, monkeypatch):
+        pl, step = tie_free_pair()
+        # below every value of step, which never drops under 0
+        below = linear_combine([F(1, 100), F(-1)], [pl, PLFunction.constant(1)])
+        weight = linear_combine_steps([1, 1], [step, StepFunction.constant(1)])
+        coeffs = [F(1, 2), -3]
+        calls = _count_fraction_builds(monkeypatch)
+        sampled = refine(pl, step)
+        combo = linear_combine(coeffs, [pl, below])
+        holds = le_pointwise(below, step), le_pointwise(below, step, strict=True)
+        assert calls == []
+        fails = le_pointwise(step, below)  # at t = 0
+        assert len(calls) == 1
+        extrema = weighted_sup_norm(pl, weight), inf_difference(step, below)
+        assert len(calls) == 5  # each extremum's value and point
+        monkeypatch.undo()
+        assert refine_as_fractions(sampled) == ref_refine(pl, step)
+        assert combo == ref_linear_combine(coeffs, [pl, below])
+        assert holds == (ref_le_pointwise(below, step), ref_le_pointwise(below, step, True))
+        assert holds[0] and fails == ref_le_pointwise(step, below) and not fails
+        assert extrema == (ref_weighted_sup_norm(pl, weight), ref_inf_difference(step, below))
+
+    @given(st.one_of(near_tie_functions, wide_functions),
+           st.one_of(near_tie_functions, wide_functions), st.booleans(),
+           st.one_of(near_tie_pl_functions(), wide_pl_points().map(
+               lambda p: PLFunction(tuple(p[0]), tuple(p[1])))),
+           st.one_of(near_tie_weights, wide_step_functions().map(
+               lambda s: combine_steps([s], lambda v: abs(v) + F(1, 10**9)))))
+    @settings(max_examples=200, deadline=None)
+    def test_verdicts_witnesses_and_extrema_match_references(self, f, g, strict, h, w):
+        assert le_pointwise(f, g, strict) == ref_le_pointwise(f, g, strict)
+        assert le_pointwise(g, f, strict) == ref_le_pointwise(g, f, strict)
+        assert _extremum_fields(inf_difference(f, g)) == _extremum_fields(ref_inf_difference(f, g))
+        out = _extremum_fields(weighted_sup_norm(h, w))
+        assert out == _extremum_fields(ref_weighted_sup_norm(h, w))
 
 
 class TestKeyedRangeCheck:
