@@ -93,6 +93,13 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def json_number(x, what: str) -> float:
+    """``x`` as a float if it is a JSON number (an integer or a float)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{what} must be a JSON number, not a boolean, string, null or array: {x!r}")
+    return float(x)
+
+
 def json_list(x, what: str) -> list:
     """``x`` if it is a JSON array; a string or an object is a schema error."""
     if not isinstance(x, (list, tuple)):

@@ -9,8 +9,9 @@ jump, the pre-jump family is extended constantly and the complementary
 part of the post-jump unitaries is rotated by a single unimodular
 constant c so the completed family stays continuous.
 
-Every step works on the whole (N, 2, 2) stack of samples at once; the
-scalar helpers are the same kernels applied to a single matrix.
+Every step works on the whole (N, 2, 2) stack of samples at once with
+closed-form 2x2 kernels in elementwise numpy (no SVD, no matrix product);
+the scalar helpers are the same kernels applied to a single matrix.
 
 Unlike the exact modules, everything here is double-precision numerics
 with explicit tolerances: phases and polar data are irrational.
@@ -21,6 +22,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .pwcalc import json_list, json_number
 
 DEFAULT_TOL = 1e-9
 # Steps may differ, and a sample lies at the jump, up to this fraction of
@@ -44,6 +47,11 @@ def _h(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product a b of each pair of matrices of two (broadcast) stacks."""
+    return a[..., :, :1] * b[..., None, 0, :] + a[..., :, 1:] * b[..., None, 1, :]
+
+
 def _norms(a: np.ndarray) -> np.ndarray:
     """The spectral norm of each matrix in a (..., 2, 2) stack, in closed form.
 
@@ -61,7 +69,7 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """tr(a* b) for each pair of matrices of two stacks."""
-    return np.trace(_h(a) @ b, axis1=-2, axis2=-1)
+    return (a.conj() * b).sum(axis=(-2, -1))
 
 
 def partial_isometry_defect(w: np.ndarray):
@@ -69,7 +77,7 @@ def partial_isometry_defect(w: np.ndarray):
 
     Like the other defects, it takes one matrix or a (..., 2, 2) stack.
     """
-    return _norms(w @ _h(w) @ w - w)
+    return _norms(_mul(_mul(w, _h(w)), w) - w)
 
 
 def rank_one_defect(w: np.ndarray):
@@ -78,7 +86,7 @@ def rank_one_defect(w: np.ndarray):
 
 
 def unitary_defect(w: np.ndarray):
-    return _norms(_h(w) @ w - _I2)
+    return _norms(_mul(_h(w), w) - _I2)
 
 
 def _overflow_quiet():
@@ -96,9 +104,23 @@ def _not_rank_one(w: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _complements(a: np.ndarray, tol: float) -> np.ndarray:
-    """``complement_isometry`` of each matrix of an (N, 2, 2) stack, unchecked."""
-    u, _, vh = np.linalg.svd(a)
-    comps = u[:, :, 1, None] * vh[:, None, 1, :]
+    """``complement_isometry`` of each matrix of an (N, 2, 2) stack, unchecked.
+
+    Before its phase is fixed the complement is u v*, with u and v unit
+    eigenvectors of a a* and a* a = [[p, x], [x*, q]] for their smaller
+    eigenvalue l = (p+q)/2 - hypot((p-q)/2, |x|).  Of the two solutions
+    (x, l-p) and (l-q, x*) the longer is (x, m) if p >= q, else (m, x*),
+    with m = -(|p-q|/2 + hypot((p-q)/2, |x|)): no term cancels.
+    """
+    a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
+    s00, s01, s10, s11 = (z.real ** 2 + z.imag ** 2 for z in (a00, a01, a10, a11))
+    d = np.array([s00 + s01 - (s10 + s11), s00 + s10 - (s01 + s11)]) / 2  # a a*, a* a
+    x = np.array([a00 * a10.conj() + a01 * a11.conj(), a00.conj() * a01 + a10.conj() * a11])
+    ax = np.abs(x)
+    m = -(np.abs(d) + np.hypot(d, ax))
+    m[m == 0] = -1  # only a multiple of the identity: every vector is an eigenvector
+    u, v = (np.where(d >= 0, [x, m], [m, x.conj()]) / np.hypot(m, ax)).transpose(1, 2, 0)
+    comps = u[:, :, None] * v[:, None, :].conj()
     flat = comps.reshape(len(comps), 4)
     big = np.abs(flat) > tol
     if not big.any(axis=1).all():
@@ -111,8 +133,9 @@ def complement_isometry(w, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The complementary rank-one partial isometry of w.
 
     Maps the kernel of w onto the orthogonal complement of its range,
-    with the first nonzero entry made real positive; w plus the
-    complement is unitary within 2*tol.
+    with the first entry above tol made real positive; w plus the
+    complement is unitary within 2*tol.  It is built in closed form from
+    the eigenvectors of w w* and w* w for their smaller eigenvalue.
     """
     w = as_mat2(w)[None]
     if _not_rank_one(w, tol)[0]:
@@ -127,12 +150,18 @@ def samples_to_json(ts, mats) -> list:
     return [{"t": t, "re": re, "im": im} for t, re, im in rows]
 
 
+def _sample_floats(samples, key: str) -> np.ndarray:
+    """Field ``key`` of each sample object, JSON numbers in nested arrays, as floats."""
+    values = np.array([s[key] for s in json_list(samples, "samples")], dtype=object)
+    bad = [v for v in values.flat if isinstance(v, bool) or not isinstance(v, (int, float))]
+    if bad:
+        json_number(bad[0], key)  # refuses it by name
+    return values.astype(float)
+
+
 def matrices_from_json(samples) -> np.ndarray:
     """Decode the matrices of ``{"re", "im"}`` sample objects."""
-    re, im = ([s[key] for s in samples] for key in ("re", "im"))
-    if any(isinstance(x, bool) for x in np.array([re, im], dtype=object).flat):
-        raise TypeError("matrix entries must be numbers, not booleans")
-    return np.asarray(np.array(re) + 1j * np.array(im), dtype=complex)
+    return _sample_floats(samples, "re") + 1j * _sample_floats(samples, "im")
 
 
 @dataclass(eq=False)
@@ -216,13 +245,10 @@ class IsometryPath:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IsometryPath":
-        samples = obj["samples"]
-        ts = np.array([s["t"] for s in samples], dtype=float)
-        return cls(
-            ts, matrices_from_json(samples), float(obj["t_jump"]),
-            float(obj.get("tol", DEFAULT_TOL)),
-            float(obj.get("lipschitz", 1.0)),
-        )
+        fields = {"tol": DEFAULT_TOL, "lipschitz": 1.0, **obj}
+        samples = fields["samples"]
+        scalars = (json_number(fields[key], key) for key in ("t_jump", "tol", "lipschitz"))
+        return cls(_sample_floats(samples, "t"), matrices_from_json(samples), *scalars)
 
 
 @dataclass(eq=False)
@@ -339,9 +365,9 @@ def validate_unitary_path(unitaries, path: IsometryPath) -> PathReport:
     j = path.jump_index
     pre, post = path.mats[: j + 1], path.mats[j + 1:]
     with _overflow_quiet():
-        p_init = _h(pre) @ pre  # after the jump: the constant extension p_init[-1]
-        max_action = max(_norms((mats[: j + 1] - pre) @ p_init).max(),
-                         _norms((mats[j + 1:] - post) @ p_init[-1]).max(initial=0.0))
+        p_init = _mul(_h(pre), pre)  # after the jump: the constant extension p_init[-1]
+        max_action = max(_norms(_mul(mats[: j + 1] - pre, p_init)).max(),
+                         _norms(_mul(mats[j + 1:] - post, p_init[-1])).max(initial=0.0))
         max_unit = float(unitary_defect(mats).max())
         max_jump = float(_norms(np.diff(mats, axis=0)).max())
     allowance = path.lipschitz * path.step + path.tol

@@ -166,6 +166,44 @@ class TestUnitaryInputChecks:
         assert out == ""
         assert "boolean" in err
 
+    # Every number of a unitary payload must be a JSON number: a boolean, a
+    # string, null or an array in its place is refused by the field's name.
+    @pytest.mark.parametrize("field, value", [
+        ("t", False), ("t", True), ("t", "0.5"), ("t", None),
+        ("t_jump", "0.5"), ("t_jump", True), ("t_jump", None), ("t_jump", [0.5]),
+        ("tol", True), ("tol", "1e-9"), ("tol", None),
+        ("lipschitz", "2"), ("lipschitz", False), ("lipschitz", None),
+        ("re", "1"), ("re", True), ("re", None), ("re", [1.0]),
+        ("im", "0"), ("im", False), ("im", None),
+        ("samples", {"t": 0.0}), ("samples", "samples"), ("samples", None),
+    ])
+    @pytest.mark.parametrize("cmd", ["patch", "validate"])
+    def test_non_number_fields(self, capsys, tmp_path, cmd, field, value):
+        blob = _jump_path().to_json()
+        if field == "t":
+            blob["samples"][3]["t"] = value
+        elif field in ("re", "im"):
+            blob["samples"][3][field][0][1] = value
+        else:
+            blob[field] = value
+        payload = blob if cmd == "patch" else {"path": blob, "unitaries": blob["samples"]}
+        code, out, err = run(capsys, ["unitary", cmd], payload, tmp_path)
+        assert code == BAD_INPUT
+        assert out == ""
+        assert err.startswith(f"error: {field} must be a JSON ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_non_number_unitary_entry(self, capsys, tmp_path, field):
+        path = _jump_path().to_json()
+        unitaries = json.loads(json.dumps(path["samples"]))
+        unitaries[5][field][1][1] = "0"
+        payload = {"path": path, "unitaries": unitaries}
+        code, out, err = run(capsys, ["unitary", "validate"], payload, tmp_path)
+        assert code == BAD_INPUT
+        assert out == ""
+        assert err.startswith(f"error: {field} must be a JSON number")
+
     def test_non_finite_result_is_not_printed(self, capsys, tmp_path, monkeypatch):
         import ctrace.cli as cli
 
@@ -192,16 +230,17 @@ class TestUnitaryInputChecks:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_unitary_entry_is_not_validated(self, capsys, tmp_path):
-        path = _jump_path().to_json()
-        unitaries = path["samples"]
-        unitaries[10] = dict(unitaries[10], re=[[1e300, 1e300], [1e300, -1e300]])
-        payload = {"path": path, "unitaries": unitaries}
-        code, out, err = run(capsys, ["unitary", "validate"], payload, tmp_path)
-        assert code == REFUTED
-        assert err == ""
-        report = json.loads(out)
-        assert report["ok"] is False
-        assert report["max_unitarity_defect"] is None
+        for index in (0, 10):  # before and after the jump
+            path = _jump_path().to_json()
+            unitaries = path["samples"]
+            unitaries[index] = dict(unitaries[index], re=[[1e300, 1e300], [1e300, -1e300]])
+            payload = {"path": path, "unitaries": unitaries}
+            code, out, err = run(capsys, ["unitary", "validate"], payload, tmp_path)
+            assert code == REFUTED
+            assert err == ""
+            report = json.loads(out)
+            assert report["ok"] is False
+            assert report["max_unitarity_defect"] is None
 
     def test_off_grid_jump_is_not_patched(self, capsys, tmp_path):
         from test_unitary import off_grid_path

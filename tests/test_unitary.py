@@ -7,10 +7,14 @@ import pytest
 
 from ctrace.unitary import (
     IsometryPath,
+    _complements,
+    _mul,
     _norms,
     complement_isometry,
     matrices_from_json,
+    partial_isometry_defect,
     patch_at_singularity,
+    rank_one_defect,
     unitary_defect,
     validate_unitary_path,
 )
@@ -21,6 +25,7 @@ E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 E22 = np.array([[0, 0], [0, 1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 SWAP = E12 + E21
+ROT = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]], dtype=complex)
 
 TOL = 1e-9
 
@@ -43,12 +48,7 @@ class TestComplement:
         assert unitary_defect(E12 + comp) <= 2 * TOL
 
     def test_rotated_column(self):
-        theta = 0.7
-        rot = np.array(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
-            dtype=complex,
-        )
-        w = rot @ E11  # first column of the rotation
+        w = ROT @ E11  # first column of the rotation
         comp = complement_isometry(w)
         total = w + comp
         assert unitary_defect(total) <= 2 * TOL
@@ -464,6 +464,82 @@ class TestNorms:
         assert _norms(2.0 * SWAP) == pytest.approx(2.0, rel=1e-15)
 
 
+# --- reference: the stacked SVD and the batched products the closed forms replaced --
+
+
+def ref_complements(a, tol):
+    """_complements by a stacked SVD, with the same phase rule."""
+    u, _, vh = np.linalg.svd(a)
+    comps = u[:, :, 1, None] * vh[:, None, 1, :]
+    flat = comps.reshape(len(comps), 4)
+    big = np.abs(flat) > tol
+    if not big.any(axis=1).all():
+        raise ValueError("cannot fix the phase of a (numerically) zero matrix")
+    first = flat[np.arange(len(flat)), big.argmax(axis=1)]
+    return comps * (np.abs(first) / first)[:, None, None]
+
+
+def near_partial_isometries(rng, n, size):
+    """n random rank-one partial isometries u v*, each moved by a random
+    matrix of spectral norm below ``size``."""
+    u, v = (_random_unitaries(rng, n)[:, :, 0] for _ in range(2))
+    noise = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    noise *= (size * rng.random(n) / np.linalg.norm(noise, 2, axis=(-2, -1)))[:, None, None]
+    return u[:, :, None] * v[:, None, :].conj() + noise
+
+
+class TestClosedFormKernels:
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-10, 3e-10])
+    def test_complements_agree_with_the_svd(self, tol):
+        w = near_partial_isometries(np.random.default_rng(17), 20_000, tol)
+        comps = _complements(w, tol)
+        assert np.max(np.abs(comps - ref_complements(w, tol))) <= 1e-12
+        # within 2 tol, plus the rounding of unit vectors at tol = 0
+        assert np.max(unitary_defect(w + comps)) <= 2 * tol + 1e-14
+
+    @pytest.mark.parametrize("w", [E11, E12, E21, E22, ROT @ E11, ROT @ E12, E11 @ ROT],
+                             ids=["E11", "E12", "E21", "E22", "rotated column",
+                                  "rotated second column", "rotated row"])
+    def test_exact_cases_at_zero_tol(self, w):
+        # the phase rule picks the first entry that is not exactly zero
+        comp, ref = _complements(w[None], 0.0)[0], ref_complements(w[None], 0.0)[0]
+        assert np.array_equal(comp == 0, ref == 0)
+        assert np.max(np.abs(comp - ref)) <= 1e-15
+        first = comp.ravel()[np.flatnonzero(comp)[0]]
+        assert first.imag == 0 and first.real > 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_multiples_of_the_identity(self):
+        # every vector is an eigenvector: the kernel picks one, silently
+        with pytest.raises(ValueError, match="numerically"):
+            _complements(np.zeros((1, 2, 2), dtype=complex), 1.0)
+        comp = _complements(I2[None] / np.sqrt(2), 0.5)[0]
+        assert partial_isometry_defect(comp) <= 1e-15 and rank_one_defect(comp) <= 1e-15
+
+    @pytest.mark.parametrize("scale", np.logspace(-12, 3, 6))
+    def test_mul_agrees_with_matmul(self, scale):
+        rng = np.random.default_rng(5)
+        a, b = (scale * (rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2)))
+                for _ in range(2))
+        for x, y in [(a, b), (a, b[0]), (a[0], b), (a[0], b[0])]:
+            assert np.all(np.abs(_mul(x, y) - x @ y) <= 1e-15 * (np.abs(x) @ np.abs(y)))
+
+    def test_patch_and_validate_call_no_linear_algebra(self, monkeypatch):
+        path = random_path(np.random.default_rng(8), 1001)
+        expect = ref_patch(path)[0]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg or numpy.matmul was called")
+
+        for name in ("svd", "eig", "eigh", "eigvalsh", "norm", "qr", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np, "matmul", refuse)
+        assert unitary_defect(path.mats[0] + complement_isometry(path.mats[0])) <= 2 * TOL
+        res = patch_at_singularity(path)
+        assert np.max(np.abs(res.unitaries - expect)) <= 1e-12
+        assert validate_unitary_path(res.unitaries, path).ok
+
+
 class TestRelativeTolerances:
     def test_grid_far_from_zero_is_uniform(self):
         ts = np.linspace(1e6, 1e6 + 1, 1001)
@@ -506,6 +582,30 @@ class TestInputChecks:
         samples = constant_jump_path(E11, I2).to_json()["samples"]
         samples[2][key][1][0] = entry
         with pytest.raises(TypeError, match="boolean"):
+            matrices_from_json(samples)
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]],
+                             ids=["true", "false", "string", "null", "array"])
+    @pytest.mark.parametrize("field", ["t", "re", "im", "t_jump", "tol", "lipschitz"])
+    def test_fields_must_be_json_numbers(self, field, value):
+        obj = constant_jump_path(E11, I2).to_json()
+        if field in ("t", "re", "im"):
+            sample = obj["samples"][2]
+            if field == "t":
+                sample["t"] = value
+            else:
+                sample[field][1][0] = value
+        else:
+            obj[field] = value
+        with pytest.raises(TypeError, match=f"^{field} must be a JSON number"):
+            IsometryPath.from_json(obj)
+
+    @pytest.mark.parametrize("samples", [{}, {"t": 0.0}, "samples", 3, None])
+    def test_samples_must_be_an_array(self, samples):
+        obj = dict(constant_jump_path(E11, I2).to_json(), samples=samples)
+        with pytest.raises(TypeError, match="samples must be a JSON array"):
+            IsometryPath.from_json(obj)
+        with pytest.raises(TypeError, match="samples must be a JSON array"):
             matrices_from_json(samples)
 
     def test_matrices_round_trip(self):
