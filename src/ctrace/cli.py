@@ -4,9 +4,10 @@ Loads JSON payloads (from a file argument or stdin), dispatches to the
 library, and prints a deterministic JSON result: keys sorted, rationals
 as reduced [numerator, denominator] pairs.
 
-Exit codes: 0 verified/true, 1 refuted/false (witness in the JSON),
-2 precondition or schema error, 3 infeasible perturbation,
-4 not decidable.
+Exit codes: 0 when the answer is true, 1 when it is false (witness in
+the JSON), 2 precondition or schema error, 3 infeasible perturbation,
+4 not decidable.  A plain value (`pw eval`, `invariant eval`,
+`decompose` and `classify`) is always true.
 
 A payload that is a JSON array is treated as a batch of independent
 per-interval instances: each entry is processed on its own into its own
@@ -33,6 +34,7 @@ from .pwcalc import (
     json_int,
     json_list,
     json_obj,
+    json_pair,
     le_pointwise,
     weighted_sup_norm,
 )
@@ -87,43 +89,39 @@ def _group(payload):
     return GroupModel.from_json(obj)
 
 
-# --- handlers: each takes (payload, args) and returns (result, exit code) --
+# --- handlers: each takes (payload, args) and returns the answer `_run` prints --
 # Each imports what it uses from its own group's module, so a subcommand
 # loads only that group's modules (and only `unitary` loads numpy).
 
 
 def _pw_eval(payload, args):
     f = function_from_json(payload["f"])
-    value = f.eval(frac(payload["t"]))
-    return {"value": frac_pair(value)}, OK
+    return {"value": frac_pair(f.eval(frac(payload["t"])))}
 
 
 def _pw_le(payload, args):
     f = function_from_json(payload["f"])
     g = function_from_json(payload["g"])
-    res = le_pointwise(f, g, strict=json_bool(payload.get("strict", False), "strict"))
-    return res.to_json(), OK if res else REFUTED
+    return le_pointwise(f, g, strict=json_bool(payload.get("strict", False), "strict"))
 
 
 def _pw_norm(payload, args):
-    res = weighted_sup_norm(
+    return weighted_sup_norm(
         PLFunction.from_json(payload["f"]), StepFunction.from_json(payload["w"])
     )
-    return res.to_json(), OK
 
 
 def _block_validate(payload, args):
     from .blocks import validate_special
 
-    res = validate_special(StepFunction.from_json(payload))
-    return res.to_json(), OK if res else REFUTED
+    return validate_special(StepFunction.from_json(payload))
 
 
 def _block_from_nested(payload, args):
     from .blocks import NestedPresentation, dim_from_nested
 
     _capped("number of open sets", len(payload["opens"]), MAX_NESTED_SETS)
-    return dim_from_nested(NestedPresentation.from_json(payload)).to_json(), OK
+    return dim_from_nested(NestedPresentation.from_json(payload))
 
 
 def _block_to_nested(payload, args):
@@ -132,61 +130,56 @@ def _block_to_nested(payload, args):
     d = StepFunction.from_json(payload)
     # a largest value v gives v - 1 open sets
     _capped("largest value", d.max_value(), MAX_NESTED_SETS + 1)
-    return nested_from_dim(d).to_json(), OK
+    return nested_from_dim(d)
 
 
 def _pattern_apply(payload, args):
     from .patterns import EigenPattern, apply_pattern
 
-    out = apply_pattern(
+    return apply_pattern(
         EigenPattern.from_json(payload["pattern"]),
         PLFunction.from_json(payload["f"]),
         normalized=json_bool(payload.get("normalized", False), "normalized"),
     )
-    return out.to_json(), OK
 
 
 def _pattern_push(payload, args):
     from .patterns import EigenPattern, push_dimension
 
-    out = push_dimension(
+    return push_dimension(
         EigenPattern.from_json(payload["pattern"]), StepFunction.from_json(payload["d"])
     )
-    return out.to_json(), OK
 
 
 def _pattern_compat(payload, args):
     from .patterns import EigenPattern, check_compat
 
-    res = check_compat(
+    return check_compat(
         EigenPattern.from_json(payload["pattern"]),
         PLFunction.from_json(payload["f"]),
         StepFunction.from_json(payload["d_B"]),
         slack=frac(payload.get("slack", 0)),
     )
-    return res.to_json(), OK if res else REFUTED
 
 
 def _pattern_density(payload, args):
     from .patterns import EigenPattern, density_check
 
-    res = density_check(
+    return density_check(
         EigenPattern.from_json(payload["pattern"]),
         _capped("d", json_int(payload["d"], "d"), MAX_BINS),
         frac(payload["delta"]),
     )
-    return res.to_json(), OK if res else REFUTED
 
 
 def _pattern_gap(payload, args):
     from .patterns import EigenPattern, compute_gap
 
-    rep = compute_gap(
+    return compute_gap(
         EigenPattern.from_json(payload["pattern"]),
         StepFunction.from_json(payload["d_src"]),
         StepFunction.from_json(payload["d_tgt"]),
     )
-    return rep.to_json(), OK if rep.satisfied else REFUTED
 
 
 def _pattern_chain(payload, args):
@@ -196,7 +189,7 @@ def _pattern_chain(payload, args):
         ChainStage(EigenPattern.from_json(s["pattern"]), StepFunction.from_json(s["dim"]))
         for s in payload["stages"]
     ]
-    res = verify_chain(
+    return verify_chain(
         stages,
         EigenPattern.from_json(payload["tau"]),
         StepFunction.from_json(payload["d_target"]),
@@ -204,13 +197,12 @@ def _pattern_chain(payload, args):
         frac(payload["delta_1"]),
         frac(payload["eps_n"]),
     )
-    return res.to_json(), OK if res else REFUTED
 
 
 def _pattern_uniqhyp(payload, args):
     from .patterns import EigenPattern, uniqueness_hypothesis_check
 
-    res = uniqueness_hypothesis_check(
+    return uniqueness_hypothesis_check(
         EigenPattern.from_json(payload["phi"]),
         EigenPattern.from_json(payload["psi"]),
         _capped("d", json_int(payload["d"], "d"), MAX_BINS),
@@ -218,14 +210,12 @@ def _pattern_uniqhyp(payload, args):
         StepFunction.from_json(payload["w_dom"]),
         StepFunction.from_json(payload["w_cod"]),
     )
-    return res.to_json(), OK if res else REFUTED
 
 
 def _exist_fprime(payload, args):
     from .existence import make_underapprox
 
-    out = make_underapprox(StepFunction.from_json(payload["d"]), frac(payload["delta"]))
-    return out.to_json(), OK
+    return make_underapprox(StepFunction.from_json(payload["d"]), frac(payload["delta"]))
 
 
 def _exist_perturb(payload, args):
@@ -239,7 +229,7 @@ def _exist_perturb(payload, args):
         if "f_prime" in payload
         else make_underapprox(d_a, delta)
     )
-    cert = perturb_pattern(
+    return perturb_pattern(
         d_a,
         f_prime,
         EigenPattern.from_json(payload["pattern"]),
@@ -250,22 +240,18 @@ def _exist_perturb(payload, args):
         StepFunction.from_json(payload["w_dom"]),
         StepFunction.from_json(payload["w_cod"]),
     )
-    return cert.to_json(), OK
 
 
 def _exist_verify(payload, args):
     from .existence import PerturbationCertificate, verify_certificate
 
-    check = verify_certificate(PerturbationCertificate.from_json(payload))
-    return check.to_json(), OK if check.ok else REFUTED
+    return verify_certificate(PerturbationCertificate.from_json(payload))
 
 
 def _exist_counterexample(payload, args):
     from .existence import reproduce_counterexample
 
-    rep = reproduce_counterexample(frac(args.delta), frac(args.eps0))
-    ok = rep.hypothesis_ok and rep.infeasible_ok
-    return rep.to_json(), OK if ok else REFUTED
+    return reproduce_counterexample(frac(args.delta), frac(args.eps0))
 
 
 def _invariant_eval(payload, args):
@@ -273,30 +259,25 @@ def _invariant_eval(payload, args):
 
     f = TraceNormMap.from_json(payload["f"])
     value = trace_norm_eval(f, [frac(c) for c in json_list(payload["s"], "s")])
-    return {"value": ext_json(value)}, OK
+    return {"value": ext_json(value)}
 
 
 def _invariant_range(payload, args):
     from .invariant import TraceNormMap, dimension_range_membership
 
-    res = dimension_range_membership(
+    return dimension_range_membership(
         _group(payload),
         TraceNormMap.from_json(payload["f"]),
         frac(payload["x"]),
         require_positive=json_bool(payload.get("require_positive", True), "require_positive"),
     )
-    return res.to_json(), OK if res else REFUTED
 
 
 def _invariant_ai(payload, args):
-    from .invariant import AiVerdict, SimplexModel, TraceNormMap, ai_criterion
+    from .invariant import SimplexModel, TraceNormMap, ai_criterion
 
-    group = _group(payload)
-    rep = ai_criterion(group, SimplexModel.from_json(payload["simplex"]),
-                       TraceNormMap.from_json(payload["f"]))
-    if rep.verdict is AiVerdict.NOT_DECIDABLE:
-        return rep.to_json(), NOT_DECIDABLE
-    return rep.to_json(), OK if rep.verdict is AiVerdict.AI else REFUTED
+    return ai_criterion(_group(payload), SimplexModel.from_json(payload["simplex"]),
+                        TraceNormMap.from_json(payload["f"]))
 
 
 def _invariant_decompose(payload, args):
@@ -306,7 +287,7 @@ def _invariant_decompose(payload, args):
         TraceNormMap.from_json(payload["f"]),
         [frac(c) for c in json_list(payload["caps"], "caps")],
     )
-    return {"parts": [[frac_pair(v) for v in part] for part in parts]}, OK
+    return {"parts": [[frac_pair(v) for v in part] for part in parts]}
 
 
 def _invariant_classify(payload, args):
@@ -315,29 +296,25 @@ def _invariant_classify(payload, args):
     group = _group(payload)
     points = []
     for xy in json_list(payload["points"], "points"):
-        if len(json_list(xy, "each entry of points")) != 2:
-            raise ValueError(f"each entry of points must have two coordinates, not {len(xy)}")
-        x, y = (json_ext(c, "points") for c in xy)
+        x, y = (json_ext(c, "points") for c in json_pair(xy, "each entry of points"))
         points.append((x, y, classify_point((x, y), group).value))
     if args.plot:
         args.plot.writelines(f"{x} {y} {cls}\n" for x, y, cls in points)
-    rows = [{"x": ext_json(x), "y": ext_json(y), "class": cls} for x, y, cls in points]
-    return {"points": rows}, OK
+    return {"points": [{"x": ext_json(x), "y": ext_json(y), "class": cls}
+                       for x, y, cls in points]}
 
 
 def _unitary_patch(payload, args):
     from .unitary import IsometryPath, patch_at_singularity
 
-    res = patch_at_singularity(IsometryPath.from_json(payload))
-    return res.to_json(), OK
+    return patch_at_singularity(IsometryPath.from_json(payload))
 
 
 def _unitary_validate(payload, args):
     from .unitary import IsometryPath, matrices_from_json, validate_unitary_path
 
     path = IsometryPath.from_json(payload["path"])
-    rep = validate_unitary_path(matrices_from_json(payload["unitaries"]), path)
-    return rep.to_json(), OK if rep.ok else REFUTED
+    return validate_unitary_path(matrices_from_json(payload["unitaries"], "unitaries"), path)
 
 
 _HANDLERS = {
@@ -413,16 +390,23 @@ def _dumps(result) -> str:
 
 
 def _run(handler, payload, args) -> tuple:
-    """The JSON line and exit code of one payload; infeasible is an answer."""
+    """The JSON line and exit code of one payload's answer; infeasible is an answer."""
     try:
-        result, code = handler(payload, args)
+        answer = handler(payload, args)
     except Infeasible as exc:
-        result, code = {
+        return _dumps({
             "error": "infeasible",
             "message": str(exc),
             "witness": None if exc.witness is None else frac_pair(exc.witness),
-        }, INFEASIBLE
-    return _dumps(result), code
+        }), INFEASIBLE
+    if isinstance(answer, dict):
+        return _dumps(answer), OK
+    # by value: AiVerdict is a str enum, and invariant is imported only by its handlers
+    if getattr(answer, "verdict", None) == "NOT_DECIDABLE":
+        code = NOT_DECIDABLE
+    else:
+        code = OK if answer else REFUTED
+    return _dumps(answer.to_json()), code
 
 
 def _run_entry(handler, entry, args) -> tuple:

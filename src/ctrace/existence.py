@@ -39,7 +39,6 @@ from .pwcalc import (
     compose_pl,
     compose_step_pl,
     frac,
-    frac_pair,
     json_obj,
     le_pointwise,
     unit_weight,
@@ -57,9 +56,14 @@ def choose_delta(eps, m: int) -> Fraction:
     return eps / (2 * m * m)
 
 
-def _windows(d: StepFunction, delta: Fraction) -> list:
-    """``(jump, a, b)`` for each jump of d, [a, b] its window of half-width
-    delta cut to [0,1]; no other breakpoint of d lies within 2*delta of a jump."""
+def _windows(d: StepFunction, delta) -> tuple:
+    """delta as a Fraction, and ``(jump, a, b)`` for each jump of the
+    dimension function d, [a, b] its window of half-width delta cut to
+    [0,1]; no other breakpoint of d lies within 2*delta of a jump."""
+    delta = frac(delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    ensure_dimension_function(d)
     jumps = d.jumps()
     points = [j.t for j in jumps]
     for s, s2 in zip(points, points[1:]):
@@ -76,7 +80,7 @@ def _windows(d: StepFunction, delta: Fraction) -> list:
             raise ValueError(
                 f"window around {s} reaches an endpoint; shrink delta"
             )
-    return [(j, max(ZERO, j.t - delta), min(ONE, j.t + delta)) for j in jumps]
+    return delta, [(j, max(ZERO, j.t - delta), min(ONE, j.t + delta)) for j in jumps]
 
 
 def _push(pts: list, t, v) -> None:
@@ -97,12 +101,9 @@ def make_underapprox(d: StepFunction, delta) -> PLFunction:
     point value d(s); in particular f'(s) = d(s).  No other breakpoint
     lies in a window, so its edge values are the jump's one-sided limits.
     """
-    delta = frac(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    ensure_dimension_function(d)
+    windows = _windows(d, delta)[1]
     pts = [(ZERO, d.point_values[0])]
-    for j, a, b in _windows(d, delta):
+    for j, a, b in windows:
         if a > ZERO:
             _push(pts, a, j.left)
         _push(pts, j.t, j.value)
@@ -123,11 +124,7 @@ def squash_map(d: StepFunction, delta) -> PLFunction:
     identity along linear ramps of half the available gap (at most
     delta/2 wide).
     """
-    delta = frac(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    ensure_dimension_function(d)
-    windows = _windows(d, delta)
+    delta, windows = _windows(d, delta)
     pts = [(ZERO, ZERO)]
     for idx, (j, a, b) in enumerate(windows):
         c = a if j.left == j.value else b if j.right == j.value else j.t
@@ -169,16 +166,17 @@ class ElementFact(Record):
 
 
 @dataclass(frozen=True)
-class PerturbationCertificate:
+class PerturbationCertificate(Record):
     """Self-contained record of a successful perturbation.
 
     Every claimed fact is embedded exactly and can be re-derived by
     ``verify_certificate`` from the stored data alone.
     """
 
-    d_a: StepFunction
+    kind: str = field(default="perturbation_certificate", init=False)
+    d_A: StepFunction
     f_prime: PLFunction
-    d_b: StepFunction
+    d_B: StepFunction
     original: EigenPattern
     perturbed: EigenPattern
     delta: Fraction
@@ -190,32 +188,14 @@ class PerturbationCertificate:
     pushed: StepFunction
     element_facts: tuple
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "perturbation_certificate",
-            "d_A": self.d_a.to_json(),
-            "f_prime": self.f_prime.to_json(),
-            "d_B": self.d_b.to_json(),
-            "original": self.original.to_json(),
-            "perturbed": self.perturbed.to_json(),
-            "delta": frac_pair(self.delta),
-            "eps": frac_pair(self.eps),
-            "w_dom": self.w_dom.to_json(),
-            "w_cod": self.w_cod.to_json(),
-            "test_elements": [a.to_json() for a in self.test_elements],
-            "eigen_facts": [e.to_json() for e in self.eigen_facts],
-            "pushed": self.pushed.to_json(),
-            "element_facts": [e.to_json() for e in self.element_facts],
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "PerturbationCertificate":
-        if json_obj(obj, "a certificate").get("kind") != "perturbation_certificate":
+        if json_obj(obj, "a certificate").get("kind") != cls.kind:
             raise ValueError("not a perturbation certificate")
         return cls(
-            d_a=StepFunction.from_json(obj["d_A"]),
+            d_A=StepFunction.from_json(obj["d_A"]),
             f_prime=PLFunction.from_json(obj["f_prime"]),
-            d_b=StepFunction.from_json(obj["d_B"]),
+            d_B=StepFunction.from_json(obj["d_B"]),
             original=EigenPattern.from_json(obj["original"]),
             perturbed=EigenPattern.from_json(obj["perturbed"]),
             delta=frac(obj["delta"]),
@@ -308,9 +288,9 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
             )
         element_facts.append(ElementFact(dev, bound))
     return PerturbationCertificate(
-        d_a=d_a,
+        d_A=d_a,
         f_prime=f_prime,
-        d_b=d_b,
+        d_B=d_b,
         original=pattern,
         perturbed=perturbed,
         delta=delta,
@@ -360,7 +340,7 @@ def verify_certificate(cert: PerturbationCertificate) -> CertificateCheck:
         cert.original.multiplicity == cert.perturbed.multiplicity
         and len(cert.eigen_facts) == cert.original.multiplicity,
     )
-    underapprox = le_pointwise(cert.f_prime, cert.d_a)
+    underapprox = le_pointwise(cert.f_prime, cert.d_A)
     add("f_prime_below_d_A", underapprox.holds,
         "" if underapprox else f"witness {underapprox.witness}")
     if cert.original.multiplicity == cert.perturbed.multiplicity:
@@ -370,7 +350,7 @@ def verify_certificate(cert: PerturbationCertificate) -> CertificateCheck:
             (lam, lam_hat): (
                 weighted_sup_norm(lam_hat - lam, one).value,
                 le_pointwise(
-                    compose_step_pl(cert.d_a, lam_hat), compose_pl(cert.f_prime, lam)
+                    compose_step_pl(cert.d_A, lam_hat), compose_pl(cert.f_prime, lam)
                 ),
             )
             for lam, lam_hat in dict.fromkeys(pairs)
@@ -389,9 +369,9 @@ def verify_certificate(cert: PerturbationCertificate) -> CertificateCheck:
                 dom.holds,
                 "" if dom else f"witness {dom.witness}",
             )
-    pushed = push_dimension(cert.perturbed, cert.d_a)
+    pushed = push_dimension(cert.perturbed, cert.d_A)
     add("pushed_matches", pushed == cert.pushed)
-    below = le_pointwise(pushed, cert.d_b)
+    below = le_pointwise(pushed, cert.d_B)
     add("pushed_below_target", below.holds,
         "" if below else f"witness {below.witness}")
     add(
@@ -428,7 +408,7 @@ def pinched_dimension_function() -> StepFunction:
 
 
 @dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(Record):
     """Worked instance where a slack-weakened hypothesis is unrepairable.
 
     With m identical identity eigenfunctions, 1/(2m-1) < delta makes the
@@ -438,31 +418,20 @@ class CounterexampleReport:
     dimension function to 2m > 2m-1 there.
     """
 
+    kind: str = field(default="counterexample_report", init=False)
     delta: Fraction
     eps0: Fraction
     multiplicity: int
-    d_b_value: Fraction
+    d_B_value: Fraction
     hypothesis_ok: bool
     infeasible_ok: bool
     witness: Fraction
     pushed_at_witness: Fraction
-    d_a: StepFunction = field(repr=False)
+    d_A: StepFunction = field(repr=False)
     f: PLFunction = field(repr=False)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "counterexample_report",
-            "delta": frac_pair(self.delta),
-            "eps0": frac_pair(self.eps0),
-            "multiplicity": self.multiplicity,
-            "d_B_value": frac_pair(self.d_b_value),
-            "hypothesis_ok": self.hypothesis_ok,
-            "infeasible_ok": self.infeasible_ok,
-            "witness": frac_pair(self.witness),
-            "pushed_at_witness": frac_pair(self.pushed_at_witness),
-            "d_A": self.d_a.to_json(),
-            "f": self.f.to_json(),
-        }
+    def __bool__(self) -> bool:
+        return self.hypothesis_ok and self.infeasible_ok
 
 
 def reproduce_counterexample(delta, eps0) -> CounterexampleReport:
@@ -506,11 +475,11 @@ def reproduce_counterexample(delta, eps0) -> CounterexampleReport:
         delta=delta,
         eps0=eps0,
         multiplicity=m,
-        d_b_value=d_b_value,
+        d_B_value=d_b_value,
         hypothesis_ok=hypothesis.holds,
         infeasible_ok=infeasible,
         witness=ZERO,
         pushed_at_witness=pushed_at_zero,
-        d_a=d_a,
+        d_A=d_a,
         f=f,
     )

@@ -86,16 +86,12 @@ class TraceNormMap:
     vertex_values: tuple
 
     def __post_init__(self):
-        self._store(tuple(ext(v) for v in self.vertex_values))
-
-    def _store(self, vals: tuple) -> "TraceNormMap":
-        """Check and store coerced vertex values; returns ``self``."""
+        vals = tuple(ext(v) for v in self.vertex_values)
         if not vals:
             raise ValueError("need at least one vertex value")
         if any(is_finite(v) and v <= 0 for v in vals):
             raise ValueError("vertex values must be strictly positive")
         vars(self).update(vertex_values=vals)
-        return self
 
     @property
     def k(self) -> int:
@@ -110,8 +106,9 @@ class TraceNormMap:
 
     @classmethod
     def from_json(cls, obj: Sequence) -> "TraceNormMap":
-        # payloads call the map f
-        return object.__new__(cls)._store(tuple(json_ext(v, "f") for v in json_list(obj, "f")))
+        # payloads call the map f; each value is checked and coerced as
+        # __post_init__ reaches it, and JSON's float 1e400 is not infinity
+        return cls(json_ext(v, "f") if isinstance(v, float) else v for v in json_list(obj, "f"))
 
 
 def trace_norm_eval(f: TraceNormMap, s: Sequence) -> ExtRational:
@@ -146,10 +143,9 @@ class GroupModel:
     q: Union[Fraction, None] = None
 
     def __post_init__(self):
-        self._store(GroupKind(self.kind), tuple(frac(r) for r in self.rates), self.q)
-
-    def _store(self, kind: GroupKind, rates: tuple, q) -> "GroupModel":
-        """Check and store a kind, coerced rates and a scale; returns ``self``."""
+        # rates before kind: from_json passes its rows unread, and a
+        # payload's first defect must be the one reported
+        rates, kind, q = tuple(frac(r) for r in self.rates), GroupKind(self.kind), self.q
         if not rates:
             raise ValueError("need at least one state rate")
         if kind is GroupKind.SCALED_INTEGERS:
@@ -161,7 +157,6 @@ class GroupModel:
         else:
             q = None
         vars(self).update(kind=kind, rates=rates, q=q)
-        return self
 
     @property
     def k(self) -> int:
@@ -186,14 +181,17 @@ class GroupModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupModel":
-        rates = []
-        for row in json_list(obj["pairing"], "pairing"):
-            if isinstance(row, (list, tuple)) and row and isinstance(row[0], (list, tuple)):
-                if len(row) != 1:
-                    raise ValueError("pairing rows must have exactly one generator column")
-                row = row[0]
-            rates.append(frac(row))
-        return object.__new__(cls)._store(GroupKind(obj["kind"]), tuple(rates), obj.get("q"))
+        rows = json_list(obj["pairing"], "pairing")
+
+        def rates():
+            for row in rows:
+                if isinstance(row, (list, tuple)) and row and isinstance(row[0], (list, tuple)):
+                    if len(row) != 1:
+                        raise ValueError("pairing rows must have exactly one generator column")
+                    row = row[0]
+                yield row
+
+        return cls(obj["kind"], rates(), obj.get("q"))
 
 
 @dataclass(frozen=True)
@@ -248,6 +246,9 @@ class AiReport:
     verdict: AiVerdict
     per_vertex: tuple = ()
     reason: Union[str, None] = None
+
+    def __bool__(self) -> bool:
+        return self.verdict is AiVerdict.AI
 
     def to_json(self) -> dict:
         return {

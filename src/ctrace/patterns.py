@@ -246,8 +246,7 @@ class GapReport(Record):
     at: Fraction
     attained: bool = True
 
-    @property
-    def satisfied(self) -> bool:
+    def __bool__(self) -> bool:
         return self.gap > 0
 
 

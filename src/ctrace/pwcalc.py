@@ -107,6 +107,13 @@ def json_list(x, what: str) -> list:
     return x
 
 
+def json_pair(x, what: str) -> list:
+    """``x`` if it is a JSON array of exactly two entries."""
+    if len(json_list(x, what)) != 2:
+        raise ValueError(f"{what} must have two entries, not {len(x)}")
+    return x
+
+
 def frac_pair(x: Fraction) -> list:
     """Encode a Fraction as a reduced [numerator, denominator] pair."""
     return [x.numerator, x.denominator]
@@ -395,7 +402,8 @@ class StepFunction(_Stored):
         if json_obj(obj, "a step function").get("kind") != "step":
             raise ValueError("not a step-function payload")
         # lazily, so each piece's value is coerced before the next piece is read
-        return cls((Interval.from_json(p), p["value"]) for p in obj["pieces"])
+        return cls((Interval.from_json(json_obj(p, "each entry of pieces")), p["value"])
+                   for p in json_list(obj["pieces"], "pieces"))
 
 
 @dataclass(frozen=True)
@@ -508,7 +516,7 @@ class PLFunction(_Stored):
     def from_json(cls, obj: dict) -> "PLFunction":
         if json_obj(obj, "a piecewise-linear function").get("kind") != "pl":
             raise ValueError("not a piecewise-linear payload")
-        pts = obj["points"]
+        pts = [json_pair(p, "each entry of points") for p in json_list(obj["points"], "points")]
         # __post_init__ coerces each coordinate
         return cls(tuple(t for t, _ in pts), tuple(v for _, v in pts))
 

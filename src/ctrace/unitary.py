@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .pwcalc import json_list, json_number
+from .pwcalc import json_list, json_number, json_obj
 
 DEFAULT_TOL = 1e-9
 # Steps may differ, and a sample lies at the jump, up to this fraction of
@@ -150,18 +150,19 @@ def samples_to_json(ts, mats) -> list:
     return [{"t": t, "re": re, "im": im} for t, re, im in rows]
 
 
-def _sample_floats(samples, key: str) -> np.ndarray:
-    """Field ``key`` of each sample object, JSON numbers in nested arrays, as floats."""
-    values = np.array([s[key] for s in json_list(samples, "samples")], dtype=object)
+def _sample_floats(samples, what: str, key: str) -> np.ndarray:
+    """Field ``key`` (JSON numbers in nested arrays) of each object in array ``what``, as floats."""
+    entry = f"each entry of {what}"
+    values = np.array([json_obj(s, entry)[key] for s in json_list(samples, what)], dtype=object)
     bad = [v for v in values.flat if isinstance(v, bool) or not isinstance(v, (int, float))]
     if bad:
         json_number(bad[0], key)  # refuses it by name
     return values.astype(float)
 
 
-def matrices_from_json(samples) -> np.ndarray:
-    """Decode the matrices of ``{"re", "im"}`` sample objects."""
-    return _sample_floats(samples, "re") + 1j * _sample_floats(samples, "im")
+def matrices_from_json(samples, what: str = "samples") -> np.ndarray:
+    """Decode the matrices of the array ``what`` of ``{"re", "im"}`` sample objects."""
+    return _sample_floats(samples, what, "re") + 1j * _sample_floats(samples, what, "im")
 
 
 @dataclass(eq=False)
@@ -248,7 +249,7 @@ class IsometryPath:
         fields = {"tol": DEFAULT_TOL, "lipschitz": 1.0, **obj}
         samples = fields["samples"]
         scalars = (json_number(fields[key], key) for key in ("t_jump", "tol", "lipschitz"))
-        return cls(_sample_floats(samples, "t"), matrices_from_json(samples), *scalars)
+        return cls(_sample_floats(samples, "samples", "t"), matrices_from_json(samples), *scalars)
 
 
 @dataclass(eq=False)

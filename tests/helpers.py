@@ -543,7 +543,7 @@ def ref_perturb_pattern(d_a, f_prime, pattern, d_b, delta, test_elements,
             raise Infeasible(f"deviation {dev} on a test element exceeds the budget {bound}")
         element_facts.append(ex.ElementFact(dev, bound))
     return ex.PerturbationCertificate(
-        d_a=d_a, f_prime=f_prime, d_b=d_b, original=pattern, perturbed=perturbed,
+        d_A=d_a, f_prime=f_prime, d_B=d_b, original=pattern, perturbed=perturbed,
         delta=delta, eps=eps, w_dom=w_dom, w_cod=w_cod,
         test_elements=tuple(test_elements), eigen_facts=tuple(eigen_facts),
         pushed=pushed, element_facts=tuple(element_facts),
@@ -565,7 +565,7 @@ def ref_verify_certificate(cert):
     add("pattern_sizes_match",
         cert.original.multiplicity == cert.perturbed.multiplicity
         and len(cert.eigen_facts) == cert.original.multiplicity)
-    underapprox = le_pointwise(cert.f_prime, cert.d_a)
+    underapprox = le_pointwise(cert.f_prime, cert.d_A)
     add("f_prime_below_d_A", underapprox.holds,
         "" if underapprox else f"witness {underapprox.witness}")
     if cert.original.multiplicity == cert.perturbed.multiplicity:
@@ -576,11 +576,11 @@ def ref_verify_certificate(cert):
             add(f"eigen_distance[{i}]",
                 fact is not None and dist == fact.sup_distance and dist <= 2 * cert.delta,
                 f"distance {dist}")
-            dom = le_pointwise(compose_step_pl(cert.d_a, lam_hat), compose_pl(cert.f_prime, lam))
+            dom = le_pointwise(compose_step_pl(cert.d_A, lam_hat), compose_pl(cert.f_prime, lam))
             add(f"eigen_domination[{i}]", dom.holds, "" if dom else f"witness {dom.witness}")
-    pushed = push_dimension(cert.perturbed, cert.d_a)
+    pushed = push_dimension(cert.perturbed, cert.d_A)
     add("pushed_matches", pushed == cert.pushed)
-    below = le_pointwise(pushed, cert.d_b)
+    below = le_pointwise(pushed, cert.d_B)
     add("pushed_below_target", below.holds, "" if below else f"witness {below.witness}")
     add("element_count_matches", len(cert.element_facts) == len(cert.test_elements))
     for j, a in enumerate(cert.test_elements):
@@ -1133,15 +1133,16 @@ def dimension_functions(draw, max_cuts=6, max_value=6):
 
 
 def ref_step_from_json(obj) -> StepFunction:
-    from ctrace.pwcalc import Interval, Piece, frac, json_bool, json_obj
+    from ctrace.pwcalc import Interval, Piece, frac, json_bool, json_list, json_obj
 
     if json_obj(obj, "a step function").get("kind") != "step":
         raise ValueError("not a step-function payload")
-    pieces = tuple(
-        Piece(Interval(frac(p["lo"]), frac(p["hi"]), json_bool(p["lo_closed"], "lo_closed"),
-                       json_bool(p["hi_closed"], "hi_closed")), frac(p["value"]))
-        for p in obj["pieces"]
-    )
+    pieces = []
+    for p in json_list(obj["pieces"], "pieces"):
+        p = json_obj(p, "each entry of pieces")
+        pieces.append(Piece(Interval(frac(p["lo"]), frac(p["hi"]),
+                                     json_bool(p["lo_closed"], "lo_closed"),
+                                     json_bool(p["hi_closed"], "hi_closed")), frac(p["value"])))
     if not pieces:
         raise ValueError("a step function needs at least one piece")
     pieces = tuple(sorted(pieces, key=lambda p: (p.interval.lo, not p.interval.lo_closed)))
@@ -1306,3 +1307,38 @@ def ref_simplex_json(s) -> dict:
 
 def ref_membership_json(res) -> dict:
     return {"member": res.member, "failing_vertex": res.failing_vertex}
+
+
+def ref_certificate_json(cert) -> dict:
+    return {
+        "kind": "perturbation_certificate",
+        "d_A": cert.d_A.to_json(),
+        "f_prime": cert.f_prime.to_json(),
+        "d_B": cert.d_B.to_json(),
+        "original": cert.original.to_json(),
+        "perturbed": cert.perturbed.to_json(),
+        "delta": frac_pair(cert.delta),
+        "eps": frac_pair(cert.eps),
+        "w_dom": cert.w_dom.to_json(),
+        "w_cod": cert.w_cod.to_json(),
+        "test_elements": [a.to_json() for a in cert.test_elements],
+        "eigen_facts": [ref_eigen_fact_json(e) for e in cert.eigen_facts],
+        "pushed": cert.pushed.to_json(),
+        "element_facts": [ref_element_fact_json(e) for e in cert.element_facts],
+    }
+
+
+def ref_counterexample_json(rep) -> dict:
+    return {
+        "kind": "counterexample_report",
+        "delta": frac_pair(rep.delta),
+        "eps0": frac_pair(rep.eps0),
+        "multiplicity": rep.multiplicity,
+        "d_B_value": frac_pair(rep.d_B_value),
+        "hypothesis_ok": rep.hypothesis_ok,
+        "infeasible_ok": rep.infeasible_ok,
+        "witness": frac_pair(rep.witness),
+        "pushed_at_witness": frac_pair(rep.pushed_at_witness),
+        "d_A": rep.d_A.to_json(),
+        "f": rep.f.to_json(),
+    }

@@ -81,7 +81,7 @@ def test_criterion_1_counterexample_reproduction():
     start = time.monotonic()
     rep = reproduce_counterexample(F(1, 10), F(1, 5))
     assert rep.multiplicity == 6
-    assert rep.d_b_value == 11
+    assert rep.d_B_value == 11
     # slack hypothesis, exact: sum over the pattern is at most 12 <= 121/10
     d_b = StepFunction.constant(11)
     f = rep.f
@@ -94,7 +94,7 @@ def test_criterion_1_counterexample_reproduction():
     assert rep.infeasible_ok
     assert rep.witness == 0
     assert rep.pushed_at_witness == 12
-    assert rep.pushed_at_witness > rep.d_b_value
+    assert rep.pushed_at_witness > rep.d_B_value
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     report(1, f"multiplicity 6, target 11, 12 <= 121/10 and 12 > 11 exact "

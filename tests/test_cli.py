@@ -1,5 +1,6 @@
 """Command-line integration: exit codes, determinism, JSON shapes."""
 
+import io
 import json
 import os
 import re
@@ -97,6 +98,16 @@ class TestExitCodes:
         code, out, _ = run(capsys, ["invariant", "ai"], payload, tmp_path)
         assert code == 4
         assert json.loads(out)["verdict"] == "NOT_DECIDABLE"
+
+    def test_console_script_exits_with_the_code_of_main(self, capsys, monkeypatch):
+        import ctrace.cli as cli
+
+        monkeypatch.setattr(sys, "argv", ["ctrace", "pattern", "gap"])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(pinched_gap_payload())))
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == REFUTED
+        assert json.loads(capsys.readouterr().out)["gap"] == [-1, 1]
 
     def test_closed_stdout_keeps_the_verdict(self, capsys):
         # the reader is gone before the first write: every write to stdout
@@ -208,7 +219,7 @@ class TestUnitaryInputChecks:
         import ctrace.cli as cli
 
         monkeypatch.setitem(
-            cli._HANDLERS, ("pw", "eval"), (lambda payload, args: ({"x": float("nan")}, 0), True)
+            cli._HANDLERS, ("pw", "eval"), (lambda payload, args: {"x": float("nan")}, True)
         )
         code, out, err = run(capsys, ["pw", "eval"], {}, tmp_path)
         assert code == 2
@@ -578,6 +589,29 @@ class TestEscapingExceptions:
     def test_deeply_nested_arrays(self, capsys, tmp_path):
         code, out, err = run(capsys, ["pw", "eval"], "[" * 200_000, tmp_path)
         self.check_refused(code, out, err, "recursion")
+
+    # An array or an entry of the wrong shape is refused by its field's name.
+    @pytest.mark.parametrize("args, payload, message", [
+        (["unitary", "patch"], dict(_jump_path().to_json(), samples=[1, 2, 3]),
+         "each entry of samples must be a JSON object, not int"),
+        (["unitary", "validate"], {"path": _jump_path().to_json(), "unitaries": {}},
+         "unitaries must be a JSON array, not dict"),
+        (["unitary", "validate"], {"path": _jump_path().to_json(), "unitaries": [1]},
+         "each entry of unitaries must be a JSON object, not int"),
+        (["pw", "eval"], {"f": {"kind": "step", "pieces": {"a": 1}}, "t": 0},
+         "pieces must be a JSON array, not dict"),
+        (["pw", "eval"], {"f": {"kind": "step", "pieces": [1]}, "t": 0},
+         "each entry of pieces must be a JSON object, not int"),
+        (["pw", "eval"], {"f": {"kind": "pl", "points": [1, 2]}, "t": 0},
+         "each entry of points must be a JSON array, not int"),
+        (["pw", "eval"], {"f": {"kind": "pl", "points": [[0, 0, 0], [1, 1]]}, "t": 0},
+         "each entry of points must have two entries, not 3"),
+        (["pw", "eval"], {"f": {"kind": "pl", "points": {"a": 1}}, "t": 0},
+         "points must be a JSON array, not dict"),
+    ])
+    def test_array_shapes_name_the_field(self, capsys, tmp_path, args, payload, message):
+        code, out, err = run(capsys, args, payload, tmp_path)
+        assert (code, out, err) == (BAD_INPUT, "", f"error: {message}\n")
 
 
 class TestRationalStrings:

@@ -10,6 +10,7 @@ empty and stderr carries the message.  In a batch, the fuzzed entry's slot
 holds what it gives alone, and the worst exit code wins.
 """
 
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -25,6 +26,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ctrace.blocks import nested_from_dim
 from ctrace.cli import _HANDLERS, BAD_INPUT, main
 from ctrace.existence import make_underapprox, perturb_pattern, pinched_dimension_function
+from ctrace.invariant import AiVerdict
 from ctrace.patterns import EigenPattern, push_dimension
 from ctrace.pwcalc import PLFunction, StepFunction, combine_steps, unit_weight
 from ctrace.unitary import IsometryPath, patch_at_singularity
@@ -223,6 +225,34 @@ STDOUT_DIGESTS = {
 def test_valid_payload_stdout_is_pinned(argv):
     code, out, _ = call(argv, json.dumps(PAYLOADS[argv]))
     assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == STDOUT_DIGESTS[argv], out
+
+
+# The answer rule: a plain dict exits 0, an undecided `invariant ai` 4, and
+# any other answer 0 when it is true and 1 when it is false.
+ANSWER_CASES = [
+    *((argv, PAYLOADS[argv]) for argv in sorted(PAYLOADS)),
+    (("invariant", "ai"), {"group": {"kind": "Q", "pairing": [[[1, 1]], [[0, 1]]]},
+                           "simplex": {"k": 2}, "f": [[1, 1], [1, 1]]}),
+    (("pattern", "gap"), {"pattern": EigenPattern.identities(6).to_json(),
+                          "d_src": pinched_dimension_function().to_json(),
+                          "d_tgt": StepFunction.constant(11).to_json()}),
+]
+
+
+@pytest.mark.parametrize("argv, payload", ANSWER_CASES,
+                         ids=["-".join(argv) for argv, _ in ANSWER_CASES])
+def test_exit_code_follows_the_answer(argv, payload):
+    handler, _ = _HANDLERS[argv]
+    answer = handler(json.loads(json.dumps(payload)), argparse.Namespace(plot=None))
+    if isinstance(answer, dict):
+        expected, blob = 0, answer
+    elif getattr(answer, "verdict", None) is AiVerdict.NOT_DECIDABLE:
+        expected, blob = 4, answer.to_json()
+    else:
+        expected, blob = (0 if answer else 1), answer.to_json()
+    code, out, _ = call(argv, json.dumps(payload))
+    assert code == expected
+    assert json.loads(out) == blob
 
 
 @pytest.mark.parametrize("argv", sorted(PAYLOADS), ids="-".join)

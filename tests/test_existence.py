@@ -506,7 +506,7 @@ class TestReproduceCounterexample:
     def test_delta_one_tenth(self):
         rep = reproduce_counterexample(F(1, 10), F(1, 5))
         assert rep.multiplicity == 6
-        assert rep.d_b_value == 11
+        assert rep.d_B_value == 11
         assert rep.hypothesis_ok
         assert rep.infeasible_ok
         assert rep.witness == 0
@@ -515,7 +515,7 @@ class TestReproduceCounterexample:
     def test_delta_one_half(self):
         rep = reproduce_counterexample(F(1, 2), F(1, 5))
         assert rep.multiplicity == 2
-        assert rep.d_b_value == 3
+        assert rep.d_B_value == 3
         assert rep.pushed_at_witness == 4
         assert rep.hypothesis_ok and rep.infeasible_ok
 
@@ -540,7 +540,7 @@ class TestReproduceCounterexample:
                     m += 1
                 rep = reproduce_counterexample(delta, F(1, 5))
                 assert rep.multiplicity == m
-                assert rep.d_b_value == 2 * m - 1
+                assert rep.d_B_value == 2 * m - 1
 
     def test_json_shape(self):
         rep = reproduce_counterexample(F(1, 10), F(1, 5))

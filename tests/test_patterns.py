@@ -468,7 +468,7 @@ class TestComputeGap:
             EigenPattern.identities(2), StepFunction.constant(1), StepFunction.constant(3)
         )
         assert rep.gap == 1
-        assert rep.satisfied
+        assert rep
 
     def test_pinch_against_tight_constant(self):
         m = 6
@@ -479,7 +479,7 @@ class TestComputeGap:
         )
         assert rep.gap == -1
         assert rep.at == 0
-        assert not rep.satisfied
+        assert not rep
 
     def test_unit_margin_instance(self):
         from ctrace.pwcalc import combine_steps

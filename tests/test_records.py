@@ -15,7 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctrace.blocks import NestedPresentation, SpecialCheck, nested_from_dim, validate_special
-from ctrace.existence import CertificateCheck, CheckItem, EigenFact, ElementFact
+from ctrace.existence import (
+    CertificateCheck,
+    CheckItem,
+    CounterexampleReport,
+    EigenFact,
+    ElementFact,
+    PerturbationCertificate,
+    reproduce_counterexample,
+)
 from ctrace.invariant import MembershipResult, SimplexModel
 from ctrace.patterns import (
     ChainReport,
@@ -46,8 +54,10 @@ from helpers import (
     open_set_chains,
     pl_functions,
     ref_certificate_check_json,
+    ref_certificate_json,
     ref_chain_json,
     ref_check_item_json,
+    ref_counterexample_json,
     ref_density_json,
     ref_eigen_fact_json,
     ref_element_fact_json,
@@ -83,6 +93,11 @@ FIELDS = {
     CertificateCheck: ("ok", "items"),
     SimplexModel: ("k",),
     MembershipResult: ("member", "failing_vertex"),
+    PerturbationCertificate: ("kind", "d_A", "f_prime", "d_B", "original", "perturbed", "delta",
+                              "eps", "w_dom", "w_cod", "test_elements", "eigen_facts", "pushed",
+                              "element_facts"),
+    CounterexampleReport: ("kind", "delta", "eps0", "multiplicity", "d_B_value", "hypothesis_ok",
+                           "infeasible_ok", "witness", "pushed_at_witness", "d_A", "f"),
 }
 
 
@@ -92,7 +107,7 @@ def _all_subclasses(cls) -> set:
 
 def test_every_record_is_pinned():
     # a class that keeps its own JSON form (StepFunction, PLFunction,
-    # PerturbationCertificate, GroupModel, AiReport, ...) is not a record
+    # GroupModel, AiReport, ...) is not a record
     assert _all_subclasses(Record) == set(FIELDS)
 
 
@@ -145,6 +160,24 @@ def computed_gaps(draw):
 gaps = st.builds(GapReport, fracs, fracs, st.booleans()) | computed_gaps()
 items = st.builds(CheckItem, st.text(max_size=8), st.booleans(), st.text(max_size=8))
 
+
+def tuples(elements, n):
+    return st.lists(elements, max_size=n).map(tuple)
+
+
+certificates = st.builds(
+    PerturbationCertificate, step_functions(), pl_functions(), step_functions(),
+    repeated_patterns(), repeated_patterns(), fracs, fracs, step_functions(), step_functions(),
+    tuples(pl_functions(), 2), tuples(st.builds(EigenFact, fracs), 3), step_functions(),
+    tuples(st.builds(ElementFact, fracs, fracs), 2))
+counterexamples = st.builds(
+    CounterexampleReport, fracs, fracs, st.integers(1, 10**6), fracs, st.booleans(),
+    st.booleans(), fracs, fracs, step_functions(), pl_functions(),
+) | st.builds(
+    reproduce_counterexample,
+    st.fractions(0, 1, max_denominator=1000).filter(lambda x: 0 < x < 1),
+    st.fractions(0, F(1, 4), max_denominator=1000).filter(lambda x: 0 < x < F(1, 4)))
+
 CASES = {
     "LeResult": (ref_le_result_json,
                  st.builds(LeResult, st.booleans(), opt_fracs) | computed_le()),
@@ -173,6 +206,8 @@ CASES = {
     "SimplexModel": (ref_simplex_json, st.builds(SimplexModel, st.integers(1, 10**30))),
     "MembershipResult": (ref_membership_json, st.builds(
         MembershipResult, st.booleans(), st.none() | st.integers(0, 50))),
+    "PerturbationCertificate": (ref_certificate_json, certificates),
+    "CounterexampleReport": (ref_counterexample_json, counterexamples),
 }
 
 
