@@ -22,6 +22,8 @@ from .pwcalc import (
     StepFunction,
     is_lsc,
     json_int,
+    json_list,
+    json_obj,
     le_pointwise,
     linear_combine_steps,
 )
@@ -125,12 +127,10 @@ class NestedPresentation(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "NestedPresentation":
-        return cls(
-            json_int(obj["n"], "n"),
-            tuple(
-                tuple(Interval.from_json(iv) for iv in s) for s in obj["opens"]
-            ),
-        )
+        return cls(json_int(obj["n"], "n"), tuple(
+            tuple(Interval.from_json(json_obj(iv, "each interval of opens"))
+                  for iv in json_list(s, "each entry of opens"))
+            for s in json_list(obj["opens"], "opens")))
 
 
 def dim_from_nested(p: NestedPresentation) -> StepFunction:

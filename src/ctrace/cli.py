@@ -31,6 +31,7 @@ from .pwcalc import (
     frac_pair,
     function_from_json,
     json_bool,
+    json_entries,
     json_int,
     json_list,
     json_obj,
@@ -120,7 +121,7 @@ def _block_validate(payload, args):
 def _block_from_nested(payload, args):
     from .blocks import NestedPresentation, dim_from_nested
 
-    _capped("number of open sets", len(payload["opens"]), MAX_NESTED_SETS)
+    _capped("number of open sets", len(json_list(payload["opens"], "opens")), MAX_NESTED_SETS)
     return dim_from_nested(NestedPresentation.from_json(payload))
 
 
@@ -185,12 +186,11 @@ def _pattern_gap(payload, args):
 def _pattern_chain(payload, args):
     from .patterns import ChainStage, EigenPattern, verify_chain
 
-    stages = [
-        ChainStage(EigenPattern.from_json(s["pattern"]), StepFunction.from_json(s["dim"]))
-        for s in payload["stages"]
-    ]
+    def stage(s):
+        return ChainStage(EigenPattern.from_json(s["pattern"]), StepFunction.from_json(s["dim"]))
+
     return verify_chain(
-        stages,
+        json_entries(payload, "stages", stage),
         EigenPattern.from_json(payload["tau"]),
         StepFunction.from_json(payload["d_target"]),
         PLFunction.from_json(payload["f"]),

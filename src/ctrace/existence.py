@@ -39,6 +39,7 @@ from .pwcalc import (
     compose_pl,
     compose_step_pl,
     frac,
+    json_entries,
     json_obj,
     le_pointwise,
     unit_weight,
@@ -202,10 +203,10 @@ class PerturbationCertificate(Record):
             eps=frac(obj["eps"]),
             w_dom=StepFunction.from_json(obj["w_dom"]),
             w_cod=StepFunction.from_json(obj["w_cod"]),
-            test_elements=tuple(PLFunction.from_json(a) for a in obj["test_elements"]),
-            eigen_facts=tuple(EigenFact.from_json(e) for e in obj["eigen_facts"]),
+            test_elements=json_entries(obj, "test_elements", PLFunction.from_json),
+            eigen_facts=json_entries(obj, "eigen_facts", EigenFact.from_json),
             pushed=StepFunction.from_json(obj["pushed"]),
-            element_facts=tuple(ElementFact.from_json(e) for e in obj["element_facts"]),
+            element_facts=json_entries(obj, "element_facts", ElementFact.from_json),
         )
 
 

@@ -36,6 +36,8 @@ from .pwcalc import (
     compose_step_pl,
     frac,
     inf_difference,
+    json_entries,
+    json_obj,
     le_pointwise,
     linear_combine,
     linear_combine_steps,
@@ -76,7 +78,8 @@ class EigenPattern(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "EigenPattern":
-        return cls(tuple(PLFunction.from_json(f) for f in obj["eigenfunctions"]))
+        obj = json_obj(obj, "a pattern")
+        return cls(json_entries(obj, "eigenfunctions", PLFunction.from_json))
 
 
 def apply_pattern(pattern: EigenPattern, f: PLFunction,

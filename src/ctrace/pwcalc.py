@@ -107,6 +107,12 @@ def json_list(x, what: str) -> list:
     return x
 
 
+def json_entries(obj: dict, key: str, read) -> tuple:
+    """``read`` of each JSON object in the array ``obj[key]``, refused by the field's name."""
+    entry = f"each entry of {key}"
+    return tuple([read(json_obj(e, entry)) for e in json_list(obj[key], key)])
+
+
 def json_pair(x, what: str) -> list:
     """``x`` if it is a JSON array of exactly two entries."""
     if len(json_list(x, what)) != 2:

@@ -9,9 +9,9 @@ jump, the pre-jump family is extended constantly and the complementary
 part of the post-jump unitaries is rotated by a single unimodular
 constant c so the completed family stays continuous.
 
-Every step works on the whole (N, 2, 2) stack of samples at once with
-closed-form 2x2 kernels in elementwise numpy (no SVD, no matrix product);
-the scalar helpers are the same kernels applied to a single matrix.
+Every step works on the whole (N, 2, 2) stack at once with closed-form 2x2
+kernels in elementwise numpy: no SVD, and the defects read the Gram entries
+of w* w with no matrix product.  Scalar helpers apply them to one matrix.
 
 Unlike the exact modules, everything here is double-precision numerics
 with explicit tolerances: phases and polar data are irrational.
@@ -30,8 +30,6 @@ DEFAULT_TOL = 1e-9
 # the step: rounding moves sample times far from 0 by more than 1e-12.
 _STEP_RTOL = 1e-6
 
-_I2 = np.eye(2, dtype=complex)
-
 
 def as_mat2(m) -> np.ndarray:
     out = np.asarray(m, dtype=complex)
@@ -40,11 +38,6 @@ def as_mat2(m) -> np.ndarray:
     if not np.all(np.isfinite(out.view(float))):
         raise ValueError("matrix entries must be finite")
     return out
-
-
-def _h(a: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of each matrix in a stack."""
-    return a.conj().swapaxes(-1, -2)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -72,21 +65,36 @@ def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj() * b).sum(axis=(-2, -1))
 
 
-def partial_isometry_defect(w: np.ndarray):
-    """How far w is from being a partial isometry: ||w w* w - w||.
+def _gram(w: np.ndarray):
+    """p, q, x of w* w = [[p, x], [x*, q]], with eigenvalues (p+q)/2 +- hypot((p-q)/2, |x|)."""
+    sq = w.real ** 2 + w.imag ** 2
+    x = w[..., 0, 0].conj() * w[..., 0, 1] + w[..., 1, 0].conj() * w[..., 1, 1]
+    return sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1], x
 
-    Like the other defects, it takes one matrix or a (..., 2, 2) stack.
-    """
-    return _norms(_mul(_mul(w, _h(w)), w) - w)
+
+def _pi_defect(w: np.ndarray, p, q, x):
+    """max s |s^2 - 1| over singular values; s2 = |det w| / s1 does not cancel (w = 0 at s1 = 0)."""
+    s1 = np.sqrt((p + q) / 2 + np.hypot((p - q) / 2, np.abs(x)))
+    s2 = np.abs(w[..., 0, 0] * w[..., 1, 1] - w[..., 0, 1] * w[..., 1, 0]) / np.where(s1, s1, 1)
+    return np.maximum(s1 * np.abs(s1 ** 2 - 1.0), s2 * np.abs(s2 ** 2 - 1.0))
+
+
+def partial_isometry_defect(w: np.ndarray):
+    """How far w is from being a partial isometry: ||w w* w - w||.  Like the
+    other defects, it takes one matrix or a (..., 2, 2) stack."""
+    return _pi_defect(w, *_gram(w))
 
 
 def rank_one_defect(w: np.ndarray):
-    """Distance of tr(w* w) from 1; zero for a rank-one partial isometry."""
-    return np.abs((w.real ** 2 + w.imag ** 2).sum(axis=(-2, -1)) - 1.0)
+    """Distance of tr(w* w) = p + q from 1; zero for a rank-one partial isometry."""
+    p, q, _ = _gram(w)
+    return np.abs(p + q - 1.0)
 
 
 def unitary_defect(w: np.ndarray):
-    return _norms(_mul(_h(w), w) - _I2)
+    """||w* w - I||, the larger distance of an eigenvalue of w* w from 1."""
+    p, q, x = _gram(w)
+    return np.abs((p + q) / 2 - 1.0) + np.hypot((p - q) / 2, np.abs(x))
 
 
 def _overflow_quiet():
@@ -100,7 +108,8 @@ def _overflow_quiet():
 
 def _not_rank_one(w: np.ndarray, tol: float) -> np.ndarray:
     with _overflow_quiet():
-        return ~((partial_isometry_defect(w) <= tol) & (rank_one_defect(w) <= tol))
+        p, q, x = _gram(w)
+        return ~((_pi_defect(w, p, q, x) <= tol) & (np.abs(p + q - 1.0) <= tol))
 
 
 def _complements(a: np.ndarray, tol: float) -> np.ndarray:
@@ -366,7 +375,8 @@ def validate_unitary_path(unitaries, path: IsometryPath) -> PathReport:
     j = path.jump_index
     pre, post = path.mats[: j + 1], path.mats[j + 1:]
     with _overflow_quiet():
-        p_init = _mul(_h(pre), pre)  # after the jump: the constant extension p_init[-1]
+        p, q, x = _gram(pre)  # W* W; after the jump, the constant extension p_init[-1]
+        p_init = np.stack([p, x, x.conj(), q], axis=-1).reshape(-1, 2, 2)
         max_action = max(_norms(_mul(mats[: j + 1] - pre, p_init)).max(),
                          _norms(_mul(mats[j + 1:] - post, p_init[-1])).max(initial=0.0))
         max_unit = float(unitary_defect(mats).max())

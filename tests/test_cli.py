@@ -17,6 +17,7 @@ from ctrace.existence import make_underapprox, pinched_dimension_function
 from ctrace.patterns import EigenPattern, push_dimension
 from ctrace.pwcalc import PLFunction, StepFunction, unit_weight
 from ctrace.unitary import IsometryPath
+from test_cli_fuzz import PAYLOADS
 
 
 def run(capsys, args, payload=None, tmp_path=None):
@@ -608,6 +609,28 @@ class TestEscapingExceptions:
          "each entry of points must have two entries, not 3"),
         (["pw", "eval"], {"f": {"kind": "pl", "points": {"a": 1}}, "t": 0},
          "points must be a JSON array, not dict"),
+        (["pattern", "apply"], {"pattern": {"eigenfunctions": {"a": 1}}},
+         "eigenfunctions must be a JSON array, not dict"),
+        (["pattern", "apply"], {"pattern": {"eigenfunctions": [1]}},
+         "each entry of eigenfunctions must be a JSON object, not int"),
+        (["pattern", "apply"], {"pattern": [1]}, "a pattern must be a JSON object, not list"),
+        (["block", "from-nested"], {"n": 2, "opens": [5]},
+         "each entry of opens must be a JSON array, not int"),
+        (["block", "from-nested"], {"n": 2, "opens": 5}, "opens must be a JSON array, not int"),
+        (["block", "from-nested"], {"n": 2, "opens": [[5]]},
+         "each interval of opens must be a JSON object, not int"),
+        (["pattern", "chain"], dict(PAYLOADS[("pattern", "chain")], stages=[1]),
+         "each entry of stages must be a JSON object, not int"),
+        (["pattern", "chain"], dict(PAYLOADS[("pattern", "chain")], stages={"a": 1}),
+         "stages must be a JSON array, not dict"),
+        (["exist", "verify"], dict(PAYLOADS[("exist", "verify")], test_elements=5),
+         "test_elements must be a JSON array, not int"),
+        (["exist", "verify"], dict(PAYLOADS[("exist", "verify")], test_elements=[5]),
+         "each entry of test_elements must be a JSON object, not int"),
+        (["exist", "verify"], dict(PAYLOADS[("exist", "verify")], eigen_facts=[1]),
+         "each entry of eigen_facts must be a JSON object, not int"),
+        (["exist", "verify"], dict(PAYLOADS[("exist", "verify")], element_facts={"a": 1}),
+         "element_facts must be a JSON array, not dict"),
     ])
     def test_array_shapes_name_the_field(self, capsys, tmp_path, args, payload, message):
         code, out, err = run(capsys, args, payload, tmp_path)

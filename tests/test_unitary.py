@@ -5,11 +5,14 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from ctrace import unitary
 from ctrace.unitary import (
     IsometryPath,
     _complements,
     _mul,
     _norms,
+    _not_rank_one,
+    _overflow_quiet,
     complement_isometry,
     matrices_from_json,
     partial_isometry_defect,
@@ -538,6 +541,152 @@ class TestClosedFormKernels:
         res = patch_at_singularity(path)
         assert np.max(np.abs(res.unitaries - expect)) <= 1e-12
         assert validate_unitary_path(res.unitaries, path).ok
+
+
+# --- reference: the defects by matrix products and np.linalg.norm -----------
+
+EPS = np.finfo(float).eps
+# |closed form - reference| <= DEFECT_C * eps * max(1, ||w||^3); the largest
+# ratio the inputs below reach is about 5
+DEFECT_C = 16
+
+
+def ref_defects(w):
+    """(partial isometry, rank one, unitary) defects of each matrix of a stack."""
+    wh = w.conj().swapaxes(-1, -2)
+    return (np.linalg.norm(w @ wh @ w - w, 2, axis=(-2, -1)),
+            np.abs(np.trace(wh @ w, axis1=-2, axis2=-1).real - 1.0),
+            np.linalg.norm(wh @ w - I2, 2, axis=(-2, -1)))
+
+
+def gram_defects(w):
+    return partial_isometry_defect(w), rank_one_defect(w), unitary_defect(w)
+
+
+class TestGramDefects:
+    def _check(self, w):
+        bound = DEFECT_C * EPS * np.maximum(1.0, np.linalg.norm(w, 2, axis=(-2, -1)) ** 3)
+        for got, ref in zip(gram_defects(w), ref_defects(w)):
+            assert np.all(np.abs(got - ref) <= bound)
+
+    @pytest.mark.parametrize("scale", np.logspace(-12, 3, 6))
+    def test_scaled_unitaries_and_partial_isometries(self, scale):
+        rng = np.random.default_rng(6)
+        self._check(scale * _random_unitaries(rng, 500))
+        self._check(scale * near_partial_isometries(rng, 500, 1e-9))
+        # moved by a perturbation of this size, so the defects read about scale
+        self._check(near_partial_isometries(rng, 500, scale))
+
+    @pytest.mark.parametrize("gap", [1e-12, 1e-9, 1e-6, 1e-3])
+    def test_nearly_equal_singular_values(self, gap):
+        rng = np.random.default_rng(7)
+        s = np.array([1.0, 1.0 + gap])
+        self._check(_random_unitaries(rng, 500) * s[None, None, :] @ _random_unitaries(rng, 500))
+
+    @pytest.mark.parametrize("w, expect", [
+        (E11, (0.0, 0.0, 1.0)), (E12, (0.0, 0.0, 1.0)), (0 * I2, (0.0, 1.0, 1.0)),
+        (I2, (0.0, 1.0, 0.0)), (2 * I2, (6.0, 7.0, 3.0)),
+        (np.exp(0.3j) * I2 / np.sqrt(2), (0.5 ** 1.5, 0.0, 0.5)),
+    ], ids=["E11", "E12", "zero", "identity", "twice the identity", "phased multiple"])
+    def test_special_matrices(self, w, expect):
+        self._check(w[None])
+        assert gram_defects(w) == pytest.approx(expect, rel=4 * EPS, abs=4 * EPS)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entry", [1e103, 1e155, 1e200, np.finfo(float).max])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 1)])
+    def test_huge_entries_overflow_to_a_failing_check(self, entry, at):
+        w = E11.copy()
+        w[at] = entry * np.exp(0.4j)
+        with _overflow_quiet():
+            assert not any(d <= 1.0 for d in gram_defects(w))
+        assert _not_rank_one(w[None], TOL)[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("side", ["before", "after"])
+    def test_huge_sample_fails_the_path_checks_quietly(self, side):
+        path = random_path(np.random.default_rng(25), 1001)
+        j = path.jump_index
+        i = j // 2 if side == "before" else (j + 1 + len(path.ts)) // 2
+        mats = path.mats.copy()
+        mats[i, 0, 0] = 1e200
+        moved = IsometryPath(path.ts, mats, path.t_jump, path.tol, path.lipschitz)
+        assert raised(moved.check_structure).startswith(f"sample {i} ")
+        rep = validate_unitary_path(mats, path)
+        assert not rep.ok_unitary and rep.to_json()["max_unitarity_defect"] is None
+
+    def test_checks_form_no_matrix_product(self, monkeypatch):
+        path = random_path(np.random.default_rng(25), 1001)
+        j = path.jump_index
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("unitary._mul was called")
+
+        monkeypatch.setattr(unitary, "_mul", refuse)
+        path.check_structure()
+        for got, ref in zip(gram_defects(path.mats), ref_defects(path.mats)):
+            assert np.max(np.abs(got - ref)) <= DEFECT_C * EPS
+        assert not _not_rank_one(path.mats[: j + 1], path.tol).any()
+        assert _not_rank_one(path.mats[j + 1:], path.tol).all()
+
+
+def outcome(fn, *args):
+    """The message of the ValueError fn raises, or None."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestBoundaryVerdicts:
+    """Samples moved so that a reference defect reads 0.99 or 1.01 times its tolerance."""
+
+    REF = {
+        "partial isometry": lambda w: _ref_norm(w @ w.conj().T @ w - w),
+        "rank one": lambda w: abs(float(np.trace(w.conj().T @ w).real) - 1.0),
+        "unitary": _ref_unitary_defect,
+    }
+
+    @staticmethod
+    def moved(w, kind, t):
+        if kind == "partial isometry":  # singular values 1 and t: the defect is t (1 - t^2)
+            return w + t * complement_isometry(w)
+        return w * np.sqrt(1.0 + t)  # tr(w* w) - 1, or w* w - I for a unitary, reads t
+
+    @pytest.mark.parametrize("ratios", [(0.99, 0.99, 0.99), (0.99, 1.01, 1.01),
+                                        (1.01, 0.99, 1.01)])
+    @pytest.mark.parametrize("kind", ["partial isometry", "rank one", "unitary"])
+    def test_check_structure_names_the_same_sample(self, kind, ratios):
+        path = random_path(np.random.default_rng(25), 1001)
+        j, m = path.jump_index, len(path.ts)
+        lo, hi = (j + 1, m - 1) if kind == "unitary" else (0, j)
+        picks = np.linspace(lo, hi, 5).astype(int)[1:4]
+        mats = path.mats.copy()
+        for i, r in zip(picks, ratios):
+            mats[i] = self.moved(mats[i], kind, r * path.tol)
+            assert self.REF[kind](mats[i]) == pytest.approx(r * path.tol, rel=1e-4)
+        moved = IsometryPath(path.ts, mats, path.t_jump, path.tol, path.lipschitz)
+        message = outcome(moved.check_structure)
+        assert message == outcome(ref_check_structure, moved)
+        failing = [i for i, r in zip(picks, ratios) if r > 1]
+        assert (message is None) if not failing else message.startswith(f"sample {failing[0]} ")
+
+    @pytest.mark.parametrize("ratios", [(0.99, 0.99), (0.99, 1.01), (1.01, 0.99)])
+    def test_validate_gives_the_reference_verdict(self, ratios):
+        path = random_path(np.random.default_rng(25), 1001)
+        j = path.jump_index
+        mats = patch_at_singularity(path).unitaries
+        for i, r in zip((j // 2, (j + 1 + len(mats)) // 2), ratios):
+            mats[i] *= np.sqrt(1.0 + r * 2 * path.tol)  # unitarity is held to 2 tol
+        rep = validate_unitary_path(mats, path)
+        max_unit, max_jump, allowance, max_action, tol = ref_validate(mats, path)
+        assert np.allclose(astuple(rep), (max_unit, max_jump, allowance, max_action, tol),
+                           rtol=0, atol=1e-12)
+        assert rep.max_unitarity_defect == pytest.approx(max(ratios) * tol, rel=1e-4)
+        assert (rep.ok_unitary, rep.ok_continuity, rep.ok_action) == (
+            max_unit <= tol, max_jump <= allowance, max_action <= tol)
+        assert rep.ok_unitary == (max(ratios) < 1)
 
 
 class TestRelativeTolerances:
