@@ -28,10 +28,10 @@ from .pwcalc import (
     PLFunction,
     StepFunction,
     frac,
-    frac_pair,
     function_from_json,
     json_bool,
     json_entries,
+    json_form,
     json_int,
     json_list,
     json_obj,
@@ -67,11 +67,21 @@ def _emit(line: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+class _PayloadObject(dict):
+    """A JSON object of a payload: a field it lacks is refused by name."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing field {key!r}")
+
+
+_PayloadObject.__name__ = "dict"  # the JSON type that schema messages name
+
+
 def _load_payload(args):
     if args.infile and args.infile != "-":
         with open(args.infile, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
+            return json.load(fh, object_hook=_PayloadObject)
+    return json.load(sys.stdin, object_hook=_PayloadObject)
 
 
 def _capped(what: str, value, cap: int):
@@ -84,9 +94,9 @@ def _group(payload):
     from .invariant import GroupModel
 
     # the pairing matrix may sit beside the group object or inside it
-    obj = dict(json_obj(payload["group"], "group"))
+    obj = json_obj(payload["group"], "group")
     if "pairing" in payload:
-        obj["pairing"] = payload["pairing"]
+        obj = _PayloadObject(obj, pairing=payload["pairing"])
     return GroupModel.from_json(obj)
 
 
@@ -97,7 +107,7 @@ def _group(payload):
 
 def _pw_eval(payload, args):
     f = function_from_json(payload["f"])
-    return {"value": frac_pair(f.eval(frac(payload["t"])))}
+    return {"value": f.eval(frac(payload["t"]))}
 
 
 def _pw_le(payload, args):
@@ -235,7 +245,8 @@ def _exist_perturb(payload, args):
         EigenPattern.from_json(payload["pattern"]),
         StepFunction.from_json(payload["d_B"]),
         delta,
-        [PLFunction.from_json(a) for a in payload.get("test_elements", [])],
+        json_entries(payload, "test_elements", PLFunction.from_json)
+        if "test_elements" in payload else (),
         frac(payload["eps"]),
         StepFunction.from_json(payload["w_dom"]),
         StepFunction.from_json(payload["w_cod"]),
@@ -255,11 +266,10 @@ def _exist_counterexample(payload, args):
 
 
 def _invariant_eval(payload, args):
-    from .invariant import TraceNormMap, ext_json, trace_norm_eval
+    from .invariant import TraceNormMap, trace_norm_eval
 
     f = TraceNormMap.from_json(payload["f"])
-    value = trace_norm_eval(f, [frac(c) for c in json_list(payload["s"], "s")])
-    return {"value": ext_json(value)}
+    return {"value": trace_norm_eval(f, [frac(c) for c in json_list(payload["s"], "s")])}
 
 
 def _invariant_range(payload, args):
@@ -276,32 +286,31 @@ def _invariant_range(payload, args):
 def _invariant_ai(payload, args):
     from .invariant import SimplexModel, TraceNormMap, ai_criterion
 
-    return ai_criterion(_group(payload), SimplexModel.from_json(payload["simplex"]),
+    return ai_criterion(_group(payload),
+                        SimplexModel.from_json(json_obj(payload["simplex"], "simplex")),
                         TraceNormMap.from_json(payload["f"]))
 
 
 def _invariant_decompose(payload, args):
     from .invariant import TraceNormMap, lsc_decompose
 
-    parts = lsc_decompose(
+    return {"parts": lsc_decompose(
         TraceNormMap.from_json(payload["f"]),
         [frac(c) for c in json_list(payload["caps"], "caps")],
-    )
-    return {"parts": [[frac_pair(v) for v in part] for part in parts]}
+    )}
 
 
 def _invariant_classify(payload, args):
-    from .invariant import classify_point, ext_json, json_ext
+    from .invariant import classify_point, json_ext
 
     group = _group(payload)
     points = []
     for xy in json_list(payload["points"], "points"):
         x, y = (json_ext(c, "points") for c in json_pair(xy, "each entry of points"))
-        points.append((x, y, classify_point((x, y), group).value))
+        points.append({"x": x, "y": y, "class": classify_point((x, y), group).value})
     if args.plot:
-        args.plot.writelines(f"{x} {y} {cls}\n" for x, y, cls in points)
-    return {"points": [{"x": ext_json(x), "y": ext_json(y), "class": cls}
-                       for x, y, cls in points]}
+        args.plot.writelines("{x} {y} {class}\n".format_map(p) for p in points)
+    return {"points": points}
 
 
 def _unitary_patch(payload, args):
@@ -313,35 +322,38 @@ def _unitary_patch(payload, args):
 def _unitary_validate(payload, args):
     from .unitary import IsometryPath, matrices_from_json, validate_unitary_path
 
-    path = IsometryPath.from_json(payload["path"])
+    path = IsometryPath.from_json(json_obj(payload["path"], "path"))
     return validate_unitary_path(matrices_from_json(payload["unitaries"], "unitaries"), path)
 
 
+# each handler, and the name of the JSON object its payload must be (None: it reads none)
+_PAYLOAD = "a payload"
+
 _HANDLERS = {
-    ("pw", "eval"): (_pw_eval, True),
-    ("pw", "le"): (_pw_le, True),
-    ("pw", "norm"): (_pw_norm, True),
-    ("block", "validate"): (_block_validate, True),
-    ("block", "from-nested"): (_block_from_nested, True),
-    ("block", "to-nested"): (_block_to_nested, True),
-    ("pattern", "apply"): (_pattern_apply, True),
-    ("pattern", "push"): (_pattern_push, True),
-    ("pattern", "compat"): (_pattern_compat, True),
-    ("pattern", "density"): (_pattern_density, True),
-    ("pattern", "gap"): (_pattern_gap, True),
-    ("pattern", "chain"): (_pattern_chain, True),
-    ("pattern", "uniqhyp"): (_pattern_uniqhyp, True),
-    ("exist", "fprime"): (_exist_fprime, True),
-    ("exist", "perturb"): (_exist_perturb, True),
-    ("exist", "verify"): (_exist_verify, True),
-    ("exist", "counterexample"): (_exist_counterexample, False),
-    ("invariant", "eval"): (_invariant_eval, True),
-    ("invariant", "range"): (_invariant_range, True),
-    ("invariant", "ai"): (_invariant_ai, True),
-    ("invariant", "decompose"): (_invariant_decompose, True),
-    ("invariant", "classify"): (_invariant_classify, True),
-    ("unitary", "patch"): (_unitary_patch, True),
-    ("unitary", "validate"): (_unitary_validate, True),
+    ("pw", "eval"): (_pw_eval, _PAYLOAD),
+    ("pw", "le"): (_pw_le, _PAYLOAD),
+    ("pw", "norm"): (_pw_norm, _PAYLOAD),
+    ("block", "validate"): (_block_validate, "a step function"),
+    ("block", "from-nested"): (_block_from_nested, "a nested presentation"),
+    ("block", "to-nested"): (_block_to_nested, "a step function"),
+    ("pattern", "apply"): (_pattern_apply, _PAYLOAD),
+    ("pattern", "push"): (_pattern_push, _PAYLOAD),
+    ("pattern", "compat"): (_pattern_compat, _PAYLOAD),
+    ("pattern", "density"): (_pattern_density, _PAYLOAD),
+    ("pattern", "gap"): (_pattern_gap, _PAYLOAD),
+    ("pattern", "chain"): (_pattern_chain, _PAYLOAD),
+    ("pattern", "uniqhyp"): (_pattern_uniqhyp, _PAYLOAD),
+    ("exist", "fprime"): (_exist_fprime, _PAYLOAD),
+    ("exist", "perturb"): (_exist_perturb, _PAYLOAD),
+    ("exist", "verify"): (_exist_verify, "a certificate"),
+    ("exist", "counterexample"): (_exist_counterexample, None),
+    ("invariant", "eval"): (_invariant_eval, _PAYLOAD),
+    ("invariant", "range"): (_invariant_range, _PAYLOAD),
+    ("invariant", "ai"): (_invariant_ai, _PAYLOAD),
+    ("invariant", "decompose"): (_invariant_decompose, _PAYLOAD),
+    ("invariant", "classify"): (_invariant_classify, _PAYLOAD),
+    ("unitary", "patch"): (_unitary_patch, "an isometry path"),
+    ("unitary", "validate"): (_unitary_validate, _PAYLOAD),
 }
 
 
@@ -354,13 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="group_cmd", required=True)
     groups, leaves = {}, {}
-    for (group, name), (_, takes_payload) in _HANDLERS.items():
+    for (group, name), (_, what) in _HANDLERS.items():
         if group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(
                 dest="sub_cmd", required=True
             )
         leaf = leaves[group, name] = groups[group].add_parser(name)
-        if takes_payload:
+        if what:
             leaf.add_argument(
                 "infile", nargs="?", default="-",
                 help="JSON payload file (default: stdin)",
@@ -389,30 +401,25 @@ def _dumps(result) -> str:
             sys.set_int_max_str_digits(limit)
 
 
-def _run(handler, payload, args) -> tuple:
+def _run(handler, what, payload, args) -> tuple:
     """The JSON line and exit code of one payload's answer; infeasible is an answer."""
     try:
-        answer = handler(payload, args)
+        answer = handler(payload if what is None else json_obj(payload, what), args)
     except Infeasible as exc:
-        return _dumps({
-            "error": "infeasible",
-            "message": str(exc),
-            "witness": None if exc.witness is None else frac_pair(exc.witness),
-        }), INFEASIBLE
-    if isinstance(answer, dict):
-        return _dumps(answer), OK
-    # by value: AiVerdict is a str enum, and invariant is imported only by its handlers
-    if getattr(answer, "verdict", None) == "NOT_DECIDABLE":
-        code = NOT_DECIDABLE
+        answer = {"error": "infeasible", "message": str(exc), "witness": exc.witness}
+        code = INFEASIBLE
     else:
-        code = OK if answer else REFUTED
-    return _dumps(answer.to_json()), code
+        # by value: AiVerdict is a str enum, and invariant is imported only by
+        # its handlers; a plain dict answer is never empty, so it is true
+        undecided = getattr(answer, "verdict", None) == "NOT_DECIDABLE"
+        code = NOT_DECIDABLE if undecided else OK if answer else REFUTED
+    return _dumps(json_form(answer)), code
 
 
-def _run_entry(handler, entry, args) -> tuple:
+def _run_entry(handler, what, entry, args) -> tuple:
     """One batch entry: a schema error fills its own slot."""
     try:
-        return _run(handler, entry, args)
+        return _run(handler, what, entry, args)
     except SCHEMA_ERRORS as exc:
         return _dumps({"error": "bad_input", "message": str(exc)}), BAD_INPUT
 
@@ -424,19 +431,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else BAD_INPUT
         return OK if code == 0 else BAD_INPUT
-    handler, takes_payload = _HANDLERS[(args.group_cmd, args.sub_cmd)]
+    handler, what = _HANDLERS[(args.group_cmd, args.sub_cmd)]
     plot_out = getattr(args, "plot_out", None)
     try:
-        payload = _load_payload(args) if takes_payload else None
+        payload = _load_payload(args) if what else None
         # one plot file for all entries of a batch, opened before any runs
         plot = open(plot_out, "w", encoding="utf-8") if plot_out else contextlib.nullcontext()
         with plot as args.plot:
-            if takes_payload and isinstance(payload, list):
-                slots = [_run_entry(handler, entry, args) for entry in payload]
+            if isinstance(payload, list):
+                slots = [_run_entry(handler, what, entry, args) for entry in payload]
                 line = "[" + ",".join(text for text, _ in slots) + "]"
                 code = max([OK, *(c for _, c in slots)])
             else:
-                line, code = _run(handler, payload, args)
+                line, code = _run(handler, what, payload, args)
     except (OSError, *SCHEMA_ERRORS) as exc:
         # OSError: an unreadable payload file or an unwritable plot file
         sys.stderr.write(f"error: {exc}\n")

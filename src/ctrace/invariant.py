@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .pwcalc import Record, frac, frac_pair, json_int, json_list
+from .pwcalc import Record, frac, frac_pair, json_form, json_int, json_list
 
 INF = math.inf
 
@@ -43,10 +43,6 @@ def json_ext(x, what: str) -> ExtRational:
     if isinstance(x, float):
         raise TypeError(f"{what} must hold rationals or 'inf', not the float {x!r}")
     return ext(x)
-
-
-def ext_json(x: ExtRational):
-    return "inf" if x == INF else frac_pair(x)
 
 
 def is_finite(x: ExtRational) -> bool:
@@ -102,7 +98,7 @@ class TraceNormMap:
         return min(finite) if finite else None
 
     def to_json(self) -> list:
-        return [ext_json(v) for v in self.vertex_values]
+        return json_form(self.vertex_values)
 
     @classmethod
     def from_json(cls, obj: Sequence) -> "TraceNormMap":
@@ -235,34 +231,20 @@ class AiVerdict(str, Enum):
 
 
 @dataclass(frozen=True)
-class VertexCheck:
-    f_value: ExtRational
-    sup_value: Union[ExtRational, None]
+class VertexCheck(Record):
+    f: ExtRational
+    sup: Union[ExtRational, None]
     equal: bool
 
 
 @dataclass(frozen=True)
-class AiReport:
+class AiReport(Record):
     verdict: AiVerdict
     per_vertex: tuple = ()
     reason: Union[str, None] = None
 
     def __bool__(self) -> bool:
         return self.verdict is AiVerdict.AI
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "per_vertex": [
-                {
-                    "f": ext_json(v.f_value),
-                    "sup": None if v.sup_value is None else ext_json(v.sup_value),
-                    "equal": v.equal,
-                }
-                for v in self.per_vertex
-            ],
-            "reason": self.reason,
-        }
 
 
 def _range_bound(group: GroupModel, f: TraceNormMap) -> ExtRational:

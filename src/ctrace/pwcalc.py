@@ -125,27 +125,34 @@ def frac_pair(x: Fraction) -> list:
     return [x.numerator, x.denominator]
 
 
-def _json_value(x):
-    if isinstance(x, Fraction):
+def json_form(x):
+    """The JSON form of an exact answer: a ``Fraction`` is a ``[num, den]``
+    pair, a tuple or list an array, anything with a ``to_json`` its own
+    form, a dict its values' forms, ``math.inf`` the token ``"inf"``, and
+    anything else (booleans, integers, strings, ``None``) itself."""
+    # a record's common fields first; Fraction by class, as a miss on its ABC costs 300 ns
+    if x.__class__ is Fraction:
         return frac_pair(x)
     if isinstance(x, (list, tuple)):
-        return [_json_value(v) for v in x]
+        return [json_form(v) for v in x]
     if hasattr(x, "to_json"):
         return x.to_json()
+    if isinstance(x, dict):
+        return {k: json_form(v) for k, v in x.items()}
+    if x == math.inf:
+        return "inf"
     return x
 
 
 class Record:
     """A dataclass whose JSON form is its fields, by name.
 
-    A ``Fraction`` becomes a ``[num, den]`` pair, a tuple or list an
-    array, anything with a ``to_json`` its own form, and everything else
-    (booleans, integers, strings, ``None``) stays as it is.  The field
-    names are the JSON keys, so a field added to a record reaches stdout.
+    Each field is written by :func:`json_form`.  The field names are the
+    JSON keys, so a field added to a record reaches stdout.
     """
 
     def to_json(self) -> dict:
-        return {name: _json_value(getattr(self, name)) for name in _field_names(type(self))}
+        return {name: json_form(getattr(self, name)) for name in _field_names(type(self))}
 
 
 @functools.cache

@@ -255,9 +255,9 @@ class IsometryPath:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IsometryPath":
-        fields = {"tol": DEFAULT_TOL, "lipschitz": 1.0, **obj}
-        samples = fields["samples"]
-        scalars = (json_number(fields[key], key) for key in ("t_jump", "tol", "lipschitz"))
+        samples = obj["samples"]
+        scalars = (json_number(obj[key] if default is None else obj.get(key, default), key)
+                   for key, default in (("t_jump", None), ("tol", DEFAULT_TOL), ("lipschitz", 1.0)))
         return cls(_sample_floats(samples, "samples", "t"), matrices_from_json(samples), *scalars)
 
 
@@ -351,7 +351,7 @@ class PathReport:
         return self.ok
 
     def to_json(self) -> dict:
-        # a defect that overflowed to inf or NaN has no JSON number: null
+        # not pwcalc.json_form: an overflowed defect (inf or NaN) is null here, not "inf"
         out = {k: v if np.isfinite(v) else None for k, v in asdict(self).items()}
         out["ok"] = self.ok
         return out

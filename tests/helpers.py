@@ -1342,3 +1342,23 @@ def ref_counterexample_json(rep) -> dict:
         "d_A": rep.d_A.to_json(),
         "f": rep.f.to_json(),
     }
+
+
+def _ref_ext_json(x):
+    return "inf" if x == math.inf else frac_pair(x)
+
+
+def ref_vertex_check_json(v) -> dict:
+    return {
+        "f": _ref_ext_json(v.f),
+        "sup": None if v.sup is None else _ref_ext_json(v.sup),
+        "equal": v.equal,
+    }
+
+
+def ref_ai_report_json(rep) -> dict:
+    return {
+        "verdict": rep.verdict.value,
+        "per_vertex": [ref_vertex_check_json(v) for v in rep.per_vertex],
+        "reason": rep.reason,
+    }

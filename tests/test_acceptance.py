@@ -264,11 +264,11 @@ def test_criterion_6_invariant_computations():
     rep_z = ai_criterion(z_group, simplex, f)
     assert rep_q.verdict is AiVerdict.AI
     assert rep_z.verdict is AiVerdict.NOT_AI
-    assert rep_z.per_vertex[0].sup_value == 2
+    assert rep_z.per_vertex[0].sup == 2
     # brute-force enumeration agreement up to denominator 10^4
     assert enumeration_sup(z_group, f, 0) == 2
     enum_q = enumeration_sup(q_group, f, 0)
-    assert enum_q <= rep_q.per_vertex[0].sup_value <= enum_q + F(1, 10**4)
+    assert enum_q <= rep_q.per_vertex[0].sup <= enum_q + F(1, 10**4)
     # capped decompositions: exact partial sums, monotone increasing
     rng = random.Random(99)
     for _ in range(100):

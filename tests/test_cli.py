@@ -450,7 +450,7 @@ class TestBatchSlots:
         f = PLFunction.identity().to_json()
         code, out, err = run(capsys, ["pw", "eval"], [{"f": f, "t": [1, 2]}, {"f": f}], tmp_path)
         assert code == 2
-        assert out == '[{"value":[1,2]},{"error":"bad_input","message":"\'t\'"}]\n'
+        assert out == '[{"value":[1,2]},{"error":"bad_input","message":"missing field \'t\'"}]\n'
         assert err == ""
 
     def test_infeasible_entry_fills_its_own_slot(self, capsys, tmp_path):
@@ -487,7 +487,7 @@ class TestBatchSlots:
     def test_non_array_schema_error_keeps_stdout_empty(self, capsys, tmp_path):
         code, out, err = run(capsys, ["pw", "eval"], {"f": PLFunction.identity().to_json()},
                              tmp_path)
-        assert (code, out, err) == (2, "", "error: 't'\n")
+        assert (code, out, err) == (2, "", "error: missing field 't'\n")
 
 
 
@@ -631,6 +631,16 @@ class TestEscapingExceptions:
          "each entry of eigen_facts must be a JSON object, not int"),
         (["exist", "verify"], dict(PAYLOADS[("exist", "verify")], element_facts={"a": 1}),
          "element_facts must be a JSON array, not dict"),
+        (["exist", "perturb"], dict(PAYLOADS[("exist", "perturb")], test_elements=5),
+         "test_elements must be a JSON array, not int"),
+        (["exist", "perturb"], dict(PAYLOADS[("exist", "perturb")], test_elements={"a": 1}),
+         "test_elements must be a JSON array, not dict"),
+        (["exist", "perturb"], dict(PAYLOADS[("exist", "perturb")], test_elements=[5]),
+         "each entry of test_elements must be a JSON object, not int"),
+        (["unitary", "validate"], dict(PAYLOADS[("unitary", "validate")], path=5),
+         "path must be a JSON object, not int"),
+        (["invariant", "ai"], dict(PAYLOADS[("invariant", "ai")], simplex=[2]),
+         "simplex must be a JSON object, not list"),
     ])
     def test_array_shapes_name_the_field(self, capsys, tmp_path, args, payload, message):
         code, out, err = run(capsys, args, payload, tmp_path)

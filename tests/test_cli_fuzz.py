@@ -28,7 +28,7 @@ from ctrace.cli import _HANDLERS, BAD_INPUT, main
 from ctrace.existence import make_underapprox, perturb_pattern, pinched_dimension_function
 from ctrace.invariant import AiVerdict
 from ctrace.patterns import EigenPattern, push_dimension
-from ctrace.pwcalc import PLFunction, StepFunction, combine_steps, unit_weight
+from ctrace.pwcalc import PLFunction, StepFunction, combine_steps, json_form, unit_weight
 from ctrace.unitary import IsometryPath, patch_at_singularity
 
 MAX_EXAMPLES = 30
@@ -227,8 +227,9 @@ def test_valid_payload_stdout_is_pinned(argv):
     assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == STDOUT_DIGESTS[argv], out
 
 
-# The answer rule: a plain dict exits 0, an undecided `invariant ai` 4, and
-# any other answer 0 when it is true and 1 when it is false.
+# The answer rule: an undecided `invariant ai` exits 4, and any other answer
+# 0 when it is true and 1 when it is false; a plain dict is never empty, so
+# it exits 0.
 ANSWER_CASES = [
     *((argv, PAYLOADS[argv]) for argv in sorted(PAYLOADS)),
     (("invariant", "ai"), {"group": {"kind": "Q", "pairing": [[[1, 1]], [[0, 1]]]},
@@ -244,15 +245,105 @@ ANSWER_CASES = [
 def test_exit_code_follows_the_answer(argv, payload):
     handler, _ = _HANDLERS[argv]
     answer = handler(json.loads(json.dumps(payload)), argparse.Namespace(plot=None))
-    if isinstance(answer, dict):
-        expected, blob = 0, answer
-    elif getattr(answer, "verdict", None) is AiVerdict.NOT_DECIDABLE:
-        expected, blob = 4, answer.to_json()
+    if getattr(answer, "verdict", None) is AiVerdict.NOT_DECIDABLE:
+        expected = 4
     else:
-        expected, blob = (0 if answer else 1), answer.to_json()
+        expected = 0 if answer else 1
+    assert answer or not isinstance(answer, dict)
     code, out, _ = call(argv, json.dumps(payload))
     assert code == expected
-    assert json.loads(out) == blob
+    assert json.loads(out) == json_form(answer)
+
+
+# Keys a handler reads with a default, with that default; every other key
+# of a valid payload is required.  (`f_prime` of `exist perturb` and
+# `require_positive` of `invariant range` are optional too, but no valid
+# payload here carries them.)
+OPTIONAL = {
+    ("pw", "le"): {"strict": False},
+    ("pattern", "apply"): {"normalized": False},
+    ("pattern", "compat"): {"slack": [0, 1]},
+    ("exist", "perturb"): {"test_elements": []},
+    ("unitary", "patch"): {"tol": 1e-9, "lipschitz": 1.0},
+}
+# a function's or a certificate's kind is read with a default, and its
+# absence is refused as a wrong kind
+WRONG_KIND = {"error: not a step-function payload\n", "error: not a perturbation certificate\n"}
+MISSING = [(argv, key) for argv in sorted(PAYLOADS) for key in sorted(PAYLOADS[argv])
+           if isinstance(PAYLOADS[argv], dict)]
+
+
+@pytest.mark.parametrize("argv, key", MISSING, ids=[f"{'-'.join(a)}-{k}" for a, k in MISSING])
+def test_a_missing_key_is_named(argv, key):
+    payload = dict(PAYLOADS[argv])
+    del payload[key]
+    code, out, err = call(argv, json.dumps(payload))
+    defaults = OPTIONAL.get(argv, {})
+    if key in defaults:
+        with_default = call(argv, json.dumps(dict(payload, **{key: defaults[key]})))
+        assert code != BAD_INPUT and (code, out, err) == with_default
+        return
+    assert (code, out) == (BAD_INPUT, "")
+    if key == "kind":
+        assert err in WRONG_KIND
+        return
+    assert err == f"error: missing field {key!r}\n"
+    # in a batch, the entry that lacks the key gets the message in its own slot
+    b_code, b_out, _ = call(argv, json.dumps([PAYLOADS[argv], payload]))
+    assert b_code == BAD_INPUT
+    assert json.loads(b_out) == [valid_run(argv)[1],
+                                 {"error": "bad_input", "message": f"missing field {key!r}"}]
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def _nested_cases():
+    step = PAYLOADS["pw", "le"]["g"]
+    ai, validate = PAYLOADS["invariant", "ai"], PAYLOADS["unitary", "validate"]
+    chain, cert = PAYLOADS["pattern", "chain"], PAYLOADS["exist", "verify"]
+    group, path = ai["group"], validate["path"]
+    return [
+        (("pw", "eval"), {"f": dict(step, pieces=[_without(step["pieces"][0], "lo"),
+                                                  *step["pieces"][1:]]), "t": 0}, "lo"),
+        (("invariant", "ai"), dict(ai, group=_without(group, "pairing")), "pairing"),
+        (("invariant", "ai"), dict(ai, group=_without(group, "kind"), pairing=group["pairing"]),
+         "kind"),
+        (("invariant", "ai"), dict(ai, simplex={}), "k"),
+        (("unitary", "validate"), dict(validate, path=_without(path, "samples")), "samples"),
+        (("unitary", "validate"), dict(validate, path=_without(path, "t_jump")), "t_jump"),
+        (("unitary", "patch"), dict(path, samples=[_without(path["samples"][0], "re"),
+                                                   *path["samples"][1:]]), "re"),
+        (("pattern", "chain"), dict(chain, stages=[_without(chain["stages"][0], "dim")]), "dim"),
+        (("exist", "verify"), dict(cert, eigen_facts=[{}, *cert["eigen_facts"][1:]]),
+         "sup_distance"),
+    ]
+
+
+NESTED = _nested_cases()
+
+
+@pytest.mark.parametrize("argv, payload, key", NESTED,
+                         ids=[f"{'-'.join(a)}-{k}" for a, _, k in NESTED])
+def test_a_missing_nested_key_is_named(argv, payload, key):
+    assert call(argv, json.dumps(payload)) == (BAD_INPUT, "", f"error: missing field {key!r}\n")
+
+
+# The name a handler's payload is refused by when it is not a JSON object.
+PAYLOAD_NAMES = {("block", "validate"): "a step function", ("block", "to-nested"): "a step function",
+                 ("block", "from-nested"): "a nested presentation",
+                 ("exist", "verify"): "a certificate", ("unitary", "patch"): "an isometry path"}
+
+
+@pytest.mark.parametrize("argv", sorted(PAYLOADS), ids="-".join)
+@pytest.mark.parametrize("payload, type_name", [(5, "int"), ("x", "str"), (None, "NoneType")])
+def test_a_payload_that_is_not_an_object_is_named(argv, payload, type_name):
+    name = PAYLOAD_NAMES.get(argv, "a payload")
+    message = f"{name} must be a JSON object, not {type_name}"
+    assert call(argv, json.dumps(payload)) == (BAD_INPUT, "", f"error: {message}\n")
+    code, out, _ = call(argv, json.dumps([payload]))
+    assert (code, json.loads(out)) == (BAD_INPUT, [{"error": "bad_input", "message": message}])
 
 
 @pytest.mark.parametrize("argv", sorted(PAYLOADS), ids="-".join)

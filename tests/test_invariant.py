@@ -107,17 +107,17 @@ class TestAiCriterion:
     def test_dense_rationals_attain_the_bound(self):
         rep = ai_criterion(q_group(), SimplexModel(1), TraceNormMap((F(5, 2),)))
         assert rep.verdict is AiVerdict.AI
-        assert rep.per_vertex[0].sup_value == F(5, 2)
+        assert rep.per_vertex[0].sup == F(5, 2)
 
     def test_integers_fall_short(self):
         rep = ai_criterion(z_group(), SimplexModel(1), TraceNormMap((F(5, 2),)))
         assert rep.verdict is AiVerdict.NOT_AI
-        assert rep.per_vertex[0].sup_value == 2
+        assert rep.per_vertex[0].sup == 2
 
     def test_integer_boundary_value(self):
         rep = ai_criterion(z_group(), SimplexModel(1), TraceNormMap((F(2),)))
         assert rep.verdict is AiVerdict.NOT_AI
-        assert rep.per_vertex[0].sup_value == 1
+        assert rep.per_vertex[0].sup == 1
         rep_q = ai_criterion(q_group(), SimplexModel(1), TraceNormMap((F(2),)))
         assert rep_q.verdict is AiVerdict.AI
 
@@ -149,11 +149,11 @@ class TestAiCriterion:
             for j, check in enumerate(rep.per_vertex):
                 enum = enumeration_sup(group, f, j)
                 if group.kind is GroupKind.SCALED_INTEGERS:
-                    assert check.sup_value == enum
+                    assert check.sup == enum
                 else:
                     # the scan resolves the bound within 1/max_den per unit rate
                     slack = group.rates[j] * F(1, 10**4)
-                    assert enum <= check.sup_value <= enum + slack
+                    assert enum <= check.sup <= enum + slack
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)

@@ -8,6 +8,7 @@ are the JSON keys that reach stdout.
 """
 
 import json
+import math
 from dataclasses import fields
 from fractions import Fraction as F
 
@@ -24,7 +25,16 @@ from ctrace.existence import (
     PerturbationCertificate,
     reproduce_counterexample,
 )
-from ctrace.invariant import MembershipResult, SimplexModel
+from ctrace.invariant import (
+    AiReport,
+    AiVerdict,
+    GroupModel,
+    MembershipResult,
+    SimplexModel,
+    TraceNormMap,
+    VertexCheck,
+    ai_criterion,
+)
 from ctrace.patterns import (
     ChainReport,
     DensityResult,
@@ -43,6 +53,7 @@ from ctrace.pwcalc import (
     LeResult,
     Record,
     inf_difference,
+    json_form,
     le_pointwise,
     weighted_sup_norm,
 )
@@ -53,6 +64,7 @@ from helpers import (
     lsc_step_functions,
     open_set_chains,
     pl_functions,
+    ref_ai_report_json,
     ref_certificate_check_json,
     ref_certificate_json,
     ref_chain_json,
@@ -71,6 +83,7 @@ from helpers import (
     ref_simplex_json,
     ref_special_check_json,
     ref_uniqueness_json,
+    ref_vertex_check_json,
     repeated_patterns,
     step_functions,
     wide_fractions,
@@ -93,6 +106,8 @@ FIELDS = {
     CertificateCheck: ("ok", "items"),
     SimplexModel: ("k",),
     MembershipResult: ("member", "failing_vertex"),
+    VertexCheck: ("f", "sup", "equal"),
+    AiReport: ("verdict", "per_vertex", "reason"),
     PerturbationCertificate: ("kind", "d_A", "f_prime", "d_B", "original", "perturbed", "delta",
                               "eps", "w_dom", "w_cod", "test_elements", "eigen_facts", "pushed",
                               "element_facts"),
@@ -107,7 +122,7 @@ def _all_subclasses(cls) -> set:
 
 def test_every_record_is_pinned():
     # a class that keeps its own JSON form (StepFunction, PLFunction,
-    # GroupModel, AiReport, ...) is not a record
+    # GroupModel, the unitary reports, ...) is not a record
     assert _all_subclasses(Record) == set(FIELDS)
 
 
@@ -178,6 +193,23 @@ counterexamples = st.builds(
     st.fractions(0, 1, max_denominator=1000).filter(lambda x: 0 < x < 1),
     st.fractions(0, F(1, 4), max_denominator=1000).filter(lambda x: 0 < x < F(1, 4)))
 
+exts = fracs | st.just(math.inf)
+vertex_checks = st.builds(VertexCheck, exts, st.none() | exts, st.booleans())
+
+
+@st.composite
+def computed_ai_reports(draw):
+    """ai_criterion on small models: a rate of 0 or less is undecidable, one
+    vertex over Q is AI, and more vertices are mostly NOT_AI."""
+    k = draw(st.integers(1, 3))
+    small = st.fractions(0, 5, max_denominator=6)
+    rates = draw(st.lists(small | st.just(F(-1)), min_size=k, max_size=k))
+    q = draw(small.filter(lambda x: x > 0))
+    values = draw(st.lists(small.filter(lambda x: x > 0) | st.just("inf"), min_size=k, max_size=k))
+    group = GroupModel(draw(st.sampled_from(["Q", "qZ"])), rates, q)
+    return ai_criterion(group, SimplexModel(k), TraceNormMap(values))
+
+
 CASES = {
     "LeResult": (ref_le_result_json,
                  st.builds(LeResult, st.booleans(), opt_fracs) | computed_le()),
@@ -208,6 +240,10 @@ CASES = {
         MembershipResult, st.booleans(), st.none() | st.integers(0, 50))),
     "PerturbationCertificate": (ref_certificate_json, certificates),
     "CounterexampleReport": (ref_counterexample_json, counterexamples),
+    "VertexCheck": (ref_vertex_check_json, vertex_checks),
+    "AiReport": (ref_ai_report_json, st.builds(
+        AiReport, st.sampled_from(AiVerdict), st.lists(vertex_checks, max_size=3).map(tuple),
+        texts) | computed_ai_reports()),
 }
 
 
@@ -236,3 +272,14 @@ def test_nested_tuples_and_records_become_arrays():
         "witness": [1, 2],
         "stage_gaps": [{"gap": [-1, 1], "at": [1, 2], "attained": False}] * 2,
     }
+
+
+def test_json_form_writes_inf_in_dicts_and_tuples():
+    answer = {"value": math.inf, "parts": [(F(1, 2), math.inf)], "nested": {"x": F(-3, 6)},
+              "flags": (True, None, 7, "s")}
+    assert json_form(answer) == {"value": "inf", "parts": [[[1, 2], "inf"]],
+                                 "nested": {"x": [-1, 2]}, "flags": [True, None, 7, "s"]}
+
+
+def test_trace_norm_map_keeps_its_form():
+    assert TraceNormMap((F(5, 2), "inf", 3)).to_json() == [[5, 2], "inf", [3, 1]]
