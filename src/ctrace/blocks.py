@@ -124,6 +124,8 @@ class NestedPresentation(Record):
             if smaller != bigger and not le_pointwise(smaller, bigger):
                 raise ValueError("open sets are not nested")
         object.__setattr__(self, "opens", opens)
+        # not a field, so never a JSON key: dim_from_nested sums them
+        object.__setattr__(self, "_indicators", indicators)
 
     @classmethod
     def from_json(cls, obj: dict) -> "NestedPresentation":
@@ -135,7 +137,7 @@ class NestedPresentation(Record):
 
 def dim_from_nested(p: NestedPresentation) -> StepFunction:
     """Dimension function d(t) = 1 + #{i : t in A_i} of a presentation."""
-    steps = [StepFunction.constant(1), *(_indicator(s) for s in p.opens)]
+    steps = [StepFunction.constant(1), *p._indicators]
     return linear_combine_steps([1] * len(steps), steps)
 
 

@@ -74,9 +74,6 @@ class _PayloadObject(dict):
         raise ValueError(f"missing field {key!r}")
 
 
-_PayloadObject.__name__ = "dict"  # the JSON type that schema messages name
-
-
 def _load_payload(args):
     if args.infile and args.infile != "-":
         with open(args.infile, "r", encoding="utf-8") as fh:

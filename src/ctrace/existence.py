@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .blocks import ensure_dimension_function
 from .errors import Infeasible, PreconditionFailed
-from .patterns import EigenPattern, apply_difference, check_compat, push_dimension
+from .patterns import EigenPattern, check_compat, deviation, push_dimension
 from .pwcalc import (
     ONE,
     PLFunction,
@@ -38,6 +38,7 @@ from .pwcalc import (
     ZERO,
     compose_pl,
     compose_step_pl,
+    ensure_positive_weight,
     frac,
     json_entries,
     json_obj,
@@ -45,6 +46,8 @@ from .pwcalc import (
     unit_weight,
     weighted_sup_norm,
 )
+
+_UNIT = unit_weight()
 
 
 def choose_delta(eps, m: int) -> Fraction:
@@ -154,6 +157,13 @@ class EigenFact(Record):
         return cls(frac(obj["sup_distance"]))
 
 
+def _eigen_check(d_a: StepFunction, f_prime: PLFunction, lam: PLFunction,
+                 lam_hat: PLFunction) -> tuple:
+    """The sup distance of lam_hat from lam, and the LeResult of d_A(lam_hat) <= f'(lam)."""
+    return (weighted_sup_norm(lam_hat - lam, _UNIT).value,
+            le_pointwise(compose_step_pl(d_a, lam_hat), compose_pl(f_prime, lam)))
+
+
 @dataclass(frozen=True)
 class ElementFact(Record):
     """Per-test-element certificate entry: deviation and allowed bound."""
@@ -232,9 +242,8 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
         raise ValueError("delta and eps must be positive")
     ensure_dimension_function(d_a)
     ensure_dimension_function(d_b)
-    for w in (w_dom, w_cod):
-        if w.min_value() <= 0:
-            raise ValueError("weights must be strictly positive")
+    ensure_positive_weight(w_dom)
+    ensure_positive_weight(w_cod)
     expected = make_underapprox(d_a, delta)
     if f_prime != expected:
         raise PreconditionFailed(
@@ -253,16 +262,14 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
         )
 
     sigma = squash_map(d_a, delta)
-    one = unit_weight()
     # each distinct eigenfunction is perturbed and certified once, in
     # first-seen order, so the first failing one is the first failing index
     certified = {}
     for lam in pattern.counts:
         lam_hat = compose_pl(sigma, lam)
-        dist = weighted_sup_norm(lam_hat - lam, one).value
+        dist, dom = _eigen_check(d_a, f_prime, lam, lam_hat)
         if dist > 2 * delta:
             raise AssertionError("squash construction exceeded its own budget")
-        dom = le_pointwise(compose_step_pl(d_a, lam_hat), compose_pl(f_prime, lam))
         if not dom:
             raise Infeasible(
                 "perturbed eigenfunction escapes the under-approximation",
@@ -280,9 +287,8 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
         )
     element_facts = []
     for a in test_elements:
-        diff = apply_difference(pattern, perturbed, a)
-        dev = weighted_sup_norm(diff, w_cod).value
-        bound = eps * weighted_sup_norm(a, w_dom).value
+        dev, norm = deviation(pattern, perturbed, a, w_dom, w_cod)
+        bound = eps * norm
         if dev > bound:
             raise Infeasible(
                 f"deviation {dev} on a test element exceeds the budget {bound}"
@@ -331,7 +337,6 @@ def verify_certificate(cert: PerturbationCertificate) -> CertificateCheck:
     itemized report rather than raising.
     """
     items = []
-    one = unit_weight()
 
     def add(name, ok, detail=""):
         items.append(CheckItem(name, bool(ok), detail))
@@ -347,15 +352,8 @@ def verify_certificate(cert: PerturbationCertificate) -> CertificateCheck:
     if cert.original.multiplicity == cert.perturbed.multiplicity:
         pairs = list(zip(cert.original.eigenfunctions, cert.perturbed.eigenfunctions))
         # each distinct (lambda, lambda_hat) pair is re-derived once
-        derived = {
-            (lam, lam_hat): (
-                weighted_sup_norm(lam_hat - lam, one).value,
-                le_pointwise(
-                    compose_step_pl(cert.d_A, lam_hat), compose_pl(cert.f_prime, lam)
-                ),
-            )
-            for lam, lam_hat in dict.fromkeys(pairs)
-        }
+        derived = {pair: _eigen_check(cert.d_A, cert.f_prime, *pair)
+                   for pair in dict.fromkeys(pairs)}
         for i, pair in enumerate(pairs):
             dist, dom = derived[pair]
             fact = cert.eigen_facts[i] if i < len(cert.eigen_facts) else None
@@ -380,9 +378,8 @@ def verify_certificate(cert: PerturbationCertificate) -> CertificateCheck:
         len(cert.element_facts) == len(cert.test_elements),
     )
     for j, a in enumerate(cert.test_elements):
-        diff = apply_difference(cert.original, cert.perturbed, a)
-        dev = weighted_sup_norm(diff, cert.w_cod).value
-        bound = cert.eps * weighted_sup_norm(a, cert.w_dom).value
+        dev, norm = deviation(cert.original, cert.perturbed, a, cert.w_dom, cert.w_cod)
+        bound = cert.eps * norm
         fact = cert.element_facts[j] if j < len(cert.element_facts) else None
         add(
             f"element_deviation[{j}]",

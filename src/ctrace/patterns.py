@@ -34,6 +34,7 @@ from .pwcalc import (
     ZERO,
     compose_pl,
     compose_step_pl,
+    ensure_positive_weight,
     frac,
     inf_difference,
     json_entries,
@@ -106,6 +107,13 @@ def apply_difference(p: EigenPattern, q: EigenPattern, f: PLFunction) -> PLFunct
     if not terms:
         return PLFunction.constant(ZERO)
     return linear_combine([n for n, _ in terms], [compose_pl(f, lam) for _, lam in terms])
+
+
+def deviation(p: EigenPattern, q: EigenPattern, a: PLFunction, w_dom: StepFunction,
+              w_cod: StepFunction) -> tuple:
+    """The w_cod-weighted sup norm of p(a) - q(a) and the w_dom-weighted sup norm of a."""
+    return (weighted_sup_norm(apply_difference(p, q, a), w_cod).value,
+            weighted_sup_norm(a, w_dom).value)
 
 
 def push_dimension(pattern: EigenPattern, d: StepFunction) -> StepFunction:
@@ -227,15 +235,13 @@ def uniqueness_hypothesis_check(phi: EigenPattern, psi: EigenPattern, d: int,
     rescaling both weights by a common positive constant cannot change it.
     """
     delta = frac(delta)
-    for w in (w_dom, w_cod):
-        if w.min_value() <= 0:
-            raise ValueError("weights must be strictly positive")
+    ensure_positive_weight(w_dom)
+    ensure_positive_weight(w_cod)
     if not density_check(phi, d, delta) or not density_check(psi, d, delta):
         return UniquenessReport(False, density_ok=False)
     for i, ramp in enumerate(ramp_functions(d)):
-        diff = apply_difference(phi, psi, ramp)
-        lhs = weighted_sup_norm(diff, w_cod).value
-        rhs = delta * weighted_sup_norm(ramp, w_dom).value
+        lhs, norm = deviation(phi, psi, ramp, w_dom, w_cod)
+        rhs = delta * norm
         if not lhs < rhs:
             return UniquenessReport(False, True, i, lhs, rhs)
     return UniquenessReport(True, True)
@@ -332,14 +338,6 @@ def verify_chain(stages: Sequence, tau: EigenPattern, d_target: StepFunction,
             False,
             reason="pushed function reaches the target within delta_1 - eps_n",
             witness=main.witness,
-            stage_gaps=tuple(gaps),
-        )
-    conclusion = le_pointwise(g, d_target, strict=True)
-    if not conclusion:  # implied by the previous check; kept as a guard
-        return ChainReport(
-            False,
-            reason="pushed function touches the target",
-            witness=conclusion.witness,
             stage_gaps=tuple(gaps),
         )
     margin = inf_difference(d_target, g)

@@ -79,10 +79,17 @@ def json_bool(x, what: str) -> bool:
     return x
 
 
+def _json_type(x) -> str:
+    """The JSON type of ``x`` that schema messages name; a boolean is not a number."""
+    types = ((type(None), "null"), (bool, "boolean"), ((int, float), "number"),
+             (str, "string"), ((list, tuple), "array"), (dict, "object"))
+    return next((name for t, name in types if isinstance(x, t)), type(x).__name__)
+
+
 def json_obj(x, what: str) -> dict:
     """``x`` if it is a JSON object; anything else is a schema error."""
     if not isinstance(x, dict):
-        raise TypeError(f"{what} must be a JSON object, not {type(x).__name__}")
+        raise TypeError(f"{what} must be a JSON object, not {_json_type(x)}")
     return x
 
 
@@ -103,7 +110,7 @@ def json_number(x, what: str) -> float:
 def json_list(x, what: str) -> list:
     """``x`` if it is a JSON array; a string or an object is a schema error."""
     if not isinstance(x, (list, tuple)):
-        raise TypeError(f"{what} must be a JSON array, not {type(x).__name__}")
+        raise TypeError(f"{what} must be a JSON array, not {_json_type(x)}")
     return x
 
 
@@ -385,9 +392,6 @@ class StepFunction(_Stored):
     def partition_points(self) -> tuple:
         return self.points
 
-    def min_value(self) -> Fraction:
-        return Fraction(*min(self._vals + self._opens, key=_by_value))
-
     def max_value(self) -> Fraction:
         return Fraction(*max(self._vals + self._opens, key=_by_value))
 
@@ -529,9 +533,9 @@ class PLFunction(_Stored):
     def from_json(cls, obj: dict) -> "PLFunction":
         if json_obj(obj, "a piecewise-linear function").get("kind") != "pl":
             raise ValueError("not a piecewise-linear payload")
-        pts = [json_pair(p, "each entry of points") for p in json_list(obj["points"], "points")]
         # __post_init__ coerces each coordinate
-        return cls(tuple(t for t, _ in pts), tuple(v for _, v in pts))
+        return cls.from_pairs(json_pair(p, "each entry of points")
+                              for p in json_list(obj["points"], "points"))
 
 
 PiecewiseFunction = Union[PLFunction, StepFunction]
@@ -756,6 +760,14 @@ def _sup_scan(pts, at, above, below, h_above, h_below) -> tuple:
     return bn, bd, Fraction(*pts[won]), side
 
 
+def ensure_positive_weight(w: StepFunction) -> None:
+    """Refuse ``w`` unless it is a step function whose every value is strictly positive."""
+    if not isinstance(w, StepFunction):
+        raise TypeError("weights are step functions")
+    if any(n <= 0 for n, _ in w._vals + w._opens):
+        raise ValueError("weights must be strictly positive")
+
+
 def weighted_sup_norm(f: PLFunction, w: StepFunction) -> Extremum:
     """Exact supremum of |f(t)| / w(t) over [0,1].
 
@@ -765,10 +777,7 @@ def weighted_sup_norm(f: PLFunction, w: StepFunction) -> Extremum:
     """
     if not isinstance(f, PLFunction):
         raise TypeError("weighted_sup_norm expects a piecewise-linear function")
-    if not isinstance(w, StepFunction):
-        raise TypeError("weights are step functions")
-    if any(n <= 0 for n, _ in w._vals + w._opens):
-        raise ValueError("weight must be strictly positive")
+    ensure_positive_weight(w)
     pts, ((h, _, _), (w_at, w_open, _)) = refine(f, w)
     # |f| / w as (|fn| * wd) / (fd * wn), with wn > 0
     at = [(abs(fn) * wd, fd * wn) for (fn, fd), (wn, wd) in zip(h, w_at)]

@@ -10,8 +10,9 @@ part of the post-jump unitaries is rotated by a single unimodular
 constant c so the completed family stays continuous.
 
 Every step works on the whole (N, 2, 2) stack at once with closed-form 2x2
-kernels in elementwise numpy: no SVD, and the defects read the Gram entries
-of w* w with no matrix product.  Scalar helpers apply them to one matrix.
+kernels in elementwise numpy: no SVD, and the norms, defects and complements
+read the Gram entries of one kernel, with no matrix product.  Scalar helpers
+apply them to one matrix.
 
 Unlike the exact modules, everything here is double-precision numerics
 with explicit tolerances: phases and polar data are irrational.
@@ -45,31 +46,28 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, :1] * b[..., None, 0, :] + a[..., :, 1:] * b[..., None, 1, :]
 
 
+def _gram(w: np.ndarray):
+    """p, q, x of w* w = [[p, x], [x*, q]], with eigenvalues (p+q)/2 +- hypot((p-q)/2, |x|)."""
+    sq = w.real ** 2 + w.imag ** 2
+    x = w[..., 0, 0].conj() * w[..., 0, 1] + w[..., 1, 0].conj() * w[..., 1, 1]
+    return sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1], x
+
+
 def _norms(a: np.ndarray) -> np.ndarray:
     """The spectral norm of each matrix in a (..., 2, 2) stack, in closed form.
 
-    With r0, r1 the row sums of |a|^2 and x the inner product of the rows,
-    it is sqrt((r0 + r1 + hypot(r0 - r1, 2|x|)) / 2).  No term cancels,
-    also where the two singular values nearly coincide (the determinant
-    form loses about half the digits there).
+    With a a* = [[r0, x*], [x, r1]], the Gram entries of the transpose, it
+    is sqrt((r0 + r1 + hypot(r0 - r1, 2|x|)) / 2).  No term cancels, also
+    where the two singular values nearly coincide (the determinant form
+    loses about half the digits there).
     """
-    sq = a.real ** 2 + a.imag ** 2
-    r0 = sq[..., 0, 0] + sq[..., 0, 1]
-    r1 = sq[..., 1, 0] + sq[..., 1, 1]
-    x = a[..., 0, 0] * a[..., 1, 0].conj() + a[..., 0, 1] * a[..., 1, 1].conj()
+    r0, r1, x = _gram(a.swapaxes(-1, -2))
     return np.sqrt((r0 + r1 + np.hypot(r0 - r1, 2 * np.abs(x))) / 2)
 
 
 def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """tr(a* b) for each pair of matrices of two stacks."""
     return (a.conj() * b).sum(axis=(-2, -1))
-
-
-def _gram(w: np.ndarray):
-    """p, q, x of w* w = [[p, x], [x*, q]], with eigenvalues (p+q)/2 +- hypot((p-q)/2, |x|)."""
-    sq = w.real ** 2 + w.imag ** 2
-    x = w[..., 0, 0].conj() * w[..., 0, 1] + w[..., 1, 0].conj() * w[..., 1, 1]
-    return sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1], x
 
 
 def _pi_defect(w: np.ndarray, p, q, x):
@@ -121,10 +119,8 @@ def _complements(a: np.ndarray, tol: float) -> np.ndarray:
     (x, l-p) and (l-q, x*) the longer is (x, m) if p >= q, else (m, x*),
     with m = -(|p-q|/2 + hypot((p-q)/2, |x|)): no term cancels.
     """
-    a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
-    s00, s01, s10, s11 = (z.real ** 2 + z.imag ** 2 for z in (a00, a01, a10, a11))
-    d = np.array([s00 + s01 - (s10 + s11), s00 + s10 - (s01 + s11)]) / 2  # a a*, a* a
-    x = np.array([a00 * a10.conj() + a01 * a11.conj(), a00.conj() * a01 + a10.conj() * a11])
+    (pr, qr, xr), (p, q, x) = _gram(a.swapaxes(-1, -2)), _gram(a)  # a a* (x conjugated), a* a
+    d, x = np.array([pr - qr, p - q]) / 2, np.array([xr.conj(), x])
     ax = np.abs(x)
     m = -(np.abs(d) + np.hypot(d, ax))
     m[m == 0] = -1  # only a multiple of the identity: every vector is an eigenvector

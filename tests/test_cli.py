@@ -574,7 +574,7 @@ class TestEscapingExceptions:
         code, out, err = run(capsys, ["exist", "verify"], [1], tmp_path)
         assert code == 2
         assert json.loads(out) == [
-            {"error": "bad_input", "message": "a certificate must be a JSON object, not int"}
+            {"error": "bad_input", "message": "a certificate must be a JSON object, not number"}
         ]
 
     @pytest.mark.parametrize("where", ["t_jump", "tol", "sample t"])
@@ -594,53 +594,53 @@ class TestEscapingExceptions:
     # An array or an entry of the wrong shape is refused by its field's name.
     @pytest.mark.parametrize("args, payload, message", [
         (["unitary", "patch"], dict(_jump_path().to_json(), samples=[1, 2, 3]),
-         "each entry of samples must be a JSON object, not int"),
+         "each entry of samples must be a JSON object, not number"),
         (["unitary", "validate"], {"path": _jump_path().to_json(), "unitaries": {}},
-         "unitaries must be a JSON array, not dict"),
+         "unitaries must be a JSON array, not object"),
         (["unitary", "validate"], {"path": _jump_path().to_json(), "unitaries": [1]},
-         "each entry of unitaries must be a JSON object, not int"),
+         "each entry of unitaries must be a JSON object, not number"),
         (["pw", "eval"], {"f": {"kind": "step", "pieces": {"a": 1}}, "t": 0},
-         "pieces must be a JSON array, not dict"),
+         "pieces must be a JSON array, not object"),
         (["pw", "eval"], {"f": {"kind": "step", "pieces": [1]}, "t": 0},
-         "each entry of pieces must be a JSON object, not int"),
+         "each entry of pieces must be a JSON object, not number"),
         (["pw", "eval"], {"f": {"kind": "pl", "points": [1, 2]}, "t": 0},
-         "each entry of points must be a JSON array, not int"),
+         "each entry of points must be a JSON array, not number"),
         (["pw", "eval"], {"f": {"kind": "pl", "points": [[0, 0, 0], [1, 1]]}, "t": 0},
          "each entry of points must have two entries, not 3"),
         (["pw", "eval"], {"f": {"kind": "pl", "points": {"a": 1}}, "t": 0},
-         "points must be a JSON array, not dict"),
+         "points must be a JSON array, not object"),
         (["pattern", "apply"], {"pattern": {"eigenfunctions": {"a": 1}}},
-         "eigenfunctions must be a JSON array, not dict"),
+         "eigenfunctions must be a JSON array, not object"),
         (["pattern", "apply"], {"pattern": {"eigenfunctions": [1]}},
-         "each entry of eigenfunctions must be a JSON object, not int"),
-        (["pattern", "apply"], {"pattern": [1]}, "a pattern must be a JSON object, not list"),
+         "each entry of eigenfunctions must be a JSON object, not number"),
+        (["pattern", "apply"], {"pattern": [1]}, "a pattern must be a JSON object, not array"),
         (["block", "from-nested"], {"n": 2, "opens": [5]},
-         "each entry of opens must be a JSON array, not int"),
-        (["block", "from-nested"], {"n": 2, "opens": 5}, "opens must be a JSON array, not int"),
+         "each entry of opens must be a JSON array, not number"),
+        (["block", "from-nested"], {"n": 2, "opens": 5}, "opens must be a JSON array, not number"),
         (["block", "from-nested"], {"n": 2, "opens": [[5]]},
-         "each interval of opens must be a JSON object, not int"),
+         "each interval of opens must be a JSON object, not number"),
         (["pattern", "chain"], dict(PAYLOADS[("pattern", "chain")], stages=[1]),
-         "each entry of stages must be a JSON object, not int"),
+         "each entry of stages must be a JSON object, not number"),
         (["pattern", "chain"], dict(PAYLOADS[("pattern", "chain")], stages={"a": 1}),
-         "stages must be a JSON array, not dict"),
+         "stages must be a JSON array, not object"),
         (["exist", "verify"], dict(PAYLOADS[("exist", "verify")], test_elements=5),
-         "test_elements must be a JSON array, not int"),
+         "test_elements must be a JSON array, not number"),
         (["exist", "verify"], dict(PAYLOADS[("exist", "verify")], test_elements=[5]),
-         "each entry of test_elements must be a JSON object, not int"),
+         "each entry of test_elements must be a JSON object, not number"),
         (["exist", "verify"], dict(PAYLOADS[("exist", "verify")], eigen_facts=[1]),
-         "each entry of eigen_facts must be a JSON object, not int"),
+         "each entry of eigen_facts must be a JSON object, not number"),
         (["exist", "verify"], dict(PAYLOADS[("exist", "verify")], element_facts={"a": 1}),
-         "element_facts must be a JSON array, not dict"),
+         "element_facts must be a JSON array, not object"),
         (["exist", "perturb"], dict(PAYLOADS[("exist", "perturb")], test_elements=5),
-         "test_elements must be a JSON array, not int"),
+         "test_elements must be a JSON array, not number"),
         (["exist", "perturb"], dict(PAYLOADS[("exist", "perturb")], test_elements={"a": 1}),
-         "test_elements must be a JSON array, not dict"),
+         "test_elements must be a JSON array, not object"),
         (["exist", "perturb"], dict(PAYLOADS[("exist", "perturb")], test_elements=[5]),
-         "each entry of test_elements must be a JSON object, not int"),
+         "each entry of test_elements must be a JSON object, not number"),
         (["unitary", "validate"], dict(PAYLOADS[("unitary", "validate")], path=5),
-         "path must be a JSON object, not int"),
+         "path must be a JSON object, not number"),
         (["invariant", "ai"], dict(PAYLOADS[("invariant", "ai")], simplex=[2]),
-         "simplex must be a JSON object, not list"),
+         "simplex must be a JSON object, not array"),
     ])
     def test_array_shapes_name_the_field(self, capsys, tmp_path, args, payload, message):
         code, out, err = run(capsys, args, payload, tmp_path)

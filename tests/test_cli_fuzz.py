@@ -337,7 +337,10 @@ PAYLOAD_NAMES = {("block", "validate"): "a step function", ("block", "to-nested"
 
 
 @pytest.mark.parametrize("argv", sorted(PAYLOADS), ids="-".join)
-@pytest.mark.parametrize("payload, type_name", [(5, "int"), ("x", "str"), (None, "NoneType")])
+@pytest.mark.parametrize("payload, type_name", [
+    pytest.param(5, "number", id="5-int"), pytest.param("x", "string", id="x-str"),
+    pytest.param(None, "null", id="None-NoneType"), pytest.param(True, "boolean", id="True-bool"),
+])
 def test_a_payload_that_is_not_an_object_is_named(argv, payload, type_name):
     name = PAYLOAD_NAMES.get(argv, "a payload")
     message = f"{name} must be a JSON object, not {type_name}"

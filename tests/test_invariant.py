@@ -273,9 +273,9 @@ class TestJson:
         assert TraceNormMap((math.inf, 2)).vertex_values == (INF, F(2))
 
     def test_json_arrays_must_be_arrays(self):
-        with pytest.raises(TypeError, match="f must be a JSON array, not str"):
+        with pytest.raises(TypeError, match="f must be a JSON array, not string"):
             TraceNormMap.from_json("12")
-        with pytest.raises(TypeError, match="pairing must be a JSON array, not str"):
+        with pytest.raises(TypeError, match="pairing must be a JSON array, not string"):
             GroupModel.from_json({"kind": "Q", "pairing": "12"})
 
     def test_from_json_coerces_each_value_once(self, monkeypatch):

@@ -1,7 +1,9 @@
 """Module layering: the exact core imports without the numerical layer,
-each CLI subcommand loads only its own group's modules, and no module
-reads Fraction's private attributes."""
+each CLI subcommand loads only its own group's modules, no module
+reads Fraction's private attributes, and no module imports a name it
+does not use."""
 
+import ast
 import json
 import os
 import re
@@ -126,3 +128,24 @@ def test_no_module_reads_private_fraction_attributes():
     readers = [p.name for p in sorted((Path(SRC) / "ctrace").glob("*.py"))
                if private.search(p.read_text())]
     assert readers == []
+
+
+def unused_imports(source: str) -> list:
+    """Names a module binds with ``from ... import`` and never reads."""
+    tree = ast.parse(source)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names if (alias.asname or alias.name) not in read]
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nfrom typing import Union, Sequence\nx: Sequence\n"
+    assert unused_imports(source) == ["Union"]
+
+
+def test_every_imported_name_is_used():
+    unused = {p.name: unused_imports(p.read_text())
+              for p in sorted((Path(SRC) / "ctrace").glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -137,9 +137,11 @@ class TestConstruction:
             frac(x)
         assert repr(x) in str(info.value)
 
-    @pytest.mark.parametrize("x", ["12", {"0": 1}, 5, None])
+    @pytest.mark.parametrize("x", ["12", {"0": 1}, 5, None, 1.5, False])
     def test_json_list_refuses_non_arrays(self, x):
-        with pytest.raises(TypeError, match=f"caps must be a JSON array, not {type(x).__name__}"):
+        json_type = {str: "string", dict: "object", int: "number", float: "number",
+                     type(None): "null", bool: "boolean"}[type(x)]
+        with pytest.raises(TypeError, match=f"caps must be a JSON array, not {json_type}$"):
             json_list(x, "caps")
         assert json_list([1, "2"], "caps") == [1, "2"]
 

@@ -467,6 +467,67 @@ class TestNorms:
         assert _norms(2.0 * SWAP) == pytest.approx(2.0, rel=1e-15)
 
 
+# --- reference: the row sums and row products _norms and _complements formed
+# inline before both read _gram; the shared form must give the same bits
+def ref_row_norms(a):
+    sq = a.real ** 2 + a.imag ** 2
+    r0 = sq[..., 0, 0] + sq[..., 0, 1]
+    r1 = sq[..., 1, 0] + sq[..., 1, 1]
+    x = a[..., 0, 0] * a[..., 1, 0].conj() + a[..., 0, 1] * a[..., 1, 1].conj()
+    return np.sqrt((r0 + r1 + np.hypot(r0 - r1, 2 * np.abs(x))) / 2)
+
+
+def ref_inline_complements(a, tol):
+    a00, a01, a10, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]
+    s00, s01, s10, s11 = (z.real ** 2 + z.imag ** 2 for z in (a00, a01, a10, a11))
+    d = np.array([s00 + s01 - (s10 + s11), s00 + s10 - (s01 + s11)]) / 2
+    x = np.array([a00 * a10.conj() + a01 * a11.conj(), a00.conj() * a01 + a10.conj() * a11])
+    ax = np.abs(x)
+    m = -(np.abs(d) + np.hypot(d, ax))
+    m[m == 0] = -1
+    u, v = (np.where(d >= 0, [x, m], [m, x.conj()]) / np.hypot(m, ax)).transpose(1, 2, 0)
+    comps = u[:, :, None] * v[:, None, :].conj()
+    flat = comps.reshape(len(comps), 4)
+    first = flat[np.arange(len(flat)), (np.abs(flat) > tol).argmax(axis=1)]
+    return comps * (np.abs(first) / first)[:, None, None]
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestGramMergeBits:
+    """The norms and complements read _gram with the bits of the inline forms.
+
+    The stacks stay below 16,384 matrices.  Above numpy's 256 KiB
+    threshold for reusing temporaries, the references' ``a * b.conj()``
+    is computed in the buffer of ``b.conj()`` with its operands swapped,
+    so their own bits depend on the stack size.
+    """
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-9, 1e-3, 1.0, 1e3, 1e9, 1e150])
+    def test_random_matrices(self, scale):
+        rng = np.random.default_rng(31)
+        a = scale * (rng.normal(size=(4000, 2, 2)) + 1j * rng.normal(size=(4000, 2, 2)))
+        assert np.array_equal(bits(_norms(a)), bits(ref_row_norms(a)))
+        assert np.array_equal(bits(_complements(a, TOL)), bits(ref_inline_complements(a, TOL)))
+
+    def test_noisy_unimodular_multiples_of_the_identity(self):
+        rng = np.random.default_rng(32)
+        phases = np.exp(2j * np.pi * rng.random(4000))
+        noise = rng.normal(size=(4000, 2, 2)) + 1j * rng.normal(size=(4000, 2, 2))
+        a = phases[:, None, None] * I2 + 1e-9 * noise
+        assert np.array_equal(bits(_norms(a)), bits(ref_row_norms(a)))
+        assert np.array_equal(bits(_complements(a, TOL)), bits(ref_inline_complements(a, TOL)))
+
+    def test_bits_do_not_depend_on_the_stack_size(self):
+        rng = np.random.default_rng(33)
+        a = rng.normal(size=(20000, 2, 2)) + 1j * rng.normal(size=(20000, 2, 2))
+        for kernel in (_norms, lambda z: _complements(z, TOL)):
+            halves = np.concatenate([kernel(a[:10000]), kernel(a[10000:])])
+            assert np.array_equal(bits(kernel(a)), bits(halves))
+
+
 # --- reference: the stacked SVD and the batched products the closed forms replaced --
 
 
