@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .blocks import ensure_dimension_function
 from .errors import Infeasible, PreconditionFailed
-from .patterns import EigenPattern, check_compat, deviation, push_dimension
+from .patterns import EigenPattern, deviation
 from .pwcalc import (
     ONE,
     PLFunction,
@@ -43,6 +43,8 @@ from .pwcalc import (
     json_entries,
     json_obj,
     le_pointwise,
+    linear_combine,
+    linear_combine_steps,
     unit_weight,
     weighted_sup_norm,
 )
@@ -157,11 +159,11 @@ class EigenFact(Record):
         return cls(frac(obj["sup_distance"]))
 
 
-def _eigen_check(d_a: StepFunction, f_prime: PLFunction, lam: PLFunction,
-                 lam_hat: PLFunction) -> tuple:
+def _eigen_check(lam: PLFunction, lam_hat: PLFunction, d_a_of_hat: StepFunction,
+                 f_prime_of_lam: PLFunction) -> tuple:
     """The sup distance of lam_hat from lam, and the LeResult of d_A(lam_hat) <= f'(lam)."""
     return (weighted_sup_norm(lam_hat - lam, _UNIT).value,
-            le_pointwise(compose_step_pl(d_a, lam_hat), compose_pl(f_prime, lam)))
+            le_pointwise(d_a_of_hat, f_prime_of_lam))
 
 
 @dataclass(frozen=True)
@@ -254,7 +256,10 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
         raise PreconditionFailed(
             "f_prime exceeds d_A", witness=dominated.witness
         )
-    hypothesis = check_compat(pattern, f_prime, d_b, 0)
+    # f'(lam) and d_A(lam_hat) are composed once each, for the sums and the checks
+    counts = pattern.counts
+    f_prime_of = {lam: compose_pl(f_prime, lam) for lam in counts}
+    hypothesis = le_pointwise(linear_combine([*counts.values()], [*f_prime_of.values()]), d_b)
     if not hypothesis:
         raise Infeasible(
             "pattern(f') exceeds d_B; no admissible perturbation exists",
@@ -264,10 +269,11 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
     sigma = squash_map(d_a, delta)
     # each distinct eigenfunction is perturbed and certified once, in
     # first-seen order, so the first failing one is the first failing index
-    certified = {}
-    for lam in pattern.counts:
-        lam_hat = compose_pl(sigma, lam)
-        dist, dom = _eigen_check(d_a, f_prime, lam, lam_hat)
+    hats = {lam: compose_pl(sigma, lam) for lam in counts}
+    d_a_of = {hat: compose_step_pl(d_a, hat) for hat in dict.fromkeys(hats.values())}
+    facts = {}
+    for lam, lam_hat in hats.items():
+        dist, dom = _eigen_check(lam, lam_hat, d_a_of[lam_hat], f_prime_of[lam])
         if dist > 2 * delta:
             raise AssertionError("squash construction exceeded its own budget")
         if not dom:
@@ -275,11 +281,10 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
                 "perturbed eigenfunction escapes the under-approximation",
                 witness=dom.witness,
             )
-        certified[lam] = (lam_hat, EigenFact(dist))
-    per_index = [certified[lam] for lam in pattern.eigenfunctions]
-    perturbed = EigenPattern(tuple(lam_hat for lam_hat, _ in per_index))
-    eigen_facts = [fact for _, fact in per_index]
-    pushed = push_dimension(perturbed, d_a)
+        facts[lam] = EigenFact(dist)
+    perturbed = EigenPattern(tuple(hats[lam] for lam in pattern.eigenfunctions))
+    eigen_facts = [facts[lam] for lam in pattern.eigenfunctions]
+    pushed = linear_combine_steps([*perturbed.counts.values()], [*d_a_of.values()])
     below = le_pointwise(pushed, d_b)
     if not below:
         raise Infeasible(
@@ -349,11 +354,13 @@ def verify_certificate(cert: PerturbationCertificate) -> CertificateCheck:
     underapprox = le_pointwise(cert.f_prime, cert.d_A)
     add("f_prime_below_d_A", underapprox.holds,
         "" if underapprox else f"witness {underapprox.witness}")
+    hats = cert.perturbed.counts
+    d_a_of = {hat: compose_step_pl(cert.d_A, hat) for hat in hats}
     if cert.original.multiplicity == cert.perturbed.multiplicity:
         pairs = list(zip(cert.original.eigenfunctions, cert.perturbed.eigenfunctions))
         # each distinct (lambda, lambda_hat) pair is re-derived once
-        derived = {pair: _eigen_check(cert.d_A, cert.f_prime, *pair)
-                   for pair in dict.fromkeys(pairs)}
+        derived = {(lam, hat): _eigen_check(lam, hat, d_a_of[hat], compose_pl(cert.f_prime, lam))
+                   for lam, hat in dict.fromkeys(pairs)}
         for i, pair in enumerate(pairs):
             dist, dom = derived[pair]
             fact = cert.eigen_facts[i] if i < len(cert.eigen_facts) else None
@@ -368,7 +375,8 @@ def verify_certificate(cert: PerturbationCertificate) -> CertificateCheck:
                 dom.holds,
                 "" if dom else f"witness {dom.witness}",
             )
-    pushed = push_dimension(cert.perturbed, cert.d_A)
+    ensure_dimension_function(cert.d_A)
+    pushed = linear_combine_steps([*hats.values()], [*d_a_of.values()])
     add("pushed_matches", pushed == cert.pushed)
     below = le_pointwise(pushed, cert.d_B)
     add("pushed_below_target", below.holds,

@@ -18,9 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import sub
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .blocks import ensure_dimension_function
 from .errors import PreconditionFailed
@@ -145,30 +143,16 @@ class DensityResult(Record):
         return self.holds
 
 
-def _lazy_at_points(push: StepFunction, pos) -> Iterator:
-    """``push``'s values at the merged points, where its own points sit
-    at positions ``pos``: each own point's value, then its cell's value
-    up to the next own point."""
-    runs = (chain((v,), repeat(cell, b - a - 1))
-            for v, cell, a, b in zip(push._vals, push._opens, pos, pos[1:]))
-    return chain(chain.from_iterable(runs), push._vals[-1:])
-
-
-def _lazy_on_cells(push: StepFunction, pos) -> Iterator:
-    """``push``'s values on the merged cells, where its own points sit at
-    positions ``pos``."""
-    return chain.from_iterable(map(repeat, push._opens, map(sub, pos[1:], pos)))
-
-
 def density_check(pattern: EigenPattern, d: int, delta) -> DensityResult:
     """Check that at every t, each of the d subintervals [j/d,(j+1)/d]
     holds at least the fraction ``delta`` of the eigenvalues.
 
     Subintervals are closed, so boundary points count for both
     neighbors.  Exact: each distinct eigenfunction is pushed through the
-    slot function (2j on the cut j/d, 2j+1 inside bin j), and the slots
-    are read at every breakpoint and cut preimage, then at the midpoints,
-    walking each push lazily by its own positions in the merged points.
+    slot function (2j on the cut j/d, 2j+1 inside bin j), and one sweep
+    along the merged points keeps each bin's count and the number of bins
+    short, changing them only where a push changes its slot.  Every point
+    is tried before any cell midpoint; the lowest short bin is reported.
     """
     delta = frac(delta)
     if d < 1:
@@ -182,19 +166,38 @@ def density_check(pattern: EigenPattern, d: int, delta) -> DensityResult:
     pushes = [compose_step_pl(slots, lam) for lam in counts]
     # the eigenfunctions' own breakpoints stay samples, where witnesses lie
     pts, own = _merge(*pushes, *counts)
-    # each push's slots, as integer pairs, at the points, then on the
-    # cells, read lazily so that a check failing early walks few of them
-    at = zip(*map(_lazy_at_points, pushes, own))
-    on_cells = zip(*map(_lazy_on_cells, pushes, own))
-    midpoints = ((an * bd + bn * ad, 2 * ad * bd) for (an, ad), (bn, bd) in zip(pts, pts[1:]))
-    for t, row in chain(zip(pts, at), zip(midpoints, on_cells)):
-        tally = [0] * (2 * d + 1)
-        for (slot, _), n in zip(row, counts.values()):
-            tally[slot] += n
-        for j in range(d):
-            if sum(tally[2 * j: 2 * j + 3]) < needed:
-                return DensityResult(False, Fraction(*t), j)
-    return DensityResult(True)
+    # at each own point a push moves its count from the cell before to the
+    # point's slot, then to the cell after; slot -1 lies in no bin
+    events = {}
+    for push, pos, n in zip(pushes, own, counts.values()):
+        cells = (-1, *(s for s, _ in push._opens), -1)
+        for j, (s, _), before, after in zip(pos, push._vals, cells, cells[1:]):
+            events.setdefault(j, []).append((n, before, s, after))
+    count, short = [0] * d, d
+
+    def move(n: int, old: int, new: int) -> None:
+        # n eigenvalues leave slot old for slot new; 2j is in bins j-1 and j, 2j+1 in j
+        nonlocal short
+        for slot, k in ((old, -n), (new, n)) if old != new else ():
+            for j in range(max((slot - 1) >> 1, 0), min(slot >> 1, d - 1) + 1):
+                short += (count[j] + k < needed) - (count[j] < needed)
+                count[j] += k
+
+    failing_cell = None
+    for j, t in enumerate(pts):
+        here = events.get(j, ())
+        for n, before, s, _ in here:
+            move(n, before, s)
+        if short:
+            return DensityResult(False, Fraction(*t), next(
+                b for b, c in enumerate(count) if c < needed))
+        for n, _, s, after in here:
+            move(n, s, after)
+        if short and failing_cell is None and j + 1 < len(pts):
+            (an, ad), (bn, bd) = t, pts[j + 1]
+            failing_cell = Fraction(an * bd + bn * ad, 2 * ad * bd), next(
+                b for b, c in enumerate(count) if c < needed)
+    return DensityResult(False, *failing_cell) if failing_cell else DensityResult(True)
 
 
 def ramp_functions(d: int) -> list:

@@ -185,11 +185,7 @@ class Interval(Record):
 
     def _store(self, lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> "Interval":
         """Check and store Fraction ends and their flags; returns ``self``."""
-        order = lo.numerator * hi.denominator - hi.numerator * lo.denominator
-        if order > 0:
-            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-        if order == 0 and not (lo_closed and hi_closed):
-            raise ValueError("a single-point interval must be closed on both sides")
+        _check_interval(_reduced(lo), _reduced(hi), lo_closed, hi_closed)
         vars(self).update(lo=lo, hi=hi, lo_closed=lo_closed, hi_closed=hi_closed)
         return self
 
@@ -211,6 +207,15 @@ class Interval(Record):
             json_bool(obj["lo_closed"], "lo_closed"),
             json_bool(obj["hi_closed"], "hi_closed"),
         )
+
+
+def _check_interval(lo: tuple, hi: tuple, lo_closed: bool, hi_closed: bool) -> None:
+    """Refuse reduced ends and flags that make no :class:`Interval`."""
+    order = lo[0] * hi[1] - hi[0] * lo[1]
+    if order > 0:
+        raise ValueError(f"empty interval: lo={Fraction(*lo)} > hi={Fraction(*hi)}")
+    if order == 0 and not (lo_closed and hi_closed):
+        raise ValueError("a single-point interval must be closed on both sides")
 
 
 @dataclass(frozen=True)
@@ -291,37 +296,40 @@ class StepFunction(_Stored):
     _public, _stored = ("points", "point_values", "open_values"), ("_pts", "_vals", "_opens")
 
     def __init__(self, pieces):
-        pieces = [(p.interval, p.value) if isinstance(p, Piece) else (p[0], frac(p[1]))
-                  for p in pieces]
-        if not pieces:
+        pieces = [(p.interval, p.value) if isinstance(p, Piece) else p for p in pieces]
+        self._tile([(_reduced(iv.lo), _reduced(iv.hi), iv.lo_closed, iv.hi_closed, _reduced(v))
+                    for iv, v in pieces])
+
+    def _tile(self, runs: list) -> "StepFunction":
+        """Check that pieces, as reduced ``(lo, hi, lo_closed, hi_closed,
+        value)``, tile [0,1] exactly once, and store their profile; returns ``self``."""
+        if not runs:
             raise ValueError("a step function needs at least one piece")
-        # float keys, exact on equal floats; reduced Fractions have equal terms when equal
-        pieces.sort(key=lambda p: (float(p[0].lo), p[0].lo, not p[0].lo_closed))
-        first, last = pieces[0][0], pieces[-1][0]
-        if first.lo.numerator != 0 or not first.lo_closed:
+        # float keys, exact on equal floats
+        runs.sort(key=lambda r: (r[0][0] / r[0][1], _by_value(r[0]), not r[2]))
+        if runs[0][0][0] != 0 or not runs[0][2]:
             raise ValueError("pieces must start at 0 (closed)")
-        if last.hi.numerator != 1 or last.hi.denominator != 1 or not last.hi_closed:
+        if runs[-1][1] != (1, 1) or not runs[-1][3]:
             raise ValueError("pieces must end at 1 (closed)")
-        for (cur, _), (nxt, _) in zip(pieces, pieces[1:]):
-            if cur.hi.numerator != nxt.lo.numerator or cur.hi.denominator != nxt.lo.denominator:
-                raise ValueError(
-                    f"pieces do not tile [0,1]: gap or overlap at {cur.hi} vs {nxt.lo}"
-                )
-            if cur.hi_closed == nxt.lo_closed:
-                raise ValueError(
-                    f"endpoint {cur.hi} covered {'twice' if cur.hi_closed else 'by no piece'}"
-                )
+        for (_, hi, _, hi_closed, _), (lo, _, lo_closed, _, _) in zip(runs, runs[1:]):
+            if hi != lo:
+                raise ValueError(f"pieces do not tile [0,1]: gap or overlap at "
+                                 f"{Fraction(*hi)} vs {Fraction(*lo)}")
+            if hi_closed == lo_closed:
+                raise ValueError(f"endpoint {Fraction(*hi)} covered "
+                                 f"{'twice' if hi_closed else 'by no piece'}")
         # the tiling covers each endpoint once, by a closed side
-        points, point_values, open_values = [ZERO], [], []
-        for iv, value in pieces:
-            if iv.lo_closed:
+        points, point_values, open_values = [(0, 1)], [], []
+        for lo, hi, lo_closed, hi_closed, value in runs:
+            if lo_closed:
                 point_values.append(value)
-            if not iv.is_point:
-                points.append(iv.hi)
+            if lo != hi:
+                points.append(hi)
                 open_values.append(value)
-                if iv.hi_closed:
+                if hi_closed:
                     point_values.append(value)
-        self._store(*(list(map(_reduced, xs)) for xs in (points, point_values, open_values)))
+        self._store(points, point_values, open_values)
+        return self
 
     def _store(self, points, point_values, open_values) -> None:
         """Store a valid profile of reduced pairs in canonical form."""
@@ -418,9 +426,14 @@ class StepFunction(_Stored):
     def from_json(cls, obj: dict) -> "StepFunction":
         if json_obj(obj, "a step function").get("kind") != "step":
             raise ValueError("not a step-function payload")
-        # lazily, so each piece's value is coerced before the next piece is read
-        return cls((Interval.from_json(json_obj(p, "each entry of pieces")), p["value"])
-                   for p in json_list(obj["pieces"], "pieces"))
+        runs = []
+        for p in json_list(obj["pieces"], "pieces"):
+            p = json_obj(p, "each entry of pieces")
+            lo, hi = _reduced(p["lo"]), _reduced(p["hi"])
+            flags = json_bool(p["lo_closed"], "lo_closed"), json_bool(p["hi_closed"], "hi_closed")
+            _check_interval(lo, hi, *flags)
+            runs.append((lo, hi, *flags, _reduced(p["value"])))
+        return object.__new__(cls)._tile(runs)
 
 
 @dataclass(frozen=True)
@@ -814,34 +827,70 @@ def is_lsc(d: StepFunction) -> LeResult:
 # ---------------------------------------------------------------------------
 
 
+def _plus(x: tuple, n: int, d: int) -> tuple:
+    """The reduced terms of x + n/d, for x a pair and d > 0."""
+    xn, xd = x
+    n, d = xn * d + n * xd, xd * d
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
 def _weighted_sums(coeffs: Sequence, fns: Sequence, cells: bool = False) -> tuple:
-    """``refine(*fns)``'s points and sum(c_i * f_i) at each of them, then on
-    each cell after them when ``cells``.  Each value is summed as one
-    integer ratio over a running common denominator and reduced once."""
+    """``_merge(*fns)``'s points and sum(c_i * f_i) at each of them, then on
+    each cell after them when ``cells``, in one sweep that changes only at
+    events: at f_i's own points, c_i times the change of its slope, or of
+    its value to the point and to the cell after.  Sums are reduced as made."""
     if not coeffs or not fns:
         raise ValueError("empty linear combination")
     if len(coeffs) != len(fns):
         raise ValueError("coefficient/function count mismatch")
     terms = [_reduced(c) for c in coeffs]
-    pts, samples = refine(*fns)
-    out = []
-    for vs in zip(*(at + opens if cells else at for at, opens, _ in samples)):
-        num, den = 0, 1
-        for (cn, cd), (vn, vd) in zip(terms, vs):
-            d = cd * vd
-            if d == 1:
-                num += cn * vn * den
-            else:
-                g = math.gcd(den, d)
-                num = num * (d // g) + cn * vn * (den // g)
-                den = den // g * d
-        g = math.gcd(num, den)
-        out.append((num // g, den // g))
+    pts, own = _merge(*fns)
+    events, value = {}, (0, 1)
+    for (cn, cd), f, pos in zip(terms, fns, own):
+        if not cn:
+            continue
+        if cells:
+            for j, (vn, vd), (bn, bd), (an, ad) in zip(
+                    pos, f._vals, ((0, 1), *f._opens), (*f._opens, (0, 1))):
+                at = cn * (vn * bd - bn * vd), cd * vd * bd
+                after = cn * (an * bd - bn * ad), cd * ad * bd
+                if j in events:
+                    at, after = _plus(events[j][0], *at), _plus(events[j][1], *after)
+                events[j] = at, after
+            continue
+        value = _plus(value, cn * f._vals[0][0], cd * f._vals[0][1])
+        sn, sd = 0, 1
+        for j, (t0n, t0d), (t1n, t1d), (v0n, v0d), (v1n, v1d) in zip(
+                pos, f._pts, f._pts[1:], f._vals, f._vals[1:]):
+            n = cn * (v1n * v0d - v0n * v1d) * t0d * t1d
+            d = cd * v0d * v1d * (t1n * t0d - t0n * t1d)
+            change = n * sd - sn * d, d * sd
+            events[j] = _plus(events[j], *change) if j in events else change
+            sn, sd = n, d
+    if cells:
+        point, cell, no_change = [], [], ((0, 1), (0, 1))
+        for j in range(len(pts)):
+            at, after = events.get(j, no_change)
+            point.append(_plus(value, *at) if at[0] else value)
+            value = _plus(value, *after) if after[0] else value
+            cell.append(value)
+        return pts, point + cell[:-1]
+    # the value moves by the summed slope times the length of each cell
+    out, (sn, sd) = [value], (0, 1)
+    for j, ((an, ad), (bn, bd)) in enumerate(zip(pts, pts[1:])):
+        if j in events:
+            sn, sd = _plus((sn, sd), *events[j])
+        if sn:
+            value = _plus(value, sn * (bn * ad - an * bd), sd * ad * bd)
+        out.append(value)
     return pts, out
 
 
 def linear_combine(coeffs: Sequence, fns: Sequence[PLFunction]) -> PLFunction:
     """Exact pointwise linear combination sum(c_i * f_i)."""
+    if not all(isinstance(f, PLFunction) for f in fns):
+        raise TypeError("linear_combine combines piecewise-linear functions")
     return PLFunction._from_kernel(*_weighted_sums(coeffs, fns))
 
 

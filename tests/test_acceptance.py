@@ -35,6 +35,7 @@ from ctrace.patterns import (
     apply_pattern,
     check_compat,
     compute_gap,
+    density_check,
     push_dimension,
     uniqueness_hypothesis_check,
     verify_chain,
@@ -62,6 +63,7 @@ from helpers import (
     rand_pl,
     rand_positive_step,
     rand_step,
+    ref_density_check,
 )
 from test_unitary import constant_jump_path, smooth_path, E11, E12, E22, I2, SWAP
 
@@ -343,3 +345,25 @@ def test_criterion_8_balanced_invariance():
                 flips += 1
     assert flips == 0
     report(8, "200 instances x kappa in {1/3, 2, 7}: verdicts unchanged")
+
+
+def distinct_lines(d):
+    """d constants at the bin centres and d distinct falling lines from
+    (0, 1) to (1, j/(2d+1)): each line crosses about half the cuts, so the
+    pushes have about d^2 points between them."""
+    centres = [PLFunction.constant(F(2 * j + 1, 2 * d)) for j in range(d)]
+    lines = [PLFunction((0, 1), (1, F(j, 2 * d + 1))) for j in range(1, d + 1)]
+    return EigenPattern(tuple(centres + lines))
+
+
+def test_density_check_at_d_200():
+    small = distinct_lines(25)
+    for delta in (F(1, 50), F(1, 25)):
+        assert density_check(small, 25, delta) == ref_density_check(small, 25, delta)
+    pattern = distinct_lines(200)
+    start = time.monotonic()
+    res = density_check(pattern, 200, F(1, 400))
+    elapsed = time.monotonic() - start
+    assert res.holds
+    assert elapsed < 1.0
+    report("density", f"d = 200 bins, 400 eigenfunctions in one event sweep ({elapsed:.3f}s)")

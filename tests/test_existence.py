@@ -502,6 +502,87 @@ class TestDistinctEigenfunctionsMatchReferences:
         assert check == ref_verify_certificate(tampered)
 
 
+def _counting_compositions(mp) -> list:
+    """Patch ``existence.compose_step_pl`` to note the inner function of every call."""
+    import ctrace.existence as existence
+
+    calls, real = [], existence.compose_step_pl
+
+    def counted(d, g):
+        calls.append(g)
+        return real(d, g)
+
+    mp.setattr(existence, "compose_step_pl", counted)
+    return calls
+
+
+def _squash_collision_args():
+    """Three eigenfunctions, two of them distinct, that differ only inside
+    the clamped window of the jump at 1/2, so they squash to one lambda_hat."""
+    m, eps = 3, F(1, 2)
+    d_a = jump_up_step()
+    delta = choose_delta(eps, m)
+    half = F(1, 2)
+    lam = PLFunction.identity()
+    bent = PLFunction((0, half - delta, half, half + delta, 1),
+                      (0, half - delta, half + delta / 2, half + delta, 1))
+    pattern = EigenPattern((lam, bent, lam))
+    d_b = combine_steps([push_dimension(pattern, d_a)], lambda v: v + 1)
+    return (d_a, make_underapprox(d_a, delta), pattern, d_b, delta,
+            [PLFunction.identity(), bent], eps, unit_weight(), StepFunction.constant(m))
+
+
+class TestCompositionsAreShared:
+    """perturb_pattern and verify_certificate compose d_A with each distinct
+    lambda_hat once, for the domination checks and the pushed sum, and give
+    the certificates, witnesses and check items of every index on its own."""
+
+    def test_two_eigenfunctions_squash_to_one(self):
+        args = _squash_collision_args()
+        pattern = args[2]
+        assert len(pattern.counts) == 2
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting_compositions(mp)
+            cert = perturb_pattern(*args)
+            assert len(set(cert.perturbed.eigenfunctions)) == 1
+            assert len(calls) == 1
+            check = verify_certificate(cert)
+            assert len(calls) == 2
+        assert _outcome(perturb_pattern, *args) == _outcome(ref_perturb_pattern, *args)
+        assert check.ok and check == ref_verify_certificate(cert)
+
+    @given(seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_each_distinct_hat_composed_once(self, seed):
+        args = _repeated_instance(random.Random(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting_compositions(mp)
+            out = _outcome(perturb_pattern, *args)
+            hats = list(dict.fromkeys(calls))
+            assert len(calls) == len(hats)
+            if out[0] == "ok":
+                assert hats == list(out[2].perturbed.counts)
+                del calls[:]
+                check = verify_certificate(out[2])
+                assert calls == hats
+        assert out == _outcome(ref_perturb_pattern, *args)
+        if out[0] == "ok":
+            assert check == ref_verify_certificate(out[2])
+
+    @pytest.mark.parametrize("keep", [1, 3])
+    def test_mismatched_multiplicities(self, keep):
+        cert = perturb_pattern(*_squash_collision_args())
+        hats = cert.perturbed.eigenfunctions[:keep] + (PLFunction.constant(F(1, 3)),)
+        tampered = PerturbationCertificate(
+            **{**cert.__dict__, "perturbed": EigenPattern(hats)})
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counting_compositions(mp)
+            check = verify_certificate(tampered)
+            assert calls == list(tampered.perturbed.counts)
+        assert not check.ok
+        assert check == ref_verify_certificate(tampered)
+
+
 class TestReproduceCounterexample:
     def test_delta_one_tenth(self):
         rep = reproduce_counterexample(F(1, 10), F(1, 5))

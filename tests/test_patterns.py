@@ -1,6 +1,7 @@
 """Eigenvalue-pattern maps: application, density, gaps, chains."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -43,6 +44,7 @@ from helpers import (
     ref_apply_difference,
     ref_apply_pattern,
     ref_density_check,
+    ref_preimage_refinement,
     ref_push_dimension,
     repeated_patterns,
 )
@@ -372,6 +374,47 @@ class TestDensityMatchesReference:
         res = density_check(crossing, 2, F(1, 2))
         assert res == ref_density_check(crossing, 2, F(1, 2))
         assert (res.holds, res.witness_t, res.witness_bin) == (False, F(1, 2), 1)
+
+    def test_point_after_a_failing_cell_is_the_witness(self):
+        # bin 1 is empty on the cell (0, 1/2) and again at the point 3/4
+        first = PLFunction((0, F(1, 2), F(3, 4), 1), (F(1, 2), 0, 0, F(1, 2)))
+        second = PLFunction((0, F(1, 2), F(3, 4), 1), (0, F(1, 2), F(1, 4), F(1, 2)))
+        pattern = EigenPattern((first, second))
+        res = density_check(pattern, 2, F(1, 2))
+        assert res == ref_density_check(pattern, 2, F(1, 2))
+        assert (res.holds, res.witness_t, res.witness_bin) == (False, F(3, 4), 1)
+
+    def test_passes_point_and_cell_failures(self):
+        rng = random.Random(2024)
+        kinds = Counter()
+        for _ in range(300):
+            d = rng.randint(1, 4)
+            cuts = [F(j, d) for j in range(d + 1)]
+            # values on cuts and bin centres, on breakpoints the functions share,
+            # so that a cut held at two points can be left on the cell between
+            values = cuts + [F(2 * j + 1, 2 * d) for j in range(d)]
+            inner = sorted({F(rng.randint(1, 11), 12) for _ in range(rng.randint(0, 3))})
+            pts = (F(0), *inner, F(1))
+            distinct = [PLFunction(pts, tuple(rng.choice(values) for _ in pts))
+                        for _ in range(rng.randint(1, 4))]
+            if d > 1 and rng.random() < 0.4:
+                # two functions take turns on a cut and leave it to one side
+                # between breakpoints, the other bins hold a constant each
+                j = rng.randint(1, d - 1)
+                off = F(2 * j + rng.choice([-1, 1]), 2 * d)
+                distinct = [PLFunction(pts, tuple(cuts[j] if k % 2 == r else off
+                                                  for k in range(len(pts)))) for r in (0, 1)]
+                distinct += [PLFunction.constant(values[d + 1 + b]) for b in range(d)
+                             if b not in (j - 1, j)]
+            pattern = EigenPattern(tuple(rng.choice(distinct) for _ in range(rng.randint(1, 8))))
+            delta = F(1, d) * rng.choice([1, F(1, 2), F(1, 3), F(2, 3)])
+            res = density_check(pattern, d, delta)
+            assert res == ref_density_check(pattern, d, delta)
+            samples = set()
+            for lam in pattern.eigenfunctions:
+                samples.update(ref_preimage_refinement(lam, cuts)[0])
+            kinds["pass" if res else "point" if res.witness_t in samples else "cell"] += 1
+        assert min(kinds[k] for k in ("pass", "point", "cell")) >= 20, kinds
 
     def test_no_eigenfunction_evaluation(self, monkeypatch):
         def refuse(self, t):

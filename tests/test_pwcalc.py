@@ -20,7 +20,9 @@ from ctrace.pwcalc import (
     combine_steps,
     compose_pl,
     compose_step_pl,
+    _merge,
     _preimage_refinement,
+    _weighted_sums,
     frac,
     function_from_json,
     inf_difference,
@@ -54,6 +56,7 @@ from helpers import (
     rand_pl_unit,
     rand_positive_step,
     rand_step,
+    ref_add_steps,
     ref_compose_pl,
     ref_compose_step_pl,
     ref_inf_difference,
@@ -65,9 +68,11 @@ from helpers import (
     ref_refine,
     ref_step_from_json,
     ref_step_to_json,
+    ref_weighted_sums,
     ref_weighted_sup_norm,
     refine_as_fractions,
     step_functions,
+    wide_fractions,
     wide_pl_points,
     wide_step_functions,
 )
@@ -379,7 +384,7 @@ class TestStepJsonBoundary:
         s = StepFunction.from_profile([0, F(1, 3), F(1, 2), 1], [1, 2, 3, 0], [4, 5, 6])
         blob = s.to_json()
         calls = []
-        real = pwcalc.frac
+        real = pwcalc._reduced
 
         def counting(x):
             calls.append(x)
@@ -388,11 +393,25 @@ class TestStepJsonBoundary:
         def no_piece(self):
             raise AssertionError("a Piece was built")
 
-        monkeypatch.setattr(pwcalc, "frac", counting)
+        monkeypatch.setattr(pwcalc, "_reduced", counting)
         monkeypatch.setattr(Piece, "__post_init__", no_piece)
         assert StepFunction.from_json(blob) == s
         # lo, hi and value of each piece, each once
         assert len(calls) == 3 * len(blob["pieces"]) == 3 * 7
+
+    @pytest.mark.parametrize("s", [
+        StepFunction.from_profile([0, F(1, 3), F(1, 2), 1], [1, 2, 3, 0], [4, F(-5, 7), 6]),
+        # two ends that share a float, so the sort compares them exactly
+        StepFunction.from_profile([0, F(1, 3), F(1, 3) + F(1, 10**30), 1],
+                                  [1, F(10**40, 3), 1, 2], [1, 2, 2]),
+    ])
+    def test_from_json_builds_no_fraction(self, monkeypatch, s):
+        blob = s.to_json()
+        calls = _count_fraction_builds(monkeypatch)
+        out = StepFunction.from_json(blob)
+        assert calls == []
+        monkeypatch.undo()
+        assert out == ref_step_from_json(blob) == s
 
     def test_to_json_builds_no_interval_or_piece(self, monkeypatch):
         s = pinched_dimension_function()
@@ -491,6 +510,87 @@ class TestLinearCombineSteps:
             linear_combine_steps([1], [s, s])
         with pytest.raises(TypeError, match="combines step functions"):
             linear_combine_steps([1, 1], [s, PLFunction.identity()])
+
+
+sweep_coefficients = st.one_of(st.just(0), st.integers(-3, 3), wide_fractions)
+sweep_pl_functions = st.one_of(
+    wide_pl_points().map(lambda p: PLFunction(tuple(p[0]), tuple(p[1]))), near_tie_pl_functions())
+sweep_step_functions = st.one_of(wide_step_functions(), near_tie_step_functions())
+
+
+class TestLinearCombinationSweep:
+    """The event sweep behind ``linear_combine`` and ``linear_combine_steps``
+    gives the pairs of the per-point scan it replaced, on up to 16
+    functions with zero and cancelling coefficients, repeated functions,
+    points that share a float and large, mixed denominators."""
+
+    @staticmethod
+    def check(coeffs, fns, cells):
+        out = _weighted_sums(coeffs, fns, cells)
+        assert out == ref_weighted_sums(coeffs, fns, cells)
+        if cells:
+            ref = combine_steps(fns, lambda *vs: sum((F(c) * v for c, v in zip(coeffs, vs)), F(0)))
+            assert linear_combine_steps(coeffs, fns) == ref
+            assert linear_combine_steps([1] * len(fns), fns) == ref_add_steps(fns)
+        else:
+            assert linear_combine(coeffs, fns) == ref_linear_combine(coeffs, fns)
+
+    @given(st.lists(st.tuples(sweep_coefficients, sweep_pl_functions), min_size=1, max_size=16))
+    @settings(max_examples=80, deadline=None)
+    def test_pl_sums(self, terms):
+        self.check([c for c, _ in terms], [f for _, f in terms], False)
+
+    @given(st.lists(st.tuples(sweep_coefficients, sweep_step_functions), min_size=1, max_size=16))
+    @settings(max_examples=80, deadline=None)
+    def test_step_sums(self, terms):
+        self.check([c for c, _ in terms], [f for _, f in terms], True)
+
+    @given(st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cancelling_and_repeated_functions(self, cells, data):
+        fns = data.draw(st.lists(sweep_step_functions if cells else sweep_pl_functions,
+                                 min_size=1, max_size=8))
+        coeffs = data.draw(st.lists(sweep_coefficients, min_size=len(fns), max_size=len(fns)))
+        # each function once more with the opposite coefficient: the sum is 0
+        order = data.draw(st.permutations(range(2 * len(fns))))
+        terms = [(c, f) for c, f in zip(coeffs, fns)] + [(-F(c), f) for c, f in zip(coeffs, fns)]
+        terms = [terms[i] for i in order]
+        self.check([c for c, _ in terms], [f for _, f in terms], cells)
+        zero = (StepFunction if cells else PLFunction).constant(0)
+        combine = linear_combine_steps if cells else linear_combine
+        assert combine([c for c, _ in terms], [f for _, f in terms]) == zero
+        # k copies of one function sum to one term
+        k = data.draw(st.integers(1, 16))
+        copies = data.draw(st.lists(sweep_coefficients, min_size=k, max_size=k))
+        self.check(copies, [fns[0]] * k, cells)
+        assert combine(copies, [fns[0]] * k) == combine([sum(map(F, copies))], [fns[0]])
+
+    def test_points_that_share_a_float(self):
+        a, b = F(1, 3), F(1, 3) + F(1, 10**30)
+        assert float(a) == float(b)
+        big = F(10**40 + 1, 3 * 10**39)
+        pls = [PLFunction((0, a, 1), (1, big, -2)), PLFunction((0, b, 1), (F(1, 7), 0, 5)),
+               PLFunction((0, a, b, 1), (0, 1, -1, 0))]
+        steps = [StepFunction.from_profile((0, a, 1), (1, big, 2), (3, 4)),
+                 StepFunction.from_profile((0, b, 1), (0, 1, 0), (F(1, 10**30), 1))]
+        pts, _ = _merge(*pls)
+        assert (a.numerator, a.denominator) in pts and (b.numerator, b.denominator) in pts
+        coeffs = [F(3, 10**20 + 7), -2, big]
+        self.check(coeffs, pls, False)
+        self.check(coeffs[:2], steps, True)
+
+    def test_sweep_samples_no_function_per_point(self, monkeypatch):
+        pl, step = tie_free_pair()
+        expected = (ref_linear_combine([F(1, 2), -3], [pl, pl.scale(F(1, 3))]),
+                    combine_steps([step, step.scale(3)], lambda u, v: 2 * u - v / 5))
+        for name in ("refine", "_walk_pl", "_walk_step"):
+            monkeypatch.setattr(pwcalc, name, _refuse)
+        assert (linear_combine([F(1, 2), -3], [pl, pl.scale(F(1, 3))]),
+                linear_combine_steps([2, F(-1, 5)], [step, step.scale(3)])) == expected
+
+    def test_refuses_a_step_function(self):
+        with pytest.raises(TypeError, match="combines piecewise-linear functions"):
+            linear_combine([1, 1], [PLFunction.identity(), StepFunction.constant(1)])
 
 
 class TestCachedHash:
