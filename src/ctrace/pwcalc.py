@@ -181,13 +181,9 @@ class Interval(Record):
     hi_closed: bool = True
 
     def __post_init__(self):
-        self._store(frac(self.lo), frac(self.hi), self.lo_closed, self.hi_closed)
-
-    def _store(self, lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool) -> "Interval":
-        """Check and store Fraction ends and their flags; returns ``self``."""
-        _check_interval(_reduced(lo), _reduced(hi), lo_closed, hi_closed)
-        vars(self).update(lo=lo, hi=hi, lo_closed=lo_closed, hi_closed=hi_closed)
-        return self
+        lo, hi = frac(self.lo), frac(self.hi)
+        _check_interval(_reduced(lo), _reduced(hi), self.lo_closed, self.hi_closed)
+        vars(self).update(lo=lo, hi=hi)
 
     @property
     def is_point(self) -> bool:
@@ -201,12 +197,8 @@ class Interval(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Interval":
-        # coerced as read, so the first defect is the one reported, and stored once
-        return object.__new__(cls)._store(
-            frac(obj["lo"]), frac(obj["hi"]),
-            json_bool(obj["lo_closed"], "lo_closed"),
-            json_bool(obj["hi_closed"], "hi_closed"),
-        )
+        lo, hi, lo_closed, hi_closed = _interval_json(obj)
+        return cls(Fraction(*lo), Fraction(*hi), lo_closed, hi_closed)
 
 
 def _check_interval(lo: tuple, hi: tuple, lo_closed: bool, hi_closed: bool) -> None:
@@ -216,6 +208,15 @@ def _check_interval(lo: tuple, hi: tuple, lo_closed: bool, hi_closed: bool) -> N
         raise ValueError(f"empty interval: lo={Fraction(*lo)} > hi={Fraction(*hi)}")
     if order == 0 and not (lo_closed and hi_closed):
         raise ValueError("a single-point interval must be closed on both sides")
+
+
+def _interval_json(obj: dict) -> tuple:
+    """An interval's JSON as reduced ends and flags, checked; each is read
+    in turn, so the first defect is the one reported."""
+    lo, hi = _reduced(obj["lo"]), _reduced(obj["hi"])
+    flags = json_bool(obj["lo_closed"], "lo_closed"), json_bool(obj["hi_closed"], "hi_closed")
+    _check_interval(lo, hi, *flags)
+    return (lo, hi, *flags)
 
 
 @dataclass(frozen=True)
@@ -429,10 +430,7 @@ class StepFunction(_Stored):
         runs = []
         for p in json_list(obj["pieces"], "pieces"):
             p = json_obj(p, "each entry of pieces")
-            lo, hi = _reduced(p["lo"]), _reduced(p["hi"])
-            flags = json_bool(p["lo_closed"], "lo_closed"), json_bool(p["hi_closed"], "hi_closed")
-            _check_interval(lo, hi, *flags)
-            runs.append((lo, hi, *flags, _reduced(p["value"])))
+            runs.append((*_interval_json(p), _reduced(p["value"])))
         return object.__new__(cls)._tile(runs)
 
 

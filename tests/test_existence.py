@@ -234,7 +234,11 @@ def _expected_squash(d, delta):
 
 class TestJumpWindowsMatchReferences:
     def check(self, d, delta):
-        assert _run(make_underapprox, d, delta) == _run(ref_make_underapprox, d, delta)
+        out = _run(make_underapprox, d, delta)
+        assert out == _run(ref_make_underapprox, d, delta)
+        if isinstance(out[0], PLFunction):
+            # perturb_pattern relies on this instead of sweeping f' <= d_A
+            assert le_pointwise(out[0], d)
         assert _run(squash_map, d, delta) == _expected_squash(d, delta)
 
     @pytest.mark.parametrize("name,d,delta", WINDOW_CASES, ids=[c[0] for c in WINDOW_CASES])
@@ -502,17 +506,18 @@ class TestDistinctEigenfunctionsMatchReferences:
         assert check == ref_verify_certificate(tampered)
 
 
-def _counting_compositions(mp) -> list:
-    """Patch ``existence.compose_step_pl`` to note the inner function of every call."""
+def _counting(mp, name) -> list:
+    """Patch the two-argument ``existence.<name>`` (``compose_step_pl``,
+    ``le_pointwise``) to note the second argument of every call."""
     import ctrace.existence as existence
 
-    calls, real = [], existence.compose_step_pl
+    calls, real = [], getattr(existence, name)
 
-    def counted(d, g):
+    def counted(f, g):
         calls.append(g)
-        return real(d, g)
+        return real(f, g)
 
-    mp.setattr(existence, "compose_step_pl", counted)
+    mp.setattr(existence, name, counted)
     return calls
 
 
@@ -535,14 +540,16 @@ def _squash_collision_args():
 class TestCompositionsAreShared:
     """perturb_pattern and verify_certificate compose d_A with each distinct
     lambda_hat once, for the domination checks and the pushed sum, and give
-    the certificates, witnesses and check items of every index on its own."""
+    the certificates, witnesses and check items of every index on its own.
+    perturb_pattern sweeps only the hypothesis and one domination per
+    distinct lambda: f' <= d_A and the pushed sum <= d_B follow from them."""
 
     def test_two_eigenfunctions_squash_to_one(self):
         args = _squash_collision_args()
         pattern = args[2]
         assert len(pattern.counts) == 2
         with pytest.MonkeyPatch.context() as mp:
-            calls = _counting_compositions(mp)
+            calls = _counting(mp, "compose_step_pl")
             cert = perturb_pattern(*args)
             assert len(set(cert.perturbed.eigenfunctions)) == 1
             assert len(calls) == 1
@@ -556,11 +563,14 @@ class TestCompositionsAreShared:
     def test_each_distinct_hat_composed_once(self, seed):
         args = _repeated_instance(random.Random(seed))
         with pytest.MonkeyPatch.context() as mp:
-            calls = _counting_compositions(mp)
+            calls = _counting(mp, "compose_step_pl")
+            sweeps = _counting(mp, "le_pointwise")
             out = _outcome(perturb_pattern, *args)
             hats = list(dict.fromkeys(calls))
             assert len(calls) == len(hats)
+            assert len(sweeps) <= 1 + len(args[2].counts)
             if out[0] == "ok":
+                assert len(sweeps) == 1 + len(args[2].counts)
                 assert hats == list(out[2].perturbed.counts)
                 del calls[:]
                 check = verify_certificate(out[2])
@@ -576,7 +586,7 @@ class TestCompositionsAreShared:
         tampered = PerturbationCertificate(
             **{**cert.__dict__, "perturbed": EigenPattern(hats)})
         with pytest.MonkeyPatch.context() as mp:
-            calls = _counting_compositions(mp)
+            calls = _counting(mp, "compose_step_pl")
             check = verify_certificate(tampered)
             assert calls == list(tampered.perturbed.counts)
         assert not check.ok

@@ -1,9 +1,10 @@
 """Module layering: the exact core imports without the numerical layer,
 each CLI subcommand loads only its own group's modules, no module
-reads Fraction's private attributes, and no module imports a name it
-does not use."""
+reads Fraction's private attributes, no module imports a name it does
+not use, and every ctrace name the benchmark scripts use exists."""
 
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -149,3 +150,47 @@ def test_every_imported_name_is_used():
     unused = {p.name: unused_imports(p.read_text())
               for p in sorted((Path(SRC) / "ctrace").glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def bench_imports(path: Path) -> list:
+    """``(module, name)`` for each name a benchmark script imports, name ""
+    for a plain ``import module``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, "") for alias in node.names]
+    return found
+
+
+def resolves(module: str, attr: str) -> bool:
+    """Whether ``module`` imports and has ``attr``, a name or ``Class.method``."""
+    owner = importlib.import_module(module)
+    for part in filter(None, attr.split(".")):
+        owner = getattr(owner, part, None)
+    return owner is not None
+
+
+def test_benchmark_imports_from_ctrace_resolve():
+    found = [entry for path in sorted(BENCH.glob("*.py")) for entry in bench_imports(path)
+             if entry[0].split(".")[0] == "ctrace"]
+    assert ("ctrace.pwcalc", "StepFunction") in found
+    assert [entry for entry in found if not resolves(*entry)] == []
+
+
+def test_benchmark_trace_targets_resolve():
+    # the tracer rebinds these with getattr, so a name src/ drops would
+    # crash every traced run; tracing.py imports only the standard library
+    path = BENCH / "tracing.py"
+    assert {m.split(".")[0] for m, _ in bench_imports(path)} <= sys.stdlib_module_names
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    entries = [(m, attr) for m, attr, _ in tracing.TARGETS] + list(tracing.COUNTED)
+    assert ("ctrace.pwcalc", "StepFunction.jumps") in entries
+    assert [entry for entry in entries if not resolves(*entry)] == []
