@@ -61,15 +61,13 @@ class EigenPattern(Record):
             if not f.into_unit_interval():
                 raise ValueError("eigenfunctions must map [0,1] into [0,1]")
         object.__setattr__(self, "eigenfunctions", fns)
+        # not a field, so never a JSON key: each distinct eigenfunction, in
+        # first-seen order, with its count; read it, do not change it
+        object.__setattr__(self, "counts", Counter(fns))
 
     @property
     def multiplicity(self) -> int:
         return len(self.eigenfunctions)
-
-    @property
-    def counts(self) -> Counter:
-        """Each distinct eigenfunction, in first-seen order, with its count."""
-        return Counter(self.eigenfunctions)
 
     @classmethod
     def identities(cls, m: int) -> "EigenPattern":
@@ -99,7 +97,7 @@ def apply_difference(p: EigenPattern, q: EigenPattern, f: PLFunction) -> PLFunct
     Each eigenfunction of either pattern is weighted by its count in p
     minus its count in q; those whose counts cancel are not composed.
     """
-    counts = p.counts
+    counts = Counter(p.counts)
     counts.subtract(q.counts)
     terms = [(n, lam) for lam, n in counts.items() if n]
     if not terms:

@@ -25,7 +25,6 @@ import bisect
 import functools
 import math
 import re
-import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -228,19 +227,11 @@ class Piece:
         object.__setattr__(self, "value", frac(self.value))
 
 
-def _term_hash(n: int, d: int) -> int:
-    """``hash(Fraction(n, d))`` of reduced terms, by Python's rule for rationals."""
-    m = sys.hash_info.modulus
-    h = abs(n) * pow(d, -1, m) % m if d % m else sys.hash_info.inf
-    h = -h if n < 0 else h
-    return -2 if h == -1 else h
-
-
 class _Stored:
     """A function stored as reduced pairs: ``_stored`` names the attributes
     holding the terms of the dataclass fields ``_public``, whose tuples of
-    Fractions are built on first read.  Equality, the hash (the Fraction
-    tuples' hash) and ``eval`` read the terms, so they build no such tuple."""
+    Fractions are built on first read.  Equality, the hash and ``eval``
+    read the terms, so they build no such tuple."""
 
     _public: tuple
     _stored: tuple
@@ -265,16 +256,13 @@ class _Stored:
         if other.__class__ is not self.__class__:
             return NotImplemented
         own, theirs = vars(self), vars(other)
-        h = own.get("_hash")  # unequal cached hashes settle it
-        return (h is None or theirs.get("_hash", h) == h) and all(
-            own[s] == theirs[s] for s in self._stored)
+        return all(own[s] == theirs[s] for s in self._stored)
 
     def __hash__(self):
         # once: patterns count their eigenfunctions often
         own = vars(self)
         if "_hash" not in own:
-            own["_hash"] = hash(tuple(tuple(_term_hash(n, d) for n, d in own[s])
-                                      for s in self._stored))
+            own["_hash"] = hash(tuple(own[s] for s in self._stored))
         return own["_hash"]
 
 

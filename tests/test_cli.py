@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctrace.cli import BAD_INPUT, MAX_BINS, MAX_NESTED_SETS, REFUTED, main
+from ctrace.cli import BAD_INPUT, INFEASIBLE, MAX_BINS, MAX_NESTED_SETS, REFUTED, main
 from ctrace.existence import make_underapprox, pinched_dimension_function
 from ctrace.patterns import EigenPattern, push_dimension
 from ctrace.pwcalc import PLFunction, StepFunction, unit_weight
@@ -55,6 +55,21 @@ def infeasible_payload(m=6):
         "w_dom": unit_weight().to_json(),
         "w_cod": push_dimension(pattern, unit_weight()).to_json(),
     }
+
+
+def jump_perturb_payload(**fields):
+    """Three identities over d_A = 1 on [0,1/2] and 2 after, into d_B = 10."""
+    d_a = StepFunction.from_profile((0, F(1, 2), 1), (1, 1, 2), (1, 2))
+    return dict({
+        "d_A": d_a.to_json(),
+        "pattern": EigenPattern.identities(3).to_json(),
+        "d_B": StepFunction.constant(10).to_json(),
+        "delta": [1, 8],
+        "eps": [1, 1],
+        "test_elements": [PLFunction.identity().to_json()],
+        "w_dom": unit_weight().to_json(),
+        "w_cod": unit_weight().to_json(),
+    }, **fields)
 
 
 class TestExitCodes:
@@ -317,6 +332,24 @@ class TestSubcommands:
         code, out, _ = run(capsys, ["exist", "verify"], cert_blob, tmp_path)
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    def test_perturb_reads_an_explicit_f_prime(self, capsys, tmp_path):
+        payload = jump_perturb_payload()
+        d_a = StepFunction.from_json(payload["d_A"])
+        code, out, _ = run(capsys, ["exist", "perturb"], payload, tmp_path)
+        assert code == 0
+        given = dict(payload, f_prime=make_underapprox(d_a, F(1, 8)).to_json())
+        assert run(capsys, ["exist", "perturb"], given, tmp_path) == (0, out, "")
+        other = dict(payload, f_prime=make_underapprox(d_a, F(1, 16)).to_json())
+        assert run(capsys, ["exist", "perturb"], other, tmp_path) == (BAD_INPUT, "", (
+            "error: f_prime is not the canonical under-approximation of d_A at this delta\n"))
+
+    def test_perturb_over_the_deviation_budget(self, capsys, tmp_path):
+        payload = jump_perturb_payload(eps=[1, 10**6])
+        code, out, err = run(capsys, ["exist", "perturb"], payload, tmp_path)
+        assert (code, err) == (INFEASIBLE, "")
+        assert out == ('{"error":"infeasible","message":"deviation 3/4 on a test element '
+                       'exceeds the budget 1/1000000","witness":null}\n')
 
     def test_block_round_trip(self, capsys, tmp_path):
         d = pinched_dimension_function()
@@ -643,6 +676,52 @@ class TestEscapingExceptions:
          "simplex must be a JSON object, not array"),
     ])
     def test_array_shapes_name_the_field(self, capsys, tmp_path, args, payload, message):
+        code, out, err = run(capsys, args, payload, tmp_path)
+        assert (code, out, err) == (BAD_INPUT, "", f"error: {message}\n")
+
+    # A payload the library refuses is an input error: exit 2 with its message.
+    @pytest.mark.parametrize("args, payload, message", [
+        (["block", "from-nested"], {"n": 2, "opens": [[
+            {"lo": [0, 1], "hi": [1, 2], "lo_closed": True, "hi_closed": False},
+            {"lo": [1, 4], "hi": [3, 4], "lo_closed": False, "hi_closed": False}]]},
+         "intervals of an open set must be disjoint"),
+        (["pattern", "apply"],
+         dict(PAYLOADS[("pattern", "apply")], pattern={"eigenfunctions": []}),
+         "a pattern needs at least one eigenfunction"),
+        (["pattern", "chain"], dict(PAYLOADS[("pattern", "chain")], stages=[]),
+         "chain needs at least one stage"),
+        (["invariant", "ai"], dict(PAYLOADS[("invariant", "ai")], simplex={"k": 0}),
+         "need at least one extreme point"),
+        (["invariant", "eval"], dict(PAYLOADS[("invariant", "eval")], f=[]),
+         "need at least one vertex value"),
+        (["invariant", "range"], dict(PAYLOADS[("invariant", "range")], pairing=[]),
+         "need at least one state rate"),
+        (["invariant", "range"], dict(PAYLOADS[("invariant", "range")], group=dict(
+            PAYLOADS[("invariant", "range")]["group"], q=[0, 1])),
+         "scale q must be positive"),
+        (["invariant", "range"],
+         dict(PAYLOADS[("invariant", "range")], pairing=[[1, 1], [[1, 1], [2, 1]]]),
+         "pairing rows must have exactly one generator column"),
+        (["invariant", "decompose"], dict(PAYLOADS[("invariant", "decompose")], caps=[[0, 1]]),
+         "the first cap must be positive"),
+        (["unitary", "patch"],
+         dict(_jump_path().to_json(), samples=_jump_path().to_json()["samples"][:1]),
+         "need at least two samples"),
+        (["unitary", "patch"], dict(_jump_path().to_json(), samples=[
+            dict(s, re=np.eye(3).tolist(), im=np.zeros((3, 3)).tolist())
+            for s in _jump_path().to_json()["samples"]]),
+         "samples and matrices disagree"),
+        (["unitary", "patch"], dict(_jump_path().to_json(), samples=[
+            dict(s, t=1 - s["t"]) for s in _jump_path().to_json()["samples"]]),
+         "sample times must be strictly increasing"),
+        (["unitary", "patch"], dict(_jump_path().to_json(), t_jump=1.0),
+         "t_jump must lie within the grid span"),
+        (["exist", "perturb"], dict(PAYLOADS[("exist", "perturb")], eps=[0, 1]),
+         "delta and eps must be positive"),
+        (["exist", "counterexample", "--delta", "1", "--eps0", "1/5"], None,
+         "delta must lie in (0,1)"),
+    ])
+    def test_library_refusals_are_input_errors(self, capsys, tmp_path, args, payload, message):
         code, out, err = run(capsys, args, payload, tmp_path)
         assert (code, out, err) == (BAD_INPUT, "", f"error: {message}\n")
 

@@ -303,6 +303,17 @@ class TestPerturbPattern:
             )
         assert err.value.witness == 0
 
+    def test_deviation_over_budget_matches_reference(self):
+        d_a = jump_up_step()
+        delta = F(1, 8)
+        args = (d_a, make_underapprox(d_a, delta), EigenPattern.identities(3),
+                StepFunction.constant(10), delta, [PLFunction.identity()], F(1, 10**6),
+                unit_weight(), unit_weight())
+        out = _outcome(perturb_pattern, *args)
+        assert out == ("infeasible", "deviation 3/4 on a test element exceeds the budget "
+                       "1/1000000", None)
+        assert out == _outcome(ref_perturb_pattern, *args)
+
     def test_wrong_f_prime_is_a_precondition_error(self):
         d_a, f_prime, pattern, d_b, delta, eps, w_dom, w_cod = jump_up_instance()
         with pytest.raises(PreconditionFailed):

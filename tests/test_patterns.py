@@ -1,5 +1,7 @@
 """Eigenvalue-pattern maps: application, density, gaps, chains."""
 
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -201,6 +203,39 @@ class TestCountedPatternsMatchReferences:
         counts = EigenPattern((nu, lam, *same, lam)).counts
         assert list(counts.items()) == [(nu, 4), (lam, 2)]
         assert all(counts[f] == 4 for f in same)
+        # a difference subtracts on its own copy of the counts
+        other = EigenPattern((lam, nu, lam))
+        apply_difference(pattern, other, nu)
+        assert list(pattern.counts.items()) == [(mu, 3), (lam, 1)]
+        assert list(other.counts.items()) == [(lam, 2), (nu, 1)]
+
+    def test_counted_once_when_built(self, monkeypatch):
+        from ctrace import patterns
+
+        built = []
+
+        class Counting(Counter):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(patterns, "Counter", Counting)
+        lam, mu = PLFunction.identity(), PLFunction.constant(F(1, 3))
+        pattern = EigenPattern((mu, lam, mu))
+        assert len(built) == 1
+        for _ in range(5):
+            assert pattern.counts == {mu: 2, lam: 1}
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_keep_the_counts(self, clone):
+        lam, mu = PLFunction.identity(), PLFunction.constant(F(1, 3))
+        pattern = EigenPattern((mu, lam, mu))
+        out = clone(pattern)
+        assert out == pattern and hash(out) == hash(pattern)
+        assert list(out.counts.items()) == list(pattern.counts.items()) == [(mu, 2), (lam, 1)]
+        assert out.to_json() == pattern.to_json()
 
 
 class TestPushedSumIsInteger:
