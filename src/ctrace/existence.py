@@ -45,11 +45,8 @@ from .pwcalc import (
     le_pointwise,
     linear_combine,
     linear_combine_steps,
-    unit_weight,
-    weighted_sup_norm,
+    sup_distance,
 )
-
-_UNIT = unit_weight()
 
 
 def choose_delta(eps, m: int) -> Fraction:
@@ -162,7 +159,7 @@ class EigenFact(Record):
 def _eigen_check(lam: PLFunction, lam_hat: PLFunction, d_a_of_hat: StepFunction,
                  f_prime_of_lam: PLFunction) -> tuple:
     """The sup distance of lam_hat from lam, and the LeResult of d_A(lam_hat) <= f'(lam)."""
-    return (weighted_sup_norm(lam_hat - lam, _UNIT).value,
+    return (sup_distance(lam_hat, lam),
             le_pointwise(d_a_of_hat, f_prime_of_lam))
 
 

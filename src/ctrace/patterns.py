@@ -42,6 +42,7 @@ from .pwcalc import (
     linear_combine_steps,
     weighted_sup_norm,
     _merge,
+    _weighted_sup_of_sum,
 )
 
 
@@ -91,24 +92,29 @@ def apply_pattern(pattern: EigenPattern, f: PLFunction,
                           [compose_pl(f, lam) for lam in counts])
 
 
-def apply_difference(p: EigenPattern, q: EigenPattern, f: PLFunction) -> PLFunction:
-    """Exact apply_pattern(p, f) - apply_pattern(q, f), as one combination.
-
-    Each eigenfunction of either pattern is weighted by its count in p
-    minus its count in q; those whose counts cancel are not composed.
-    """
+def _signed_terms(p: EigenPattern, q: EigenPattern, f: PLFunction) -> tuple:
+    """The terms of p(f) - q(f): each eigenfunction's count in p minus its
+    count in q, and f composed with it; those whose counts cancel are not
+    composed."""
     counts = Counter(p.counts)
     counts.subtract(q.counts)
     terms = [(n, lam) for lam, n in counts.items() if n]
-    if not terms:
-        return PLFunction.constant(ZERO)
-    return linear_combine([n for n, _ in terms], [compose_pl(f, lam) for _, lam in terms])
+    return [n for n, _ in terms], [compose_pl(f, lam) for _, lam in terms]
+
+
+def apply_difference(p: EigenPattern, q: EigenPattern, f: PLFunction) -> PLFunction:
+    """Exact apply_pattern(p, f) - apply_pattern(q, f), as one combination."""
+    coeffs, comps = _signed_terms(p, q, f)
+    return linear_combine(coeffs, comps) if comps else PLFunction.constant(ZERO)
 
 
 def deviation(p: EigenPattern, q: EigenPattern, a: PLFunction, w_dom: StepFunction,
               w_cod: StepFunction) -> tuple:
-    """The w_cod-weighted sup norm of p(a) - q(a) and the w_dom-weighted sup norm of a."""
-    return (weighted_sup_norm(apply_difference(p, q, a), w_cod).value,
+    """The w_cod-weighted sup norm of p(a) - q(a) and the w_dom-weighted sup norm of a.
+
+    The first is read off the sweep that sums p(a) - q(a), which builds no
+    function."""
+    return (_weighted_sup_of_sum(*_signed_terms(p, q, a), w_cod),
             weighted_sup_norm(a, w_dom).value)
 
 

@@ -27,6 +27,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Sequence, Union
 
 ZERO = Fraction(0)
@@ -786,6 +787,25 @@ def weighted_sup_norm(f: PLFunction, w: StepFunction) -> Extremum:
     return Extremum(Fraction(num, den), t, side)
 
 
+def _largest(ratios) -> Fraction:
+    """The largest of integer ratios ``(n, d)`` with n >= 0 and d > 0, or 0."""
+    bn, bd = 0, 1
+    for n, d in ratios:
+        if n * bd > bn * d:
+            bn, bd = n, d
+    return Fraction(bn, bd)
+
+
+def sup_distance(f: PLFunction, g: PLFunction) -> Fraction:
+    """Exact sup |f(t) - g(t)| over [0,1]: f - g is linear between the
+    merged points, so the largest gap at one of them is the supremum."""
+    if not (isinstance(f, PLFunction) and isinstance(g, PLFunction)):
+        raise TypeError("sup_distance compares piecewise-linear functions")
+    pts, (f_pos, g_pos) = _merge(f, g)
+    return _largest((abs(fn * gd - gn * fd), fd * gd) for (fn, fd), (gn, gd)
+                    in zip(_walk_pl(f, pts, f_pos), _walk_pl(g, pts, g_pos)))
+
+
 def inf_difference(upper: PiecewiseFunction, lower: PiecewiseFunction) -> Extremum:
     """Exact infimum of upper(t) - lower(t) over [0,1], with attainment info."""
     pts, (u, l) = refine(upper, lower)
@@ -878,6 +898,21 @@ def linear_combine(coeffs: Sequence, fns: Sequence[PLFunction]) -> PLFunction:
     if not all(isinstance(f, PLFunction) for f in fns):
         raise TypeError("linear_combine combines piecewise-linear functions")
     return PLFunction._from_kernel(*_weighted_sums(coeffs, fns))
+
+
+def _weighted_sup_of_sum(coeffs: Sequence, fns: Sequence[PLFunction], w: StepFunction) -> Fraction:
+    """Exact sup |sum(c_i * f_i)| / w over PL f_i (0 for no terms), the value
+    of ``weighted_sup_norm(linear_combine(coeffs, fns), w)`` read off one
+    sweep that also merges w's points: the sum is linear and w constant
+    between them, so the candidates are |sum| / w at each point and |sum| at
+    both ends of each cell over the cell's weight."""
+    ensure_positive_weight(w)
+    # w, with coefficient 0, adds its points and no events
+    pts, sums = _weighted_sums([*coeffs, 0], [*fns, w])
+    own = set(w._pts)
+    at, cells = _walk_step(w._vals, w._opens, [i for i, t in enumerate(pts) if t in own])
+    return _largest((abs(hn) * wd, hd * wn) for (hn, hd), (wn, wd) in chain(
+        zip(sums, at), zip(sums, cells), zip(sums[1:], cells)))
 
 
 def linear_combine_steps(coeffs: Sequence, steps: Sequence[StepFunction]) -> StepFunction:

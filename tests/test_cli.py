@@ -351,6 +351,19 @@ class TestSubcommands:
         assert out == ('{"error":"infeasible","message":"deviation 3/4 on a test element '
                        'exceeds the budget 1/1000000","witness":null}\n')
 
+    @pytest.mark.parametrize("cancel", [True, False])
+    def test_verify_refuses_a_zero_codomain_weight(self, capsys, tmp_path, cancel):
+        # with equal patterns p(a) - q(a) is 0, and the weight is still refused
+        payload = (jump_perturb_payload(d_A=StepFunction.constant(1).to_json()) if cancel
+                   else jump_perturb_payload())
+        code, out, _ = run(capsys, ["exist", "perturb"], payload, tmp_path)
+        cert = json.loads(out)
+        assert code == 0 and (cert["original"] == cert["perturbed"]) == cancel
+        cert["w_cod"] = StepFunction.constant(0).to_json()
+        assert cert["w_cod"]["pieces"][0]["value"] == [0, 1]
+        assert run(capsys, ["exist", "verify"], cert, tmp_path) == (
+            BAD_INPUT, "", "error: weights must be strictly positive\n")
+
     def test_block_round_trip(self, capsys, tmp_path):
         d = pinched_dimension_function()
         code, out, _ = run(capsys, ["block", "to-nested"], d.to_json(), tmp_path)

@@ -604,6 +604,32 @@ class TestCompositionsAreShared:
         assert check == ref_verify_certificate(tampered)
 
 
+class TestEigenCheckBuildsNoDifference:
+    """``_eigen_check`` reads each sup distance off the merged walks of
+    lambda and lambda_hat: no ``lam_hat - lam`` is summed, and no weighted
+    norm refines it again."""
+
+    def test_distance_without_a_difference(self, monkeypatch):
+        from ctrace import existence, pwcalc
+
+        d_a, f_prime, *_ = jump_up_instance()
+        lam = PLFunction((0, F(1, 3), 1), (0, F(1, 2), 1))
+        hat = compose_pl(squash_map(d_a, choose_delta(F(1, 2), 3)), lam)
+        d_a_of_hat, f_prime_of_lam = compose_step_pl(d_a, hat), compose_pl(f_prime, lam)
+        expected = (weighted_sup_norm(hat - lam, unit_weight()).value,
+                    le_pointwise(d_a_of_hat, f_prime_of_lam))
+        assert expected[0] > 0
+
+        def refuse(*args):
+            raise AssertionError("a difference function or its norm was built")
+
+        for module in (existence, pwcalc):
+            monkeypatch.setattr(module, "linear_combine", refuse)
+        monkeypatch.setattr(pwcalc, "weighted_sup_norm", refuse)
+        assert existence._eigen_check(lam, hat, d_a_of_hat, f_prime_of_lam) == expected
+        assert existence._eigen_check(lam, lam, d_a_of_hat, f_prime_of_lam)[0] == 0
+
+
 class TestReproduceCounterexample:
     def test_delta_one_tenth(self):
         rep = reproduce_counterexample(F(1, 10), F(1, 5))

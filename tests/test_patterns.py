@@ -19,6 +19,7 @@ from ctrace.patterns import (
     check_compat,
     compute_gap,
     density_check,
+    deviation,
     push_dimension,
     ramp_functions,
     uniqueness_hypothesis_check,
@@ -31,11 +32,15 @@ from ctrace.pwcalc import (
     le_pointwise,
     linear_combine,
     unit_weight,
+    weighted_sup_norm,
 )
 
 from helpers import (
     composite_pattern,
     density_cases,
+    near_tie_inner_functions,
+    near_tie_pl_functions,
+    near_tie_step_functions,
     oracle_inf_diff,
     pl_functions,
     rand_lsc_int_step,
@@ -49,6 +54,7 @@ from helpers import (
     ref_preimage_refinement,
     ref_push_dimension,
     repeated_patterns,
+    step_functions,
 )
 
 seeds = st.integers(0, 10**9)
@@ -295,6 +301,88 @@ class TestApplyDifference:
         out = apply_difference(EigenPattern((lam, mu, mu)), EigenPattern((mu, lam, lam)), f)
         assert composed == [lam, mu]
         assert out == linear_combine([-1, 1], [f, PLFunction.constant(f.eval(F(1, 3)))])
+
+
+positive_steps = st.one_of(step_functions(lo=F(1, 4), hi=3), near_tie_step_functions(
+    values=st.sampled_from([F(1), F(2), F(1, 2), F(1, 2) + F(1, 10**30)])))
+
+
+class TestDeviation:
+    """``deviation`` reads the weighted sup of p(a) - q(a) off the sweep
+    that sums it: the value of the norm of ``apply_difference``, which it
+    no longer builds, with the refusals that norm made."""
+
+    @staticmethod
+    def check(p, q, a, w_dom, w_cod):
+        for x, y in ((p, q), (q, p), (p, p)):
+            out = deviation(x, y, a, w_dom, w_cod)
+            assert out == (weighted_sup_norm(apply_difference(x, y, a), w_cod).value,
+                           weighted_sup_norm(a, w_dom).value)
+            assert all(type(v) is F for v in out)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_norm_of_the_difference(self, data):
+        a = data.draw(pl_functions())
+        p = data.draw(repeated_patterns(a.breakpoints))
+        # q shares some eigenfunctions with p, with other counts
+        shared = data.draw(st.lists(st.sampled_from(p.eigenfunctions), max_size=4))
+        other = data.draw(repeated_patterns(a.breakpoints)).eigenfunctions
+        q = EigenPattern(data.draw(st.permutations(shared + list(other))))
+        self.check(p, q, a, data.draw(positive_steps), data.draw(positive_steps))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_near_ties(self, data):
+        a = data.draw(near_tie_pl_functions())
+        w_cod = data.draw(positive_steps)
+        lams = st.lists(near_tie_inner_functions(a.breakpoints + w_cod.points), min_size=1, max_size=4)
+        p, q = EigenPattern(tuple(data.draw(lams))), EigenPattern(tuple(data.draw(lams)))
+        self.check(p, q, a, data.draw(positive_steps), w_cod)
+
+    def test_counts_that_cancel(self):
+        lam, mu = PLFunction.identity(), PLFunction.constant(F(1, 3))
+        a = PLFunction((0, F(1, 2), 1), (3, -1, 2))
+        w = StepFunction.from_profile((0, F(1, 3), 1), (2, F(1, 2), 3), (1, 4))
+        p, q = EigenPattern((lam, mu, lam)), EigenPattern((mu, lam, lam))
+        assert deviation(p, q, a, w, w) == (0, 3)
+        # lam cancels, mu's counts differ: |a(1/3)| = 1/3 over the least weight 1/2
+        p = EigenPattern((lam, mu, mu))
+        assert deviation(p, EigenPattern((lam, mu)), a, w, w) == (F(2, 3), 3)
+        self.check(p, q, a, w, unit_weight())
+
+    @pytest.mark.parametrize("cancel", [True, False])
+    def test_refusals_of_the_weight(self, cancel):
+        lam, mu = PLFunction.identity(), PLFunction.constant(F(1, 3))
+        p, q = EigenPattern((lam, mu)), EigenPattern((mu, lam) if cancel else (mu, mu))
+        a = PLFunction.identity()
+        for w_cod, kind, message in ((StepFunction.constant(0), ValueError,
+                                      "weights must be strictly positive"),
+                                     (StepFunction.from_profile((0, F(1, 2), 1), (1, -1, 1), (1, 1)),
+                                      ValueError, "weights must be strictly positive"),
+                                     (PLFunction.constant(1), TypeError, "weights are step functions")):
+            with pytest.raises(kind, match=message):
+                deviation(p, q, a, unit_weight(), w_cod)
+
+    def test_builds_no_difference(self, monkeypatch):
+        from ctrace import patterns, pwcalc
+
+        lam, mu = PLFunction.identity(), PLFunction((0, 1), (F(1, 4), F(3, 4)))
+        p, q = EigenPattern((lam, mu, mu)), EigenPattern((mu, lam, lam))
+        a, w = PLFunction((0, F(1, 2), 1), (3, -1, 2)), StepFunction.constant(2)
+        expected = deviation(p, q, a, w, w)
+        norms = []
+        real = patterns.weighted_sup_norm
+        monkeypatch.setattr(patterns, "weighted_sup_norm",
+                            lambda f, w: norms.append(f) or real(f, w))
+        for module in (patterns, pwcalc):
+            monkeypatch.setattr(module, "linear_combine", _no_combination)
+        assert deviation(p, q, a, w, w) == expected
+        assert norms == [a]
+
+
+def _no_combination(*args):
+    raise AssertionError("a difference function was built")
 
 
 class TestCheckCompat:

@@ -34,8 +34,10 @@ from ctrace.pwcalc import (
     linear_combine_steps,
     merged_points,
     refine,
+    sup_distance,
     unit_weight,
     weighted_sup_norm,
+    _weighted_sup_of_sum,
 )
 
 from helpers import (
@@ -1058,6 +1060,73 @@ def tie_free_pair(seed=10):
         pts, [F(i % 3) for i in range(len(pts))], [F(i % 2) for i in range(len(pts) - 1)])
     assert len(pl.breakpoints) > 190 and len(step.points) > 190
     return pl, step
+
+
+positive_weights = st.one_of(near_tie_weights, wide_step_functions().map(
+    lambda s: combine_steps([s], lambda v: abs(v) + F(1, 10**9))))
+distance_pl_functions = st.one_of(sweep_pl_functions, near_tie_pl_functions())
+
+
+class TestSupsReadOffTheWalks:
+    """``sup_distance`` and ``_weighted_sup_of_sum`` read their supremum
+    off the merged points, and give the value of ``weighted_sup_norm`` of
+    the difference or the sum that they no longer build."""
+
+    @given(distance_pl_functions, distance_pl_functions)
+    @example(PLFunction.identity(), PLFunction.identity())
+    @example(PLFunction((0, 1), (-1, 1)), PLFunction.constant(0))  # equal ends, sign change
+    @settings(max_examples=200, deadline=None)
+    def test_sup_distance(self, f, g):
+        out = sup_distance(f, g)
+        assert type(out) is F
+        assert out == weighted_sup_norm(f - g, unit_weight()).value
+        assert sup_distance(g, f) == out
+        assert sup_distance(f, f) == 0
+
+    @given(st.lists(st.tuples(sweep_coefficients, distance_pl_functions), min_size=1, max_size=8),
+           positive_weights)
+    @settings(max_examples=150, deadline=None)
+    def test_weighted_sup_of_sum(self, terms, w):
+        coeffs, fns = [c for c, _ in terms], [f for _, f in terms]
+        out = _weighted_sup_of_sum(coeffs, fns, w)
+        assert type(out) is F
+        assert out == weighted_sup_norm(linear_combine(coeffs, fns), w).value
+        # the sum cancels to 0, also with no term at all
+        both = [*coeffs, *(-F(c) for c in coeffs)], fns + fns
+        assert _weighted_sup_of_sum(*both, w) == _weighted_sup_of_sum([], [], w) == 0
+
+    @pytest.mark.parametrize("at_half, sup", [(1, 3), (4, 2)])
+    def test_weights_with_interior_points(self, at_half, sup):
+        # |h| / w peaks on the point 1/2 when w is light there, else as the
+        # limit at 1/4 from the light cell before it
+        h = PLFunction((0, F(1, 4), F(1, 2), 1), (0, 2, 3, 0))
+        w = StepFunction.from_profile((0, F(1, 4), F(1, 2), 1), (9, 5, at_half, 9), (1, 6, 4))
+        # three sums that are h
+        for coeffs, fns in (([1], [h]), ([F(1, 2), F(1, 2)], [h, h]), ([3, 2], [h, -h])):
+            ref = weighted_sup_norm(linear_combine(coeffs, fns), w).value
+            assert _weighted_sup_of_sum(coeffs, fns, w) == ref == sup
+
+    def test_nothing_is_built(self, monkeypatch):
+        pl, step = tie_free_pair()
+        g = pl.scale(F(1, 3)).shift(F(1, 7))
+        w = combine_steps([step], lambda v: v + 1)
+        expected = (weighted_sup_norm(pl - g, unit_weight()).value,
+                    weighted_sup_norm(linear_combine([2, -1], [pl, g]), w).value)
+        for name in ("linear_combine", "weighted_sup_norm", "refine"):
+            monkeypatch.setattr(pwcalc, name, _refuse)
+        monkeypatch.setattr(PLFunction, "_from_kernel", _refuse)
+        assert (sup_distance(pl, g), _weighted_sup_of_sum([2, -1], [pl, g], w)) == expected
+
+    def test_refusals(self):
+        with pytest.raises(TypeError, match="compares piecewise-linear functions"):
+            sup_distance(PLFunction.identity(), StepFunction.constant(0))
+        with pytest.raises(TypeError, match="compares piecewise-linear functions"):
+            sup_distance(StepFunction.constant(0), PLFunction.identity())
+        for w, kind, message in ((StepFunction.constant(0), ValueError, "strictly positive"),
+                                 (PLFunction.constant(1), TypeError, "step functions")):
+            for coeffs in ([], [1]):
+                with pytest.raises(kind, match=message):
+                    _weighted_sup_of_sum(coeffs, [PLFunction.identity()] * len(coeffs), w)
 
 
 class TestKeyedKernelsMatchFractionReferences:

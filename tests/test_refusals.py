@@ -1,0 +1,67 @@
+"""Library refusals that no CLI payload reaches, each with its exact message,
+and the README's worked example, run through the CLI."""
+
+import json
+import re
+from fractions import Fraction as F
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ctrace import invariant, unitary
+from ctrace.cli import main
+from ctrace.patterns import EigenPattern, ramp_functions
+from ctrace.pwcalc import (
+    PLFunction,
+    StepFunction,
+    _merge,
+    combine_steps,
+    ensure_positive_weight,
+    unit_weight,
+    weighted_sup_norm,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+REFUSALS = [
+    ("ext", lambda: invariant.ext(0.5), TypeError, "finite values must be exact rationals"),
+    ("pattern_of_steps", lambda: EigenPattern((StepFunction.constant(0),)), TypeError,
+     "eigenfunctions must be piecewise linear"),
+    ("no_ramps", lambda: ramp_functions(0), ValueError, "need at least one ramp"),
+    ("profile_shape", lambda: StepFunction.from_profile([0, 1], [0], [0]), ValueError,
+     "a profile needs one value per point and per gap"),
+    ("profile_ends", lambda: StepFunction.from_profile([0, F(1, 2)], [0, 0], [0]), ValueError,
+     "profile points must start at 0 and end at 1"),
+    ("combine_nothing", lambda: combine_steps([], max), ValueError, "nothing to combine"),
+    ("pl_weight", lambda: ensure_positive_weight(PLFunction.constant(1)), TypeError,
+     "weights are step functions"),
+    ("norm_of_step", lambda: weighted_sup_norm(StepFunction.constant(1), unit_weight()), TypeError,
+     "weighted_sup_norm expects a piecewise-linear function"),
+    ("merge_non_function", lambda: _merge(1), TypeError, "not a piecewise function: 1"),
+    ("mat2_shape", lambda: unitary.as_mat2(np.zeros((2, 3))), ValueError,
+     "expected a 2x2 matrix, got shape (2, 3)"),
+    ("mat2_nan", lambda: unitary.as_mat2([[1, 0], [0, float("nan")]]), ValueError,
+     "matrix entries must be finite"),
+]
+
+
+@pytest.mark.parametrize("call, kind, message", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_library_refusal(call, kind, message):
+    with pytest.raises(kind) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_readme_example_prints_what_it_shows(tmp_path, capsys):
+    text = README.read_text()
+    found = re.search(r"echo '(.*)' \\\n\s*\| ctrace pw eval\n# (.*)\n", text)
+    assert found, "the README's pw eval example moved"
+    payload, shown = found.groups()
+    path = tmp_path / "payload.json"
+    path.write_text(payload)
+    assert main(["pw", "eval", str(path)]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (shown + "\n", "")
+    assert json.loads(shown) == {"value": [1, 2]}
