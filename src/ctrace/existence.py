@@ -449,7 +449,8 @@ def reproduce_counterexample(delta, eps0) -> CounterexampleReport:
     d_b_value = Fraction(2 * m - 1)
     d_b = StepFunction.constant(d_b_value)
     f = make_underapprox(d_a, Fraction(1, 8))
-    # m identities push f to m*f; check_compat would compose O(m) of them for a tiny delta
+    # m identities push f to m*f; check_compat would build, check and count
+    # a pattern of m eigenfunctions, O(m) work for a tiny delta
     hypothesis = le_pointwise(f.scale(m), d_b.scale(1 + delta))
 
     # any eigenfunction within 2*eps0 of the identity at 0 lands in

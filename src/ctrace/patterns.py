@@ -72,7 +72,7 @@ class EigenPattern(Record):
 
     @classmethod
     def identities(cls, m: int) -> "EigenPattern":
-        return cls(tuple(PLFunction.identity() for _ in range(m)))
+        return cls((PLFunction.identity(),) * m)
 
     @classmethod
     def from_json(cls, obj: dict) -> "EigenPattern":

@@ -32,6 +32,8 @@ from typing import Callable, Iterable, Sequence, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# 0 and 1 as stored pairs: the identity's breakpoints, and its values
+_ENDS = ((0, 1), (1, 1))
 
 # Fraction itself also reads decimals and exponents, and "1e-10000000"
 # would cost it a 10^7-digit power before anything could refuse it
@@ -987,7 +989,18 @@ def _preimage_refinement(g: PLFunction, targets: Sequence) -> tuple:
 
 
 def compose_pl(f: PLFunction, g: PLFunction) -> PLFunction:
-    """Exact composition f(g(t)) for g mapping [0,1] into [0,1]."""
+    """Exact composition f(g(t)) for g mapping [0,1] into [0,1].
+
+    The identity on either side gives back the other operand (g if both):
+    its points 0 and 1 split no segment of g, and its preimages are f's own.
+    """
+    if f._vals == _ENDS == f._pts:
+        # the refinement's range check, read off g's stored terms
+        if not all(0 <= n <= d for n, d in g._vals):
+            raise ValueError("inner function must map [0,1] into [0,1]")
+        return g
+    if g._vals == _ENDS == g._pts:
+        return f
     pts, g_vals, at, _ = _preimage_refinement(g, f._pts)
     bps, vals = f._pts, f._vals
     out = []
@@ -1008,8 +1021,10 @@ def compose_step_pl(d: StepFunction, g: PLFunction) -> StepFunction:
     """Exact composition d(g(t)) as a step function.
 
     Finite because g is piecewise monotone; preserves lower
-    semicontinuity of d.
+    semicontinuity of d.  An identity g returns d itself.
     """
+    if g._vals == _ENDS == g._pts:
+        return d
     pts, _, at, cells = _preimage_refinement(g, d._pts)
     # d's value on each slot: point values on even slots, cells on odd ones
     by_slot = [None] * (2 * len(d._pts) - 1)

@@ -202,9 +202,10 @@ class TestCountedPatternsMatchReferences:
         assert pattern.to_json() == {"eigenfunctions": [f.to_json() for f in (mu, lam, mu, mu)]}
         # equal functions built by other routes share one slot, whether
         # or not they have cached their hash yet
-        nu = PLFunction((0, F(1, 2), 1), (F(1, 3), 1, 0))
+        nu, flip = PLFunction((0, F(1, 2), 1), (F(1, 3), 1, 0)), PLFunction((0, 1), (1, 0))
+        # compose_pl(nu, lam) is nu itself, so the kernel route flips twice
         same = (PLFunction((0, F(1, 4), F(1, 2), 1), (F(1, 3), F(2, 3), 1, 0)),
-                compose_pl(nu, lam), PLFunction.from_json(nu.to_json()))
+                compose_pl(compose_pl(nu, flip), flip), PLFunction.from_json(nu.to_json()))
         hash(same[1])
         counts = EigenPattern((nu, lam, *same, lam)).counts
         assert list(counts.items()) == [(nu, 4), (lam, 2)]
@@ -214,6 +215,19 @@ class TestCountedPatternsMatchReferences:
         apply_difference(pattern, other, nu)
         assert list(pattern.counts.items()) == [(mu, 3), (lam, 1)]
         assert list(other.counts.items()) == [(lam, 2), (nu, 1)]
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_identities_repeat_one_function(self, m):
+        pattern = EigenPattern.identities(m)
+        lam = pattern.eigenfunctions[0]
+        assert all(f is lam for f in pattern.eigenfunctions)
+        assert list(pattern.counts.items()) == [(PLFunction.identity(), m)]
+        # the same pattern and JSON as m separately built identities
+        built = EigenPattern(tuple(PLFunction.identity() for _ in range(m)))
+        assert pattern == built and hash(pattern) == hash(built)
+        assert pattern.to_json() == built.to_json()
+        assert pattern.to_json() == {"eigenfunctions": [{"kind": "pl", "points": [
+            [[0, 1], [0, 1]], [[1, 1], [1, 1]]]}] * m}
 
     def test_counted_once_when_built(self, monkeypatch):
         from ctrace import patterns

@@ -602,8 +602,10 @@ class TestCachedHash:
     @staticmethod
     def routes():
         f = PLFunction((0, F(1, 3), 1), (F(1, 2), 0, F(2, 3)))
-        # the constructor, the kernel constructor, the JSON parser
-        return [f, compose_pl(f, PLFunction.identity()), PLFunction.from_json(f.to_json())]
+        flip = PLFunction((0, 1), (1, 0))
+        # the constructor, the kernel constructor, the JSON parser; composing
+        # with the identity would give back f itself, so flip twice
+        return [f, compose_pl(compose_pl(f, flip), flip), PLFunction.from_json(f.to_json())]
 
     def test_equal_functions_hash_alike(self):
         routes = self.routes()
@@ -884,6 +886,10 @@ class TestInfDifference:
         assert res.value == oracle_inf_diff(upper, lower, grid=500)
 
 
+def _no_refinement(*args):
+    raise AssertionError("a composition with the identity refined its operand")
+
+
 class TestCompositionIdentityProperties:
     @given(seeds)
     @settings(max_examples=60, deadline=None)
@@ -891,8 +897,39 @@ class TestCompositionIdentityProperties:
         rng = random.Random(seed)
         f = rand_pl(rng)
         g = rand_pl_unit(rng)
+        d = rand_step(rng)
         assert compose_pl(f, PLFunction.identity()) == f
         assert compose_pl(PLFunction.identity(), g) == g
+        # the identity on either side gives back the other operand itself,
+        # unrefined (the outer one's when both are the identity)
+        identity = PLFunction.identity()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pwcalc, "_preimage_refinement", _no_refinement)
+            for outer, inner in ((f, identity), (identity, g), (identity, identity)):
+                other = inner if outer == identity else outer
+                assert compose_pl(outer, inner) is other
+            assert compose_step_pl(d, identity) is d
+            with pytest.raises(ValueError, match=r"inner function must map \[0,1\] into \[0,1\]"):
+                compose_pl(identity, f.shift(3))
+
+    @given(sweep_pl_functions, sweep_step_functions,
+           st.one_of(inner_functions(), near_tie_inner_functions(), sweep_pl_functions))
+    @settings(max_examples=150, deadline=None)
+    def test_identity_on_either_side_matches_the_references(self, f, d, g):
+        identity = PLFunction.identity()
+        pairs = [(compose_pl(f, identity), ref_compose_pl(f, identity)),
+                 (compose_step_pl(d, identity), ref_compose_step_pl(d, identity)),
+                 (compose_pl(identity, identity), ref_compose_pl(identity, identity))]
+        if g.into_unit_interval():
+            pairs.append((compose_pl(identity, g), ref_compose_pl(identity, g)))
+        else:
+            # the reference finds the escape by Fraction min and max
+            for compose in (compose_pl, ref_compose_pl):
+                with pytest.raises(ValueError, match=r"inner function must map \[0,1\] into \[0,1\]"):
+                    compose(identity, g)
+        for out, ref in pairs:
+            assert out == ref
+            assert out.to_json() == ref.to_json()
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
@@ -1321,8 +1358,10 @@ class TestKeyedRangeCheck:
         assert value.numerator / value.denominator in (0.0, 1.0)
         for g in (PLFunction((0, F(1, 2), 1), (F(1, 2), value, F(1, 2))),
                   PLFunction((0, 1), (value, F(1, 3)))):
-            with pytest.raises(ValueError, match=r"inner function must map \[0,1\] into \[0,1\]"):
-                compose_pl(self.f, g)
+            # the identity as outer function takes the path that skips the refinement
+            for f in (self.f, PLFunction.identity()):
+                with pytest.raises(ValueError, match=r"inner function must map \[0,1\] into \[0,1\]"):
+                    compose_pl(f, g)
             with pytest.raises(ValueError, match=r"inner function must map \[0,1\] into \[0,1\]"):
                 compose_step_pl(self.d, g)
 
