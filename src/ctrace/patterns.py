@@ -102,12 +102,6 @@ def _signed_terms(p: EigenPattern, q: EigenPattern, f: PLFunction) -> tuple:
     return [n for n, _ in terms], [compose_pl(f, lam) for _, lam in terms]
 
 
-def apply_difference(p: EigenPattern, q: EigenPattern, f: PLFunction) -> PLFunction:
-    """Exact apply_pattern(p, f) - apply_pattern(q, f), as one combination."""
-    coeffs, comps = _signed_terms(p, q, f)
-    return linear_combine(coeffs, comps) if comps else PLFunction.constant(ZERO)
-
-
 def deviation(p: EigenPattern, q: EigenPattern, a: PLFunction, w_dom: StepFunction,
               w_cod: StepFunction) -> tuple:
     """The w_cod-weighted sup norm of p(a) - q(a) and the w_dom-weighted sup norm of a.

@@ -803,9 +803,8 @@ def sup_distance(f: PLFunction, g: PLFunction) -> Fraction:
     merged points, so the largest gap at one of them is the supremum."""
     if not (isinstance(f, PLFunction) and isinstance(g, PLFunction)):
         raise TypeError("sup_distance compares piecewise-linear functions")
-    pts, (f_pos, g_pos) = _merge(f, g)
-    return _largest((abs(fn * gd - gn * fd), fd * gd) for (fn, fd), (gn, gd)
-                    in zip(_walk_pl(f, pts, f_pos), _walk_pl(g, pts, g_pos)))
+    _, ((f_at, _, _), (g_at, _, _)) = refine(f, g)
+    return _largest((abs(fn * gd - gn * fd), fd * gd) for (fn, fd), (gn, gd) in zip(f_at, g_at))
 
 
 def inf_difference(upper: PiecewiseFunction, lower: PiecewiseFunction) -> Extremum:

@@ -292,10 +292,7 @@ def refine_as_fractions(out) -> tuple:
 
 
 def ref_refine(*fns) -> tuple:
-    pts = {ZERO, ONE}
-    for f in fns:
-        pts.update(f.breakpoints if isinstance(f, PLFunction) else f.points)
-    pts = tuple(sorted(pts))
+    pts, _ = ref_merged_points(*fns)
     samples = []
     for f in fns:
         at = [f.eval(t) for t in pts]
@@ -352,34 +349,6 @@ def ref_linear_combine(coeffs, fns) -> PLFunction:
     vals = [sum((Fraction(c) * v for c, v in zip(coeffs, vs)), ZERO)
             for vs in zip(*(at for at, _, _ in samples))]
     return PLFunction(pts, tuple(vals))
-
-
-def ref_weighted_sums(coeffs, fns, cells=False) -> tuple:
-    """``pwcalc._weighted_sums`` as a per-point scan: every function sampled
-    at every merged point (and cell) through ``refine``, and the k terms at
-    each summed over a running common denominator, reduced once."""
-    from ctrace.pwcalc import _reduced, refine
-
-    if not coeffs or not fns:
-        raise ValueError("empty linear combination")
-    if len(coeffs) != len(fns):
-        raise ValueError("coefficient/function count mismatch")
-    terms = [_reduced(c) for c in coeffs]
-    pts, samples = refine(*fns)
-    out = []
-    for vs in zip(*(at + opens if cells else at for at, opens, _ in samples)):
-        num, den = 0, 1
-        for (cn, cd), (vn, vd) in zip(terms, vs):
-            d = cd * vd
-            if d == 1:
-                num += cn * vn * den
-            else:
-                g = math.gcd(den, d)
-                num = num * (d // g) + cn * vn * (den // g)
-                den = den // g * d
-        g = math.gcd(num, den)
-        out.append((num // g, den // g))
-    return pts, out
 
 
 def ref_add_steps(steps) -> StepFunction:

@@ -1,7 +1,8 @@
 """Module layering: the exact core imports without the numerical layer,
 each CLI subcommand loads only its own group's modules, no module
-reads Fraction's private attributes, no module imports a name it does
-not use, and every ctrace name the benchmark scripts use exists."""
+reads Fraction's private attributes, no module or tool script imports a
+name it does not use, the tool scripts import only the standard library,
+and every ctrace name the benchmark scripts use exists."""
 
 import ast
 import importlib.util
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def run_python(code):
@@ -132,33 +134,43 @@ def test_no_module_reads_private_fraction_attributes():
 
 
 def unused_imports(source: str) -> list:
-    """Names a module binds with ``from ... import`` and never reads."""
+    """Names a module binds with ``import`` or ``from ... import`` and never reads."""
     tree = ast.parse(source)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return [alias.asname or alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-            for alias in node.names if (alias.asname or alias.name) not in read]
+    bound = [(alias.asname or alias.name).split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import) or (
+                 isinstance(node, ast.ImportFrom) and node.module != "__future__")
+             for alias in node.names]
+    return [name for name in bound if name not in read]
 
 
 def test_unused_imports_are_found():
-    source = "from __future__ import annotations\nfrom typing import Union, Sequence\nx: Sequence\n"
-    assert unused_imports(source) == ["Union"]
+    source = ("from __future__ import annotations\nfrom typing import Union, Sequence\n"
+              "import os.path, sys\nx: Sequence = os.sep\n")
+    assert unused_imports(source) == ["Union", "sys"]
 
 
 def test_every_imported_name_is_used():
-    unused = {p.name: unused_imports(p.read_text())
-              for p in sorted((Path(SRC) / "ctrace").glob("*.py"))}
+    scripts = [*sorted((Path(SRC) / "ctrace").glob("*.py")), *sorted(TOOLS.glob("*.py"))]
+    assert TOOLS / "mutate.py" in scripts
+    unused = {p.name: unused_imports(p.read_text()) for p in scripts}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_tools_import_only_the_standard_library():
+    # a tool runs pytest as a subprocess, and no dependency may be added
+    modules = {m.split(".")[0] for p in TOOLS.glob("*.py") for m, _ in script_imports(p)}
+    assert "ast" in modules and modules - sys.stdlib_module_names == set()
 
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def bench_imports(path: Path) -> list:
-    """``(module, name)`` for each name a benchmark script imports, name ""
-    for a plain ``import module``."""
+def script_imports(path: Path) -> list:
+    """``(module, name)`` for each name a script imports, name "" for a
+    plain ``import module``."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and not node.level:
@@ -177,7 +189,7 @@ def resolves(module: str, attr: str) -> bool:
 
 
 def test_benchmark_imports_from_ctrace_resolve():
-    found = [entry for path in sorted(BENCH.glob("*.py")) for entry in bench_imports(path)
+    found = [entry for path in sorted(BENCH.glob("*.py")) for entry in script_imports(path)
              if entry[0].split(".")[0] == "ctrace"]
     assert ("ctrace.pwcalc", "StepFunction") in found
     assert [entry for entry in found if not resolves(*entry)] == []
@@ -187,7 +199,7 @@ def test_benchmark_trace_targets_resolve():
     # the tracer rebinds these with getattr, so a name src/ drops would
     # crash every traced run; tracing.py imports only the standard library
     path = BENCH / "tracing.py"
-    assert {m.split(".")[0] for m, _ in bench_imports(path)} <= sys.stdlib_module_names
+    assert {m.split(".")[0] for m, _ in script_imports(path)} <= sys.stdlib_module_names
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)

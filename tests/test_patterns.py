@@ -14,7 +14,6 @@ from ctrace.existence import pinched_dimension_function
 from ctrace.patterns import (
     ChainStage,
     EigenPattern,
-    apply_difference,
     apply_pattern,
     check_compat,
     compute_gap,
@@ -48,7 +47,6 @@ from helpers import (
     rand_pl,
     rand_pl_unit,
     rand_positive_step,
-    ref_apply_difference,
     ref_apply_pattern,
     ref_density_check,
     ref_preimage_refinement,
@@ -212,7 +210,7 @@ class TestCountedPatternsMatchReferences:
         assert all(counts[f] == 4 for f in same)
         # a difference subtracts on its own copy of the counts
         other = EigenPattern((lam, nu, lam))
-        apply_difference(pattern, other, nu)
+        deviation(pattern, other, nu, unit_weight(), unit_weight())
         assert list(pattern.counts.items()) == [(mu, 3), (lam, 1)]
         assert list(other.counts.items()) == [(lam, 2), (nu, 1)]
 
@@ -280,57 +278,22 @@ class TestPushedSumIsInteger:
         assert outs == refs
 
 
-class TestApplyDifference:
-    """One signed combination equals the difference of the two sums."""
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_matches_three_refinements(self, data):
-        f = data.draw(pl_functions())
-        p = data.draw(repeated_patterns(f.breakpoints))
-        # q shares some eigenfunctions with p, with other counts
-        shared = data.draw(st.lists(st.sampled_from(p.eigenfunctions), max_size=4))
-        other = data.draw(repeated_patterns(f.breakpoints)).eigenfunctions
-        q = EigenPattern(data.draw(st.permutations(shared + list(other))))
-        for a, b in ((p, q), (q, p), (p, p)):
-            out, ref = apply_difference(a, b, f), ref_apply_difference(a, b, f)
-            assert out == ref
-            assert out.to_json() == ref.to_json()
-
-    def test_equal_patterns_give_the_zero_function(self):
-        lam, mu = PLFunction.identity(), PLFunction.constant(F(1, 3))
-        f = PLFunction((0, F(1, 2), 1), (3, -1, 2))
-        zero = PLFunction.constant(0)
-        assert apply_difference(EigenPattern((lam, mu, lam)), EigenPattern((mu, lam, lam)), f) == zero
-        assert apply_difference(EigenPattern((mu,)), EigenPattern((mu,)), f).to_json() == zero.to_json()
-
-    def test_cancelled_terms_are_not_composed(self, monkeypatch):
-        from ctrace import patterns
-
-        lam, mu = PLFunction.identity(), PLFunction.constant(F(1, 3))
-        f = PLFunction((0, F(1, 2), 1), (3, -1, 2))
-        composed = []
-        real = patterns.compose_pl
-        monkeypatch.setattr(patterns, "compose_pl", lambda f, g: composed.append(g) or real(f, g))
-        out = apply_difference(EigenPattern((lam, mu, mu)), EigenPattern((mu, lam, lam)), f)
-        assert composed == [lam, mu]
-        assert out == linear_combine([-1, 1], [f, PLFunction.constant(f.eval(F(1, 3)))])
-
-
 positive_steps = st.one_of(step_functions(lo=F(1, 4), hi=3), near_tie_step_functions(
     values=st.sampled_from([F(1), F(2), F(1, 2), F(1, 2) + F(1, 10**30)])))
 
 
 class TestDeviation:
     """``deviation`` reads the weighted sup of p(a) - q(a) off the sweep
-    that sums it: the value of the norm of ``apply_difference``, which it
-    no longer builds, with the refusals that norm made."""
+    that sums it: the value of the norm of the difference of the two
+    ``apply_pattern`` sums, which it does not build, with the refusals that
+    norm made."""
 
     @staticmethod
     def check(p, q, a, w_dom, w_cod):
         for x, y in ((p, q), (q, p), (p, p)):
             out = deviation(x, y, a, w_dom, w_cod)
-            assert out == (weighted_sup_norm(apply_difference(x, y, a), w_cod).value,
+            diff = apply_pattern(x, a) - apply_pattern(y, a)
+            assert out == (weighted_sup_norm(diff, w_cod).value,
                            weighted_sup_norm(a, w_dom).value)
             assert all(type(v) is F for v in out)
 
@@ -360,6 +323,7 @@ class TestDeviation:
         w = StepFunction.from_profile((0, F(1, 3), 1), (2, F(1, 2), 3), (1, 4))
         p, q = EigenPattern((lam, mu, lam)), EigenPattern((mu, lam, lam))
         assert deviation(p, q, a, w, w) == (0, 3)
+        assert deviation(EigenPattern((mu,)), EigenPattern((mu,)), a, w, w) == (0, 3)
         # lam cancels, mu's counts differ: |a(1/3)| = 1/3 over the least weight 1/2
         p = EigenPattern((lam, mu, mu))
         assert deviation(p, EigenPattern((lam, mu)), a, w, w) == (F(2, 3), 3)
@@ -382,17 +346,20 @@ class TestDeviation:
         from ctrace import patterns, pwcalc
 
         lam, mu = PLFunction.identity(), PLFunction((0, 1), (F(1, 4), F(3, 4)))
-        p, q = EigenPattern((lam, mu, mu)), EigenPattern((mu, lam, lam))
+        nu = PLFunction.constant(F(1, 3))
+        # nu's counts cancel, so it is not composed
+        p, q = EigenPattern((lam, mu, nu, mu)), EigenPattern((mu, nu, lam, lam))
         a, w = PLFunction((0, F(1, 2), 1), (3, -1, 2)), StepFunction.constant(2)
         expected = deviation(p, q, a, w, w)
-        norms = []
-        real = patterns.weighted_sup_norm
+        norms, composed = [], []
+        real, compose = patterns.weighted_sup_norm, patterns.compose_pl
         monkeypatch.setattr(patterns, "weighted_sup_norm",
                             lambda f, w: norms.append(f) or real(f, w))
+        monkeypatch.setattr(patterns, "compose_pl", lambda f, g: composed.append(g) or compose(f, g))
         for module in (patterns, pwcalc):
             monkeypatch.setattr(module, "linear_combine", _no_combination)
         assert deviation(p, q, a, w, w) == expected
-        assert norms == [a]
+        assert norms == [a] and composed == [lam, mu]
 
 
 def _no_combination(*args):

@@ -1,10 +1,13 @@
 """Exact calculus: construction, evaluation, composition, comparison."""
 
+import contextlib
 import copy
 import pickle
 import random
 from dataclasses import fields
 from fractions import Fraction as F
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,9 +23,7 @@ from ctrace.pwcalc import (
     combine_steps,
     compose_pl,
     compose_step_pl,
-    _merge,
     _preimage_refinement,
-    _weighted_sums,
     frac,
     function_from_json,
     inf_difference,
@@ -55,6 +56,7 @@ from helpers import (
     oracle_weighted_sup,
     pl_functions,
     rand_pl,
+    rand_fraction,
     rand_pl_unit,
     rand_positive_step,
     rand_step,
@@ -70,7 +72,6 @@ from helpers import (
     ref_refine,
     ref_step_from_json,
     ref_step_to_json,
-    ref_weighted_sums,
     ref_weighted_sup_norm,
     refine_as_fractions,
     step_functions,
@@ -80,13 +81,6 @@ from helpers import (
 )
 
 seeds = st.integers(0, 10**9)
-
-
-def jump_up_step(t0=F(1, 2), low=1, high=2):
-    return StepFunction((
-        Piece(Interval(0, t0, True, True), low),
-        Piece(Interval(t0, 1, False, True), high),
-    ))
 
 
 class TestConstruction:
@@ -197,6 +191,34 @@ class TestConstruction:
         assert function_from_json(f.to_json()) == f
         s = pinched_dimension_function()
         assert function_from_json(s.to_json()) == s
+
+    @given(wide_pl_points())
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_points(self, profile):
+        bps, vals = profile
+        f = PLFunction(tuple(bps), tuple(vals))
+        assert (f.breakpoints, f.values) == ref_pl_canonical(bps, vals)
+        assert all(type(x) is F for x in f.breakpoints + f.values)
+
+    @given(wide_pl_points(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_non_increasing_breakpoints_rejected(self, profile, data):
+        bps, vals = profile
+        if len(bps) < 3:
+            return
+        i = data.draw(st.integers(1, len(bps) - 2))
+        bps[i] = data.draw(st.sampled_from([bps[i - 1], bps[i + 1]]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PLFunction(tuple(bps), tuple(vals))
+
+    def test_collinear_runs(self):
+        line = PLFunction((0, F(1, 3), F(1, 2), F(2, 3), 1), (-1, 0, F(1, 2), 1, 2))
+        assert line.breakpoints == (0, 1) and line.values == (-1, 2)
+        kink = PLFunction((0, F(1, 4), F(1, 2), F(3, 4), 1), (0, 1, 2, 1, 0))
+        assert kink.breakpoints == (0, F(1, 2), 1)
+        big = F(1, 10**9)
+        runs = PLFunction((0, big, 2 * big, F(1, 2), 1), (0, -big, -2 * big, -1, 0))
+        assert runs.breakpoints == (0, 2 * big, F(1, 2), 1)
 
 
 def scan_eval(s, t):
@@ -409,7 +431,7 @@ class TestStepJsonBoundary:
     ])
     def test_from_json_builds_no_fraction(self, monkeypatch, s):
         blob = s.to_json()
-        calls = _count_fraction_builds(monkeypatch)
+        calls = counting("__new__")(monkeypatch)
         out = StepFunction.from_json(blob)
         assert calls == []
         monkeypatch.undo()
@@ -485,25 +507,12 @@ class TestLinearCombine:
         with pytest.raises(ValueError):
             linear_combine([1], [PLFunction.identity(), PLFunction.identity()])
 
+    def test_refuses_a_step_function(self):
+        with pytest.raises(TypeError, match="combines piecewise-linear functions"):
+            linear_combine([1, 1], [PLFunction.identity(), StepFunction.constant(1)])
+
 
 class TestLinearCombineSteps:
-    """The integer weighted sum of step functions equals the Fraction one."""
-
-    coefficients = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=7))
-
-    @given(st.lists(st.tuples(coefficients, step_functions()), min_size=1, max_size=4))
-    @example([(-2, StepFunction.from_profile((0, F(1, 3), 1), (F(1, 2), F(-3, 4), 2), (F(5, 4), 0))),
-              (0, StepFunction.constant(F(7, 3))),
-              (F(3, 4), StepFunction.from_profile((0, F(1, 2), 1), (0, F(1, 3), 1), (F(-1, 2), 3)))])
-    @settings(max_examples=150, deadline=None)
-    def test_matches_combine_steps(self, terms):
-        coeffs, steps = [c for c, _ in terms], [s for _, s in terms]
-        out = linear_combine_steps(coeffs, steps)
-        ref = combine_steps(steps, lambda *vs: sum((F(c) * v for c, v in zip(coeffs, vs)), F(0)))
-        assert out == ref
-        assert out.to_json() == ref.to_json()
-        assert all(type(x) is F for x in out.points + out.point_values + out.open_values)
-
     def test_rejects_empty_mismatched_and_pl(self):
         s = StepFunction.constant(1)
         with pytest.raises(ValueError, match="empty linear combination"):
@@ -512,87 +521,6 @@ class TestLinearCombineSteps:
             linear_combine_steps([1], [s, s])
         with pytest.raises(TypeError, match="combines step functions"):
             linear_combine_steps([1, 1], [s, PLFunction.identity()])
-
-
-sweep_coefficients = st.one_of(st.just(0), st.integers(-3, 3), wide_fractions)
-sweep_pl_functions = st.one_of(
-    wide_pl_points().map(lambda p: PLFunction(tuple(p[0]), tuple(p[1]))), near_tie_pl_functions())
-sweep_step_functions = st.one_of(wide_step_functions(), near_tie_step_functions())
-
-
-class TestLinearCombinationSweep:
-    """The event sweep behind ``linear_combine`` and ``linear_combine_steps``
-    gives the pairs of the per-point scan it replaced, on up to 16
-    functions with zero and cancelling coefficients, repeated functions,
-    points that share a float and large, mixed denominators."""
-
-    @staticmethod
-    def check(coeffs, fns, cells):
-        out = _weighted_sums(coeffs, fns, cells)
-        assert out == ref_weighted_sums(coeffs, fns, cells)
-        if cells:
-            ref = combine_steps(fns, lambda *vs: sum((F(c) * v for c, v in zip(coeffs, vs)), F(0)))
-            assert linear_combine_steps(coeffs, fns) == ref
-            assert linear_combine_steps([1] * len(fns), fns) == ref_add_steps(fns)
-        else:
-            assert linear_combine(coeffs, fns) == ref_linear_combine(coeffs, fns)
-
-    @given(st.lists(st.tuples(sweep_coefficients, sweep_pl_functions), min_size=1, max_size=16))
-    @settings(max_examples=80, deadline=None)
-    def test_pl_sums(self, terms):
-        self.check([c for c, _ in terms], [f for _, f in terms], False)
-
-    @given(st.lists(st.tuples(sweep_coefficients, sweep_step_functions), min_size=1, max_size=16))
-    @settings(max_examples=80, deadline=None)
-    def test_step_sums(self, terms):
-        self.check([c for c, _ in terms], [f for _, f in terms], True)
-
-    @given(st.booleans(), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_cancelling_and_repeated_functions(self, cells, data):
-        fns = data.draw(st.lists(sweep_step_functions if cells else sweep_pl_functions,
-                                 min_size=1, max_size=8))
-        coeffs = data.draw(st.lists(sweep_coefficients, min_size=len(fns), max_size=len(fns)))
-        # each function once more with the opposite coefficient: the sum is 0
-        order = data.draw(st.permutations(range(2 * len(fns))))
-        terms = [(c, f) for c, f in zip(coeffs, fns)] + [(-F(c), f) for c, f in zip(coeffs, fns)]
-        terms = [terms[i] for i in order]
-        self.check([c for c, _ in terms], [f for _, f in terms], cells)
-        zero = (StepFunction if cells else PLFunction).constant(0)
-        combine = linear_combine_steps if cells else linear_combine
-        assert combine([c for c, _ in terms], [f for _, f in terms]) == zero
-        # k copies of one function sum to one term
-        k = data.draw(st.integers(1, 16))
-        copies = data.draw(st.lists(sweep_coefficients, min_size=k, max_size=k))
-        self.check(copies, [fns[0]] * k, cells)
-        assert combine(copies, [fns[0]] * k) == combine([sum(map(F, copies))], [fns[0]])
-
-    def test_points_that_share_a_float(self):
-        a, b = F(1, 3), F(1, 3) + F(1, 10**30)
-        assert float(a) == float(b)
-        big = F(10**40 + 1, 3 * 10**39)
-        pls = [PLFunction((0, a, 1), (1, big, -2)), PLFunction((0, b, 1), (F(1, 7), 0, 5)),
-               PLFunction((0, a, b, 1), (0, 1, -1, 0))]
-        steps = [StepFunction.from_profile((0, a, 1), (1, big, 2), (3, 4)),
-                 StepFunction.from_profile((0, b, 1), (0, 1, 0), (F(1, 10**30), 1))]
-        pts, _ = _merge(*pls)
-        assert (a.numerator, a.denominator) in pts and (b.numerator, b.denominator) in pts
-        coeffs = [F(3, 10**20 + 7), -2, big]
-        self.check(coeffs, pls, False)
-        self.check(coeffs[:2], steps, True)
-
-    def test_sweep_samples_no_function_per_point(self, monkeypatch):
-        pl, step = tie_free_pair()
-        expected = (ref_linear_combine([F(1, 2), -3], [pl, pl.scale(F(1, 3))]),
-                    combine_steps([step, step.scale(3)], lambda u, v: 2 * u - v / 5))
-        for name in ("refine", "_walk_pl", "_walk_step"):
-            monkeypatch.setattr(pwcalc, name, _refuse)
-        assert (linear_combine([F(1, 2), -3], [pl, pl.scale(F(1, 3))]),
-                linear_combine_steps([2, F(-1, 5)], [step, step.scale(3)])) == expected
-
-    def test_refuses_a_step_function(self):
-        with pytest.raises(TypeError, match="combines piecewise-linear functions"):
-            linear_combine([1, 1], [PLFunction.identity(), StepFunction.constant(1)])
 
 
 class TestCachedHash:
@@ -804,6 +732,17 @@ class TestWeightedSupNorm:
         with pytest.raises(ValueError):
             weighted_sup_norm(PLFunction.identity(), bad)
 
+    def test_refusals(self):
+        with pytest.raises(TypeError, match="compares piecewise-linear functions"):
+            sup_distance(PLFunction.identity(), StepFunction.constant(0))
+        with pytest.raises(TypeError, match="compares piecewise-linear functions"):
+            sup_distance(StepFunction.constant(0), PLFunction.identity())
+        for w, kind, message in ((StepFunction.constant(0), ValueError, "strictly positive"),
+                                 (PLFunction.constant(1), TypeError, "step functions")):
+            for coeffs in ([], [1]):
+                with pytest.raises(kind, match=message):
+                    _weighted_sup_of_sum(coeffs, [PLFunction.identity()] * len(coeffs), w)
+
     def test_limit_supremum_reported_with_flag(self):
         # |t| / w with w jumping from 1 to 3 at 1/2: sup 1/2 approached at 1/2-
         w = StepFunction.from_profile(
@@ -827,7 +766,7 @@ class TestWeightedSupNorm:
     def test_homogeneity_in_the_weight(self, seed):
         rng = random.Random(seed)
         f, w = rand_pl(rng), rand_positive_step(rng)
-        kappa = rand_fraction_positive(rng)
+        kappa = rand_fraction(rng, F(1, 8), 4)
         lhs = weighted_sup_norm(f, w.scale(kappa)).value
         rhs = weighted_sup_norm(f, w).value / kappa
         assert lhs == rhs
@@ -841,12 +780,6 @@ class TestWeightedSupNorm:
             weighted_sup_norm(f + g, w).value
             <= weighted_sup_norm(f, w).value + weighted_sup_norm(g, w).value
         )
-
-
-def rand_fraction_positive(rng):
-    from helpers import rand_fraction
-
-    return rand_fraction(rng, F(1, 8), 4)
 
 
 class TestIsLsc:
@@ -877,17 +810,11 @@ class TestInfDifference:
     @given(seeds)
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_oracle(self, seed):
-        from ctrace.pwcalc import inf_difference
-
         rng = random.Random(seed)
         mk = lambda: rand_pl(rng) if rng.random() < 0.5 else rand_step(rng)
         upper, lower = mk(), mk()
         res = inf_difference(upper, lower)
         assert res.value == oracle_inf_diff(upper, lower, grid=500)
-
-
-def _no_refinement(*args):
-    raise AssertionError("a composition with the identity refined its operand")
 
 
 class TestCompositionIdentityProperties:
@@ -898,38 +825,17 @@ class TestCompositionIdentityProperties:
         f = rand_pl(rng)
         g = rand_pl_unit(rng)
         d = rand_step(rng)
-        assert compose_pl(f, PLFunction.identity()) == f
-        assert compose_pl(PLFunction.identity(), g) == g
         # the identity on either side gives back the other operand itself,
         # unrefined (the outer one's when both are the identity)
         identity = PLFunction.identity()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pwcalc, "_preimage_refinement", _no_refinement)
+            mp.setattr(pwcalc, "_preimage_refinement", _refuse)
             for outer, inner in ((f, identity), (identity, g), (identity, identity)):
                 other = inner if outer == identity else outer
                 assert compose_pl(outer, inner) is other
             assert compose_step_pl(d, identity) is d
             with pytest.raises(ValueError, match=r"inner function must map \[0,1\] into \[0,1\]"):
                 compose_pl(identity, f.shift(3))
-
-    @given(sweep_pl_functions, sweep_step_functions,
-           st.one_of(inner_functions(), near_tie_inner_functions(), sweep_pl_functions))
-    @settings(max_examples=150, deadline=None)
-    def test_identity_on_either_side_matches_the_references(self, f, d, g):
-        identity = PLFunction.identity()
-        pairs = [(compose_pl(f, identity), ref_compose_pl(f, identity)),
-                 (compose_step_pl(d, identity), ref_compose_step_pl(d, identity)),
-                 (compose_pl(identity, identity), ref_compose_pl(identity, identity))]
-        if g.into_unit_interval():
-            pairs.append((compose_pl(identity, g), ref_compose_pl(identity, g)))
-        else:
-            # the reference finds the escape by Fraction min and max
-            for compose in (compose_pl, ref_compose_pl):
-                with pytest.raises(ValueError, match=r"inner function must map \[0,1\] into \[0,1\]"):
-                    compose(identity, g)
-        for out, ref in pairs:
-            assert out == ref
-            assert out.to_json() == ref.to_json()
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
@@ -940,409 +846,6 @@ class TestCompositionIdentityProperties:
         for k in range(0, 33):
             t = F(k, 32)
             assert total.eval(t) == s1.eval(t) + s2.eval(t)
-
-
-piecewise_functions = st.one_of(pl_functions(), step_functions())
-
-
-class TestCursorWalksMatchReferences:
-    """The cursor walks give exactly what per-point bisect and eval gave."""
-
-    @given(st.lists(piecewise_functions, min_size=1, max_size=4))
-    @settings(max_examples=150, deadline=None)
-    def test_refine(self, fns):
-        assert refine_as_fractions(refine(*fns)) == ref_refine(*fns)
-        assert merged_points(*fns)[0] == ref_refine(*fns)[0]
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_compose_pl(self, data):
-        f = data.draw(pl_functions())
-        g = data.draw(inner_functions(f.breakpoints))
-        out, ref = compose_pl(f, g), ref_compose_pl(f, g)
-        assert out == ref
-        assert out.to_json() == ref.to_json()
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_compose_step_pl(self, data):
-        d = data.draw(step_functions())
-        g = data.draw(inner_functions(d.points))
-        out, ref = compose_step_pl(d, g), ref_compose_step_pl(d, g)
-        assert out == ref
-        assert out.to_json() == ref.to_json()
-
-    @pytest.mark.parametrize("g", [
-        PLFunction.identity(),
-        PLFunction((0, 1), (1, 0)),
-        PLFunction.constant(F(1, 2)),
-        PLFunction.constant(0),
-        PLFunction((0, F(1, 4), F(1, 2), F(3, 4), 1), (1, F(1, 2), F(1, 2), 0, 1)),
-    ])
-    def test_edge_inner_functions(self, g):
-        f = PLFunction((0, F(1, 2), 1), (3, -1, 2))
-        d = StepFunction.from_profile((0, F(1, 2), 1), (1, 5, 2), (4, 3))
-        assert compose_pl(f, g).to_json() == ref_compose_pl(f, g).to_json()
-        assert compose_step_pl(d, g).to_json() == ref_compose_step_pl(d, g).to_json()
-
-
-def _raise_on_eval(self, t):
-    raise AssertionError("a refinement sweep evaluated a function per point")
-
-
-class TestSweepsDoNotEvaluatePerPoint:
-    @given(st.lists(pl_functions(), min_size=1, max_size=3),
-           st.lists(step_functions(), min_size=1, max_size=3),
-           step_functions(lo=F(1, 4), hi=3))
-    @settings(max_examples=60, deadline=None)
-    def test_results_unchanged_without_eval(self, pls, steps, weight):
-        from ctrace.pwcalc import inf_difference
-
-        def results():
-            return (
-                refine(*pls, *steps),
-                linear_combine(list(range(1, len(pls) + 1)), pls),
-                le_pointwise(pls[0], steps[0]),
-                le_pointwise(steps[-1], pls[-1], strict=True),
-                weighted_sup_norm(pls[0], weight),
-                inf_difference(pls[-1], steps[0]),
-                combine_steps(steps, lambda *vs: max(vs)),
-            )
-
-        expected = results()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(PLFunction, "eval", _raise_on_eval)
-            mp.setattr(StepFunction, "eval", _raise_on_eval)
-            assert results() == expected
-
-
-wide_functions = st.one_of(
-    wide_pl_points().map(lambda p: PLFunction(tuple(p[0]), tuple(p[1]))), step_functions()
-)
-
-
-class TestIntegerPathsMatchFractionReferences:
-    """Integer slopes, integer interpolation and cross-multiplied signs give
-    exactly what the Fraction arithmetic gave, on functions with collinear
-    runs, negative values and mixed, large denominators."""
-
-    @given(wide_pl_points())
-    @settings(max_examples=150, deadline=None)
-    def test_canonical_points(self, profile):
-        bps, vals = profile
-        f = PLFunction(tuple(bps), tuple(vals))
-        assert (f.breakpoints, f.values) == ref_pl_canonical(bps, vals)
-        assert all(type(x) is F for x in f.breakpoints + f.values)
-
-    @given(wide_pl_points(), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_non_increasing_breakpoints_rejected(self, profile, data):
-        bps, vals = profile
-        if len(bps) < 3:
-            return
-        i = data.draw(st.integers(1, len(bps) - 2))
-        bps[i] = data.draw(st.sampled_from([bps[i - 1], bps[i + 1]]))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            PLFunction(tuple(bps), tuple(vals))
-
-    def test_collinear_runs(self):
-        line = PLFunction((0, F(1, 3), F(1, 2), F(2, 3), 1), (-1, 0, F(1, 2), 1, 2))
-        assert line.breakpoints == (0, 1) and line.values == (-1, 2)
-        kink = PLFunction((0, F(1, 4), F(1, 2), F(3, 4), 1), (0, 1, 2, 1, 0))
-        assert kink.breakpoints == (0, F(1, 2), 1)
-        big = F(1, 10**9)
-        runs = PLFunction((0, big, 2 * big, F(1, 2), 1), (0, -big, -2 * big, -1, 0))
-        assert runs.breakpoints == (0, 2 * big, F(1, 2), 1)
-
-    @given(st.lists(wide_pl_points(), min_size=1, max_size=3))
-    @settings(max_examples=60, deadline=None)
-    def test_refine_and_linear_combine(self, profiles):
-        fns = [PLFunction(tuple(b), tuple(v)) for b, v in profiles]
-        assert refine_as_fractions(refine(*fns)) == ref_refine(*fns)
-        coeffs = [F(k - 2, k + 1) for k in range(len(fns))]
-        out, ref = linear_combine(coeffs, fns), ref_linear_combine(coeffs, fns)
-        assert out == ref
-        assert out.to_json() == ref.to_json()
-
-    @given(wide_functions, wide_functions, st.booleans())
-    @settings(max_examples=120, deadline=None)
-    def test_le_pointwise(self, f, g, strict):
-        assert le_pointwise(f, g, strict) == ref_le_pointwise(f, g, strict)
-        assert le_pointwise(f, f, strict) == ref_le_pointwise(f, f, strict)
-
-
-near_tie_functions = st.one_of(near_tie_pl_functions(), near_tie_step_functions())
-near_tie_weights = near_tie_step_functions(
-    values=st.sampled_from([F(1), F(2), F(1, 2), F(1, 2) + F(1, 10**30)]))
-
-
-def _extremum_fields(e):
-    assert type(e.value) is F and type(e.at) is F
-    return e.value, e.at, e.side
-
-
-def tie_free_pair(seed=10):
-    """A PL and a step function of about 200 points each whose interior
-    points all have distinct floats."""
-    rng = random.Random(seed)
-
-    def points():
-        cuts = {F(rng.randrange(1, 10**6), rng.randrange(10**6, 2 * 10**6)) for _ in range(198)}
-        return [F(0), *sorted(cuts), F(1)]
-
-    pts = points()
-    pl = PLFunction(tuple(pts), tuple(F(rng.randrange(-50, 50), rng.randrange(1, 20)) for _ in pts))
-    pts = points()
-    step = StepFunction.from_profile(
-        pts, [F(i % 3) for i in range(len(pts))], [F(i % 2) for i in range(len(pts) - 1)])
-    assert len(pl.breakpoints) > 190 and len(step.points) > 190
-    return pl, step
-
-
-positive_weights = st.one_of(near_tie_weights, wide_step_functions().map(
-    lambda s: combine_steps([s], lambda v: abs(v) + F(1, 10**9))))
-distance_pl_functions = st.one_of(sweep_pl_functions, near_tie_pl_functions())
-
-
-class TestSupsReadOffTheWalks:
-    """``sup_distance`` and ``_weighted_sup_of_sum`` read their supremum
-    off the merged points, and give the value of ``weighted_sup_norm`` of
-    the difference or the sum that they no longer build."""
-
-    @given(distance_pl_functions, distance_pl_functions)
-    @example(PLFunction.identity(), PLFunction.identity())
-    @example(PLFunction((0, 1), (-1, 1)), PLFunction.constant(0))  # equal ends, sign change
-    @settings(max_examples=200, deadline=None)
-    def test_sup_distance(self, f, g):
-        out = sup_distance(f, g)
-        assert type(out) is F
-        assert out == weighted_sup_norm(f - g, unit_weight()).value
-        assert sup_distance(g, f) == out
-        assert sup_distance(f, f) == 0
-
-    @given(st.lists(st.tuples(sweep_coefficients, distance_pl_functions), min_size=1, max_size=8),
-           positive_weights)
-    @settings(max_examples=150, deadline=None)
-    def test_weighted_sup_of_sum(self, terms, w):
-        coeffs, fns = [c for c, _ in terms], [f for _, f in terms]
-        out = _weighted_sup_of_sum(coeffs, fns, w)
-        assert type(out) is F
-        assert out == weighted_sup_norm(linear_combine(coeffs, fns), w).value
-        # the sum cancels to 0, also with no term at all
-        both = [*coeffs, *(-F(c) for c in coeffs)], fns + fns
-        assert _weighted_sup_of_sum(*both, w) == _weighted_sup_of_sum([], [], w) == 0
-
-    @pytest.mark.parametrize("at_half, sup", [(1, 3), (4, 2)])
-    def test_weights_with_interior_points(self, at_half, sup):
-        # |h| / w peaks on the point 1/2 when w is light there, else as the
-        # limit at 1/4 from the light cell before it
-        h = PLFunction((0, F(1, 4), F(1, 2), 1), (0, 2, 3, 0))
-        w = StepFunction.from_profile((0, F(1, 4), F(1, 2), 1), (9, 5, at_half, 9), (1, 6, 4))
-        # three sums that are h
-        for coeffs, fns in (([1], [h]), ([F(1, 2), F(1, 2)], [h, h]), ([3, 2], [h, -h])):
-            ref = weighted_sup_norm(linear_combine(coeffs, fns), w).value
-            assert _weighted_sup_of_sum(coeffs, fns, w) == ref == sup
-
-    def test_nothing_is_built(self, monkeypatch):
-        pl, step = tie_free_pair()
-        g = pl.scale(F(1, 3)).shift(F(1, 7))
-        w = combine_steps([step], lambda v: v + 1)
-        expected = (weighted_sup_norm(pl - g, unit_weight()).value,
-                    weighted_sup_norm(linear_combine([2, -1], [pl, g]), w).value)
-        for name in ("linear_combine", "weighted_sup_norm", "refine"):
-            monkeypatch.setattr(pwcalc, name, _refuse)
-        monkeypatch.setattr(PLFunction, "_from_kernel", _refuse)
-        assert (sup_distance(pl, g), _weighted_sup_of_sum([2, -1], [pl, g], w)) == expected
-
-    def test_refusals(self):
-        with pytest.raises(TypeError, match="compares piecewise-linear functions"):
-            sup_distance(PLFunction.identity(), StepFunction.constant(0))
-        with pytest.raises(TypeError, match="compares piecewise-linear functions"):
-            sup_distance(StepFunction.constant(0), PLFunction.identity())
-        for w, kind, message in ((StepFunction.constant(0), ValueError, "strictly positive"),
-                                 (PLFunction.constant(1), TypeError, "step functions")):
-            for coeffs in ([], [1]):
-                with pytest.raises(kind, match=message):
-                    _weighted_sup_of_sum(coeffs, [PLFunction.identity()] * len(coeffs), w)
-
-
-class TestKeyedKernelsMatchFractionReferences:
-    """Float-keyed merges and bisects and the integer extremum scan give
-    exactly what Fraction sorts, bisects and ``max``/``min`` gave, on points
-    that share a float, round to 0.0 or 1.0 or carry huge denominators,
-    and on values that make cells constant and candidates tie."""
-
-    def test_near_ties_share_floats(self):
-        floats = [t.numerator / t.denominator for t in NEAR_TIES]
-        assert len(set(floats)) < len(NEAR_TIES) - 10
-        assert 0.0 in floats and 1.0 in floats
-
-    @given(st.lists(near_tie_functions, min_size=1, max_size=4))
-    @settings(max_examples=200, deadline=None)
-    def test_merged_points(self, fns):
-        out = merged_points(*fns)
-        assert out == ref_merged_points(*fns)
-        assert all(type(t) is F for t in out[0])
-        assert refine_as_fractions(refine(*fns)) == ref_refine(*fns)
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_preimages_and_compositions(self, data):
-        f = data.draw(near_tie_pl_functions())
-        d = data.draw(near_tie_step_functions())
-        g = data.draw(near_tie_inner_functions(f.breakpoints + d.points))
-        for targets in (f.breakpoints, d.points):
-            pts, g_vals, at, cells = _preimage_refinement(g, as_pairs(targets))
-            out = as_fractions(pts), as_fractions(g_vals), at, cells
-            assert out == ref_preimage_refinement(g, targets)
-        out = compose_pl(f, g), compose_step_pl(d, g)
-        with fraction_ordered_kernels():
-            ref = compose_pl(f, g), compose_step_pl(d, g)
-        assert out == ref
-        assert [h.to_json() for h in out] == [h.to_json() for h in ref]
-
-    @given(near_tie_functions, near_tie_functions, st.booleans())
-    @settings(max_examples=150, deadline=None)
-    def test_le_pointwise(self, f, g, strict):
-        out = le_pointwise(f, g, strict), le_pointwise(g, f, strict)
-        with fraction_ordered_kernels():
-            ref = le_pointwise(f, g, strict), le_pointwise(g, f, strict)
-        assert out == ref
-
-    @given(near_tie_functions, near_tie_functions, near_tie_pl_functions(), near_tie_weights)
-    @example(  # |f| has equal limits on a cell where f is not constant
-        PLFunction.identity(), PLFunction.identity(), PLFunction((0, 1), (-1, 1)),
-        StepFunction.from_profile((0, 1), (2, 2), (1,)))
-    @settings(max_examples=200, deadline=None)
-    def test_extrema(self, upper, lower, f, w):
-        for u, l in ((upper, lower), (lower, upper), (upper, upper)):
-            out = _extremum_fields(inf_difference(u, l))
-            assert out == _extremum_fields(ref_inf_difference(u, l))
-            with fraction_ordered_kernels():
-                assert out == _extremum_fields(inf_difference(u, l))
-        out = _extremum_fields(weighted_sup_norm(f, w))
-        assert out == _extremum_fields(ref_weighted_sup_norm(f, w))
-        assert _extremum_fields(weighted_sup_norm(-f, w)) == out
-
-    def test_merge_makes_no_order_comparison(self, monkeypatch):
-        pl, step = tie_free_pair()
-        expected = ref_merged_points(pl, step, pl)
-        assert len({t.numerator / t.denominator for t in expected[0]}) == len(expected[0])
-        calls = []
-        for name in ("__lt__", "__gt__", "__le__", "__ge__"):
-            def counted(a, b, orig=getattr(F, name)):
-                calls.append(orig)
-                return orig(a, b)
-            monkeypatch.setattr(F, name, counted)
-        assert merged_points(pl, step, pl) == expected
-        assert calls == []
-        ref_merged_points(pl, step)
-        assert calls  # the counters see the Fraction sort
-
-
-def _refuse(*args):
-    raise AssertionError("a composition evaluated a function or scanned its range")
-
-
-class TestPositionWalks:
-    """``refine`` walks by integer positions and the compositions read
-    slots: no Fraction comparison in a tie-free refine, and no ``eval``
-    or ``into_unit_interval`` in a composition."""
-
-    def test_refine_makes_no_fraction_comparison(self, monkeypatch):
-        pl, step = tie_free_pair()
-        expected = ref_refine(pl, step)
-        assert len(expected[0]) > 390
-        calls = []
-        for name in ("__eq__", "_richcmp"):
-            def counted(*args, orig=getattr(F, name)):
-                calls.append(orig)
-                return orig(*args)
-            monkeypatch.setattr(F, name, counted)
-        out = refine(pl, step)
-        assert calls == []
-        ref_merged_points(pl, step)
-        assert calls  # the counters see the Fraction sort and lookup
-        monkeypatch.undo()
-        assert refine_as_fractions(out) == expected
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_compositions_make_no_eval(self, data):
-        f = data.draw(pl_functions())
-        d = data.draw(step_functions())
-        g = data.draw(inner_functions(f.breakpoints + d.points))
-        expected = ref_compose_pl(f, g), ref_compose_step_pl(d, g)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(PLFunction, "eval", _refuse)
-            mp.setattr(StepFunction, "eval", _refuse)
-            mp.setattr(PLFunction, "into_unit_interval", _refuse)
-            out = compose_pl(f, g), compose_step_pl(d, g)
-        assert out == expected
-
-    def test_stored_values_stay_fractions(self):
-        f = PLFunction((0, F(1, 3), 1), (2, -1, 5))
-        d = StepFunction.from_profile((0, F(1, 2), 1), (1, 3, 2), (4, 2))
-        g = PLFunction((0, F(1, 4), F(1, 2), 1), (F(1, 5), 1, F(1, 3), F(2, 3)))
-        for h in (compose_pl(f, g), linear_combine([1, F(1, 2)], [f, g])):
-            assert all(type(x) is F for x in h.breakpoints + h.values)
-        h = compose_step_pl(d, g)
-        assert all(type(x) is F for x in h.points + h.point_values + h.open_values)
-
-
-def _count_fraction_builds(monkeypatch) -> list:
-    """Patch ``Fraction.__new__`` to note every Fraction built from now on."""
-    calls, new = [], F.__new__
-
-    def counted(cls, *args, **kwargs):
-        calls.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(F, "__new__", staticmethod(counted))
-    return calls
-
-
-class TestKernelsPassIntegerPairs:
-    """The kernels hand each other integer pairs: on two functions of
-    about 200 points, ``refine``, ``linear_combine`` and ``le_pointwise``
-    build no Fraction but the outputs a caller reads, and the answers
-    are the Fraction references'."""
-
-    def test_only_outputs_become_fractions(self, monkeypatch):
-        pl, step = tie_free_pair()
-        # below every value of step, which never drops under 0
-        below = linear_combine([F(1, 100), F(-1)], [pl, PLFunction.constant(1)])
-        weight = linear_combine_steps([1, 1], [step, StepFunction.constant(1)])
-        coeffs = [F(1, 2), -3]
-        calls = _count_fraction_builds(monkeypatch)
-        sampled = refine(pl, step)
-        combo = linear_combine(coeffs, [pl, below])
-        holds = le_pointwise(below, step), le_pointwise(below, step, strict=True)
-        assert calls == []
-        fails = le_pointwise(step, below)  # at t = 0
-        assert len(calls) == 1
-        extrema = weighted_sup_norm(pl, weight), inf_difference(step, below)
-        assert len(calls) == 5  # each extremum's value and point
-        monkeypatch.undo()
-        assert refine_as_fractions(sampled) == ref_refine(pl, step)
-        assert combo == ref_linear_combine(coeffs, [pl, below])
-        assert holds == (ref_le_pointwise(below, step), ref_le_pointwise(below, step, True))
-        assert holds[0] and fails == ref_le_pointwise(step, below) and not fails
-        assert extrema == (ref_weighted_sup_norm(pl, weight), ref_inf_difference(step, below))
-
-    @given(st.one_of(near_tie_functions, wide_functions),
-           st.one_of(near_tie_functions, wide_functions), st.booleans(),
-           st.one_of(near_tie_pl_functions(), wide_pl_points().map(
-               lambda p: PLFunction(tuple(p[0]), tuple(p[1])))),
-           st.one_of(near_tie_weights, wide_step_functions().map(
-               lambda s: combine_steps([s], lambda v: abs(v) + F(1, 10**9)))))
-    @settings(max_examples=200, deadline=None)
-    def test_verdicts_witnesses_and_extrema_match_references(self, f, g, strict, h, w):
-        assert le_pointwise(f, g, strict) == ref_le_pointwise(f, g, strict)
-        assert le_pointwise(g, f, strict) == ref_le_pointwise(g, f, strict)
-        assert _extremum_fields(inf_difference(f, g)) == _extremum_fields(ref_inf_difference(f, g))
-        out = _extremum_fields(weighted_sup_norm(h, w))
-        assert out == _extremum_fields(ref_weighted_sup_norm(h, w))
 
 
 class TestKeyedRangeCheck:
@@ -1377,3 +880,449 @@ class TestKeyedRangeCheck:
         assert [h.to_json() for h in out] == [h.to_json() for h in ref]
         with fraction_ordered_kernels():
             assert (compose_pl(self.f, g), compose_step_pl(self.d, g)) == out
+
+
+# ---------------------------------------------------------------------------
+# differential tests, one per kernel family
+# ---------------------------------------------------------------------------
+#
+# Each family's check runs the kernels with ``eval`` and ``into_unit_interval``
+# refused and compares them with the ``ref_*`` functions of ``helpers`` or,
+# in ``REORDERED`` mode, with themselves on ``fraction_ordered_kernels()``.
+# Its cases are the strategies it draws from, each with its example count
+# and explicit examples.
+
+REF, REORDERED = "ref", "fraction-ordered"
+
+
+class Case(NamedTuple):
+    args: st.SearchStrategy  # draws the check's arguments, as a tuple
+    max_examples: int
+    mode: str = REF
+    examples: tuple = ()  # argument tuples tried before any drawn one
+
+    def run(self, check):
+        # no example database: the cases of a family share one test function
+        @settings(max_examples=self.max_examples, deadline=None, database=None)
+        @given(self.args)
+        def test(args):
+            check(self.mode, *args)
+
+        for args in self.examples:
+            test = example(args)(test)
+        test()
+
+
+def _refuse(*args):
+    raise AssertionError("a kernel reached what it must not")
+
+
+@contextlib.contextmanager
+def kernels_only():
+    """Refuse per-point evaluation and range scans while the block runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PLFunction, "eval", _refuse)
+        mp.setattr(StepFunction, "eval", _refuse)
+        mp.setattr(PLFunction, "into_unit_interval", _refuse)
+        yield
+
+
+def public_values(h) -> list:
+    """Every coordinate a caller reads of a function."""
+    return [x for name in h._public for x in getattr(h, name)]
+
+
+sweep_coefficients = st.one_of(st.just(0), st.integers(-3, 3), wide_fractions)
+wide_pls = wide_pl_points().map(lambda p: PLFunction(tuple(p[0]), tuple(p[1])))
+sweep_pl_functions = st.one_of(wide_pls, near_tie_pl_functions())
+sweep_step_functions = st.one_of(wide_step_functions(), near_tie_step_functions())
+wide_functions = st.one_of(wide_pls, step_functions())
+near_tie_functions = st.one_of(near_tie_pl_functions(), near_tie_step_functions())
+mixed_functions = st.one_of(near_tie_functions, wide_functions)
+near_tie_weights = near_tie_step_functions(
+    values=st.sampled_from([F(1), F(2), F(1, 2), F(1, 2) + F(1, 10**30)]))
+positive_weights = st.one_of(near_tie_weights, wide_step_functions().map(
+    lambda s: combine_steps([s], lambda v: abs(v) + F(1, 10**9))))
+distance_pl_functions = st.one_of(sweep_pl_functions, near_tie_pl_functions())
+
+
+def tie_free_functions():
+    """A PL and a step function of about 200 points each whose interior
+    points all have distinct floats, and functions made from them."""
+    rng = random.Random(10)
+
+    def points():
+        cuts = {F(rng.randrange(1, 10**6), rng.randrange(10**6, 2 * 10**6)) for _ in range(198)}
+        return [F(0), *sorted(cuts), F(1)]
+
+    pts = points()
+    pl = PLFunction(tuple(pts), tuple(F(rng.randrange(-50, 50), rng.randrange(1, 20)) for _ in pts))
+    pts = points()
+    step = StepFunction.from_profile(
+        pts, [F(i % 3) for i in range(len(pts))], [F(i % 2) for i in range(len(pts) - 1)])
+    merged = merged_points(pl, step)[0]
+    assert len({t.numerator / t.denominator for t in merged}) == len(merged) > 390
+    return SimpleNamespace(
+        pl=pl, step=step, g=pl.scale(F(1, 3)).shift(F(1, 7)), coeffs=[F(1, 2), -3],
+        # below every value of step, which never drops under 0
+        below=linear_combine([F(1, 100), F(-1)], [pl, PLFunction.constant(1)]),
+        weight=linear_combine_steps([1, 1], [step, StepFunction.constant(1)]))
+
+
+BIG = tie_free_functions()
+# two points that share a float, and a value with a large denominator
+TIE_A, TIE_B, HUGE = F(1, 3), F(1, 3) + F(1, 10**30), F(10**40 + 1, 3 * 10**39)
+TIED_PLS = [PLFunction((0, TIE_A, 1), (1, HUGE, -2)), PLFunction((0, TIE_B, 1), (F(1, 7), 0, 5)),
+            PLFunction((0, TIE_A, TIE_B, 1), (0, 1, -1, 0))]
+TIED_STEPS = [StepFunction.from_profile((0, TIE_A, 1), (1, HUGE, 2), (3, 4)),
+              StepFunction.from_profile((0, TIE_B, 1), (0, 1, 0), (F(1, 10**30), 1))]
+TIED_COEFFS = [F(3, 10**20 + 7), -2, HUGE]
+
+
+def test_near_ties_share_floats():
+    floats = [t.numerator / t.denominator for t in NEAR_TIES]
+    assert len(set(floats)) < len(NEAR_TIES) - 10
+    assert 0.0 in floats and 1.0 in floats
+    assert float(TIE_A) == float(TIE_B)
+
+
+def check_refinement(mode, fns):
+    with kernels_only():
+        merged, sampled = merged_points(*fns), refine(*fns)
+    assert merged == ref_merged_points(*fns)
+    assert all(type(t) is F for t in merged[0])
+    assert refine_as_fractions(sampled) == ref_refine(*fns)
+
+
+REFINEMENT_CASES = {
+    "pl-or-step": Case(st.tuples(st.lists(st.one_of(pl_functions(), step_functions()),
+                                          min_size=1, max_size=4)), 150),
+    "pls-then-steps": Case(st.tuples(st.tuples(
+        st.lists(pl_functions(), min_size=1, max_size=3),
+        st.lists(step_functions(), min_size=1, max_size=3)).map(lambda p: p[0] + p[1])), 60),
+    "wide-pl": Case(st.tuples(st.lists(wide_pls, min_size=1, max_size=3)), 60),
+    "near-ties": Case(st.tuples(st.lists(near_tie_functions, min_size=1, max_size=4)), 200,
+                      examples=((TIED_PLS,), (TIED_STEPS,), ([BIG.pl, BIG.step, BIG.pl],))),
+}
+
+
+@pytest.mark.parametrize("case", REFINEMENT_CASES)
+def test_refinement(case):
+    REFINEMENT_CASES[case].run(check_refinement)
+
+
+INNER_ESCAPES = r"inner function must map \[0,1\] into \[0,1\]"
+COMPOSE = {PLFunction: (compose_pl, ref_compose_pl),
+           StepFunction: (compose_step_pl, ref_compose_step_pl)}
+
+
+def check_compositions(mode, f, d, g):
+    """The PL outer function f and the step outer function d, either of
+    which may be None, and the identity, each composed with g and with the
+    identity."""
+    identity = PLFunction.identity()
+    outers = [h for h in (f, identity, d) if h is not None]
+    inners = [identity]
+    if g.into_unit_interval():
+        inners.append(g)
+    else:
+        # the reference finds the escape by Fraction min and max
+        for outer in outers:
+            for compose in COMPOSE[type(outer)]:
+                with pytest.raises(ValueError, match=INNER_ESCAPES):
+                    compose(outer, g)
+    pairs = [(outer, inner) for inner in inners for outer in outers]
+    with kernels_only():
+        out = [COMPOSE[type(outer)][0](outer, inner) for outer, inner in pairs]
+    ref = [COMPOSE[type(outer)][1](outer, inner) for outer, inner in pairs]
+    assert out == ref
+    assert [h.to_json() for h in out] == [h.to_json() for h in ref]
+    assert all(type(x) is F for h in out for x in public_values(h))
+    if mode == REORDERED:
+        for targets in (f.breakpoints, d.points):
+            pts, g_vals, at, cells = _preimage_refinement(g, as_pairs(targets))
+            out = as_fractions(pts), as_fractions(g_vals), at, cells
+            assert out == ref_preimage_refinement(g, targets)
+        out = compose_pl(f, g), compose_step_pl(d, g)
+        with fraction_ordered_kernels():
+            assert (compose_pl(f, g), compose_step_pl(d, g)) == out
+
+
+@st.composite
+def outers_and_inner(draw, pls, steps, inners):
+    """``(f, d, g)``: g drawn with the points of f and d as its targets."""
+    f, d = draw(pls), draw(steps)
+    targets = (() if f is None else f.breakpoints) + (() if d is None else d.points)
+    return f, d, draw(inners(targets))
+
+
+EDGE_PL = PLFunction((0, F(1, 2), 1), (3, -1, 2))
+EDGE_STEP = StepFunction.from_profile((0, F(1, 2), 1), (1, 5, 2), (4, 3))
+EDGE_INNERS = [PLFunction.identity(), PLFunction((0, 1), (1, 0)), PLFunction.constant(F(1, 2)),
+               PLFunction.constant(0),
+               PLFunction((0, F(1, 4), F(1, 2), F(3, 4), 1), (1, F(1, 2), F(1, 2), 0, 1))]
+STORED = (PLFunction((0, F(1, 3), 1), (2, -1, 5)),
+          StepFunction.from_profile((0, F(1, 2), 1), (1, 3, 2), (4, 2)),
+          PLFunction((0, F(1, 4), F(1, 2), 1), (F(1, 5), 1, F(1, 3), F(2, 3))))
+
+COMPOSITION_CASES = {
+    "pl-outer": Case(outers_and_inner(pl_functions(), st.none(), inner_functions), 200),
+    "step-outer": Case(outers_and_inner(st.none(), step_functions(), inner_functions), 200),
+    "both-outers": Case(outers_and_inner(pl_functions(), step_functions(), inner_functions), 60,
+                        examples=(*((EDGE_PL, EDGE_STEP, g) for g in EDGE_INNERS), STORED)),
+    "near-ties": Case(outers_and_inner(near_tie_pl_functions(), near_tie_step_functions(),
+                                       near_tie_inner_functions), 200, REORDERED),
+    "any-inner": Case(st.tuples(sweep_pl_functions, sweep_step_functions, st.one_of(
+        inner_functions(), near_tie_inner_functions(), sweep_pl_functions)), 150),
+}
+
+
+@pytest.mark.parametrize("case", COMPOSITION_CASES)
+def test_compositions(case):
+    COMPOSITION_CASES[case].run(check_compositions)
+
+
+def check_sums(mode, terms):
+    """``terms`` summed, against the reference and against each distinct
+    function once with its coefficients summed; step sums also with every
+    coefficient 1."""
+    coeffs, fns = [c for c, _ in terms], [f for _, f in terms]
+    steps = isinstance(fns[0], StepFunction)
+    combine = linear_combine_steps if steps else linear_combine
+    totals = {}
+    for c, f in terms:
+        totals[f] = totals.get(f, 0) + F(c)
+    with kernels_only():
+        out = combine(coeffs, fns)
+        grouped = combine(list(totals.values()), list(totals))
+        added = combine([1] * len(fns), fns) if steps else None
+    if steps:
+        ref = combine_steps(fns, lambda *vs: sum((F(c) * v for c, v in zip(coeffs, vs)), F(0)))
+        assert added == ref_add_steps(fns)
+    else:
+        ref = ref_linear_combine(coeffs, fns)
+    assert out == ref == grouped
+    assert out.to_json() == ref.to_json()
+    assert all(type(x) is F for x in public_values(out))
+
+
+@st.composite
+def cancelling_terms(draw, fns):
+    """Each drawn function twice, with opposite coefficients, in a drawn order: they sum to 0."""
+    fs = draw(st.lists(fns, min_size=1, max_size=8))
+    coeffs = draw(st.lists(sweep_coefficients, min_size=len(fs), max_size=len(fs)))
+    return draw(st.permutations([*zip(coeffs, fs), *((-F(c), f) for c, f in zip(coeffs, fs))]))
+
+
+@st.composite
+def repeated_terms(draw, fns):
+    """k copies of one function, each with its own coefficient."""
+    f, k = draw(fns), draw(st.integers(1, 16))
+    return [(c, f) for c in draw(st.lists(sweep_coefficients, min_size=k, max_size=k))]
+
+
+def terms_of(functions, coefficients=sweep_coefficients, max_size=16):
+    return st.lists(st.tuples(coefficients, functions), min_size=1, max_size=max_size)
+
+
+either_kind = st.sampled_from([sweep_pl_functions, sweep_step_functions])
+SUM_CASES = {
+    "steps": Case(st.tuples(terms_of(step_functions(), st.one_of(
+        st.integers(-3, 3), st.fractions(-3, 3, max_denominator=7)), max_size=4)), 150,
+        examples=(([(-2, StepFunction.from_profile((0, F(1, 3), 1), (F(1, 2), F(-3, 4), 2),
+                                                   (F(5, 4), 0))),
+                    (0, StepFunction.constant(F(7, 3))),
+                    (F(3, 4), StepFunction.from_profile((0, F(1, 2), 1), (0, F(1, 3), 1),
+                                                        (F(-1, 2), 3)))],),)),
+    "pl-sweep": Case(st.tuples(terms_of(sweep_pl_functions)), 80, examples=(
+        (list(zip(TIED_COEFFS, TIED_PLS)),), ([(1, STORED[0]), (F(1, 2), STORED[2])],),
+        (list(zip(BIG.coeffs, [BIG.pl, BIG.below])),),
+        ([(F(1, 2), BIG.pl), (-3, BIG.pl.scale(F(1, 3)))],))),
+    "step-sweep": Case(st.tuples(terms_of(sweep_step_functions)), 80, examples=(
+        (list(zip(TIED_COEFFS, TIED_STEPS)),), ([(2, BIG.step), (F(-1, 5), BIG.step.scale(3))],))),
+    "cancelling": Case(st.tuples(either_kind.flatmap(cancelling_terms)), 60),
+    "repeated": Case(st.tuples(either_kind.flatmap(repeated_terms)), 60),
+    "wide-pl": Case(st.tuples(st.lists(wide_pls, min_size=1, max_size=3).map(
+        lambda fns: [(F(k - 2, k + 1), f) for k, f in enumerate(fns)])), 60),
+}
+
+
+@pytest.mark.parametrize("case", SUM_CASES)
+def test_sums(case):
+    SUM_CASES[case].run(check_sums)
+
+
+def check_le_pointwise(mode, f, g, strict):
+    pairs = (f, g), (g, f), (f, f)
+    with kernels_only():
+        out = [le_pointwise(a, b, strict) for a, b in pairs]
+    if mode == REORDERED:
+        with fraction_ordered_kernels():
+            assert [le_pointwise(a, b, strict) for a, b in pairs] == out
+    else:
+        assert [ref_le_pointwise(a, b, strict) for a, b in pairs] == out
+
+
+LE_CASES = {
+    "wide": Case(st.tuples(wide_functions, wide_functions, st.booleans()), 120),
+    "near-ties": Case(st.tuples(near_tie_functions, near_tie_functions, st.booleans()), 150,
+                      REORDERED),
+    # below never exceeds the big step function, which fails below it at t = 0
+    "mixed": Case(st.tuples(mixed_functions, mixed_functions, st.booleans()), 200,
+                  examples=((BIG.below, BIG.step, False), (BIG.below, BIG.step, True))),
+    "pl-step": Case(st.tuples(pl_functions(), step_functions(), st.booleans()), 60),
+}
+
+
+@pytest.mark.parametrize("case", LE_CASES)
+def test_le_pointwise(case):
+    LE_CASES[case].run(check_le_pointwise)
+
+
+def _extremum_fields(e):
+    assert type(e.value) is F and type(e.at) is F
+    return e.value, e.at, e.side
+
+
+def check_extrema(mode, upper, lower, f, w, terms):
+    """``inf_difference`` of upper and lower both ways and of upper with
+    itself; ``weighted_sup_norm`` of f and -f over w; ``_weighted_sup_of_sum``
+    of ``terms`` over w, also with each term cancelled and with none, and
+    ``sup_distance`` of their first and last functions both ways and of the
+    first with itself.  A check whose arguments are None is skipped."""
+    if upper is not None:
+        pairs = (upper, lower), (lower, upper), (upper, upper)
+        with kernels_only():
+            out = [_extremum_fields(inf_difference(u, l)) for u, l in pairs]
+        assert out == [_extremum_fields(ref_inf_difference(u, l)) for u, l in pairs]
+        if mode == REORDERED:
+            with fraction_ordered_kernels():
+                assert [_extremum_fields(inf_difference(u, l)) for u, l in pairs] == out
+    if f is not None:
+        with kernels_only():
+            out = [_extremum_fields(weighted_sup_norm(h, w)) for h in (f, -f)]
+        assert out == [_extremum_fields(ref_weighted_sup_norm(f, w))] * 2
+    if terms is not None:
+        coeffs, fns = [c for c, _ in terms], [h for _, h in terms]
+        first, last = fns[0], fns[-1]
+        with kernels_only():
+            out = (_weighted_sup_of_sum(coeffs, fns, w),
+                   sup_distance(first, last), sup_distance(last, first), sup_distance(first, first))
+            cancelled = (_weighted_sup_of_sum([*coeffs, *(-F(c) for c in coeffs)], fns + fns, w),
+                         _weighted_sup_of_sum([], [], w))
+        # the values of the norms of the functions they do not build
+        distance = weighted_sup_norm(first - last, unit_weight()).value
+        assert out == (weighted_sup_norm(linear_combine(coeffs, fns), w).value,
+                       distance, distance, 0)
+        assert all(type(x) is F for x in out)
+        assert cancelled == (0, 0)
+
+
+def distance_args(f, g):
+    """The arguments that make ``check_extrema`` compare f and g."""
+    return None, None, None, unit_weight(), [(1, f), (-1, g)]
+
+
+# |h| / w peaks on the point 1/2 when w is light there, else as the
+# limit at 1/4 from the light cell before it; each sum below is h
+PEAK = PLFunction((0, F(1, 4), F(1, 2), 1), (0, 2, 3, 0))
+PEAK_SUMS = ([(1, PEAK)], [(F(1, 2), PEAK), (F(1, 2), PEAK)], [(3, PEAK), (2, -PEAK)])
+PEAK_WEIGHTS = [StepFunction.from_profile((0, F(1, 4), F(1, 2), 1), (9, 5, at_half, 9), (1, 6, 4))
+                for at_half in (1, 4)]
+
+EXTREMA_CASES = {
+    "near-ties": Case(st.tuples(near_tie_functions, near_tie_functions, near_tie_pl_functions(),
+                                near_tie_weights, st.none()), 200, REORDERED, examples=(
+        # |f| has equal limits on a cell where f is not constant
+        (PLFunction.identity(), PLFunction.identity(), PLFunction((0, 1), (-1, 1)),
+         StepFunction.from_profile((0, 1), (2, 2), (1,)), None),)),
+    "mixed": Case(st.tuples(mixed_functions, mixed_functions, st.one_of(
+        near_tie_pl_functions(), wide_pls), positive_weights, st.none()), 200,
+        examples=((BIG.step, BIG.below, BIG.pl, BIG.weight, None),)),
+    "pls-and-steps": Case(st.tuples(
+        st.lists(pl_functions(), min_size=1, max_size=3),
+        st.lists(step_functions(), min_size=1, max_size=3), step_functions(lo=F(1, 4), hi=3)).map(
+            lambda a: (a[0][-1], a[1][0], a[0][0], a[2], None)), 60),
+    "distance": Case(st.tuples(distance_pl_functions, distance_pl_functions).map(
+        lambda fg: distance_args(*fg)), 200, examples=(
+            distance_args(PLFunction.identity(), PLFunction.identity()),
+            # equal ends, a sign change
+            distance_args(PLFunction((0, 1), (-1, 1)), PLFunction.constant(0)))),
+    "weighted-sum": Case(st.tuples(st.none(), st.none(), st.none(), positive_weights,
+                                   terms_of(distance_pl_functions, max_size=8)), 150, examples=(
+        *((None, None, None, w, terms) for w in PEAK_WEIGHTS for terms in PEAK_SUMS),
+        (None, None, None, combine_steps([BIG.step], lambda v: v + 1), [(2, BIG.pl), (-1, BIG.g)]))),
+}
+
+
+@pytest.mark.parametrize("case", EXTREMA_CASES)
+def test_extrema(case):
+    EXTREMA_CASES[case].run(check_extrema)
+
+
+def counting(*names):
+    """A guard that counts the calls of Fraction's methods ``names``."""
+    def guard(mp):
+        calls = []
+        for name in names:
+            def counted(*args, orig=getattr(F, name), **kwargs):
+                calls.append(orig)
+                return orig(*args, **kwargs)
+            mp.setattr(F, name, staticmethod(counted) if name == "__new__" else counted)
+        # each counter sees what it counts
+        a, b = F(1, 2), F(1, 3)
+        assert a != b and a > b and a >= b and not a < b and not a <= b
+        assert {c.__name__ for c in calls} == set(names)
+        calls.clear()
+        return calls
+    return guard
+
+
+def refusing(*targets):
+    """A guard that refuses each ``(owner, name)``."""
+    def guard(mp):
+        for owner, name in targets:
+            mp.setattr(owner, name, _refuse)
+    return guard
+
+
+# name: (guard, the kernels on the tie-free functions, the counted calls they may make)
+PINS = {
+    "merged_points makes no Fraction order comparison": (
+        counting("__lt__", "__gt__", "__le__", "__ge__"),
+        lambda b: merged_points(b.pl, b.step, b.pl), 0),
+    "refine makes no Fraction comparison": (
+        counting("__eq__", "_richcmp"), lambda b: refine(b.pl, b.step), 0),
+    "refine, sums and a holding le_pointwise build no Fraction": (
+        counting("__new__"), lambda b: (
+            refine(b.pl, b.step), linear_combine(b.coeffs, [b.pl, b.below]),
+            le_pointwise(b.below, b.step), le_pointwise(b.below, b.step, strict=True)), 0),
+    "a failing le_pointwise builds its witness": (
+        counting("__new__"), lambda b: le_pointwise(b.step, b.below), 1),
+    "an extremum builds its value and point": (
+        counting("__new__"),
+        lambda b: (weighted_sup_norm(b.pl, b.weight), inf_difference(b.step, b.below)), 4),
+    "sums sample no function per point": (
+        refusing((pwcalc, "refine"), (pwcalc, "_walk_pl"), (pwcalc, "_walk_step")),
+        lambda b: (linear_combine(b.coeffs, [b.pl, b.g]), linear_combine_steps(b.coeffs, [
+            b.step, b.weight])), 0),
+    "sups build no function": (
+        refusing((pwcalc, "linear_combine"), (pwcalc, "weighted_sup_norm"),
+                 (PLFunction, "_from_kernel")),
+        lambda b: (sup_distance(b.pl, b.g), _weighted_sup_of_sum([2, -1], [b.pl, b.g], b.weight)),
+        0),
+    "combine_steps evaluates no function per point": (
+        refusing((PLFunction, "eval"), (StepFunction, "eval")),
+        lambda b: combine_steps([b.step, b.weight], lambda *vs: max(vs)), 0),
+}
+
+
+@pytest.mark.parametrize("name", PINS)
+def test_structural_pins(name, monkeypatch):
+    guard, run, allowed = PINS[name]
+    expected = run(BIG)
+    calls = guard(monkeypatch)
+    out = run(BIG)
+    assert calls is None or len(calls) == allowed
+    monkeypatch.undo()
+    assert out == expected

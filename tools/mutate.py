@@ -1,0 +1,107 @@
+"""Mutation run over the exact kernels of ``ctrace.pwcalc``: each mutant swaps
+one operator (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``+``
+and ``-``) in a function of ``src/ctrace/pwcalc.py`` from ``_merge`` on, and
+is killed when ``tests/test_pwcalc.py`` fails on it.  The tests run in a
+temporary copy of ``src/``, ``tests/`` and ``pyproject.toml``, never in the
+checkout, once the unmutated module as ``ast.unparse`` writes it has passed.
+Prints each outcome, the kill rate, the surviving sites and the wall time.
+Not part of the test suite or CI: a run takes an hour or more.
+
+    python tools/mutate.py
+"""
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULE = Path("src", "ctrace", "pwcalc.py")
+PYTEST = [sys.executable, "-m", "pytest", "tests/test_pwcalc.py", "-x", "-q",
+          "-p", "no:cacheprovider", "--hypothesis-seed=0"]
+SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
+           ast.Eq: "==", ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-"}
+PAIRS = [(ast.Lt, ast.LtE), (ast.Gt, ast.GtE), (ast.Eq, ast.NotEq), (ast.Add, ast.Sub)]
+SWAPS = {**dict(PAIRS), **{b: a for a, b in PAIRS}}
+
+
+def sites(tree: ast.Module) -> list:
+    """``(node, i)`` for each swappable operator from ``_merge`` on, in source
+    order; ``i`` picks a comparison's operator, None a binary operation's."""
+    start = next(node.lineno for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_merge")
+    found = []
+    for node in ast.walk(tree):
+        if getattr(node, "lineno", 0) < start:
+            continue
+        if isinstance(node, ast.Compare):
+            found += [(node, i) for i, op in enumerate(node.ops) if type(op) in SWAPS]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
+            found.append((node, None))
+    return sorted(found, key=lambda s: (s[0].lineno, s[0].col_offset, s[1] or 0))
+
+
+def swap(node, i) -> str:
+    """Swap the operator at a site in place, so a second swap restores it."""
+    old = node.op if i is None else node.ops[i]
+    new = SWAPS[type(old)]()
+    if i is None:
+        node.op = new
+    else:
+        node.ops[i] = new
+    return f"{SYMBOLS[type(old)]} -> {SYMBOLS[type(new)]}"
+
+
+def passes(work: Path) -> tuple:
+    """Whether the tests pass in ``work``, and the seconds they took."""
+    # a fresh example database each run, so no mutant replays another's failure
+    shutil.rmtree(work / ".hypothesis", ignore_errors=True)
+    start = time.perf_counter()
+    try:
+        code = subprocess.run(PYTEST, cwd=work, env=dict(os.environ, PYTHONPATH=str(work / "src")),
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              timeout=600).returncode
+    except subprocess.TimeoutExpired:  # a mutant that loops counts as killed
+        code = None
+    return code == 0, time.perf_counter() - start
+
+
+def main() -> int:
+    began = time.perf_counter()
+    source = (ROOT / MODULE).read_text()
+    tree, lines = ast.parse(source), source.splitlines()
+    targets = sites(tree)
+    with tempfile.TemporaryDirectory(prefix="ctrace-mutate-") as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part)
+        shutil.copy(ROOT / "pyproject.toml", work)
+        (work / MODULE).write_text(ast.unparse(tree))
+        passed, seconds = passes(work)
+        if not passed:
+            print("tests/test_pwcalc.py fails on the unmutated module as ast.unparse writes it")
+            return 1
+        print(f"unmutated: passed in {seconds:.0f} s; {len(targets)} mutants", flush=True)
+        survivors = []
+        for k, (node, i) in enumerate(targets, 1):
+            site = f"{MODULE}:{node.lineno}:{node.col_offset} {swap(node, i)}"
+            (work / MODULE).write_text(ast.unparse(tree))
+            swap(node, i)
+            survived, seconds = passes(work)
+            if survived:
+                survivors.append(f"{site}    {lines[node.lineno - 1].strip()}")
+            print(f"[{k}/{len(targets)}] {site} {'SURVIVED' if survived else 'killed'}"
+                  f" ({seconds:.0f} s)", flush=True)
+    killed = len(targets) - len(survivors)
+    print(f"killed {killed} of {len(targets)} mutants ({100 * killed / len(targets):.1f}%)")
+    print("surviving sites:" if survivors else "no mutant survived", *survivors, sep="\n  ")
+    print(f"wall time: {time.perf_counter() - began:.0f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
