@@ -492,12 +492,6 @@ def ref_le_pointwise(f, g, strict=False):
     return LeResult(True, None)
 
 
-def ref_apply_difference(p, q, f) -> PLFunction:
-    from ctrace.patterns import apply_pattern
-
-    return apply_pattern(p, f) - apply_pattern(q, f)
-
-
 def ref_perturb_pattern(d_a, f_prime, pattern, d_b, delta, test_elements,
                         eps, w_dom, w_cod):
     """Every eigenfunction perturbed and certified at its own index.
@@ -507,7 +501,7 @@ def ref_perturb_pattern(d_a, f_prime, pattern, d_b, delta, test_elements,
     """
     from ctrace import existence as ex
     from ctrace.errors import Infeasible, PreconditionFailed
-    from ctrace.patterns import EigenPattern, check_compat, push_dimension
+    from ctrace.patterns import EigenPattern, apply_pattern, check_compat, push_dimension
     from ctrace.pwcalc import compose_pl, compose_step_pl, le_pointwise, \
         unit_weight, weighted_sup_norm
 
@@ -533,7 +527,7 @@ def ref_perturb_pattern(d_a, f_prime, pattern, d_b, delta, test_elements,
         raise Infeasible("pushed dimension function exceeds d_B", witness=below.witness)
     element_facts = []
     for a in test_elements:
-        diff = ref_apply_difference(pattern, perturbed, a)
+        diff = apply_pattern(pattern, a) - apply_pattern(perturbed, a)
         dev = weighted_sup_norm(diff, w_cod).value
         bound = eps * weighted_sup_norm(a, w_dom).value
         if dev > bound:
@@ -550,7 +544,7 @@ def ref_perturb_pattern(d_a, f_prime, pattern, d_b, delta, test_elements,
 def ref_verify_certificate(cert):
     """Every fact re-derived at its own index, deviations in three refinements."""
     from ctrace.existence import CertificateCheck, CheckItem
-    from ctrace.patterns import push_dimension
+    from ctrace.patterns import apply_pattern, push_dimension
     from ctrace.pwcalc import compose_pl, compose_step_pl, le_pointwise, \
         unit_weight, weighted_sup_norm
 
@@ -581,7 +575,7 @@ def ref_verify_certificate(cert):
     add("pushed_below_target", below.holds, "" if below else f"witness {below.witness}")
     add("element_count_matches", len(cert.element_facts) == len(cert.test_elements))
     for j, a in enumerate(cert.test_elements):
-        diff = ref_apply_difference(cert.original, cert.perturbed, a)
+        diff = apply_pattern(cert.original, a) - apply_pattern(cert.perturbed, a)
         dev = weighted_sup_norm(diff, cert.w_cod).value
         bound = cert.eps * weighted_sup_norm(a, cert.w_dom).value
         fact = cert.element_facts[j] if j < len(cert.element_facts) else None

@@ -16,7 +16,6 @@ from ctrace.existence import (
     choose_delta,
     make_underapprox,
     perturb_pattern,
-    pinched_dimension_function,
     reproduce_counterexample,
     verify_certificate,
 )

@@ -31,10 +31,6 @@ def run(capsys, args, payload=None, tmp_path=None):
     return code, out.out, out.err
 
 
-def pl_json(f):
-    return f.to_json()
-
-
 def pinched_gap_payload(m=6):
     return {
         "pattern": EigenPattern.identities(m).to_json(),

@@ -18,7 +18,7 @@ from ctrace.existence import (
     squash_map,
     verify_certificate,
 )
-from ctrace.patterns import EigenPattern, apply_pattern, push_dimension
+from ctrace.patterns import EigenPattern, push_dimension
 from ctrace.pwcalc import (
     Interval,
     PLFunction,

@@ -282,31 +282,45 @@ positive_steps = st.one_of(step_functions(lo=F(1, 4), hi=3), near_tie_step_funct
     values=st.sampled_from([F(1), F(2), F(1, 2), F(1, 2) + F(1, 10**30)])))
 
 
+@st.composite
+def overlapping_patterns(draw):
+    """``(p, q, a)``: q shares some eigenfunctions with p, with other counts."""
+    a = draw(pl_functions())
+    p = draw(repeated_patterns(a.breakpoints))
+    shared = draw(st.lists(st.sampled_from(p.eigenfunctions), max_size=4))
+    other = draw(repeated_patterns(a.breakpoints)).eigenfunctions
+    return p, EigenPattern(draw(st.permutations(shared + list(other)))), a
+
+
 class TestDeviation:
     """``deviation`` reads the weighted sup of p(a) - q(a) off the sweep
     that sums it: the value of the norm of the difference of the two
     ``apply_pattern`` sums, which it does not build, with the refusals that
     norm made."""
 
+    LAM, MU = PLFunction.identity(), PLFunction.constant(F(1, 3))
+    A = PLFunction((0, F(1, 2), 1), (3, -1, 2))
+    W = StepFunction.from_profile((0, F(1, 3), 1), (2, F(1, 2), 3), (1, 4))
+
     @staticmethod
-    def check(p, q, a, w_dom, w_cod):
+    def check(p, q, a, w_dom, w_cod, apply=apply_pattern):
         for x, y in ((p, q), (q, p), (p, p)):
             out = deviation(x, y, a, w_dom, w_cod)
-            diff = apply_pattern(x, a) - apply_pattern(y, a)
+            diff = apply(x, a) - apply(y, a)
             assert out == (weighted_sup_norm(diff, w_cod).value,
                            weighted_sup_norm(a, w_dom).value)
             assert all(type(v) is F for v in out)
 
-    @given(st.data())
+    @given(overlapping_patterns(), positive_steps, positive_steps)
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_norm_of_the_difference(self, data):
-        a = data.draw(pl_functions())
-        p = data.draw(repeated_patterns(a.breakpoints))
-        # q shares some eigenfunctions with p, with other counts
-        shared = data.draw(st.lists(st.sampled_from(p.eigenfunctions), max_size=4))
-        other = data.draw(repeated_patterns(a.breakpoints)).eigenfunctions
-        q = EigenPattern(data.draw(st.permutations(shared + list(other))))
-        self.check(p, q, a, data.draw(positive_steps), data.draw(positive_steps))
+    def test_matches_the_norm_of_the_difference(self, pqa, w_dom, w_cod):
+        self.check(*pqa, w_dom, w_cod)
+
+    @given(overlapping_patterns(), positive_steps)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_index_reference(self, pqa, w_cod):
+        # each copy of an eigenfunction composed and summed on its own
+        self.check(*pqa, unit_weight(), w_cod, ref_apply_pattern)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -317,21 +331,33 @@ class TestDeviation:
         p, q = EigenPattern(tuple(data.draw(lams))), EigenPattern(tuple(data.draw(lams)))
         self.check(p, q, a, data.draw(positive_steps), w_cod)
 
-    def test_counts_that_cancel(self):
-        lam, mu = PLFunction.identity(), PLFunction.constant(F(1, 3))
-        a = PLFunction((0, F(1, 2), 1), (3, -1, 2))
-        w = StepFunction.from_profile((0, F(1, 3), 1), (2, F(1, 2), 3), (1, 4))
-        p, q = EigenPattern((lam, mu, lam)), EigenPattern((mu, lam, lam))
-        assert deviation(p, q, a, w, w) == (0, 3)
+    def test_equal_patterns_give_zero(self):
+        lam, mu, a, w = self.LAM, self.MU, self.A, self.W
+        assert deviation(EigenPattern((lam, mu, lam)), EigenPattern((mu, lam, lam)), a, w, w) == (0, 3)
         assert deviation(EigenPattern((mu,)), EigenPattern((mu,)), a, w, w) == (0, 3)
+
+    def test_counts_that_cancel(self):
+        lam, mu, a, w = self.LAM, self.MU, self.A, self.W
         # lam cancels, mu's counts differ: |a(1/3)| = 1/3 over the least weight 1/2
         p = EigenPattern((lam, mu, mu))
         assert deviation(p, EigenPattern((lam, mu)), a, w, w) == (F(2, 3), 3)
-        self.check(p, q, a, w, unit_weight())
+        self.check(p, EigenPattern((mu, lam, lam)), a, w, unit_weight())
+
+    def test_cancelled_terms_are_not_composed(self, monkeypatch):
+        from ctrace import patterns
+
+        composed, real = [], patterns.compose_pl
+        monkeypatch.setattr(patterns, "compose_pl", lambda f, g: composed.append(g) or real(f, g))
+        lam, mu, w = self.LAM, self.MU, StepFunction.constant(2)
+        nu = PLFunction((0, 1), (F(1, 4), F(3, 4)))
+        # nu's counts cancel; mu(a) - lam(a) = a(1/3) - a is at most 8/3 in size
+        assert deviation(EigenPattern((lam, mu, nu, mu)), EigenPattern((mu, nu, lam, lam)),
+                         self.A, w, w) == (F(4, 3), F(3, 2))
+        assert composed == [lam, mu]
 
     @pytest.mark.parametrize("cancel", [True, False])
     def test_refusals_of_the_weight(self, cancel):
-        lam, mu = PLFunction.identity(), PLFunction.constant(F(1, 3))
+        lam, mu = self.LAM, self.MU
         p, q = EigenPattern((lam, mu)), EigenPattern((mu, lam) if cancel else (mu, mu))
         a = PLFunction.identity()
         for w_cod, kind, message in ((StepFunction.constant(0), ValueError,
@@ -345,21 +371,18 @@ class TestDeviation:
     def test_builds_no_difference(self, monkeypatch):
         from ctrace import patterns, pwcalc
 
-        lam, mu = PLFunction.identity(), PLFunction((0, 1), (F(1, 4), F(3, 4)))
-        nu = PLFunction.constant(F(1, 3))
-        # nu's counts cancel, so it is not composed
-        p, q = EigenPattern((lam, mu, nu, mu)), EigenPattern((mu, nu, lam, lam))
-        a, w = PLFunction((0, F(1, 2), 1), (3, -1, 2)), StepFunction.constant(2)
+        lam, mu = self.LAM, PLFunction((0, 1), (F(1, 4), F(3, 4)))
+        p, q = EigenPattern((lam, mu, mu)), EigenPattern((mu, lam, lam))
+        a, w = self.A, StepFunction.constant(2)
         expected = deviation(p, q, a, w, w)
-        norms, composed = [], []
-        real, compose = patterns.weighted_sup_norm, patterns.compose_pl
+        norms = []
+        real = patterns.weighted_sup_norm
         monkeypatch.setattr(patterns, "weighted_sup_norm",
                             lambda f, w: norms.append(f) or real(f, w))
-        monkeypatch.setattr(patterns, "compose_pl", lambda f, g: composed.append(g) or compose(f, g))
         for module in (patterns, pwcalc):
             monkeypatch.setattr(module, "linear_combine", _no_combination)
         assert deviation(p, q, a, w, w) == expected
-        assert norms == [a] and composed == [lam, mu]
+        assert norms == [a]
 
 
 def _no_combination(*args):

@@ -890,18 +890,23 @@ class TestKeyedRangeCheck:
 # refused and compares them with the ``ref_*`` functions of ``helpers`` or,
 # in ``REORDERED`` mode, with themselves on ``fraction_ordered_kernels()``.
 # Its cases are the strategies it draws from, each with its example count
-# and explicit examples.
+# and explicit examples, and sets of explicit examples of their own.
 
 REF, REORDERED = "ref", "fraction-ordered"
 
 
 class Case(NamedTuple):
-    args: st.SearchStrategy  # draws the check's arguments, as a tuple
+    args: st.SearchStrategy | None  # draws the check's arguments, as a tuple
     max_examples: int
     mode: str = REF
     examples: tuple = ()  # argument tuples tried before any drawn one
 
     def run(self, check):
+        if self.args is None:
+            for args in self.examples:
+                check(self.mode, *args)
+            return
+
         # no example database: the cases of a family share one test function
         @settings(max_examples=self.max_examples, deadline=None, database=None)
         @given(self.args)
@@ -911,6 +916,10 @@ class Case(NamedTuple):
         for args in self.examples:
             test = example(args)(test)
         test()
+
+
+def examples_only(*examples):
+    return Case(None, 0, examples=examples)
 
 
 def _refuse(*args):
@@ -1068,8 +1077,9 @@ STORED = (PLFunction((0, F(1, 3), 1), (2, -1, 5)),
 COMPOSITION_CASES = {
     "pl-outer": Case(outers_and_inner(pl_functions(), st.none(), inner_functions), 200),
     "step-outer": Case(outers_and_inner(st.none(), step_functions(), inner_functions), 200),
-    "both-outers": Case(outers_and_inner(pl_functions(), step_functions(), inner_functions), 60,
-                        examples=(*((EDGE_PL, EDGE_STEP, g) for g in EDGE_INNERS), STORED)),
+    "both-outers": Case(outers_and_inner(pl_functions(), step_functions(), inner_functions), 60),
+    **{f"edge-inner-g{i}": examples_only((EDGE_PL, EDGE_STEP, g)) for i, g in enumerate(EDGE_INNERS)},
+    "stored-fractions": examples_only(STORED),
     "near-ties": Case(outers_and_inner(near_tie_pl_functions(), near_tie_step_functions(),
                                        near_tie_inner_functions), 200, REORDERED),
     "any-inner": Case(st.tuples(sweep_pl_functions, sweep_step_functions, st.one_of(
@@ -1135,11 +1145,12 @@ SUM_CASES = {
                     (F(3, 4), StepFunction.from_profile((0, F(1, 2), 1), (0, F(1, 3), 1),
                                                         (F(-1, 2), 3)))],),)),
     "pl-sweep": Case(st.tuples(terms_of(sweep_pl_functions)), 80, examples=(
-        (list(zip(TIED_COEFFS, TIED_PLS)),), ([(1, STORED[0]), (F(1, 2), STORED[2])],),
+        ([(1, STORED[0]), (F(1, 2), STORED[2])],),
         (list(zip(BIG.coeffs, [BIG.pl, BIG.below])),),
         ([(F(1, 2), BIG.pl), (-3, BIG.pl.scale(F(1, 3)))],))),
     "step-sweep": Case(st.tuples(terms_of(sweep_step_functions)), 80, examples=(
-        (list(zip(TIED_COEFFS, TIED_STEPS)),), ([(2, BIG.step), (F(-1, 5), BIG.step.scale(3))],))),
+        ([(2, BIG.step), (F(-1, 5), BIG.step.scale(3))],),)),
+    "shared-floats": examples_only(*((list(zip(TIED_COEFFS, fns)),) for fns in (TIED_PLS, TIED_STEPS))),
     "cancelling": Case(st.tuples(either_kind.flatmap(cancelling_terms)), 60),
     "repeated": Case(st.tuples(either_kind.flatmap(repeated_terms)), 60),
     "wide-pl": Case(st.tuples(st.lists(wide_pls, min_size=1, max_size=3).map(
@@ -1227,8 +1238,8 @@ def distance_args(f, g):
 # limit at 1/4 from the light cell before it; each sum below is h
 PEAK = PLFunction((0, F(1, 4), F(1, 2), 1), (0, 2, 3, 0))
 PEAK_SUMS = ([(1, PEAK)], [(F(1, 2), PEAK), (F(1, 2), PEAK)], [(3, PEAK), (2, -PEAK)])
-PEAK_WEIGHTS = [StepFunction.from_profile((0, F(1, 4), F(1, 2), 1), (9, 5, at_half, 9), (1, 6, 4))
-                for at_half in (1, 4)]
+PEAK_WEIGHTS = {name: StepFunction.from_profile((0, F(1, 4), F(1, 2), 1), (9, 5, at_half, 9), (1, 6, 4))
+                for name, at_half in (("peak-on-the-point", 1), ("peak-as-a-limit", 4))}
 
 EXTREMA_CASES = {
     "near-ties": Case(st.tuples(near_tie_functions, near_tie_functions, near_tie_pl_functions(),
@@ -1250,8 +1261,9 @@ EXTREMA_CASES = {
             distance_args(PLFunction((0, 1), (-1, 1)), PLFunction.constant(0)))),
     "weighted-sum": Case(st.tuples(st.none(), st.none(), st.none(), positive_weights,
                                    terms_of(distance_pl_functions, max_size=8)), 150, examples=(
-        *((None, None, None, w, terms) for w in PEAK_WEIGHTS for terms in PEAK_SUMS),
-        (None, None, None, combine_steps([BIG.step], lambda v: v + 1), [(2, BIG.pl), (-1, BIG.g)]))),
+        (None, None, None, combine_steps([BIG.step], lambda v: v + 1), [(2, BIG.pl), (-1, BIG.g)]),)),
+    **{name: examples_only(*((None, None, None, w, terms) for terms in PEAK_SUMS))
+       for name, w in PEAK_WEIGHTS.items()},
 }
 
 
