@@ -59,12 +59,14 @@ class EigenPattern(Record):
         for f in fns:
             if not isinstance(f, PLFunction):
                 raise TypeError("eigenfunctions must be piecewise linear")
-            if not f.into_unit_interval():
-                raise ValueError("eigenfunctions must map [0,1] into [0,1]")
-        object.__setattr__(self, "eigenfunctions", fns)
         # not a field, so never a JSON key: each distinct eigenfunction, in
         # first-seen order, with its count; read it, do not change it
-        object.__setattr__(self, "counts", Counter(fns))
+        counts = Counter(fns)
+        # copies of one function are range-checked once
+        if not all(f.into_unit_interval() for f in counts):
+            raise ValueError("eigenfunctions must map [0,1] into [0,1]")
+        object.__setattr__(self, "eigenfunctions", fns)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def multiplicity(self) -> int:

@@ -8,11 +8,14 @@ Floats appear only as order keys with an exact fallback on ties.
 Operations are pure and return canonical representations:
 collinear interior breakpoints and equal-valued adjacent step pieces are
 always merged, so ``==`` between two values is equality as functions on
-[0,1].  A step function is stored as its profile: its values at its
-breakpoints and on the open cells between them, so an isolated point
-value differing from both one-sided limits is just a point value.  Its
-pieces, with open/closed endpoint flags and degenerate single-point
-pieces, are the form used for JSON and witnesses.
+[0,1].  The constructors and ``from_profile`` canonicalize what they are
+given by scanning every point; the compositions and ``linear_combine``
+emit canonical terms themselves, testing for a lost bend only at the few
+points where one can occur.  A step function is stored as its profile:
+its values at its breakpoints and on the open cells between them, so an
+isolated point value differing from both one-sided limits is just a
+point value.  Its pieces, with open/closed endpoint flags and degenerate
+single-point pieces, are the form used for JSON and witnesses.
 
 Comparisons at open endpoints use one-sided limits; a supremum that is
 approached but not attained is reported with a limit flag pointing at
@@ -28,6 +31,7 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence, Union
 
 ZERO = Fraction(0)
@@ -234,7 +238,9 @@ class _Stored:
     """A function stored as reduced pairs: ``_stored`` names the attributes
     holding the terms of the dataclass fields ``_public``, whose tuples of
     Fractions are built on first read.  Equality, the hash and ``eval``
-    read the terms, so they build no such tuple."""
+    read the terms, so they build no such tuple.  ``_store`` canonicalizes
+    constructor and profile input; a kernel whose terms are canonical by
+    construction stores them through ``_from_canonical``."""
 
     _public: tuple
     _stored: tuple
@@ -253,6 +259,13 @@ class _Stored:
         """Build from a valid profile of reduced pairs a kernel made."""
         self = object.__new__(cls)
         self._store(*terms)
+        return self
+
+    @classmethod
+    def _from_canonical(cls, *terms):
+        """Build from canonical terms of reduced pairs a kernel made, as they are."""
+        self = object.__new__(cls)
+        vars(self).update(zip(cls._stored, map(tuple, terms)))
         return self
 
     def __eq__(self, other):
@@ -842,11 +855,11 @@ def _plus(x: tuple, n: int, d: int) -> tuple:
     return n // g, d // g
 
 
-def _weighted_sums(coeffs: Sequence, fns: Sequence, cells: bool = False) -> tuple:
-    """``_merge(*fns)``'s points and sum(c_i * f_i) at each of them, then on
-    each cell after them when ``cells``, in one sweep that changes only at
-    events: at f_i's own points, c_i times the change of its slope, or of
-    its value to the point and to the cell after.  Sums are reduced as made."""
+def _sum_events(coeffs: Sequence, fns: Sequence, cells: bool) -> tuple:
+    """``_merge(*fns)``'s points, the value at 0 of sum(c_i * f_i) over PL
+    f_i, and the events where the sum changes, by position: at f_i's own
+    points, c_i times the change of its slope or, when ``cells``, of its
+    value to the point and to the cell after.  Sums are reduced as made."""
     if not coeffs or not fns:
         raise ValueError("empty linear combination")
     if len(coeffs) != len(fns):
@@ -875,30 +888,37 @@ def _weighted_sums(coeffs: Sequence, fns: Sequence, cells: bool = False) -> tupl
             change = n * sd - sn * d, d * sd
             events[j] = _plus(events[j], *change) if j in events else change
             sn, sd = n, d
-    if cells:
-        point, cell, no_change = [], [], ((0, 1), (0, 1))
-        for j in range(len(pts)):
-            at, after = events.get(j, no_change)
-            point.append(_plus(value, *at) if at[0] else value)
-            value = _plus(value, *after) if after[0] else value
-            cell.append(value)
-        return pts, point + cell[:-1]
+    return pts, value, events
+
+
+def _weighted_sums(coeffs: Sequence, fns: Sequence) -> tuple:
+    """``_merge(*fns)``'s points, sum(c_i * f_i) at each of them over PL
+    f_i, and the positions its canonical form keeps: the two ends and each
+    point where the summed slope changes.  One sweep changes the slope
+    only at the events of :func:`_sum_events`."""
+    pts, value, events = _sum_events(coeffs, fns, cells=False)
     # the value moves by the summed slope times the length of each cell
-    out, (sn, sd) = [value], (0, 1)
+    out, (sn, sd), kept = [value], (0, 1), [0]
     for j, ((an, ad), (bn, bd)) in enumerate(zip(pts, pts[1:])):
-        if j in events:
-            sn, sd = _plus((sn, sd), *events[j])
+        change = events.get(j)
+        if change and change[0]:
+            sn, sd = _plus((sn, sd), *change)
+            if j:
+                kept.append(j)
         if sn:
             value = _plus(value, sn * (bn * ad - an * bd), sd * ad * bd)
         out.append(value)
-    return pts, out
+    kept.append(len(pts) - 1)
+    return pts, out, kept
 
 
 def linear_combine(coeffs: Sequence, fns: Sequence[PLFunction]) -> PLFunction:
     """Exact pointwise linear combination sum(c_i * f_i)."""
     if not all(isinstance(f, PLFunction) for f in fns):
         raise TypeError("linear_combine combines piecewise-linear functions")
-    return PLFunction._from_kernel(*_weighted_sums(coeffs, fns))
+    pts, sums, kept = _weighted_sums(coeffs, fns)
+    pick = itemgetter(*kept)  # kept holds both ends, so pick gives tuples
+    return PLFunction._from_canonical(pick(pts), pick(sums))
 
 
 def _weighted_sup_of_sum(coeffs: Sequence, fns: Sequence[PLFunction], w: StepFunction) -> Fraction:
@@ -909,7 +929,7 @@ def _weighted_sup_of_sum(coeffs: Sequence, fns: Sequence[PLFunction], w: StepFun
     both ends of each cell over the cell's weight."""
     ensure_positive_weight(w)
     # w, with coefficient 0, adds its points and no events
-    pts, sums = _weighted_sums([*coeffs, 0], [*fns, w])
+    pts, sums, _ = _weighted_sums([*coeffs, 0], [*fns, w])
     own = set(w._pts)
     at, cells = _walk_step(w._vals, w._opens, [i for i, t in enumerate(pts) if t in own])
     return _largest((abs(hn) * wd, hd * wn) for (hn, hd), (wn, wd) in chain(
@@ -920,8 +940,14 @@ def linear_combine_steps(coeffs: Sequence, steps: Sequence[StepFunction]) -> Ste
     """Exact pointwise linear combination sum(c_i * s_i) of step functions."""
     if not all(isinstance(s, StepFunction) for s in steps):
         raise TypeError("linear_combine_steps combines step functions")
-    pts, sums = _weighted_sums(coeffs, steps, cells=True)
-    return StepFunction._from_kernel(pts, sums[:len(pts)], sums[len(pts):])
+    pts, _, events = _sum_events(coeffs, steps, cells=True)
+    point, cell, no_change, value = [], [], ((0, 1), (0, 1)), (0, 1)
+    for j in range(len(pts)):
+        at, after = events.get(j, no_change)
+        point.append(_plus(value, *at) if at[0] else value)
+        value = _plus(value, *after) if after[0] else value
+        cell.append(value)
+    return StepFunction._from_kernel(pts, point, cell[:-1])
 
 
 def _preimage_refinement(g: PLFunction, targets: Sequence) -> tuple:
@@ -1013,7 +1039,12 @@ def compose_pl(f: PLFunction, g: PLFunction) -> PLFunction:
             out.append((n // k, d // k))
         else:
             out.append(vals[i])
-    return PLFunction._from_kernel(pts, out)
+    # f's slopes differ at a preimage inside a segment of g, whose slope is
+    # not 0 there: only g's own interior points may be no bend of f(g)
+    lost = [k for k in _positions(pts, g._pts[1:-1]) if _collinear(pts, out, k)]
+    for k in reversed(lost):
+        del pts[k], out[k]
+    return PLFunction._from_canonical(pts, out)
 
 
 def compose_step_pl(d: StepFunction, g: PLFunction) -> StepFunction:
@@ -1028,7 +1059,32 @@ def compose_step_pl(d: StepFunction, g: PLFunction) -> StepFunction:
     # d's value on each slot: point values on even slots, cells on odd ones
     by_slot = [None] * (2 * len(d._pts) - 1)
     by_slot[::2], by_slot[1::2] = d._vals, d._opens
-    return StepFunction._from_kernel(pts, [by_slot[s] for s in at], [by_slot[c] for c in cells])
+    vals, opens = [by_slot[s] for s in at], [by_slot[c] for c in cells]
+    # a preimage inside a segment of g is an interior point of d, which d
+    # keeps: only g's own interior points may change nothing
+    lost = [k for k in _positions(pts, g._pts[1:-1]) if opens[k - 1] == vals[k] == opens[k]]
+    for k in reversed(lost):
+        del pts[k], vals[k], opens[k]
+    return StepFunction._from_canonical(pts, vals, opens)
+
+
+def _positions(pts: list, points: Sequence) -> Iterable:
+    """The positions in ``pts`` of ``points``, interior points of ``pts``
+    in increasing order."""
+    k = 0
+    for t in points:
+        k = pts.index(t, k)
+        yield k
+
+
+def _collinear(pts: list, vals: list, k: int) -> bool:
+    """Whether the PL function through ``pts``, ``vals`` has equal slopes on
+    either side of the interior position ``k``, by cross-multiplying."""
+    (an, ad), (bn, bd), (cn, cd) = pts[k - 1:k + 2]
+    (un, ud), (vn, vd), (wn, wd) = vals[k - 1:k + 2]
+    # (v - u) / (b - a) == (w - v) / (c - b), cross-multiplied, less the common factor bd * vd
+    return ((vn * ud - un * vd) * ad * wd * (cn * bd - bn * cd)
+            == (wn * vd - vn * wd) * cd * ud * (bn * ad - an * bd))
 
 
 def combine_steps(steps: Sequence[StepFunction],

@@ -477,7 +477,7 @@ def ref_pl_canonical(bps, vals) -> tuple:
 
 
 def ref_le_pointwise(f, g, strict=False):
-    from ctrace.pwcalc import LeResult, _violation_point
+    from ctrace.pwcalc import LeResult
 
     pts, ((f_at, f_above, f_below), (g_at, g_above, g_below)) = ref_refine(f, g)
     for t, fv, gv in zip(pts, f_at, g_at):
@@ -488,8 +488,19 @@ def ref_le_pointwise(f, g, strict=False):
         hA, hB = fa - ga, fb - gb
         ok = hA <= 0 and hB <= 0 and not (strict and hA == 0 and hB == 0)
         if not ok:
-            return LeResult(False, _violation_point(a, b, hA, hB, strict))
+            return LeResult(False, _ref_violation_point(a, b, hA, hB))
     return LeResult(True, None)
+
+
+def _ref_violation_point(a, b, hA, hB):
+    """The midpoint of the part of the open cell (a, b) where the linear h
+    with limits hA, hB is > 0, or of the whole cell when h is 0 on it
+    (failing a strict order)."""
+    if hA == hB or (hA > 0 and hB > 0):
+        return (a + b) / 2
+    root = (a * hB - b * hA) / (hB - hA)  # where the line through (a, hA), (b, hB) is 0
+    lo, hi = (a, root) if hA > 0 else (root, b)
+    return (lo + hi) / 2
 
 
 def ref_perturb_pattern(d_a, f_prime, pattern, d_b, delta, test_elements,

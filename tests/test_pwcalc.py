@@ -45,6 +45,7 @@ from helpers import (
     NEAR_TIES,
     as_fractions,
     as_pairs,
+    cut_points,
     fraction_ordered_kernels,
     inner_functions,
     interval_contains,
@@ -834,8 +835,9 @@ class TestCompositionIdentityProperties:
                 other = inner if outer == identity else outer
                 assert compose_pl(outer, inner) is other
             assert compose_step_pl(d, identity) is d
+            # rand_pl draws values >= -2, so f + 4 >= 2 leaves [0,1] whatever f is
             with pytest.raises(ValueError, match=r"inner function must map \[0,1\] into \[0,1\]"):
-                compose_pl(identity, f.shift(3))
+                compose_pl(identity, f.shift(4))
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
@@ -880,6 +882,42 @@ class TestKeyedRangeCheck:
         assert [h.to_json() for h in out] == [h.to_json() for h in ref]
         with fraction_ordered_kernels():
             assert (compose_pl(self.f, g), compose_step_pl(self.d, g)) == out
+
+
+class TestLostBends:
+    """The kernels test for a vanished bend only where one can occur; each
+    case here has points that only that test drops."""
+
+    def test_compose_pl_drops_the_inner_points_where_f_is_flat(self):
+        f = PLFunction((0, F(1, 4), F(3, 4), 1), (1, 0, 0, 1))
+        # rises through 1/4, zigzags on f's flat cell, rises through 3/4
+        g = PLFunction((0, F(1, 5), F(2, 5), F(3, 5), F(4, 5), 1),
+                       (0, F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1))
+        out = compose_pl(f, g)
+        pts, g_vals, _, _ = ref_preimage_refinement(g, f.breakpoints)
+        assert len(pts) == 8
+        assert (out.breakpoints, out.values) == ref_pl_canonical(pts, [f.eval(y) for y in g_vals])
+        assert out == ref_compose_pl(f, g) == PLFunction((0, F(1, 10), F(9, 10), 1), (1, 0, 0, 1))
+        assert len(out.breakpoints) == 4
+
+    def test_compose_step_pl_drops_the_inner_points_inside_a_cell(self):
+        d = StepFunction.from_profile((0, F(1, 2), 1), (1, 2, 3), (1, 3))
+        # g's points 1/3 and 2/3 map inside d's cell (0, 1/2)
+        g = PLFunction((0, F(1, 3), F(2, 3), 1), (0, F(1, 4), F(1, 8), 1))
+        out = compose_step_pl(d, g)
+        assert len(ref_preimage_refinement(g, d.points)[0]) == 5
+        assert out == ref_compose_step_pl(d, g) == StepFunction.from_profile(
+            (0, F(17, 21), 1), (1, 2, 3), (1, 3))
+        assert len(out.points) == 3
+
+    def test_linear_combine_drops_the_points_of_a_cancelled_function(self):
+        f = PLFunction((0, F(1, 3), F(2, 3), 1), (0, 1, -1, 2))
+        h = PLFunction((0, F(1, 2), 1), (0, 1, 0))
+        coeffs, fns = [F(3, 2), 1, F(-3, 2)], [f, h, f]
+        out = linear_combine(coeffs, fns)
+        assert len(merged_points(*fns)[0]) == 5
+        assert out == ref_linear_combine(coeffs, fns) == h
+        assert len(out.breakpoints) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -939,6 +977,21 @@ def kernels_only():
 def public_values(h) -> list:
     """Every coordinate a caller reads of a function."""
     return [x for name in h._public for x in getattr(h, name)]
+
+
+def recanonicalized(h):
+    """h's stored terms stored again through the constructor that scans
+    every point for a lost bend: equal to h exactly when h is canonical."""
+    return type(h)._from_kernel(*(vars(h)[name] for name in h._stored))
+
+
+@st.composite
+def flat_pl_functions(draw):
+    """PL functions on three values, so often constant on a cell."""
+    pts = draw(cut_points())
+    vals = draw(st.lists(st.sampled_from([F(0), F(1, 2), F(1)]),
+                         min_size=len(pts), max_size=len(pts)))
+    return PLFunction(tuple(pts), tuple(vals))
 
 
 sweep_coefficients = st.one_of(st.just(0), st.integers(-3, 3), wide_fractions)
@@ -1047,6 +1100,7 @@ def check_compositions(mode, f, d, g):
     assert out == ref
     assert [h.to_json() for h in out] == [h.to_json() for h in ref]
     assert all(type(x) is F for h in out for x in public_values(h))
+    assert all(h == recanonicalized(h) for h in out)
     if mode == REORDERED:
         for targets in (f.breakpoints, d.points):
             pts, g_vals, at, cells = _preimage_refinement(g, as_pairs(targets))
@@ -1084,6 +1138,8 @@ COMPOSITION_CASES = {
                                        near_tie_inner_functions), 200, REORDERED),
     "any-inner": Case(st.tuples(sweep_pl_functions, sweep_step_functions, st.one_of(
         inner_functions(), near_tie_inner_functions(), sweep_pl_functions)), 150),
+    # f flat where g bends, g bending inside a cell of d
+    "lost-bends": Case(outers_and_inner(flat_pl_functions(), step_functions(), inner_functions), 150),
 }
 
 
@@ -1113,6 +1169,7 @@ def check_sums(mode, terms):
         ref = ref_linear_combine(coeffs, fns)
     assert out == ref == grouped
     assert out.to_json() == ref.to_json()
+    assert out == recanonicalized(out) and grouped == recanonicalized(grouped)
     assert all(type(x) is F for x in public_values(out))
 
 
@@ -1155,6 +1212,10 @@ SUM_CASES = {
     "repeated": Case(st.tuples(either_kind.flatmap(repeated_terms)), 60),
     "wide-pl": Case(st.tuples(st.lists(wide_pls, min_size=1, max_size=3).map(
         lambda fns: [(F(k - 2, k + 1), f) for k, f in enumerate(fns)])), 60),
+    # c f + k h - c f: f's points that are not h's are no bends
+    "lost-bends": Case(st.tuples(st.tuples(
+        sweep_coefficients, sweep_pl_functions, sweep_pl_functions, st.integers(-2, 2)).map(
+            lambda a: [(a[0], a[1]), (a[3], a[2]), (-F(a[0]), a[1])])), 80),
 }
 
 
@@ -1167,6 +1228,11 @@ def check_le_pointwise(mode, f, g, strict):
     pairs = (f, g), (g, f), (f, f)
     with kernels_only():
         out = [le_pointwise(a, b, strict) for a, b in pairs]
+    for (a, b), res in zip(pairs, out):
+        if not res:
+            # the witness violates the order
+            lhs, rhs = a.eval(res.witness), b.eval(res.witness)
+            assert lhs > rhs or (strict and lhs == rhs)
     if mode == REORDERED:
         with fraction_ordered_kernels():
             assert [le_pointwise(a, b, strict) for a, b in pairs] == out
@@ -1181,7 +1247,10 @@ LE_CASES = {
     # below never exceeds the big step function, which fails below it at t = 0
     "mixed": Case(st.tuples(mixed_functions, mixed_functions, st.booleans()), 200,
                   examples=((BIG.below, BIG.step, False), (BIG.below, BIG.step, True))),
-    "pl-step": Case(st.tuples(pl_functions(), step_functions(), st.booleans()), 60),
+    # the step function rises above the PL one only inside the cell (1/2, 1), away from 0
+    "pl-step": Case(st.tuples(pl_functions(), step_functions(), st.booleans()), 60, examples=tuple(
+        (PLFunction((0, 1), (0, F(3, 2))), StepFunction.from_profile((0, F(1, 2), 1), (-1, 0, 0), (0, 1)),
+         strict) for strict in (False, True))),
 }
 
 
@@ -1320,7 +1389,7 @@ PINS = {
             b.step, b.weight])), 0),
     "sups build no function": (
         refusing((pwcalc, "linear_combine"), (pwcalc, "weighted_sup_norm"),
-                 (PLFunction, "_from_kernel")),
+                 (PLFunction, "_from_kernel"), (PLFunction, "_from_canonical")),
         lambda b: (sup_distance(b.pl, b.g), _weighted_sup_of_sum([2, -1], [b.pl, b.g], b.weight)),
         0),
     "combine_steps evaluates no function per point": (

@@ -5,11 +5,14 @@ is killed when ``tests/test_pwcalc.py`` fails on it.  The tests run in a
 temporary copy of ``src/``, ``tests/`` and ``pyproject.toml``, never in the
 checkout, once the unmutated module as ``ast.unparse`` writes it has passed.
 Prints each outcome, the kill rate, the surviving sites and the wall time.
-Not part of the test suite or CI: a run takes an hour or more.
+Not part of the test suite or CI: a run takes an hour or more.  ``--only``
+mutates just the named functions, so a run over a few kernels takes minutes.
 
     python tools/mutate.py
+    python tools/mutate.py --only compose_pl,_violation_point
 """
 
+import argparse
 import ast
 import os
 import shutil
@@ -29,15 +32,21 @@ PAIRS = [(ast.Lt, ast.LtE), (ast.Gt, ast.GtE), (ast.Eq, ast.NotEq), (ast.Add, as
 SWAPS = {**dict(PAIRS), **{b: a for a, b in PAIRS}}
 
 
-def sites(tree: ast.Module) -> list:
-    """``(node, i)`` for each swappable operator from ``_merge`` on, in source
-    order; ``i`` picks a comparison's operator, None a binary operation's."""
-    start = next(node.lineno for node in tree.body
-                 if isinstance(node, ast.FunctionDef) and node.name == "_merge")
+def sites(tree: ast.Module, only: set = frozenset()) -> list:
+    """``(node, i)`` for each swappable operator in the functions named
+    ``only``, or else in every function from ``_merge`` on, in source order;
+    ``i`` picks a comparison's operator, None a binary operation's."""
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    if only:
+        scopes = [node for node in functions if node.name in only]
+        missing = only - {node.name for node in scopes}
+        if missing:
+            raise SystemExit(f"no function {', '.join(sorted(missing))} in {MODULE}")
+    else:
+        start = next(node.lineno for node in functions if node.name == "_merge")
+        scopes = [node for node in tree.body if node.lineno >= start]
     found = []
-    for node in ast.walk(tree):
-        if getattr(node, "lineno", 0) < start:
-            continue
+    for node in (node for scope in scopes for node in ast.walk(scope)):
         if isinstance(node, ast.Compare):
             found += [(node, i) for i, op in enumerate(node.ops) if type(op) in SWAPS]
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
@@ -71,10 +80,14 @@ def passes(work: Path) -> tuple:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Mutation run over src/ctrace/pwcalc.py.")
+    parser.add_argument("--only", metavar="NAME[,NAME...]", default="",
+                        help="mutate only these module-level functions")
+    only = set(filter(None, parser.parse_args().only.split(",")))
     began = time.perf_counter()
     source = (ROOT / MODULE).read_text()
     tree, lines = ast.parse(source), source.splitlines()
-    targets = sites(tree)
+    targets = sites(tree, only)
     with tempfile.TemporaryDirectory(prefix="ctrace-mutate-") as tmp:
         work = Path(tmp)
         for part in ("src", "tests"):
