@@ -8,14 +8,15 @@ Floats appear only as order keys with an exact fallback on ties.
 Operations are pure and return canonical representations:
 collinear interior breakpoints and equal-valued adjacent step pieces are
 always merged, so ``==`` between two values is equality as functions on
-[0,1].  The constructors and ``from_profile`` canonicalize what they are
-given by scanning every point; the compositions and ``linear_combine``
-emit canonical terms themselves, testing for a lost bend only at the few
-points where one can occur.  A step function is stored as its profile:
-its values at its breakpoints and on the open cells between them, so an
-isolated point value differing from both one-sided limits is just a
-point value.  Its pieces, with open/closed endpoint flags and degenerate
-single-point pieces, are the form used for JSON and witnesses.
+[0,1].  One rule says who canonicalizes: outside input (the constructors,
+``from_profile``, JSON) and ``combine_steps``, whose ``op`` is arbitrary,
+are scanned point by point; every other kernel builds canonical terms
+from the positions its refinement already holds.  A step function is
+stored as its profile: its values at its breakpoints and on the open
+cells between them, so an isolated point value differing from both
+one-sided limits is just a point value.  Its pieces, with open/closed
+endpoint flags and degenerate single-point pieces, are the form used for
+JSON and witnesses.
 
 Comparisons at open endpoints use one-sided limits; a supremum that is
 approached but not attained is reported with a limit flag pointing at
@@ -239,8 +240,8 @@ class _Stored:
     holding the terms of the dataclass fields ``_public``, whose tuples of
     Fractions are built on first read.  Equality, the hash and ``eval``
     read the terms, so they build no such tuple.  ``_store`` canonicalizes
-    constructor and profile input; a kernel whose terms are canonical by
-    construction stores them through ``_from_canonical``."""
+    outside input and the output of ``combine_steps``; every other kernel
+    builds canonical terms and stores them through ``_from_canonical``."""
 
     _public: tuple
     _stored: tuple
@@ -253,13 +254,6 @@ class _Stored:
             raise AttributeError(name) from None
         vars(self)[name] = out = tuple(Fraction(n, d) for n, d in terms)
         return out
-
-    @classmethod
-    def _from_kernel(cls, *terms):
-        """Build from a valid profile of reduced pairs a kernel made."""
-        self = object.__new__(cls)
-        self._store(*terms)
-        return self
 
     @classmethod
     def _from_canonical(cls, *terms):
@@ -333,11 +327,10 @@ class StepFunction(_Stored):
                 open_values.append(value)
                 if hi_closed:
                     point_values.append(value)
-        self._store(points, point_values, open_values)
-        return self
+        return self._store(points, point_values, open_values)
 
-    def _store(self, points, point_values, open_values) -> None:
-        """Store a valid profile of reduced pairs in canonical form."""
+    def _store(self, points, point_values, open_values) -> "StepFunction":
+        """Store a valid profile of reduced pairs in canonical form; returns ``self``."""
         pts, vals, opens = [points[0]], [point_values[0]], []
         for t, v, cell in zip(points[1:], point_values[1:], open_values):
             if opens and opens[-1] == vals[-1] == cell:
@@ -349,6 +342,7 @@ class StepFunction(_Stored):
             pts.append(t)
             vals.append(v)
         vars(self).update(_pts=tuple(pts), _vals=tuple(vals), _opens=tuple(opens))
+        return self
 
     @classmethod
     def constant(cls, v) -> "StepFunction":
@@ -371,7 +365,7 @@ class StepFunction(_Stored):
             pts.append(t)
             vals.append(v)
             opens.append(cell)
-        return cls._from_kernel(pts, vals, opens)
+        return object.__new__(cls)._store(pts, vals, opens)
 
     def _runs(self):
         """The maximal constant intervals, in order, as (lo, hi, lo_closed,
@@ -856,10 +850,11 @@ def _plus(x: tuple, n: int, d: int) -> tuple:
 
 
 def _sum_events(coeffs: Sequence, fns: Sequence, cells: bool) -> tuple:
-    """``_merge(*fns)``'s points, the value at 0 of sum(c_i * f_i) over PL
-    f_i, and the events where the sum changes, by position: at f_i's own
-    points, c_i times the change of its slope or, when ``cells``, of its
-    value to the point and to the cell after.  Sums are reduced as made."""
+    """``_merge(*fns)``'s points and positions, the value at 0 of sum(c_i *
+    f_i) over PL f_i, and the events where the sum changes, by position:
+    at f_i's own points, c_i times the change of its slope or, when
+    ``cells``, of its value to the point and to the cell after.  Sums are
+    reduced as made."""
     if not coeffs or not fns:
         raise ValueError("empty linear combination")
     if len(coeffs) != len(fns):
@@ -888,15 +883,15 @@ def _sum_events(coeffs: Sequence, fns: Sequence, cells: bool) -> tuple:
             change = n * sd - sn * d, d * sd
             events[j] = _plus(events[j], *change) if j in events else change
             sn, sd = n, d
-    return pts, value, events
+    return pts, own, value, events
 
 
 def _weighted_sums(coeffs: Sequence, fns: Sequence) -> tuple:
-    """``_merge(*fns)``'s points, sum(c_i * f_i) at each of them over PL
-    f_i, and the positions its canonical form keeps: the two ends and each
-    point where the summed slope changes.  One sweep changes the slope
-    only at the events of :func:`_sum_events`."""
-    pts, value, events = _sum_events(coeffs, fns, cells=False)
+    """``_merge(*fns)``'s points and positions, sum(c_i * f_i) at each
+    point over PL f_i, and the positions its canonical form keeps: the two
+    ends and each point where the summed slope changes.  One sweep changes
+    the slope only at the events of :func:`_sum_events`."""
+    pts, own, value, events = _sum_events(coeffs, fns, cells=False)
     # the value moves by the summed slope times the length of each cell
     out, (sn, sd), kept = [value], (0, 1), [0]
     for j, ((an, ad), (bn, bd)) in enumerate(zip(pts, pts[1:])):
@@ -909,14 +904,14 @@ def _weighted_sums(coeffs: Sequence, fns: Sequence) -> tuple:
             value = _plus(value, sn * (bn * ad - an * bd), sd * ad * bd)
         out.append(value)
     kept.append(len(pts) - 1)
-    return pts, out, kept
+    return pts, own, out, kept
 
 
 def linear_combine(coeffs: Sequence, fns: Sequence[PLFunction]) -> PLFunction:
     """Exact pointwise linear combination sum(c_i * f_i)."""
     if not all(isinstance(f, PLFunction) for f in fns):
         raise TypeError("linear_combine combines piecewise-linear functions")
-    pts, sums, kept = _weighted_sums(coeffs, fns)
+    pts, _, sums, kept = _weighted_sums(coeffs, fns)
     pick = itemgetter(*kept)  # kept holds both ends, so pick gives tuples
     return PLFunction._from_canonical(pick(pts), pick(sums))
 
@@ -929,9 +924,8 @@ def _weighted_sup_of_sum(coeffs: Sequence, fns: Sequence[PLFunction], w: StepFun
     both ends of each cell over the cell's weight."""
     ensure_positive_weight(w)
     # w, with coefficient 0, adds its points and no events
-    pts, sums, _ = _weighted_sums([*coeffs, 0], [*fns, w])
-    own = set(w._pts)
-    at, cells = _walk_step(w._vals, w._opens, [i for i, t in enumerate(pts) if t in own])
+    _, own, sums, _ = _weighted_sums([*coeffs, 0], [*fns, w])
+    at, cells = _walk_step(w._vals, w._opens, own[-1])
     return _largest((abs(hn) * wd, hd * wn) for (hn, hd), (wn, wd) in chain(
         zip(sums, at), zip(sums, cells), zip(sums[1:], cells)))
 
@@ -940,14 +934,19 @@ def linear_combine_steps(coeffs: Sequence, steps: Sequence[StepFunction]) -> Ste
     """Exact pointwise linear combination sum(c_i * s_i) of step functions."""
     if not all(isinstance(s, StepFunction) for s in steps):
         raise TypeError("linear_combine_steps combines step functions")
-    pts, _, events = _sum_events(coeffs, steps, cells=True)
-    point, cell, no_change, value = [], [], ((0, 1), (0, 1)), (0, 1)
-    for j in range(len(pts)):
+    pts, _, _, events = _sum_events(coeffs, steps, cells=True)
+    last, no_change = len(pts) - 1, ((0, 1), (0, 1))
+    kept, point, cell, value = [], [], [], (0, 1)
+    for j, t in enumerate(pts):
         at, after = events.get(j, no_change)
-        point.append(_plus(value, *at) if at[0] else value)
-        value = _plus(value, *after) if after[0] else value
-        cell.append(value)
-    return StepFunction._from_kernel(pts, point, cell[:-1])
+        # a point changes nothing exactly when neither its value nor the
+        # cell after it moves the running sum, whose reduced terms are kept
+        if at[0] or after[0] or not 0 < j < last:
+            kept.append(t)
+            point.append(_plus(value, *at) if at[0] else value)
+            value = _plus(value, *after) if after[0] else value
+            cell.append(value)
+    return StepFunction._from_canonical(kept, point, cell[:-1])
 
 
 def _preimage_refinement(g: PLFunction, targets: Sequence) -> tuple:
@@ -956,8 +955,9 @@ def _preimage_refinement(g: PLFunction, targets: Sequence) -> tuple:
     Points and values are reduced pairs, ``targets`` strictly increasing
     from 0 to 1.  A value is placed by its slot: slot 2i is ``targets[i]``
     and slot 2i+1 the open gap after it.  Returns ``(pts, g_vals, at,
-    cells)``: ``g_vals[k]`` is g's value at ``pts[k]`` and ``at[k]`` its
-    slot, and ``cells[k]`` the slot of the open cell after ``pts[k]``.  One
+    cells, own)``: ``g_vals[k]`` is g's value at ``pts[k]`` and ``at[k]``
+    its slot, ``cells[k]`` the slot of the open cell after ``pts[k]``, and
+    ``own`` the positions of g's interior breakpoints in ``pts``.  One
     bisect over the targets' floats places each value of g, which also
     checks that g maps into [0,1]; a segment's preimages are the targets
     strictly between its two end slots, emitted in t-order.
@@ -979,8 +979,9 @@ def _preimage_refinement(g: PLFunction, targets: Sequence) -> tuple:
             raise ValueError("inner function must map [0,1] into [0,1]")
         slots.append(s)
     bps, ys = g._pts, g._vals
-    pts, g_vals, at, cells = [], [], [], []
+    pts, g_vals, at, cells, own = [], [], [], [], []
     for t0, t1, y0, y1, s0, s1 in zip(bps, bps[1:], ys, ys[1:], slots, slots[1:]):
+        own.append(len(pts))
         pts.append(t0)
         g_vals.append(y0)
         at.append(s0)
@@ -1010,7 +1011,8 @@ def _preimage_refinement(g: PLFunction, targets: Sequence) -> tuple:
     pts.append((1, 1))
     g_vals.append(ys[-1])
     at.append(slots[-1])
-    return pts, g_vals, at, cells
+    # the first position is 0's
+    return pts, g_vals, at, cells, own[1:]
 
 
 def compose_pl(f: PLFunction, g: PLFunction) -> PLFunction:
@@ -1026,7 +1028,7 @@ def compose_pl(f: PLFunction, g: PLFunction) -> PLFunction:
         return g
     if g._vals == _ENDS == g._pts:
         return f
-    pts, g_vals, at, _ = _preimage_refinement(g, f._pts)
+    pts, g_vals, at, _, own = _preimage_refinement(g, f._pts)
     bps, vals = f._pts, f._vals
     out = []
     for (p, q), s in zip(g_vals, at):
@@ -1041,7 +1043,7 @@ def compose_pl(f: PLFunction, g: PLFunction) -> PLFunction:
             out.append(vals[i])
     # f's slopes differ at a preimage inside a segment of g, whose slope is
     # not 0 there: only g's own interior points may be no bend of f(g)
-    lost = [k for k in _positions(pts, g._pts[1:-1]) if _collinear(pts, out, k)]
+    lost = [k for k in own if _collinear(pts, out, k)]
     for k in reversed(lost):
         del pts[k], out[k]
     return PLFunction._from_canonical(pts, out)
@@ -1055,26 +1057,17 @@ def compose_step_pl(d: StepFunction, g: PLFunction) -> StepFunction:
     """
     if g._vals == _ENDS == g._pts:
         return d
-    pts, _, at, cells = _preimage_refinement(g, d._pts)
+    pts, _, at, cells, own = _preimage_refinement(g, d._pts)
     # d's value on each slot: point values on even slots, cells on odd ones
     by_slot = [None] * (2 * len(d._pts) - 1)
     by_slot[::2], by_slot[1::2] = d._vals, d._opens
     vals, opens = [by_slot[s] for s in at], [by_slot[c] for c in cells]
     # a preimage inside a segment of g is an interior point of d, which d
     # keeps: only g's own interior points may change nothing
-    lost = [k for k in _positions(pts, g._pts[1:-1]) if opens[k - 1] == vals[k] == opens[k]]
+    lost = [k for k in own if opens[k - 1] == vals[k] == opens[k]]
     for k in reversed(lost):
         del pts[k], vals[k], opens[k]
     return StepFunction._from_canonical(pts, vals, opens)
-
-
-def _positions(pts: list, points: Sequence) -> Iterable:
-    """The positions in ``pts`` of ``points``, interior points of ``pts``
-    in increasing order."""
-    k = 0
-    for t in points:
-        k = pts.index(t, k)
-        yield k
 
 
 def _collinear(pts: list, vals: list, k: int) -> bool:
@@ -1095,9 +1088,6 @@ def combine_steps(steps: Sequence[StepFunction],
     pts, own = _merge(*steps)
     walks = [_walk_step(s.point_values, s.open_values, pos) for s, pos in zip(steps, own)]
     at, on_cells = zip(*(at for at, _ in walks)), zip(*(cells for _, cells in walks))
-    return StepFunction._from_kernel(pts, [_reduced(op(*vs)) for vs in at],
-                                     [_reduced(op(*vs)) for vs in on_cells])
-
-
-def unit_weight() -> StepFunction:
-    return StepFunction.constant(1)
+    # op is arbitrary, so its output is scanned
+    return object.__new__(StepFunction)._store(pts, [_reduced(op(*vs)) for vs in at],
+                                               [_reduced(op(*vs)) for vs in on_cells])

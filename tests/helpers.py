@@ -305,10 +305,11 @@ def ref_refine(*fns) -> tuple:
 
 
 def ref_preimage_refinement(g: PLFunction, targets) -> tuple:
-    """``(pts, g_vals, at, cells)`` as ``_preimage_refinement`` gives them:
-    every target checked against every segment, and each slot (2i on
+    """``(pts, g_vals, at, cells, own)`` as ``_preimage_refinement`` gives
+    them: every target checked against every segment, each slot (2i on
     ``targets[i]``, 2i+1 inside the gap after it) found by Fraction
-    bisects, for a cell at the value of its midpoint."""
+    bisects, for a cell at the value of its midpoint, and each interior
+    breakpoint of g looked up in the sorted points."""
     if min(g.values) < 0 or max(g.values) > 1:
         raise ValueError("inner function must map [0,1] into [0,1]")
     values = dict(zip(g.breakpoints, g.values))
@@ -329,16 +330,16 @@ def ref_preimage_refinement(g: PLFunction, targets) -> tuple:
 
     at = [slot(y) for y in g_vals]
     cells = [slot((ya + yb) / 2) for ya, yb in zip(g_vals, g_vals[1:])]
-    return pts, g_vals, at, cells
+    return pts, g_vals, at, cells, [pts.index(t) for t in bps[1:-1]]
 
 
 def ref_compose_pl(f: PLFunction, g: PLFunction) -> PLFunction:
-    pts, g_vals, _, _ = ref_preimage_refinement(g, f.breakpoints)
+    pts, g_vals, *_ = ref_preimage_refinement(g, f.breakpoints)
     return PLFunction(tuple(pts), tuple(f.eval(y) for y in g_vals))
 
 
 def ref_compose_step_pl(d: StepFunction, g: PLFunction) -> StepFunction:
-    pts, g_vals, _, _ = ref_preimage_refinement(g, d.points)
+    pts, g_vals, *_ = ref_preimage_refinement(g, d.points)
     point_vals = [d.eval(y) for y in g_vals]
     open_vals = [d.eval((ya + yb) / 2) for ya, yb in zip(g_vals, g_vals[1:])]
     return StepFunction.from_profile(pts, point_vals, open_vals)
@@ -513,8 +514,7 @@ def ref_perturb_pattern(d_a, f_prime, pattern, d_b, delta, test_elements,
     from ctrace import existence as ex
     from ctrace.errors import Infeasible, PreconditionFailed
     from ctrace.patterns import EigenPattern, apply_pattern, check_compat, push_dimension
-    from ctrace.pwcalc import compose_pl, compose_step_pl, le_pointwise, \
-        unit_weight, weighted_sup_norm
+    from ctrace.pwcalc import compose_pl, compose_step_pl, le_pointwise, weighted_sup_norm
 
     if f_prime != ex.make_underapprox(d_a, delta):
         raise PreconditionFailed("f_prime is not the canonical under-approximation")
@@ -526,7 +526,7 @@ def ref_perturb_pattern(d_a, f_prime, pattern, d_b, delta, test_elements,
     perturbed = EigenPattern(tuple(compose_pl(sigma, lam) for lam in pattern.eigenfunctions))
     eigen_facts = []
     for lam, lam_hat in zip(pattern.eigenfunctions, perturbed.eigenfunctions):
-        dist = weighted_sup_norm(lam_hat - lam, unit_weight()).value
+        dist = weighted_sup_norm(lam_hat - lam, StepFunction.constant(1)).value
         dom = le_pointwise(compose_step_pl(d_a, lam_hat), compose_pl(f_prime, lam))
         if not dom:
             raise Infeasible("perturbed eigenfunction escapes the under-approximation",
@@ -556,8 +556,7 @@ def ref_verify_certificate(cert):
     """Every fact re-derived at its own index, deviations in three refinements."""
     from ctrace.existence import CertificateCheck, CheckItem
     from ctrace.patterns import apply_pattern, push_dimension
-    from ctrace.pwcalc import compose_pl, compose_step_pl, le_pointwise, \
-        unit_weight, weighted_sup_norm
+    from ctrace.pwcalc import compose_pl, compose_step_pl, le_pointwise, weighted_sup_norm
 
     items = []
 
@@ -573,7 +572,7 @@ def ref_verify_certificate(cert):
     if cert.original.multiplicity == cert.perturbed.multiplicity:
         pairs = zip(cert.original.eigenfunctions, cert.perturbed.eigenfunctions)
         for i, (lam, lam_hat) in enumerate(pairs):
-            dist = weighted_sup_norm(lam_hat - lam, unit_weight()).value
+            dist = weighted_sup_norm(lam_hat - lam, StepFunction.constant(1)).value
             fact = cert.eigen_facts[i] if i < len(cert.eigen_facts) else None
             add(f"eigen_distance[{i}]",
                 fact is not None and dist == fact.sup_distance and dist <= 2 * cert.delta,
@@ -919,8 +918,8 @@ def fraction_ordered_kernels():
         return as_pairs(pts), own
 
     def preimages(g, targets):
-        pts, g_vals, at, cells = ref_preimage_refinement(g, as_fractions(targets))
-        return as_pairs(pts), as_pairs(g_vals), at, cells
+        pts, g_vals, at, cells, own = ref_preimage_refinement(g, as_fractions(targets))
+        return as_pairs(pts), as_pairs(g_vals), at, cells, own
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pwcalc, "_merge", counted(merge))

@@ -46,7 +46,6 @@ from ctrace.pwcalc import (
     StepFunction,
     combine_steps,
     le_pointwise,
-    unit_weight,
     weighted_sup_norm,
 )
 from ctrace.unitary import patch_at_singularity, validate_unitary_path
@@ -117,7 +116,7 @@ def _random_perturbation_instance(rng):
         pattern = rand_pattern(rng, max_m=m)
         gap = rng.randint(1, 3)
         d_b = combine_steps([push_dimension(pattern, d_a)], lambda v: v + gap)
-        w_dom = unit_weight()
+        w_dom = StepFunction.constant(1)
         w_cod = push_dimension(pattern, w_dom)
         return d_a, f_prime, pattern, d_b, delta, eps, w_dom, w_cod
 
@@ -125,7 +124,7 @@ def _random_perturbation_instance(rng):
 def test_criterion_2_existence_certificates():
     start = time.monotonic()
     rng = random.Random(20240901)
-    one = unit_weight()
+    one = StepFunction.constant(1)
     for _ in range(500):
         d_a, f_prime, pattern, d_b, delta, eps, w_dom, w_cod = (
             _random_perturbation_instance(rng)
@@ -162,7 +161,7 @@ def test_criterion_2_existence_certificates():
 
 
 def test_criterion_3_norm_chain_bound():
-    one = unit_weight()
+    one = StepFunction.constant(1)
     checked = 0
     # Lipschitz-1 elements of unit sup norm, as in the identity setting
     lipschitz_one = [

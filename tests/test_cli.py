@@ -15,7 +15,7 @@ import pytest
 from ctrace.cli import BAD_INPUT, INFEASIBLE, MAX_BINS, MAX_NESTED_SETS, REFUTED, main
 from ctrace.existence import make_underapprox, pinched_dimension_function
 from ctrace.patterns import EigenPattern, push_dimension
-from ctrace.pwcalc import PLFunction, StepFunction, unit_weight
+from ctrace.pwcalc import PLFunction, StepFunction
 from ctrace.unitary import IsometryPath
 from test_cli_fuzz import PAYLOADS
 
@@ -48,8 +48,8 @@ def infeasible_payload(m=6):
         "delta": [1, 16],
         "eps": [1, 2],
         "test_elements": [PLFunction.identity().to_json()],
-        "w_dom": unit_weight().to_json(),
-        "w_cod": push_dimension(pattern, unit_weight()).to_json(),
+        "w_dom": StepFunction.constant(1).to_json(),
+        "w_cod": push_dimension(pattern, StepFunction.constant(1)).to_json(),
     }
 
 
@@ -63,8 +63,8 @@ def jump_perturb_payload(**fields):
         "delta": [1, 8],
         "eps": [1, 1],
         "test_elements": [PLFunction.identity().to_json()],
-        "w_dom": unit_weight().to_json(),
-        "w_cod": unit_weight().to_json(),
+        "w_dom": StepFunction.constant(1).to_json(),
+        "w_cod": StepFunction.constant(1).to_json(),
     }, **fields)
 
 
@@ -319,8 +319,8 @@ class TestSubcommands:
             "delta": [1, 16],
             "eps": [2, 1],
             "test_elements": [PLFunction.identity().to_json()],
-            "w_dom": unit_weight().to_json(),
-            "w_cod": push_dimension(pattern, unit_weight()).to_json(),
+            "w_dom": StepFunction.constant(1).to_json(),
+            "w_cod": push_dimension(pattern, StepFunction.constant(1)).to_json(),
         }
         code, out, _ = run(capsys, ["exist", "perturb"], payload, tmp_path)
         assert code == 0
@@ -823,7 +823,7 @@ class TestWorkLimits:
             if sub == "density":
                 return {"pattern": pattern, "d": d, "delta": [1, d]}
             return {"phi": pattern, "psi": pattern, "d": d, "delta": [1, d],
-                    "w_dom": unit_weight().to_json(), "w_cod": unit_weight().to_json()}
+                    "w_dom": StepFunction.constant(1).to_json(), "w_cod": StepFunction.constant(1).to_json()}
 
         code, out, _ = run(capsys, ["pattern", sub], payload(MAX_BINS), tmp_path)
         assert code == 1 and json.loads(out)["holds"] is False
@@ -843,7 +843,7 @@ _ONE_BIN = EigenPattern.identities(1).to_json()
 _RANGE = {"group": {"kind": "qZ", "q": [1, 1]}, "pairing": [[1, 1]],
           "f": [[5, 2]], "x": [2, 1]}
 _UNIQHYP = {"phi": _ONE_BIN, "psi": _ONE_BIN, "d": 1, "delta": [1, 2],
-            "w_dom": unit_weight().to_json(), "w_cod": unit_weight().to_json()}
+            "w_dom": StepFunction.constant(1).to_json(), "w_cod": StepFunction.constant(1).to_json()}
 
 
 class TestStrictJsonTypes:
@@ -975,7 +975,7 @@ class TestPayloadShapes:
         assert code == 1
         payload = {
             "phi": pattern, "psi": pattern, "d": 1, "delta": [1, 2],
-            "w_dom": unit_weight().to_json(), "w_cod": unit_weight().to_json(),
+            "w_dom": StepFunction.constant(1).to_json(), "w_cod": StepFunction.constant(1).to_json(),
         }
         code, out, _ = run(capsys, ["pattern", "uniqhyp"], payload, tmp_path)
         assert code == 0

@@ -28,7 +28,7 @@ from ctrace.cli import _HANDLERS, BAD_INPUT, main
 from ctrace.existence import make_underapprox, perturb_pattern, pinched_dimension_function
 from ctrace.invariant import AiVerdict
 from ctrace.patterns import EigenPattern, push_dimension
-from ctrace.pwcalc import PLFunction, StepFunction, combine_steps, json_form, unit_weight
+from ctrace.pwcalc import PLFunction, StepFunction, combine_steps, json_form
 from ctrace.unitary import IsometryPath, patch_at_singularity
 
 MAX_EXAMPLES = 30
@@ -42,9 +42,9 @@ def valid_payloads() -> dict:
     pattern = EigenPattern.identities(2)
     spread = EigenPattern((PLFunction.constant(F(1, 4)), PLFunction.constant(F(3, 4))))
     d_b = combine_steps([push_dimension(pattern, d)], lambda v: v + 1)
-    w_cod = push_dimension(pattern, unit_weight())
+    w_cod = push_dimension(pattern, StepFunction.constant(1))
     cert = perturb_pattern(d, make_underapprox(d, F(1, 16)), pattern, d_b, F(1, 16),
-                           [PLFunction.identity()], F(2), unit_weight(), w_cod)
+                           [PLFunction.identity()], F(2), StepFunction.constant(1), w_cod)
     e11 = np.array([[1, 0], [0, 0]], dtype=complex)
     ts = np.linspace(0, 1, 5)
     path = IsometryPath(ts, [e11 if t <= 0.5 else np.eye(2) for t in ts], 0.5, 1e-9, 1.0)
@@ -76,7 +76,7 @@ def valid_payloads() -> dict:
         ("exist", "perturb"): {
             "d_A": d.to_json(), "pattern": pattern.to_json(), "d_B": d_b.to_json(),
             "delta": [1, 16], "eps": [2, 1], "test_elements": [PLFunction.identity().to_json()],
-            "w_dom": unit_weight().to_json(), "w_cod": w_cod.to_json()},
+            "w_dom": StepFunction.constant(1).to_json(), "w_cod": w_cod.to_json()},
         ("exist", "verify"): cert.to_json(),
         ("invariant", "eval"): {"f": [[5, 2], "inf"], "s": [[1, 2], [1, 2]]},
         ("invariant", "range"): {"group": group, "f": [[5, 2], [9, 2]], "x": [1, 1]},

@@ -28,7 +28,6 @@ from ctrace.pwcalc import (
     compose_pl,
     compose_step_pl,
     le_pointwise,
-    unit_weight,
     weighted_sup_norm,
 )
 
@@ -61,8 +60,8 @@ def jump_up_instance(m=3, eps=F(1, 2)):
     delta = choose_delta(eps, m)
     f_prime = make_underapprox(d_a, delta)
     d_b = combine_steps([push_dimension(pattern, d_a)], lambda v: v + 1)
-    w_dom = unit_weight()
-    w_cod = push_dimension(pattern, unit_weight())
+    w_dom = StepFunction.constant(1)
+    w_cod = push_dimension(pattern, StepFunction.constant(1))
     return d_a, f_prime, pattern, d_b, delta, eps, w_dom, w_cod
 
 
@@ -161,7 +160,7 @@ class TestSquashMap:
         delta = F(1, 16)
         sigma = squash_map(jump_up_step(), delta)
         diff = sigma - PLFunction.identity()
-        assert weighted_sup_norm(diff, unit_weight()).value == 2 * delta
+        assert weighted_sup_norm(diff, StepFunction.constant(1)).value == 2 * delta
 
     def test_center_clamp_for_pinch(self):
         delta = F(1, 8)
@@ -170,7 +169,7 @@ class TestSquashMap:
         assert sigma.eval(F(1, 2)) == F(1, 2)
         assert sigma.eval(F(5, 8)) == F(1, 2)
         diff = sigma - PLFunction.identity()
-        assert weighted_sup_norm(diff, unit_weight()).value <= 2 * delta
+        assert weighted_sup_norm(diff, StepFunction.constant(1)).value <= 2 * delta
 
     @given(seeds)
     @settings(max_examples=60, deadline=None)
@@ -185,7 +184,7 @@ class TestSquashMap:
             return
         assert le_pointwise(compose_step_pl(d, sigma), f_prime)
         diff = sigma - PLFunction.identity()
-        assert weighted_sup_norm(diff, unit_weight()).value <= 2 * delta
+        assert weighted_sup_norm(diff, StepFunction.constant(1)).value <= 2 * delta
 
 
 def _profile(pts, vals, opens):
@@ -283,8 +282,8 @@ class TestPerturbPattern:
         f_prime = make_underapprox(d_a, delta)
         cert = perturb_pattern(
             d_a, f_prime, pattern, StepFunction.constant(4), delta,
-            [PLFunction.identity()], F(1, 2), unit_weight(),
-            push_dimension(pattern, unit_weight()),
+            [PLFunction.identity()], F(1, 2), StepFunction.constant(1),
+            push_dimension(pattern, StepFunction.constant(1)),
         )
         assert cert.perturbed == pattern
         assert all(f.sup_distance == 0 for f in cert.eigen_facts)
@@ -298,8 +297,8 @@ class TestPerturbPattern:
         with pytest.raises(Infeasible) as err:
             perturb_pattern(
                 d_a, f_prime, pattern, StepFunction.constant(2 * m - 1), delta,
-                [PLFunction.identity()], F(1, 2), unit_weight(),
-                push_dimension(pattern, unit_weight()),
+                [PLFunction.identity()], F(1, 2), StepFunction.constant(1),
+                push_dimension(pattern, StepFunction.constant(1)),
             )
         assert err.value.witness == 0
 
@@ -308,7 +307,7 @@ class TestPerturbPattern:
         delta = F(1, 8)
         args = (d_a, make_underapprox(d_a, delta), EigenPattern.identities(3),
                 StepFunction.constant(10), delta, [PLFunction.identity()], F(1, 10**6),
-                unit_weight(), unit_weight())
+                StepFunction.constant(1), StepFunction.constant(1))
         out = _outcome(perturb_pattern, *args)
         assert out == ("infeasible", "deviation 3/4 on a test element exceeds the budget "
                        "1/1000000", None)
@@ -344,7 +343,7 @@ class TestVerifyCertificate:
         d_b = combine_steps([push_dimension(pattern, d_a)], lambda v: v + 1)
         cert = perturb_pattern(
             d_a, f_prime, pattern, d_b, delta, [PLFunction.identity()],
-            eps, unit_weight(), push_dimension(pattern, unit_weight()),
+            eps, StepFunction.constant(1), push_dimension(pattern, StepFunction.constant(1)),
         )
         # the identity crosses the pinch window, where d_A exceeds f'
         tampered_pattern = EigenPattern(
@@ -395,7 +394,7 @@ def _random_certified_instance(rng, max_m=8):
         pattern = rand_pattern(rng, max_m=m)
         gap = rng.randint(1, 3)
         d_b = combine_steps([push_dimension(pattern, d_a)], lambda v: v + gap)
-        w_dom = unit_weight()
+        w_dom = StepFunction.constant(1)
         w_cod = push_dimension(pattern, w_dom)
         return perturb_pattern(
             d_a, f_prime, pattern, d_b, delta, [PLFunction.identity()],
@@ -419,7 +418,7 @@ def _repeated_instance(rng, max_m=8):
         pattern = EigenPattern(tuple(rng.choice(distinct) for _ in range(m)))
         gap = rng.choice([-1, 0, 1, 2])
         d_b = combine_steps([push_dimension(pattern, d_a)], lambda v: max(v + gap, F(1)))
-        w_dom = unit_weight()
+        w_dom = StepFunction.constant(1)
         w_cod = push_dimension(pattern, w_dom)
         elements = [PLFunction.identity(), rand_pl(rng, 3)]
         return d_a, f_prime, pattern, d_b, delta, elements, eps, w_dom, w_cod
@@ -467,7 +466,7 @@ class TestDistinctEigenfunctionsMatchReferences:
         crossing_too = PLFunction((0, 1), (F(1, 3), F(3, 4)))
         pattern = EigenPattern((safe, crossing_too, crossing, safe, crossing_too))
         args = (d_a, f_prime, pattern, StepFunction.constant(20), delta,
-                [PLFunction.identity()], F(1, 2), unit_weight(), StepFunction.constant(4))
+                [PLFunction.identity()], F(1, 2), StepFunction.constant(1), StepFunction.constant(4))
         with pytest.raises(Infeasible) as err:
             perturb_pattern(*args)
         with pytest.raises(Infeasible) as ref:
@@ -489,8 +488,8 @@ class TestDistinctEigenfunctionsMatchReferences:
         d_b = combine_steps([push_dimension(pattern, d_a)], lambda v: v + 1)
         return perturb_pattern(
             d_a, make_underapprox(d_a, delta), pattern, d_b, delta,
-            [PLFunction.identity()], eps, unit_weight(),
-            push_dimension(pattern, unit_weight()),
+            [PLFunction.identity()], eps, StepFunction.constant(1),
+            push_dimension(pattern, StepFunction.constant(1)),
         )
 
     @pytest.mark.parametrize("i", [0, 1, 2])
@@ -545,7 +544,7 @@ def _squash_collision_args():
     pattern = EigenPattern((lam, bent, lam))
     d_b = combine_steps([push_dimension(pattern, d_a)], lambda v: v + 1)
     return (d_a, make_underapprox(d_a, delta), pattern, d_b, delta,
-            [PLFunction.identity(), bent], eps, unit_weight(), StepFunction.constant(m))
+            [PLFunction.identity(), bent], eps, StepFunction.constant(1), StepFunction.constant(m))
 
 
 class TestCompositionsAreShared:
@@ -616,7 +615,7 @@ class TestEigenCheckBuildsNoDifference:
         lam = PLFunction((0, F(1, 3), 1), (0, F(1, 2), 1))
         hat = compose_pl(squash_map(d_a, choose_delta(F(1, 2), 3)), lam)
         d_a_of_hat, f_prime_of_lam = compose_step_pl(d_a, hat), compose_pl(f_prime, lam)
-        expected = (weighted_sup_norm(hat - lam, unit_weight()).value,
+        expected = (weighted_sup_norm(hat - lam, StepFunction.constant(1)).value,
                     le_pointwise(d_a_of_hat, f_prime_of_lam))
         assert expected[0] > 0
 
@@ -690,7 +689,7 @@ class TestNormChainBound:
             d_b = combine_steps([push_dimension(pattern, d_a)], lambda v: v + 1)
             cert = perturb_pattern(
                 d_a, f_prime, pattern, d_b, delta, [PLFunction.identity()],
-                eps, unit_weight(), push_dimension(pattern, unit_weight()),
+                eps, StepFunction.constant(1), push_dimension(pattern, StepFunction.constant(1)),
             )
             for fact in cert.element_facts:
                 assert fact.deviation <= 2 * delta * m * m

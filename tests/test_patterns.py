@@ -30,7 +30,6 @@ from ctrace.pwcalc import (
     compose_pl,
     le_pointwise,
     linear_combine,
-    unit_weight,
     weighted_sup_norm,
 )
 
@@ -210,7 +209,7 @@ class TestCountedPatternsMatchReferences:
         assert all(counts[f] == 4 for f in same)
         # a difference subtracts on its own copy of the counts
         other = EigenPattern((lam, nu, lam))
-        deviation(pattern, other, nu, unit_weight(), unit_weight())
+        deviation(pattern, other, nu, StepFunction.constant(1), StepFunction.constant(1))
         assert list(pattern.counts.items()) == [(mu, 3), (lam, 1)]
         assert list(other.counts.items()) == [(lam, 2), (nu, 1)]
 
@@ -320,7 +319,7 @@ class TestDeviation:
     @settings(max_examples=60, deadline=None)
     def test_matches_the_per_index_reference(self, pqa, w_cod):
         # each copy of an eigenfunction composed and summed on its own
-        self.check(*pqa, unit_weight(), w_cod, ref_apply_pattern)
+        self.check(*pqa, StepFunction.constant(1), w_cod, ref_apply_pattern)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -341,7 +340,7 @@ class TestDeviation:
         # lam cancels, mu's counts differ: |a(1/3)| = 1/3 over the least weight 1/2
         p = EigenPattern((lam, mu, mu))
         assert deviation(p, EigenPattern((lam, mu)), a, w, w) == (F(2, 3), 3)
-        self.check(p, EigenPattern((mu, lam, lam)), a, w, unit_weight())
+        self.check(p, EigenPattern((mu, lam, lam)), a, w, StepFunction.constant(1))
 
     def test_cancelled_terms_are_not_composed(self, monkeypatch):
         from ctrace import patterns
@@ -366,7 +365,7 @@ class TestDeviation:
                                       ValueError, "weights must be strictly positive"),
                                      (PLFunction.constant(1), TypeError, "weights are step functions")):
             with pytest.raises(kind, match=message):
-                deviation(p, q, a, unit_weight(), w_cod)
+                deviation(p, q, a, StepFunction.constant(1), w_cod)
 
     def test_builds_no_difference(self, monkeypatch):
         from ctrace import patterns, pwcalc
@@ -584,14 +583,14 @@ class TestUniquenessHypothesis:
         pattern = rand_pattern(rng, max_m=4)
         assert uniqueness_hypothesis_check(
             pattern, pattern, 1, F(1, pattern.multiplicity),
-            unit_weight(), unit_weight(),
+            StepFunction.constant(1), StepFunction.constant(1),
         )
 
     def test_dropped_eigenfunction_fails(self):
         phi = EigenPattern.identities(2)
         psi = EigenPattern((PLFunction.identity(), PLFunction.constant(0)))
         rep = uniqueness_hypothesis_check(
-            phi, psi, 1, F(1, 10), unit_weight(), unit_weight()
+            phi, psi, 1, F(1, 10), StepFunction.constant(1), StepFunction.constant(1)
         )
         assert not rep
         assert rep.density_ok
@@ -610,7 +609,7 @@ class TestUniquenessHypothesis:
         delta = m * d * eta + F(1, 32)
         assert delta <= F(1, d)
         rep = uniqueness_hypothesis_check(
-            phi, psi, d, delta, unit_weight(), unit_weight()
+            phi, psi, d, delta, StepFunction.constant(1), StepFunction.constant(1)
         )
         assert rep.holds
 

@@ -36,7 +36,6 @@ from ctrace.pwcalc import (
     merged_points,
     refine,
     sup_distance,
-    unit_weight,
     weighted_sup_norm,
     _weighted_sup_of_sum,
 )
@@ -709,7 +708,7 @@ class TestLePointwise:
 class TestWeightedSupNorm:
     def test_unit_weight_is_sup_norm(self):
         f = PLFunction((0, F(1, 2), 1), (-3, 1, 2))
-        res = weighted_sup_norm(f, unit_weight())
+        res = weighted_sup_norm(f, StepFunction.constant(1))
         assert res.value == 3
         assert res.at == 0
         assert res.attained
@@ -722,7 +721,7 @@ class TestWeightedSupNorm:
             (0, F(3, 8), F(3, 8), F(3, 4), 1),
         )
         diff = lam_hat - PLFunction.identity()
-        assert weighted_sup_norm(diff, unit_weight()).value == 2 * delta
+        assert weighted_sup_norm(diff, StepFunction.constant(1)).value == 2 * delta
 
     def test_constant_weight_scales(self):
         res = weighted_sup_norm(PLFunction.constant(1), StepFunction.constant(2))
@@ -894,7 +893,7 @@ class TestLostBends:
         g = PLFunction((0, F(1, 5), F(2, 5), F(3, 5), F(4, 5), 1),
                        (0, F(1, 2), F(1, 3), F(2, 3), F(1, 2), 1))
         out = compose_pl(f, g)
-        pts, g_vals, _, _ = ref_preimage_refinement(g, f.breakpoints)
+        pts, g_vals, *_ = ref_preimage_refinement(g, f.breakpoints)
         assert len(pts) == 8
         assert (out.breakpoints, out.values) == ref_pl_canonical(pts, [f.eval(y) for y in g_vals])
         assert out == ref_compose_pl(f, g) == PLFunction((0, F(1, 10), F(9, 10), 1), (1, 0, 0, 1))
@@ -918,6 +917,16 @@ class TestLostBends:
         assert len(merged_points(*fns)[0]) == 5
         assert out == ref_linear_combine(coeffs, fns) == h
         assert len(out.breakpoints) == 3
+
+    def test_linear_combine_steps_drops_the_points_of_a_cancelled_function(self):
+        s = StepFunction.from_profile((0, F(1, 4), F(1, 3), F(3, 4), 1), (1, 2, 0, 5, 1), (3, 4, 2, 0))
+        t = StepFunction.from_profile((0, F(1, 2), 1), (0, 7, 1), (F(1, 3), 2))
+        coeffs, steps = [F(5, 2), 3, F(-5, 2)], [s, t, s]
+        out = linear_combine_steps(coeffs, steps)
+        assert len(merged_points(*steps)[0]) == 6
+        assert out == ref_add_steps([t] * 3) == StepFunction.from_profile(
+            (0, F(1, 2), 1), (0, 21, 3), (1, 6))
+        assert len(out.points) == len(t.points) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -980,9 +989,11 @@ def public_values(h) -> list:
 
 
 def recanonicalized(h):
-    """h's stored terms stored again through the constructor that scans
-    every point for a lost bend: equal to h exactly when h is canonical."""
-    return type(h)._from_kernel(*(vars(h)[name] for name in h._stored))
+    """h's stored terms stored again through ``_store``, which scans every
+    point for a lost bend: equal to h exactly when h is canonical."""
+    out = object.__new__(type(h))
+    out._store(*(vars(h)[name] for name in h._stored))
+    return out
 
 
 @st.composite
@@ -1103,12 +1114,16 @@ def check_compositions(mode, f, d, g):
     assert all(h == recanonicalized(h) for h in out)
     if mode == REORDERED:
         for targets in (f.breakpoints, d.points):
-            pts, g_vals, at, cells = _preimage_refinement(g, as_pairs(targets))
-            out = as_fractions(pts), as_fractions(g_vals), at, cells
+            pts, g_vals, at, cells, own = _preimage_refinement(g, as_pairs(targets))
+            out = as_fractions(pts), as_fractions(g_vals), at, cells, own
             assert out == ref_preimage_refinement(g, targets)
-        out = compose_pl(f, g), compose_step_pl(d, g)
-        with fraction_ordered_kernels():
-            assert (compose_pl(f, g), compose_step_pl(d, g)) == out
+        if g == identity:
+            # both compositions return an operand and refine nothing
+            assert compose_pl(f, g) is f and compose_step_pl(d, g) is d
+        else:
+            out = compose_pl(f, g), compose_step_pl(d, g)
+            with fraction_ordered_kernels():
+                assert (compose_pl(f, g), compose_step_pl(d, g)) == out
 
 
 @st.composite
@@ -1135,7 +1150,8 @@ COMPOSITION_CASES = {
     **{f"edge-inner-g{i}": examples_only((EDGE_PL, EDGE_STEP, g)) for i, g in enumerate(EDGE_INNERS)},
     "stored-fractions": examples_only(STORED),
     "near-ties": Case(outers_and_inner(near_tie_pl_functions(), near_tie_step_functions(),
-                                       near_tie_inner_functions), 200, REORDERED),
+                                       near_tie_inner_functions), 200, REORDERED,
+                      examples=((TIED_PLS[0], TIED_STEPS[0], PLFunction.identity()),)),
     "any-inner": Case(st.tuples(sweep_pl_functions, sweep_step_functions, st.one_of(
         inner_functions(), near_tie_inner_functions(), sweep_pl_functions)), 150),
     # f flat where g bends, g bending inside a cell of d
@@ -1216,6 +1232,10 @@ SUM_CASES = {
     "lost-bends": Case(st.tuples(st.tuples(
         sweep_coefficients, sweep_pl_functions, sweep_pl_functions, st.integers(-2, 2)).map(
             lambda a: [(a[0], a[1]), (a[3], a[2]), (-F(a[0]), a[1])])), 80),
+    # c s + k t - c s: s's points that are not t's change nothing
+    "lost-step-points": Case(st.tuples(st.tuples(
+        sweep_coefficients, sweep_step_functions, sweep_step_functions, st.integers(-2, 2)).map(
+            lambda a: [(a[0], a[1]), (a[3], a[2]), (-F(a[0]), a[1])])), 80),
 }
 
 
@@ -1291,7 +1311,7 @@ def check_extrema(mode, upper, lower, f, w, terms):
             cancelled = (_weighted_sup_of_sum([*coeffs, *(-F(c) for c in coeffs)], fns + fns, w),
                          _weighted_sup_of_sum([], [], w))
         # the values of the norms of the functions they do not build
-        distance = weighted_sup_norm(first - last, unit_weight()).value
+        distance = weighted_sup_norm(first - last, StepFunction.constant(1)).value
         assert out == (weighted_sup_norm(linear_combine(coeffs, fns), w).value,
                        distance, distance, 0)
         assert all(type(x) is F for x in out)
@@ -1300,7 +1320,7 @@ def check_extrema(mode, upper, lower, f, w, terms):
 
 def distance_args(f, g):
     """The arguments that make ``check_extrema`` compare f and g."""
-    return None, None, None, unit_weight(), [(1, f), (-1, g)]
+    return None, None, None, StepFunction.constant(1), [(1, f), (-1, g)]
 
 
 # |h| / w peaks on the point 1/2 when w is light there, else as the
@@ -1389,7 +1409,7 @@ PINS = {
             b.step, b.weight])), 0),
     "sups build no function": (
         refusing((pwcalc, "linear_combine"), (pwcalc, "weighted_sup_norm"),
-                 (PLFunction, "_from_kernel"), (PLFunction, "_from_canonical")),
+                 (PLFunction, "_store"), (PLFunction, "_from_canonical")),
         lambda b: (sup_distance(b.pl, b.g), _weighted_sup_of_sum([2, -1], [b.pl, b.g], b.weight)),
         0),
     "combine_steps evaluates no function per point": (

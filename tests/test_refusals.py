@@ -18,7 +18,6 @@ from ctrace.pwcalc import (
     _merge,
     combine_steps,
     ensure_positive_weight,
-    unit_weight,
     weighted_sup_norm,
 )
 
@@ -36,7 +35,7 @@ REFUSALS = [
     ("combine_nothing", lambda: combine_steps([], max), ValueError, "nothing to combine"),
     ("pl_weight", lambda: ensure_positive_weight(PLFunction.constant(1)), TypeError,
      "weights are step functions"),
-    ("norm_of_step", lambda: weighted_sup_norm(StepFunction.constant(1), unit_weight()), TypeError,
+    ("norm_of_step", lambda: weighted_sup_norm(StepFunction.constant(1), StepFunction.constant(1)), TypeError,
      "weighted_sup_norm expects a piecewise-linear function"),
     ("merge_non_function", lambda: _merge(1), TypeError, "not a piecewise function: 1"),
     ("mat2_shape", lambda: unitary.as_mat2(np.zeros((2, 3))), ValueError,

@@ -5,6 +5,9 @@ is killed when ``tests/test_pwcalc.py`` fails on it.  The tests run in a
 temporary copy of ``src/``, ``tests/`` and ``pyproject.toml``, never in the
 checkout, once the unmutated module as ``ast.unparse`` writes it has passed.
 Prints each outcome, the kill rate, the surviving sites and the wall time.
+A site is named by its function, its index among the function's sites and
+the swap, such as ``compose_pl#3 < -> <=``, so that runs on different
+versions of the module can be compared line by line.
 Not part of the test suite or CI: a run takes an hour or more.  ``--only``
 mutates just the named functions, so a run over a few kernels takes minutes.
 
@@ -33,9 +36,11 @@ SWAPS = {**dict(PAIRS), **{b: a for a, b in PAIRS}}
 
 
 def sites(tree: ast.Module, only: set = frozenset()) -> list:
-    """``(node, i)`` for each swappable operator in the functions named
-    ``only``, or else in every function from ``_merge`` on, in source order;
-    ``i`` picks a comparison's operator, None a binary operation's."""
+    """``(name, k, node, i)`` for each swappable operator in the functions
+    named ``only``, or else in every module-level statement from ``_merge``
+    on, in source order: the site is the ``k``-th of its function (or
+    class) ``name``, and ``i`` picks a comparison's operator, None a
+    binary operation's."""
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     if only:
         scopes = [node for node in functions if node.name in only]
@@ -46,12 +51,17 @@ def sites(tree: ast.Module, only: set = frozenset()) -> list:
         start = next(node.lineno for node in functions if node.name == "_merge")
         scopes = [node for node in tree.body if node.lineno >= start]
     found = []
-    for node in (node for scope in scopes for node in ast.walk(scope)):
-        if isinstance(node, ast.Compare):
-            found += [(node, i) for i, op in enumerate(node.ops) if type(op) in SWAPS]
-        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
-            found.append((node, None))
-    return sorted(found, key=lambda s: (s[0].lineno, s[0].col_offset, s[1] or 0))
+    for scope in scopes:
+        here = []
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Compare):
+                here += [(node, i) for i, op in enumerate(node.ops) if type(op) in SWAPS]
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
+                here.append((node, None))
+        here.sort(key=lambda s: (s[0].lineno, s[0].col_offset, s[1] or 0))
+        name = getattr(scope, "name", f"line {scope.lineno}")
+        found += [(name, k, node, i) for k, (node, i) in enumerate(here)]
+    return found
 
 
 def swap(node, i) -> str:
@@ -100,14 +110,14 @@ def main() -> int:
             return 1
         print(f"unmutated: passed in {seconds:.0f} s; {len(targets)} mutants", flush=True)
         survivors = []
-        for k, (node, i) in enumerate(targets, 1):
-            site = f"{MODULE}:{node.lineno}:{node.col_offset} {swap(node, i)}"
+        for n, (name, k, node, i) in enumerate(targets, 1):
+            site = f"{name}#{k} {swap(node, i)}"
             (work / MODULE).write_text(ast.unparse(tree))
             swap(node, i)
             survived, seconds = passes(work)
             if survived:
                 survivors.append(f"{site}    {lines[node.lineno - 1].strip()}")
-            print(f"[{k}/{len(targets)}] {site} {'SURVIVED' if survived else 'killed'}"
+            print(f"[{n}/{len(targets)}] {site} {'SURVIVED' if survived else 'killed'}"
                   f" ({seconds:.0f} s)", flush=True)
     killed = len(targets) - len(survivors)
     print(f"killed {killed} of {len(targets)} mutants ({100 * killed / len(targets):.1f}%)")
