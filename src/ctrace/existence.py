@@ -36,6 +36,9 @@ from .pwcalc import (
     Record,
     StepFunction,
     ZERO,
+    _by_value,
+    _plus,
+    _reduced,
     compose_pl,
     compose_step_pl,
     ensure_positive_weight,
@@ -59,31 +62,51 @@ def choose_delta(eps, m: int) -> Fraction:
     return eps / (2 * m * m)
 
 
-def _windows(d: StepFunction, delta) -> tuple:
-    """delta as a Fraction, and ``(jump, a, b)`` for each jump of the
-    dimension function d, [a, b] its window of half-width delta cut to
-    [0,1]; no other breakpoint of d lies within 2*delta of a jump."""
-    delta = frac(delta)
-    if delta <= 0:
+def _checked_delta(d: StepFunction, delta) -> tuple:
+    """delta's reduced terms, once delta is positive and d a dimension function."""
+    delta = _reduced(delta)
+    if delta[0] <= 0:
         raise ValueError("delta must be positive")
     ensure_dimension_function(d)
-    jumps = d.jumps()
-    points = [j.t for j in jumps]
-    for s, s2 in zip(points, points[1:]):
-        if not s2 - s > 2 * delta:
-            raise ValueError(
-                f"windows overlap: jumps at {s} and {s2} closer than 2*delta"
-            )
-    for s in points:
-        if s == ZERO or s == ONE:
+    return delta
+
+
+def _windows(d: StepFunction, delta: tuple) -> list:
+    """The jump windows of the dimension function d at the half-width
+    delta, a positive reduced pair.
+
+    The jumps are read off d's stored profile: the points whose value
+    differs from a neighbouring cell's.  Each window is ``(t, left, value,
+    right, a, b)`` in reduced pairs: the jump t, d's limit from the left
+    (None at 0), its value and its limit from the right (None at 1), and
+    [a, b] = [t - delta, t + delta] cut to [0,1].  Overlapping windows, an
+    interior window that reaches 0 or 1 and an endpoint window that covers
+    [0,1] are refused, by cross-multiplying, so no other breakpoint of d
+    lies within 2*delta of a jump and only a jump at 0 or 1 has its window
+    cut; a Fraction is built only for an error message.
+    """
+    dn, dd = delta
+    pts, vals, opens = d._pts, d._vals, d._opens
+    last = len(pts) - 1
+    jumps = [(t, opens[i - 1] if i else None, v, opens[i] if i < last else None)
+             for i, (t, v) in enumerate(zip(pts, vals))
+             if (i and opens[i - 1] != v) or (i < last and opens[i] != v)]
+    for ((sn, sd), *_), ((rn, rd), *_) in zip(jumps, jumps[1:]):
+        # r - s > 2 * delta, over the positive denominator sd * rd * dd
+        if not (rn * sd - sn * rd) * dd > 2 * dn * sd * rd:
+            raise ValueError(f"windows overlap: jumps at {Fraction(sn, sd)} and "
+                             f"{Fraction(rn, rd)} closer than 2*delta")
+    for (sn, sd), *_ in jumps:
+        if sn == 0 or sn == sd:
             # truncated window; still must leave room on the far side
-            if not delta < ONE:
+            if not dn < dd:
                 raise ValueError("window around an endpoint jump covers all of [0,1]")
-        elif not (delta < s and delta < ONE - s):
+        elif not (dn * sd < sn * dd and dn * sd < (sd - sn) * dd):
             raise ValueError(
-                f"window around {s} reaches an endpoint; shrink delta"
+                f"window around {Fraction(sn, sd)} reaches an endpoint; shrink delta"
             )
-    return delta, [(j, max(ZERO, j.t - delta), min(ONE, j.t + delta)) for j in jumps]
+    return [(t, left, v, right, _plus(t, -dn, dd) if t[0] else t,
+             t if t == (1, 1) else _plus(t, dn, dd)) for t, left, v, right in jumps]
 
 
 def _push(pts: list, t, v) -> None:
@@ -96,6 +119,24 @@ def _push(pts: list, t, v) -> None:
     pts.append((t, v))
 
 
+def _pl(pts: list) -> PLFunction:
+    """The PL function through the reduced breakpoints ``pts``, stored in canonical form."""
+    return object.__new__(PLFunction)._store([t for t, _ in pts], [v for _, v in pts])
+
+
+def _underapprox(d: StepFunction, windows: list) -> PLFunction:
+    """f' from the jump windows of d: see :func:`make_underapprox`."""
+    pts = [((0, 1), d._vals[0])]
+    for t, left, v, right, a, b in windows:
+        if a[0]:
+            _push(pts, a, left)
+        _push(pts, t, v)
+        if b != (1, 1):
+            _push(pts, b, right)
+    _push(pts, (1, 1), d._vals[-1])
+    return _pl(pts)
+
+
 def make_underapprox(d: StepFunction, delta) -> PLFunction:
     """Continuous piecewise-linear f' <= d equal to d away from its jumps.
 
@@ -104,16 +145,34 @@ def make_underapprox(d: StepFunction, delta) -> PLFunction:
     point value d(s); in particular f'(s) = d(s).  No other breakpoint
     lies in a window, so its edge values are the jump's one-sided limits.
     """
-    windows = _windows(d, delta)[1]
-    pts = [(ZERO, d.point_values[0])]
-    for j, a, b in windows:
-        if a > ZERO:
-            _push(pts, a, j.left)
-        _push(pts, j.t, j.value)
-        if b < ONE:
-            _push(pts, b, j.right)
-    _push(pts, ONE, d.point_values[-1])
-    return PLFunction.from_pairs(pts)
+    return _underapprox(d, _windows(d, _checked_delta(d, delta)))
+
+
+def _ramp(lo: tuple, hi: tuple, delta: tuple) -> tuple:
+    """Half of min(delta, hi - lo), for lo < hi reduced: how far into the
+    gap [lo, hi] a ramp of sigma runs before it rejoins the identity."""
+    (ln, ld), (hn, hd) = lo, hi
+    wn, wd = min(delta, (hn * ld - ln * hd, ld * hd), key=_by_value)
+    return wn, 2 * wd
+
+
+def _squash(delta: tuple, windows: list) -> PLFunction:
+    """sigma from the jump windows at the half-width delta: see :func:`squash_map`."""
+    pts = [((0, 1), (0, 1))]
+    for idx, (t, left, v, right, a, b) in enumerate(windows):
+        c = a if left == v else b if right == v else t
+        if c != a:
+            wn, wd = _ramp(windows[idx - 1][5] if idx else (0, 1), a, delta)
+            x = _plus(a, -wn, wd)
+            _push(pts, x, x)
+        _push(pts, a, c)
+        _push(pts, b, c)
+        if c != b:
+            wn, wd = _ramp(b, windows[idx + 1][4] if idx + 1 < len(windows) else (1, 1), delta)
+            x = _plus(b, wn, wd)
+            _push(pts, x, x)
+    _push(pts, (1, 1), (1, 1))
+    return _pl(pts)
 
 
 def squash_map(d: StepFunction, delta) -> PLFunction:
@@ -127,22 +186,8 @@ def squash_map(d: StepFunction, delta) -> PLFunction:
     identity along linear ramps of half the available gap (at most
     delta/2 wide).
     """
-    delta, windows = _windows(d, delta)
-    pts = [(ZERO, ZERO)]
-    for idx, (j, a, b) in enumerate(windows):
-        c = a if j.left == j.value else b if j.right == j.value else j.t
-        if c != a:
-            prev_end = windows[idx - 1][2] if idx > 0 else ZERO
-            w_left = min(delta, a - prev_end) / 2
-            _push(pts, a - w_left, a - w_left)
-        _push(pts, a, c)
-        _push(pts, b, c)
-        if c != b:
-            next_start = windows[idx + 1][1] if idx + 1 < len(windows) else ONE
-            w_right = min(delta, next_start - b) / 2
-            _push(pts, b + w_right, b + w_right)
-    _push(pts, ONE, ONE)
-    return PLFunction.from_pairs(pts)
+    delta = _checked_delta(d, delta)
+    return _squash(delta, _windows(d, delta))
 
 
 @dataclass(frozen=True)
@@ -245,8 +290,10 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
     ensure_dimension_function(d_b)
     ensure_positive_weight(w_dom)
     ensure_positive_weight(w_cod)
-    expected = make_underapprox(d_a, delta)
-    if f_prime != expected:
+    # the windows serve f' and sigma, and d_A is checked once
+    terms = delta.numerator, delta.denominator
+    windows = _windows(d_a, terms)
+    if f_prime != _underapprox(d_a, windows):
         raise PreconditionFailed(
             "f_prime is not the canonical under-approximation of d_A at this delta"
         )
@@ -260,7 +307,7 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
             witness=hypothesis.witness,
         )
 
-    sigma = squash_map(d_a, delta)
+    sigma = _squash(terms, windows)
     # each distinct eigenfunction is perturbed and certified once, in
     # first-seen order, so the first failing one is the first failing index
     hats = {lam: compose_pl(sigma, lam) for lam in counts}

@@ -52,7 +52,13 @@ def frac(x) -> Fraction:
 
 def _reduced(x) -> tuple:
     """The reduced terms ``(num, den)``, den > 0, of what :func:`frac` reads."""
-    # pairs first: a Fraction check of anything else takes the slow ABC path
+    # a JSON pair of ints first; a bool, whose class is not int, takes the checks below
+    if x.__class__ is list and len(x) == 2:
+        num, den = x
+        if num.__class__ is int and den.__class__ is int and den > 0:
+            g = math.gcd(num, den)
+            return num // g, den // g
+    # pairs next: a Fraction check of anything else takes the slow ABC path
     if isinstance(x, (list, tuple)) and len(x) == 2:
         num, den = x
         if isinstance(num, bool) or isinstance(den, bool) or not (
@@ -240,8 +246,9 @@ class _Stored:
     holding the terms of the dataclass fields ``_public``, whose tuples of
     Fractions are built on first read.  Equality, the hash and ``eval``
     read the terms, so they build no such tuple.  ``_store`` canonicalizes
-    outside input and the output of ``combine_steps``; every other kernel
-    builds canonical terms and stores them through ``_from_canonical``."""
+    outside input, the output of ``combine_steps`` and the f' and sigma that
+    ``existence`` builds from jump windows; every other kernel builds
+    canonical terms and stores them through ``_from_canonical``."""
 
     _public: tuple
     _stored: tuple
@@ -304,8 +311,11 @@ class StepFunction(_Stored):
         value)``, tile [0,1] exactly once, and store their profile; returns ``self``."""
         if not runs:
             raise ValueError("a step function needs at least one piece")
-        # float keys, exact on equal floats
-        runs.sort(key=lambda r: (r[0][0] / r[0][1], _by_value(r[0]), not r[2]))
+        # runs that meet end to end already have nondecreasing keys, which
+        # the stable sort would leave as they are
+        if any(r[1] != s[0] for r, s in zip(runs, runs[1:])):
+            # float keys, exact on equal floats
+            runs.sort(key=lambda r: (r[0][0] / r[0][1], _by_value(r[0]), not r[2]))
         if runs[0][0][0] != 0 or not runs[0][2]:
             raise ValueError("pieces must start at 0 (closed)")
         if runs[-1][1] != (1, 1) or not runs[-1][3]:
@@ -459,14 +469,16 @@ class PLFunction(_Stored):
         vals = tuple(map(_reduced, own.pop("values")))
         if len(bps) != len(vals):
             raise ValueError("breakpoints and values must have equal length")
+        self._store(bps, vals)
+
+    def _store(self, bps, vals) -> "PLFunction":
+        """Store as many reduced breakpoints and values, the breakpoints
+        strictly increasing from 0 to 1, without collinear interior points;
+        returns ``self``."""
         if len(bps) < 2:
             raise ValueError("need at least the two endpoints 0 and 1")
         if bps[0] != (0, 1) or bps[-1] != (1, 1):
             raise ValueError("breakpoints must start at 0 and end at 1")
-        self._store(bps, vals)
-
-    def _store(self, bps, vals) -> None:
-        """Store reduced pairs from 0 to 1 without collinear interior points."""
         # The last kept point is always the previous input point, so the
         # slope into the current point is the slope of the segment it would
         # extend; equal slopes drop the previous point.  Kept points are
@@ -489,6 +501,7 @@ class PLFunction(_Stored):
                 sn, sd = num, den
             pn, pd, qn, qd = tn, td, vn, vd
         vars(self).update(_pts=tuple(kept_t), _vals=tuple(kept_v))
+        return self
 
     @classmethod
     def constant(cls, v) -> "PLFunction":
@@ -542,9 +555,11 @@ class PLFunction(_Stored):
     def from_json(cls, obj: dict) -> "PLFunction":
         if json_obj(obj, "a piecewise-linear function").get("kind") != "pl":
             raise ValueError("not a piecewise-linear payload")
-        # __post_init__ coerces each coordinate
-        return cls.from_pairs(json_pair(p, "each entry of points")
-                              for p in json_list(obj["points"], "points"))
+        # as __post_init__ reads them: every entry's shape, then every
+        # breakpoint, then every value, so the first defect is reported
+        points = [json_pair(p, "each entry of points") for p in json_list(obj["points"], "points")]
+        bps = [_reduced(t) for t, _ in points]
+        return object.__new__(cls)._store(bps, [_reduced(v) for _, v in points])
 
 
 PiecewiseFunction = Union[PLFunction, StepFunction]

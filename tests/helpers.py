@@ -509,7 +509,8 @@ def ref_perturb_pattern(d_a, f_prime, pattern, d_b, delta, test_elements,
     """Every eigenfunction perturbed and certified at its own index.
 
     The module's functions are looked up at call time, so a test that
-    patches ``existence.squash_map`` patches this reference too.
+    patches ``existence._squash``, which builds sigma in ``squash_map``,
+    patches this reference too.
     """
     from ctrace import existence as ex
     from ctrace.errors import Infeasible, PreconditionFailed

@@ -213,6 +213,28 @@ WINDOW_CASES = [
     ("value 0", _profile([0, F(1, 2), 1], [0, 1, 2], [1, 2]), F(1, 8)),
 ]
 
+# wide, unrelated denominators: delta = 1/(10^12 + 39) and jumps at p/q for
+# large primes q, with windows at and near the spacings where the ramps
+# change shape (2*delta apart, or under delta apart so they meet halfway)
+WIDE_DELTA = F(1, 10**12 + 39)
+WIDE_S = F(333334, 1000003)
+WINDOW_CASES += [
+    ("wide denominators", _profile([0, WIDE_S, F(666655, 999983), 1], [2, 1, 3, 4], [2, 3, 4]),
+     WIDE_DELTA),
+    ("wide jumps at 0, p/q and 1", _profile([0, WIDE_S, 1], [1, 2, 1], [2, 3]), WIDE_DELTA),
+    ("windows 2*delta apart", _profile(
+        [0, WIDE_S, WIDE_S + 4 * WIDE_DELTA, 1], [2, 1, 1, 2], [2, 3, 2]), WIDE_DELTA),
+    ("windows 1/q short of 2*delta apart", _profile(
+        [0, WIDE_S, WIDE_S + 4 * WIDE_DELTA - F(1, 10**12 + 61), 1], [2, 1, 1, 2], [2, 3, 2]),
+     WIDE_DELTA),
+    ("windows 1/q apart, ramps meet", _profile(
+        [0, WIDE_S, WIDE_S + 2 * WIDE_DELTA + F(1, 1100000000003), 1], [2, 1, 1, 2], [2, 3, 2]),
+     WIDE_DELTA),
+    ("jumps 1/q short of 2*delta apart", _profile(
+        [0, WIDE_S, WIDE_S + 2 * WIDE_DELTA - F(1, 1100000000003), 1], [2, 1, 1, 2], [2, 3, 2]),
+     WIDE_DELTA),
+]
+
 
 def _run(fn, d, delta):
     """(result, its JSON) or (exception type, message)."""
@@ -259,6 +281,23 @@ class TestJumpWindowsMatchReferences:
         monkeypatch.setattr(StepFunction, "eval", refuse)
         got = [(_run(make_underapprox, d, delta), _run(squash_map, d, delta))
                for _, d, delta in WINDOW_CASES]
+        assert got == expected
+
+    def test_no_fraction_arithmetic(self, monkeypatch):
+        # the windows, f' and sigma are built on d's stored pairs
+        built = [(d, delta) for _, d, delta in WINDOW_CASES
+                 if isinstance(_run(ref_make_underapprox, d, delta)[0], PLFunction)]
+        expected = [(_run(ref_make_underapprox, d, delta), _expected_squash(d, delta))
+                    for d, delta in built]
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic")
+
+        for op in ("add", "sub", "mul", "truediv"):
+            monkeypatch.setattr(F, f"__{op}__", refuse)
+            monkeypatch.setattr(F, f"__r{op}__", refuse)
+        got = [(_run(make_underapprox, d, delta), _run(squash_map, d, delta))
+               for d, delta in built]
         assert got == expected
 
 
@@ -312,6 +351,41 @@ class TestPerturbPattern:
         assert out == ("infeasible", "deviation 3/4 on a test element exceeds the budget "
                        "1/1000000", None)
         assert out == _outcome(ref_perturb_pattern, *args)
+
+    def test_d_a_is_checked_once(self, monkeypatch):
+        import ctrace.existence as existence
+
+        d_a, f_prime, pattern, d_b, delta, eps, w_dom, w_cod = jump_up_instance()
+        checked, real = [], existence.ensure_dimension_function
+        monkeypatch.setattr(existence, "ensure_dimension_function",
+                            lambda d: checked.append(d) or real(d))
+        perturb_pattern(d_a, f_prime, pattern, d_b, delta, [PLFunction.identity()],
+                        eps, w_dom, w_cod)
+        assert [id(d) for d in checked] == [id(d_a), id(d_b)]
+
+    @pytest.mark.parametrize("name, change, kind, message", [
+        ("delta before d_A", dict(d_a=_profile([0, F(1, 2), 1], [0, 1, 2], [1, 2]), delta=0),
+         ValueError, "delta and eps must be positive"),
+        ("eps before d_A", dict(d_a=_profile([0, F(1, 2), 1], [0, 1, 2], [1, 2]), eps=0),
+         ValueError, "delta and eps must be positive"),
+        ("d_A before f'", dict(d_a=_profile([0, F(1, 2), 1], [0, 1, 2], [1, 2])),
+         ValueError, "invalid dimension function: value 0 below 1"),
+        ("d_B before the windows", dict(d_b=_profile([0, F(1, 2), 1], [1, 3, 2], [1, 2])),
+         ValueError, "invalid dimension function: not lower semicontinuous"),
+        ("weights before the windows", dict(w_cod=StepFunction.constant(-1)),
+         ValueError, "weights must be strictly positive"),
+        ("windows before f'", {}, ValueError,
+         "windows overlap: jumps at 1/2 and 9/16 closer than 2*delta"),
+    ])
+    def test_first_refusal_is_kept(self, name, change, kind, message):
+        one = StepFunction.constant(1)
+        args = dict(d_a=_profile([0, F(1, 2), F(9, 16), 1], [1, 1, 2, 3], [1, 2, 3]),
+                    f_prime=PLFunction.identity(), pattern=EigenPattern.identities(2),
+                    d_b=StepFunction.constant(9), delta=F(1, 8),
+                    test_elements=[PLFunction.identity()], eps=1, w_dom=one, w_cod=one)
+        with pytest.raises(kind) as info:
+            perturb_pattern(**{**args, **change})
+        assert str(info.value) == message
 
     def test_wrong_f_prime_is_a_precondition_error(self):
         d_a, f_prime, pattern, d_b, delta, eps, w_dom, w_cod = jump_up_instance()
@@ -456,8 +530,9 @@ class TestDistinctEigenfunctionsMatchReferences:
     def test_first_failing_eigenfunction_is_the_first_failing_index(self, monkeypatch):
         import ctrace.existence as existence
 
-        # without the squash, an eigenfunction crossing the pinch escapes f'
-        monkeypatch.setattr(existence, "squash_map", lambda d, delta: PLFunction.identity())
+        # without the squash, an eigenfunction crossing the pinch escapes f';
+        # perturb_pattern and squash_map, so the reference too, build sigma here
+        monkeypatch.setattr(existence, "_squash", lambda delta, windows: PLFunction.identity())
         d_a = pinched_dimension_function()
         delta = choose_delta(F(1, 2), 4)
         f_prime = make_underapprox(d_a, delta)

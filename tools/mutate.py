@@ -1,18 +1,21 @@
-"""Mutation run over the exact kernels of ``ctrace.pwcalc``: each mutant swaps
-one operator (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``+``
-and ``-``) in a function of ``src/ctrace/pwcalc.py`` from ``_merge`` on, and
-is killed when ``tests/test_pwcalc.py`` fails on it.  The tests run in a
-temporary copy of ``src/``, ``tests/`` and ``pyproject.toml``, never in the
-checkout, once the unmutated module as ``ast.unparse`` writes it has passed.
-Prints each outcome, the kill rate, the surviving sites and the wall time.
-A site is named by its function, its index among the function's sites and
-the swap, such as ``compose_pl#3 < -> <=``, so that runs on different
-versions of the module can be compared line by line.
-Not part of the test suite or CI: a run takes an hour or more.  ``--only``
-mutates just the named functions, so a run over a few kernels takes minutes.
+"""Mutation run over a module of ``ctrace``: each mutant swaps one operator
+(``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``+`` and ``-``) in a
+function of ``src/ctrace/<module>.py``, and is killed when
+``tests/test_<module>.py`` fails on it.  ``--module`` is ``pwcalc`` (the
+default: the exact kernels, from ``_merge`` on) or ``existence`` (every
+function).  The tests run in a temporary copy of ``src/``, ``tests/`` and
+``pyproject.toml``, never in the checkout, once the unmutated module as
+``ast.unparse`` writes it has passed.  Prints each outcome, the kill rate,
+the surviving sites and the wall time.  A site is named by its function, its
+index among the function's sites and the swap, such as ``compose_pl#3 < ->
+<=``, so that runs on different versions of the module can be compared line
+by line.  Not part of the test suite or CI: a run over ``pwcalc`` takes an
+hour or more.  ``--only`` mutates just the named functions, so a run over a
+few of them takes minutes.
 
     python tools/mutate.py
     python tools/mutate.py --only compose_pl,_violation_point
+    python tools/mutate.py --module existence --only _windows,squash_map
 """
 
 import argparse
@@ -26,29 +29,28 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULE = Path("src", "ctrace", "pwcalc.py")
-PYTEST = [sys.executable, "-m", "pytest", "tests/test_pwcalc.py", "-x", "-q",
-          "-p", "no:cacheprovider", "--hypothesis-seed=0"]
+# each module's first mutated function when no --only is given
+FIRST = {"pwcalc": "_merge", "existence": "choose_delta"}
 SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
            ast.Eq: "==", ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-"}
 PAIRS = [(ast.Lt, ast.LtE), (ast.Gt, ast.GtE), (ast.Eq, ast.NotEq), (ast.Add, ast.Sub)]
 SWAPS = {**dict(PAIRS), **{b: a for a, b in PAIRS}}
 
 
-def sites(tree: ast.Module, only: set = frozenset()) -> list:
+def sites(tree: ast.Module, only: set = frozenset(), first: str = "_merge") -> list:
     """``(name, k, node, i)`` for each swappable operator in the functions
-    named ``only``, or else in every module-level statement from ``_merge``
-    on, in source order: the site is the ``k``-th of its function (or
-    class) ``name``, and ``i`` picks a comparison's operator, None a
-    binary operation's."""
+    named ``only``, or else in every module-level statement from the
+    function ``first`` on, in source order: the site is the ``k``-th of its
+    function (or class) ``name``, and ``i`` picks a comparison's operator,
+    None a binary operation's."""
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     if only:
         scopes = [node for node in functions if node.name in only]
         missing = only - {node.name for node in scopes}
         if missing:
-            raise SystemExit(f"no function {', '.join(sorted(missing))} in {MODULE}")
+            raise SystemExit(f"no function {', '.join(sorted(missing))} in the module")
     else:
-        start = next(node.lineno for node in functions if node.name == "_merge")
+        start = next(node.lineno for node in functions if node.name == first)
         scopes = [node for node in tree.body if node.lineno >= start]
     found = []
     for scope in scopes:
@@ -75,13 +77,15 @@ def swap(node, i) -> str:
     return f"{SYMBOLS[type(old)]} -> {SYMBOLS[type(new)]}"
 
 
-def passes(work: Path) -> tuple:
-    """Whether the tests pass in ``work``, and the seconds they took."""
+def passes(work: Path, tests: str) -> tuple:
+    """Whether the test file ``tests`` passes in ``work``, and the seconds it took."""
     # a fresh example database each run, so no mutant replays another's failure
     shutil.rmtree(work / ".hypothesis", ignore_errors=True)
     start = time.perf_counter()
+    pytest = [sys.executable, "-m", "pytest", tests, "-x", "-q",
+              "-p", "no:cacheprovider", "--hypothesis-seed=0"]
     try:
-        code = subprocess.run(PYTEST, cwd=work, env=dict(os.environ, PYTHONPATH=str(work / "src")),
+        code = subprocess.run(pytest, cwd=work, env=dict(os.environ, PYTHONPATH=str(work / "src")),
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                               timeout=600).returncode
     except subprocess.TimeoutExpired:  # a mutant that loops counts as killed
@@ -90,31 +94,35 @@ def passes(work: Path) -> tuple:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Mutation run over src/ctrace/pwcalc.py.")
+    parser = argparse.ArgumentParser(description="Mutation run over a module of src/ctrace.")
+    parser.add_argument("--module", choices=sorted(FIRST), default="pwcalc",
+                        help="the module to mutate, tested by tests/test_<module>.py")
     parser.add_argument("--only", metavar="NAME[,NAME...]", default="",
                         help="mutate only these module-level functions")
-    only = set(filter(None, parser.parse_args().only.split(",")))
+    args = parser.parse_args()
+    only = set(filter(None, args.only.split(",")))
+    module, tests = Path("src", "ctrace", f"{args.module}.py"), f"tests/test_{args.module}.py"
     began = time.perf_counter()
-    source = (ROOT / MODULE).read_text()
+    source = (ROOT / module).read_text()
     tree, lines = ast.parse(source), source.splitlines()
-    targets = sites(tree, only)
+    targets = sites(tree, only, FIRST[args.module])
     with tempfile.TemporaryDirectory(prefix="ctrace-mutate-") as tmp:
         work = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, work / part)
         shutil.copy(ROOT / "pyproject.toml", work)
-        (work / MODULE).write_text(ast.unparse(tree))
-        passed, seconds = passes(work)
+        (work / module).write_text(ast.unparse(tree))
+        passed, seconds = passes(work, tests)
         if not passed:
-            print("tests/test_pwcalc.py fails on the unmutated module as ast.unparse writes it")
+            print(f"{tests} fails on the unmutated module as ast.unparse writes it")
             return 1
         print(f"unmutated: passed in {seconds:.0f} s; {len(targets)} mutants", flush=True)
         survivors = []
         for n, (name, k, node, i) in enumerate(targets, 1):
             site = f"{name}#{k} {swap(node, i)}"
-            (work / MODULE).write_text(ast.unparse(tree))
+            (work / module).write_text(ast.unparse(tree))
             swap(node, i)
-            survived, seconds = passes(work)
+            survived, seconds = passes(work, tests)
             if survived:
                 survivors.append(f"{site}    {lines[node.lineno - 1].strip()}")
             print(f"[{n}/{len(targets)}] {site} {'SURVIVED' if survived else 'killed'}"
