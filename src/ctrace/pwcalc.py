@@ -52,21 +52,21 @@ def frac(x) -> Fraction:
 
 def _reduced(x) -> tuple:
     """The reduced terms ``(num, den)``, den > 0, of what :func:`frac` reads."""
-    # a JSON pair of ints first; a bool, whose class is not int, takes the checks below
-    if x.__class__ is list and len(x) == 2:
+    # pairs first: a Fraction check of anything else takes the slow ABC
+    # path.  A JSON list and exact ints pass on their class alone; a bool
+    # or an int subclass takes the isinstance checks.
+    if (x.__class__ is list or isinstance(x, (list, tuple))) and len(x) == 2:
         num, den = x
-        if num.__class__ is int and den.__class__ is int and den > 0:
-            g = math.gcd(num, den)
-            return num // g, den // g
-    # pairs next: a Fraction check of anything else takes the slow ABC path
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        num, den = x
-        if isinstance(num, bool) or isinstance(den, bool) or not (
-                isinstance(num, int) and isinstance(den, int)):
+        if (num.__class__ is not int or den.__class__ is not int) and (
+                isinstance(num, bool) or isinstance(den, bool) or not (
+                    isinstance(num, int) and isinstance(den, int))):
             raise TypeError(f"a [num, den] pair needs two integers, not {x!r}")
-        if den == 0:
+        if den > 0:
+            g = math.gcd(num, den)
+        elif den < 0:
+            g = -math.gcd(num, den)
+        else:
             raise ValueError(f"zero denominator in {x!r}")
-        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
         return num // g, den // g
     if isinstance(x, Fraction):
         return x.numerator, x.denominator

@@ -306,6 +306,7 @@ def _with(i, **changes):
 MALFORMED_STEPS = {
     "empty": _step(),
     "gap": _step(_piece(ZERO_, (1, 4)), _piece(HALF, ONE_, False)),
+    "gap, pieces out of order": _step(_piece(HALF, ONE_, False), _piece(ZERO_, (1, 4))),
     "overlap": _step(_piece(ZERO_, (3, 4)), _piece(HALF, ONE_, False)),
     "end covered twice": _step(_piece(ZERO_, HALF), _piece(HALF, ONE_)),
     "end covered by no piece": _step(_piece(ZERO_, HALF, True, False),
@@ -325,6 +326,7 @@ MALFORMED_STEPS = {
     "boolean end": _step(*_with(0, lo=True)),
     "boolean value": _step(*_with(1, value=[True, 1])),
     "zero denominator end": _step(*_with(2, hi=[1, 0])),
+    "negative denominator end": _step(_piece(ZERO_, (1, -2))),
     "zero denominator value": _step(*_with(0, value="1/0")),
     "float end": _step(*_with(1, lo=0.5)),
     "decimal string value": _step(*_with(2, value="0.5")),

@@ -1,5 +1,5 @@
 """Library refusals that no CLI payload reaches, each with its exact message,
-the first defect the JSON readers report, and the README's worked example,
+the first defect the PL reader reports, and the README's worked example,
 run through the CLI."""
 
 import json
@@ -24,6 +24,33 @@ from ctrace.pwcalc import (
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+
+def _pl(*points):
+    return {"kind": "pl", "points": list(points)}
+
+
+Z, H, O = [0, 1], [1, 2], [1, 1]
+# malformed PL payloads and the first defect the reader reports: it checks
+# every entry's shape, then every breakpoint, then every value
+PL_REFUSALS = [
+    ("pl_bool", _pl([Z, True], [O, O]), TypeError, "booleans are not rationals"),
+    ("pl_string", _pl(["x", Z], [O, O]), ValueError, "'x' is not an integer or a/b rational"),
+    ("pl_zero_denominator", _pl([Z, Z], [[1, 0], Z], [O, O]), ValueError,
+     "zero denominator in [1, 0]"),
+    ("pl_negative_denominator", _pl([Z, Z], [[1, -2], Z], [O, O]), ValueError,
+     "breakpoints must be strictly increasing"),
+    ("pl_breakpoint_before_value", _pl([Z, True], [["x"], O]), TypeError,
+     "cannot interpret ['x'] as a rational"),
+    ("pl_shape_before_breakpoint", _pl([["x"], Z], [O]), ValueError,
+     "each entry of points must have two entries, not 1"),
+    ("pl_one_entry_point", _pl([Z, Z], [O]), ValueError,
+     "each entry of points must have two entries, not 1"),
+    ("pl_one_point", _pl([Z, Z]), ValueError, "need at least the two endpoints 0 and 1"),
+    ("pl_unsorted", _pl([Z, Z], [[3, 4], Z], [H, Z], [O, O]), ValueError,
+     "breakpoints must be strictly increasing"),
+    ("pl_ends", _pl([H, Z], [O, O]), ValueError, "breakpoints must start at 0 and end at 1"),
+]
+
 REFUSALS = [
     ("ext", lambda: invariant.ext(0.5), TypeError, "finite values must be exact rationals"),
     ("pattern_of_steps", lambda: EigenPattern((StepFunction.constant(0),)), TypeError,
@@ -43,7 +70,8 @@ REFUSALS = [
      "expected a 2x2 matrix, got shape (2, 3)"),
     ("mat2_nan", lambda: unitary.as_mat2([[1, 0], [0, float("nan")]]), ValueError,
      "matrix entries must be finite"),
-]
+] + [(name, lambda payload=payload: PLFunction.from_json(payload), kind, message)
+     for name, payload, kind, message in PL_REFUSALS]
 
 
 @pytest.mark.parametrize("call, kind, message", [r[1:] for r in REFUSALS],
@@ -54,77 +82,9 @@ def test_library_refusal(call, kind, message):
     assert str(info.value) == message
 
 
-def _pl(*points):
-    return {"kind": "pl", "points": list(points)}
-
-
-def _piece(lo, hi, lo_closed, hi_closed, value=(1, 1)):
-    return {"lo": lo, "hi": hi, "lo_closed": lo_closed, "hi_closed": hi_closed,
-            "value": list(value)}
-
-
-def _step(*pieces):
-    return {"kind": "step", "pieces": list(pieces)}
-
-
-Z, H, O = [0, 1], [1, 2], [1, 1]
-# malformed payloads and the first defect each reader reports: a PL reader
-# checks every entry's shape, then every breakpoint, then every value
-JSON_REFUSALS = [
-    ("pl bool", PLFunction, _pl([Z, True], [O, O]), TypeError, "booleans are not rationals"),
-    ("pl string", PLFunction, _pl(["x", Z], [O, O]), ValueError,
-     "'x' is not an integer or a/b rational"),
-    ("pl zero denominator", PLFunction, _pl([Z, Z], [[1, 0], Z], [O, O]), ValueError,
-     "zero denominator in [1, 0]"),
-    ("pl negative denominator", PLFunction, _pl([Z, Z], [[1, -2], Z], [O, O]), ValueError,
-     "breakpoints must be strictly increasing"),
-    ("pl breakpoint before value", PLFunction, _pl([Z, True], [["x"], O]), TypeError,
-     "cannot interpret ['x'] as a rational"),
-    ("pl shape before breakpoint", PLFunction, _pl([["x"], Z], [O]), ValueError,
-     "each entry of points must have two entries, not 1"),
-    ("pl one-entry point", PLFunction, _pl([Z, Z], [O]), ValueError,
-     "each entry of points must have two entries, not 1"),
-    ("pl one point", PLFunction, _pl([Z, Z]), ValueError, "need at least the two endpoints 0 and 1"),
-    ("pl unsorted", PLFunction, _pl([Z, Z], [[3, 4], Z], [H, Z], [O, O]), ValueError,
-     "breakpoints must be strictly increasing"),
-    ("pl ends", PLFunction, _pl([H, Z], [O, O]), ValueError,
-     "breakpoints must start at 0 and end at 1"),
-    ("step bool", StepFunction, _step(_piece(Z, O, True, True, (True, 1))), TypeError,
-     "a [num, den] pair needs two integers, not [True, 1]"),
-    ("step string", StepFunction, _step(_piece(Z, "0.5", True, False), _piece(H, O, True, True)),
-     ValueError, "'0.5' is not an integer or a/b rational"),
-    ("step zero denominator", StepFunction, _step(_piece(Z, [1, 0], True, True)), ValueError,
-     "zero denominator in [1, 0]"),
-    ("step negative denominator", StepFunction, _step(_piece(Z, [1, -2], True, True)), ValueError,
-     "empty interval: lo=0 > hi=-1/2"),
-    ("step out of order, gap", StepFunction,
-     _step(_piece(H, O, True, True), _piece(Z, [1, 4], True, False)), ValueError,
-     "pieces do not tile [0,1]: gap or overlap at 1/4 vs 1/2"),
-    ("step gap", StepFunction, _step(_piece(Z, [1, 4], True, False), _piece(H, O, True, True)),
-     ValueError, "pieces do not tile [0,1]: gap or overlap at 1/4 vs 1/2"),
-    ("step overlap", StepFunction,
-     _step(_piece(Z, [3, 4], True, False), _piece(H, O, True, True)), ValueError,
-     "pieces do not tile [0,1]: gap or overlap at 3/4 vs 1/2"),
-    ("step doubled endpoint", StepFunction,
-     _step(_piece(Z, H, True, True), _piece(H, O, True, True)), ValueError,
-     "endpoint 1/2 covered twice"),
-    ("step missed endpoint", StepFunction,
-     _step(_piece(Z, H, True, False), _piece(H, O, False, True)), ValueError,
-     "endpoint 1/2 covered by no piece"),
-]
-
-
-@pytest.mark.parametrize("reader, payload, kind, message", [r[1:] for r in JSON_REFUSALS],
-                         ids=[r[0] for r in JSON_REFUSALS])
-def test_json_refusal(reader, payload, kind, message):
-    with pytest.raises(kind) as info:
-        reader.from_json(payload)
-    assert str(info.value) == message
-
-
-@pytest.mark.parametrize("name", ["pl breakpoint before value", "step doubled endpoint"])
-def test_json_refusal_through_the_cli(name, tmp_path, capsys):
-    _, _, payload, _, message = next(r for r in JSON_REFUSALS if r[0] == name)
+@pytest.mark.parametrize("name", ["pl_breakpoint_before_value", "pl_unsorted"])
+def test_pl_refusal_through_the_cli(name, tmp_path, capsys):
+    _, payload, _, message = next(r for r in PL_REFUSALS if r[0] == name)
     path = tmp_path / "payload.json"
     path.write_text(json.dumps({"f": payload, "t": [1, 2]}))
     assert main(["pw", "eval", str(path)]) == 2
@@ -132,16 +92,7 @@ def test_json_refusal_through_the_cli(name, tmp_path, capsys):
     assert (out.out, out.err) == ("", f"error: {message}\n")
 
 
-def test_pieces_in_any_order_store_the_same_terms():
-    pieces = [_piece(Z, [1, 3], True, False, (2, 1)), _piece([1, 3], [1, 3], True, True),
-              _piece([1, 3], O, False, True, (-5, 7))]
-    in_order = StepFunction.from_json(_step(*pieces))
-    for shuffled in (pieces[::-1], pieces[1:] + pieces[:1]):
-        out = StepFunction.from_json(_step(*shuffled))
-        assert [vars(out)[s] for s in out._stored] == [vars(in_order)[s] for s in in_order._stored]
-    assert [vars(in_order)[s] for s in in_order._stored] == [
-        ((0, 1), (1, 3), (1, 1)), ((2, 1), (1, 1), (-5, 7)), ((2, 1), (-5, 7))]
-    # a negative denominator reads as its reduced terms
+def test_negative_denominators_read_as_reduced_terms():
     pl = PLFunction.from_json(_pl([Z, [1, -2]], [O, [-2, -4]]))
     assert vars(pl)["_vals"] == ((-1, 2), (1, 2))
 
