@@ -10,7 +10,6 @@ between the two presentations and validates them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -29,7 +28,6 @@ from .pwcalc import (
 )
 
 
-@dataclass(frozen=True)
 class SpecialCheck(Record):
     valid: bool
     reason: Union[str, None] = None
@@ -105,7 +103,6 @@ def _indicator(opens: Sequence[Interval]) -> StepFunction:
     return StepFunction.from_profile(pts, at, cells)
 
 
-@dataclass(frozen=True)
 class NestedPresentation(Record):
     """Nested-open-set presentation: n-1 open subsets with A_{i+1} <= A_i."""
 

@@ -354,7 +354,8 @@ _HANDLERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser, with the subcommands of just the groups ``argv`` names."""
     parser = argparse.ArgumentParser(
         prog="ctrace",
         description="Exact step/piecewise-linear calculus, eigenvalue-pattern "
@@ -362,24 +363,26 @@ def build_parser() -> argparse.ArgumentParser:
         "unitary path patching.",
     )
     sub = parser.add_subparsers(dest="group_cmd", required=True)
-    groups, leaves = {}, {}
+    groups = {}
     for (group, name), (_, what) in _HANDLERS.items():
         if group not in groups:
-            groups[group] = sub.add_parser(group).add_subparsers(
-                dest="sub_cmd", required=True
-            )
-        leaf = leaves[group, name] = groups[group].add_parser(name)
+            group_parser = sub.add_parser(group)
+            # argparse picks a group by its exact name, so a group that
+            # argv does not name is never parsed and needs no subcommands
+            groups[group] = group_parser.add_subparsers(
+                dest="sub_cmd", required=True) if group in argv else None
+        if groups[group] is None:
+            continue
+        leaf = groups[group].add_parser(name)
         if what:
-            leaf.add_argument(
-                "infile", nargs="?", default="-",
-                help="JSON payload file (default: stdin)",
-            )
-    ce = leaves["exist", "counterexample"]
-    ce.add_argument("--delta", required=True, help="slack, as a/b")
-    ce.add_argument("--eps0", required=True, help="perturbation budget in (0,1/4), as a/b")
-    leaves["invariant", "classify"].add_argument(
-        "--plot-out", default=None, help="write 'x y class' rows here"
-    )
+            leaf.add_argument("infile", nargs="?", default="-",
+                              help="JSON payload file (default: stdin)")
+        if (group, name) == ("exist", "counterexample"):
+            leaf.add_argument("--delta", required=True, help="slack, as a/b")
+            leaf.add_argument("--eps0", required=True,
+                              help="perturbation budget in (0,1/4), as a/b")
+        elif (group, name) == ("invariant", "classify"):
+            leaf.add_argument("--plot-out", default=None, help="write 'x y class' rows here")
     return parser
 
 
@@ -422,7 +425,7 @@ def _run_entry(handler, what, entry, args) -> tuple:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -23,9 +23,8 @@ pattern is forced to overshoot a constant target at t = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Final, Sequence
 
 from .blocks import ensure_dimension_function
 from .errors import Infeasible, PreconditionFailed
@@ -190,7 +189,6 @@ def squash_map(d: StepFunction, delta) -> PLFunction:
     return _squash(delta, _windows(d, delta))
 
 
-@dataclass(frozen=True)
 class EigenFact(Record):
     """Per-eigenfunction certificate entry: the exact sup distance."""
 
@@ -208,7 +206,6 @@ def _eigen_check(lam: PLFunction, lam_hat: PLFunction, d_a_of_hat: StepFunction,
             le_pointwise(d_a_of_hat, f_prime_of_lam))
 
 
-@dataclass(frozen=True)
 class ElementFact(Record):
     """Per-test-element certificate entry: deviation and allowed bound."""
 
@@ -220,7 +217,6 @@ class ElementFact(Record):
         return cls(frac(obj["deviation"]), frac(obj["bound"]))
 
 
-@dataclass(frozen=True)
 class PerturbationCertificate(Record):
     """Self-contained record of a successful perturbation.
 
@@ -228,7 +224,7 @@ class PerturbationCertificate(Record):
     ``verify_certificate`` from the stored data alone.
     """
 
-    kind: str = field(default="perturbation_certificate", init=False)
+    kind: Final = "perturbation_certificate"
     d_A: StepFunction
     f_prime: PLFunction
     d_B: StepFunction
@@ -352,14 +348,12 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
     )
 
 
-@dataclass(frozen=True)
 class CheckItem(Record):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
 class CertificateCheck(Record):
     ok: bool
     items: tuple
@@ -449,7 +443,6 @@ def pinched_dimension_function() -> StepFunction:
     )
 
 
-@dataclass(frozen=True)
 class CounterexampleReport(Record):
     """Worked instance where a slack-weakened hypothesis is unrepairable.
 
@@ -460,7 +453,7 @@ class CounterexampleReport(Record):
     dimension function to 2m > 2m-1 there.
     """
 
-    kind: str = field(default="counterexample_report", init=False)
+    kind: Final = "counterexample_report"
     delta: Fraction
     eps0: Fraction
     multiplicity: int
@@ -469,8 +462,9 @@ class CounterexampleReport(Record):
     infeasible_ok: bool
     witness: Fraction
     pushed_at_witness: Fraction
-    d_A: StepFunction = field(repr=False)
-    f: PLFunction = field(repr=False)
+    d_A: StepFunction
+    f: PLFunction
+    _unshown = ("d_A", "f")
 
     def __bool__(self) -> bool:
         return self.hypothesis_ok and self.infeasible_ok

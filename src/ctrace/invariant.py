@@ -14,12 +14,11 @@ classification of trace-norm pairs are all computable in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .pwcalc import Record, frac, frac_pair, json_form, json_int, json_list
+from .pwcalc import Frozen, Record, frac, frac_pair, json_form, json_int, json_list
 
 INF = math.inf
 
@@ -49,7 +48,6 @@ def is_finite(x: ExtRational) -> bool:
     return x != INF
 
 
-@dataclass(frozen=True)
 class SimplexModel(Record):
     """Base of the trace cone with k extreme points."""
 
@@ -74,8 +72,7 @@ class SimplexModel(Record):
         return cls(json_int(obj["k"], "k"))
 
 
-@dataclass(frozen=True)
-class TraceNormMap:
+class TraceNormMap(Frozen):
     """Affine map on the simplex given by strictly positive vertex values,
     each a rational or +infinity."""
 
@@ -124,8 +121,7 @@ class GroupKind(str, Enum):
     SCALED_INTEGERS = "qZ"
 
 
-@dataclass(frozen=True)
-class GroupModel:
+class GroupModel(Frozen):
     """A rational group (all of Q, or q*Z) with per-state action rates.
 
     State j evaluates x to rates[j] * x.  The order-unit condition
@@ -190,7 +186,6 @@ class GroupModel:
         return cls(obj["kind"], rates(), obj.get("q"))
 
 
-@dataclass(frozen=True)
 class MembershipResult(Record):
     member: bool
     failing_vertex: Union[int, None] = None
@@ -230,14 +225,12 @@ class AiVerdict(str, Enum):
     NOT_DECIDABLE = "NOT_DECIDABLE"
 
 
-@dataclass(frozen=True)
 class VertexCheck(Record):
     f: ExtRational
     sup: Union[ExtRational, None]
     equal: bool
 
 
-@dataclass(frozen=True)
 class AiReport(Record):
     verdict: AiVerdict
     per_vertex: tuple = ()

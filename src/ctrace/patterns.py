@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -24,6 +23,7 @@ from .blocks import ensure_dimension_function
 from .errors import PreconditionFailed
 from .pwcalc import (
     AT,
+    Frozen,
     LeResult,
     ONE,
     PLFunction,
@@ -46,7 +46,6 @@ from .pwcalc import (
 )
 
 
-@dataclass(frozen=True)
 class EigenPattern(Record):
     """A nonempty multiset of eigenfunctions [0,1] -> [0,1]."""
 
@@ -133,7 +132,6 @@ def check_compat(pattern: EigenPattern, f: PLFunction, d_target: StepFunction,
     return le_pointwise(apply_pattern(pattern, f), d_target.scale(1 + slack))
 
 
-@dataclass(frozen=True)
 class DensityResult(Record):
     holds: bool
     witness_t: Union[Fraction, None] = None
@@ -215,7 +213,6 @@ def ramp_functions(d: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
 class UniquenessReport(Record):
     holds: bool
     density_ok: bool
@@ -250,7 +247,6 @@ def uniqueness_hypothesis_check(phi: EigenPattern, psi: EigenPattern, d: int,
     return UniquenessReport(True, True)
 
 
-@dataclass(frozen=True)
 class GapReport(Record):
     """Exact infimum of target minus pushed-source, with its witness."""
 
@@ -270,8 +266,7 @@ def compute_gap(pattern: EigenPattern, d_src: StepFunction,
     return GapReport(ext.value, ext.at, ext.side == AT)
 
 
-@dataclass(frozen=True)
-class ChainStage:
+class ChainStage(Frozen):
     """A stage of an intertwining chain: the map out of an algebra
     together with that algebra's dimension function."""
 
@@ -279,7 +274,6 @@ class ChainStage:
     dim: StepFunction
 
 
-@dataclass(frozen=True)
 class ChainReport(Record):
     verified: bool
     margin: Union[Fraction, None] = None

@@ -29,11 +29,10 @@ import bisect
 import functools
 import math
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Final, Iterable, Sequence, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -164,23 +163,85 @@ def json_form(x):
     return x
 
 
-class Record:
-    """A dataclass whose JSON form is its fields, by name.
+class Frozen:
+    """Named fields, fixed once ``__init__`` has set them: a class's own
+    annotated names, in order, with the class attribute of a name as its
+    default.  ``__init__`` takes them positionally or by name, save one
+    annotated ``Final``, a constant read from the class, then runs the
+    class's ``__post_init__``, if any, which may set through ``vars`` or
+    ``object.__setattr__``.  Equality and the hash read the fields; the
+    repr is a dataclass's, less the fields named in ``_unshown``."""
+
+    _unshown = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        notes = cls.__annotations__
+        cls._fields = tuple(notes)
+        names = tuple(name for name, note in notes.items() if note not in ("Final", Final))
+        # defaults follow the fields without one: for each number of
+        # positional arguments __init__ takes, the defaults after them
+        defaults = [vars(cls)[name] for name in names if name in vars(cls)]
+        first = len(names) - len(defaults)
+        tails = {first + i: tuple(defaults[i:]) for i in range(len(defaults) + 1)}
+        post, store = getattr(cls, "__post_init__", None), object.__setattr__
+
+        def __init__(self, *args, **kwargs):
+            tail = tails.get(len(args))
+            if kwargs or tail is None:
+                # dict() refuses a field given twice
+                given = dict(zip(names[first:], defaults), **dict(zip(names, args)), **kwargs)
+                if args[len(names):] or given.keys() != set(names):
+                    raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}, each once")
+                args, tail = tuple(map(given.__getitem__, names)), ()
+            # as a dataclass stores them: from Python 3.11 on the values
+            # stay inline, smaller and faster to read than a dict
+            for name, value in zip(names, args + tail):
+                store(self, name, value)
+            if post is not None:
+                post(self)
+
+        if "__init__" not in vars(cls):
+            cls.__init__ = __init__
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields
+                          if name not in self._unshown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+def field_names(record) -> tuple:
+    """The field names of a :class:`Frozen` class or instance, in order."""
+    return record._fields
+
+
+class Record(Frozen):
+    """Frozen fields whose JSON form is the fields, by name.
 
     Each field is written by :func:`json_form`.  The field names are the
     JSON keys, so a field added to a record reaches stdout.
     """
 
     def to_json(self) -> dict:
-        return {name: json_form(getattr(self, name)) for name in _field_names(type(self))}
+        return {name: json_form(getattr(self, name)) for name in self._fields}
 
 
-@functools.cache
-def _field_names(cls) -> tuple:
-    return tuple(f.name for f in fields(cls))
-
-
-@dataclass(frozen=True)
 class Interval(Record):
     """A nonempty rational subinterval of [0,1] with endpoint flags.
 
@@ -232,8 +293,7 @@ def _interval_json(obj: dict) -> tuple:
     return (lo, hi, *flags)
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(Frozen):
     interval: Interval
     value: Fraction
 
@@ -241,17 +301,14 @@ class Piece:
         object.__setattr__(self, "value", frac(self.value))
 
 
-class _Stored:
+class _Stored(Frozen):
     """A function stored as reduced pairs: ``_stored`` names the attributes
-    holding the terms of the dataclass fields ``_public``, whose tuples of
-    Fractions are built on first read.  Equality, the hash and ``eval``
-    read the terms, so they build no such tuple.  ``_store`` canonicalizes
-    outside input, the output of ``combine_steps`` and the f' and sigma that
-    ``existence`` builds from jump windows; every other kernel builds
-    canonical terms and stores them through ``_from_canonical``."""
-
-    _public: tuple
-    _stored: tuple
+    holding the terms of the fields ``_public``, whose tuples of Fractions
+    are built on first read, as the repr reads them.  Equality, the hash
+    and ``eval`` read the terms, so they build no such tuple.  ``_store``
+    canonicalizes outside input, the output of ``combine_steps`` and the f'
+    and sigma that ``existence`` builds from jump windows; every other
+    kernel builds canonical terms and stores them through ``_from_canonical``."""
 
     def __getattr__(self, name):
         # reached only for a missing attribute: a public tuple not built yet
@@ -283,7 +340,6 @@ class _Stored:
         return own["_hash"]
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class StepFunction(_Stored):
     """A finite-piece function on [0,1], stored as its profile.
 
@@ -442,15 +498,16 @@ class StepFunction(_Stored):
         return object.__new__(cls)._tile(runs)
 
 
-@dataclass(frozen=True)
-class Jump:
+class Jump(Frozen):
     t: Fraction
     left: Union[Fraction, None]
     value: Fraction
     right: Union[Fraction, None]
 
+    # its fields by name, as a Record writes them (no CLI answer is a Jump)
+    to_json = Record.to_json
 
-@dataclass(frozen=True, eq=False)
+
 class PLFunction(_Stored):
     """A continuous piecewise-linear function on [0,1].
 
@@ -683,7 +740,6 @@ def refine(*fns: PiecewiseFunction) -> tuple:
     return pts, samples
 
 
-@dataclass(frozen=True)
 class LeResult(Record):
     holds: bool
     witness: Union[Fraction, None] = None
@@ -737,7 +793,6 @@ ABOVE = "above"   # one-sided limit approaching the point from above
 BELOW = "below"   # one-sided limit approaching the point from below
 
 
-@dataclass(frozen=True)
 class Extremum(Record):
     value: Fraction
     at: Fraction

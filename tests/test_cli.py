@@ -1,5 +1,6 @@
 """Command-line integration: exit codes, determinism, JSON shapes."""
 
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctrace.cli import BAD_INPUT, INFEASIBLE, MAX_BINS, MAX_NESTED_SETS, REFUTED, main
+from ctrace.cli import (
+    _HANDLERS, BAD_INPUT, INFEASIBLE, MAX_BINS, MAX_NESTED_SETS, REFUTED, main,
+)
 from ctrace.existence import make_underapprox, pinched_dimension_function
 from ctrace.patterns import EigenPattern, push_dimension
 from ctrace.pwcalc import PLFunction, StepFunction
@@ -1035,3 +1038,62 @@ class TestInvariantArraysAndInfinity:
         code, out, _ = run(capsys, ["invariant", "classify"], payload, tmp_path)
         assert code == 0
         assert [p["x"] for p in json.loads(out)["points"]] == ["inf", "inf"]
+
+
+# The help and usage errors of `ctrace`, which builds the subcommands of the
+# group it is given only: the exit code and the sha256 of stdout and of
+# stderr, pinned as the parser that built every group printed them (the
+# same on Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0).  The keys are argv.
+HELP_CASES = {
+    "--help": (0, "b51bafb03a20989e", "e3b0c44298fc1c14"),
+    "pw --help": (0, "eb84fafafdc717ea", "e3b0c44298fc1c14"),
+    "block --help": (0, "d3fca21df1621fed", "e3b0c44298fc1c14"),
+    "pattern --help": (0, "eacce4d3aad45c30", "e3b0c44298fc1c14"),
+    "exist --help": (0, "7ca52d5dafde5b4d", "e3b0c44298fc1c14"),
+    "invariant --help": (0, "ed955a88cb4f3350", "e3b0c44298fc1c14"),
+    "unitary --help": (0, "3803b34abbb29982", "e3b0c44298fc1c14"),
+    "pw eval --help": (0, "efb61f9bbec1f6c7", "e3b0c44298fc1c14"),
+    "pw le --help": (0, "439e3754f17a1a56", "e3b0c44298fc1c14"),
+    "pw norm --help": (0, "da2493df14f52856", "e3b0c44298fc1c14"),
+    "block validate --help": (0, "ff3db4bdbd631e30", "e3b0c44298fc1c14"),
+    "block from-nested --help": (0, "c524e5fb11e276cb", "e3b0c44298fc1c14"),
+    "block to-nested --help": (0, "0cfcb2fbf245e954", "e3b0c44298fc1c14"),
+    "pattern apply --help": (0, "115c0d5e620f645b", "e3b0c44298fc1c14"),
+    "pattern push --help": (0, "e6bc058b666c22d9", "e3b0c44298fc1c14"),
+    "pattern compat --help": (0, "17511b0375a126ea", "e3b0c44298fc1c14"),
+    "pattern density --help": (0, "e213dee3e0c98b60", "e3b0c44298fc1c14"),
+    "pattern gap --help": (0, "a9882c2cd2eadebd", "e3b0c44298fc1c14"),
+    "pattern chain --help": (0, "548f58328e80a93c", "e3b0c44298fc1c14"),
+    "pattern uniqhyp --help": (0, "dd909987e35e0c0e", "e3b0c44298fc1c14"),
+    "exist fprime --help": (0, "6ee574ad74bbcda7", "e3b0c44298fc1c14"),
+    "exist perturb --help": (0, "d40bcea189337669", "e3b0c44298fc1c14"),
+    "exist verify --help": (0, "285a35f16ebccf1a", "e3b0c44298fc1c14"),
+    "exist counterexample --help": (0, "81c1337294a956f2", "e3b0c44298fc1c14"),
+    "invariant eval --help": (0, "cb878ffab24a9975", "e3b0c44298fc1c14"),
+    "invariant range --help": (0, "80983556f6d13c17", "e3b0c44298fc1c14"),
+    "invariant ai --help": (0, "59cd76b45e808ee1", "e3b0c44298fc1c14"),
+    "invariant decompose --help": (0, "e0d7a96b8c40fe7a", "e3b0c44298fc1c14"),
+    "invariant classify --help": (0, "43e71a3c65cf41da", "e3b0c44298fc1c14"),
+    "unitary patch --help": (0, "6b1329481129a15d", "e3b0c44298fc1c14"),
+    "unitary validate --help": (0, "97e2931d7c6fee68", "e3b0c44298fc1c14"),
+    "frobnicate": (2, "e3b0c44298fc1c14", "deb05d45f0f83126"),
+    "pw frobnicate": (2, "e3b0c44298fc1c14", "48307a7a50867a96"),
+    "exist counterexample --eps0 1/5": (2, "e3b0c44298fc1c14", "2ef782b3af950caa"),
+    "": (2, "e3b0c44298fc1c14", "93224397188d1b9d"),
+    "pw": (2, "e3b0c44298fc1c14", "6a76e810119d37f7"),
+}
+
+
+@pytest.mark.parametrize("argv", list(HELP_CASES), ids=lambda argv: argv or "no-arguments")
+def test_help_and_usage_errors_are_pinned(argv, capsys, monkeypatch):
+    # argparse wraps its help at the terminal's width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(argv.split())
+    out = capsys.readouterr()
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()[:16] for text in (out.out, out.err))
+    assert (code, *digests) == HELP_CASES[argv], out
+
+
+def test_help_cases_cover_every_group_and_subcommand():
+    helped = {tuple(argv.split()[:-1]) for argv in HELP_CASES if argv.endswith("--help")}
+    assert helped == {(), *((group,) for group, _ in _HANDLERS), *_HANDLERS}

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ctrace.errors import Infeasible, PreconditionFailed
 from ctrace.existence import (
     EigenFact,
+    ElementFact,
     PerturbationCertificate,
     choose_delta,
     make_underapprox,
@@ -445,6 +446,35 @@ class TestVerifyCertificate:
         check = verify_certificate(squeezed)
         assert not check
         assert any("element_deviation" in item.name for item in check.failures())
+
+    @staticmethod
+    def _jump_up_certificate():
+        d_a, f_prime, pattern, d_b, delta, eps, w_dom, w_cod = jump_up_instance()
+        return perturb_pattern(d_a, f_prime, pattern, d_b, delta, [PLFunction.identity()],
+                               eps, w_dom, w_cod)
+
+    def test_deviation_equal_to_its_bound_passes(self):
+        cert = self._jump_up_certificate()
+        dev, bound = cert.element_facts[0].deviation, cert.element_facts[0].bound
+        assert 0 < dev < bound
+        # the bound is eps times the norm of the test element
+        tight = PerturbationCertificate(**{**cert.__dict__, "eps": cert.eps * dev / bound,
+                                           "element_facts": (ElementFact(dev, dev),)})
+        check = verify_certificate(tight)
+        assert check
+        assert [i.ok for i in check.items if i.name == "element_deviation[0]"] == [True]
+
+    @pytest.mark.parametrize("facts, failing", [
+        ("eigen_facts", {"pattern_sizes_match", "eigen_distance[2]"}),
+        ("element_facts", {"element_count_matches", "element_deviation[0]"}),
+    ])
+    def test_missing_facts_fail_their_items(self, facts, failing):
+        cert = self._jump_up_certificate()
+        assert len(cert.eigen_facts) == 3 and len(cert.element_facts) == 1
+        short = PerturbationCertificate(**{**cert.__dict__, facts: getattr(cert, facts)[:-1]})
+        check = verify_certificate(short)
+        assert not check
+        assert {item.name for item in check.failures()} == failing
 
     @given(seeds)
     @settings(max_examples=25, deadline=None)

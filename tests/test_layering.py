@@ -90,8 +90,17 @@ def group_payloads():
     }
 
 
+# Standard-library modules the CLI's exact path does without: `dataclasses`
+# takes about 8 ms to import, and `inspect` is most of that.
+UNUSED_STDLIB = {"dataclasses", "inspect"}
+
+STDLIB_LOADED = "sorted(m for m in sys.modules if m in sys.stdlib_module_names)"
+
+
 def loaded_after_main(argv, payload, tmp_path):
-    """Run ctrace.cli.main in a fresh interpreter; its exit code and loaded modules."""
+    """Run ctrace.cli.main in a fresh interpreter; its exit code, the
+    ctrace modules and the top-level standard-library modules it loaded,
+    and whether it loaded numpy."""
     path = tmp_path / "payload.json"
     path.write_text(json.dumps(payload))
     proc = run_python(
@@ -99,7 +108,7 @@ def loaded_after_main(argv, payload, tmp_path):
         "from ctrace.cli import main\n"
         f"code = main({[*argv, str(path)]!r})\n"
         "mods = sorted(m for m in sys.modules if m == 'ctrace' or m.startswith('ctrace.'))\n"
-        "print(json.dumps([code, mods, 'numpy' in sys.modules]))"
+        f"print(json.dumps([code, mods, {STDLIB_LOADED}, 'numpy' in sys.modules]))"
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -108,10 +117,21 @@ def loaded_after_main(argv, payload, tmp_path):
 @pytest.mark.parametrize("group", sorted(GROUP_MODULES))
 def test_each_group_loads_only_its_modules(group, tmp_path):
     argv, payload = group_payloads()[group]
-    code, mods, numpy_loaded = loaded_after_main(argv, payload, tmp_path)
+    code, mods, stdlib, numpy_loaded = loaded_after_main(argv, payload, tmp_path)
     assert code == 0
     assert set(mods) == SHARED | {f"ctrace.{m}" for m in GROUP_MODULES[group]}
     assert numpy_loaded is (group == "unitary")
+    # numpy itself imports inspect
+    if group != "unitary":
+        assert UNUSED_STDLIB.isdisjoint(stdlib)
+    assert "json" in stdlib and "argparse" in stdlib
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    proc = run_python(f"import sys, ctrace.cli\nprint({STDLIB_LOADED})")
+    assert proc.returncode == 0, proc.stderr
+    stdlib = set(ast.literal_eval(proc.stdout.strip()))
+    assert "fractions" in stdlib and UNUSED_STDLIB.isdisjoint(stdlib)
 
 
 def test_cli_import_loads_no_handler_module():

@@ -4,10 +4,9 @@ import contextlib
 import copy
 import pickle
 import random
-from dataclasses import fields
 from fractions import Fraction as F
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Final, NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +15,10 @@ from ctrace.existence import pinched_dimension_function
 from ctrace import pwcalc
 from ctrace.patterns import EigenPattern, ramp_functions
 from ctrace.pwcalc import (
+    Extremum,
+    Frozen,
     Interval,
+    LeResult,
     PLFunction,
     Piece,
     StepFunction,
@@ -24,6 +26,7 @@ from ctrace.pwcalc import (
     compose_pl,
     compose_step_pl,
     _preimage_refinement,
+    field_names,
     frac,
     function_from_json,
     inf_difference,
@@ -525,9 +528,88 @@ class TestLinearCombineSteps:
             linear_combine_steps([1, 1], [s, PLFunction.identity()])
 
 
+class _Point(Frozen):
+    """Two fields with defaults after one without, a constant, one unshown."""
+
+    x: int
+    y: int = 0
+    label: str = ""
+    kind: Final = "point"
+    _unshown = ("label",)
+
+
+class TestFrozen:
+    """The frozen-fields base of the records and the function classes."""
+
+    def test_fields_defaults_and_constant(self):
+        assert field_names(_Point) == field_names(_Point(1)) == ("x", "y", "label", "kind")
+        p = _Point(1)
+        assert (p.x, p.y, p.label, p.kind) == (1, 0, "", "point")
+        # the constant is read from the class, as a dataclass's init=False field
+        assert vars(p) == {"x": 1, "y": 0, "label": ""}
+        assert field_names(Extremum) == ("value", "at", "side")
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((1, 2, "a"), {}), ((1, 2), {"label": "a"}), ((1,), {"label": "a", "y": 2}),
+        ((), {"label": "a", "y": 2, "x": 1}),
+    ])
+    def test_fields_positionally_or_by_name(self, args, kwargs):
+        assert list(vars(_Point(*args, **kwargs)).items()) == [("x", 1), ("y", 2), ("label", "a")]
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((), {}), ((), {"y": 2}), ((1, 2, "a", "b"), {}), ((1,), {"x": 1}), ((1,), {"z": 3}),
+        ((1,), {"kind": "line"}),
+    ])
+    def test_refused_arguments(self, args, kwargs):
+        with pytest.raises(TypeError):
+            _Point(*args, **kwargs)
+
+    def test_no_default_and_no_argument(self):
+        assert Extremum(1, 2, "at").side == "at" and Extremum(side="at", at=2, value=1).at == 2
+        for args in ((), (1, 2), (1, 2, "at", 4)):
+            with pytest.raises(TypeError):
+                Extremum(*args)
+
+    def test_assignment_is_refused(self):
+        p = _Point(1)
+        for name in ("x", "kind", "other"):
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(p, name, 2)
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        # as a __post_init__ may
+        object.__setattr__(p, "other", 3)
+        assert p.other == 3 and p.x == 1
+
+    def test_equality_and_hash_read_the_fields_only(self):
+        p, q = _Point(1, 2, "a"), _Point(1, 2, "a")
+        object.__setattr__(q, "cache", 5)
+        assert p == q and hash(p) == hash(q) == hash((1, 2, "a", "point"))
+        assert p != _Point(1, 2, "b") and p != _Point(2, 2, "a")
+        assert p != (1, 2, "a", "point") and LeResult(True) != _Point(True)
+        assert LeResult(True) == LeResult(True, None) != LeResult(True, F(1, 2))
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(_Point(1, 2, "a")) == "_Point(x=1, y=2, kind='point')"
+        assert repr(LeResult(False, F(1, 3))) == "LeResult(holds=False, witness=Fraction(1, 3))"
+
+    def test_post_init_sees_the_fields(self):
+        iv = Interval("1/2", 1, hi_closed=False)
+        assert (iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) == (F(1, 2), 1, True, False)
+        with pytest.raises(ValueError, match="empty interval"):
+            Interval(1, 0)
+
+    def test_pickle_and_copy_keep_the_instance_dict(self):
+        for p in (_Point(1, 2, "a"), LeResult(False, F(1, 3)), Interval(0, F(1, 2))):
+            for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+                assert q == p and hash(q) == hash(p)
+                assert list(vars(q).items()) == list(vars(p).items())
+
+
 class TestCachedHash:
-    """A PLFunction hashes its stored pairs once and is otherwise the
-    dataclass: the same equality, repr and fields, through copies too."""
+    """A PLFunction hashes its stored pairs once and otherwise keeps the
+    surface it had as a dataclass: the same equality, repr and fields,
+    through copies too."""
 
     @staticmethod
     def routes():
@@ -567,7 +649,7 @@ class TestCachedHash:
         # another class, or the public tuples, is not the function
         assert PLFunction.identity() != StepFunction.constant(0)
         assert f != (f.breakpoints, f.values)
-        assert [x.name for x in fields(f)] == ["breakpoints", "values"]
+        assert list(field_names(f)) == ["breakpoints", "values"]
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_copies_keep_equality_and_hash(self, cached):

@@ -2,20 +2,21 @@
 (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``+`` and ``-``) in a
 function of ``src/ctrace/<module>.py``, and is killed when
 ``tests/test_<module>.py`` fails on it.  ``--module`` is ``pwcalc`` (the
-default: the exact kernels, from ``_merge`` on) or ``existence`` (every
-function).  The tests run in a temporary copy of ``src/``, ``tests/`` and
+default: the exact kernels, from ``_merge`` on), or ``existence``,
+``blocks`` or ``patterns`` (every function and class).  The tests run in a temporary copy of ``src/``, ``tests/`` and
 ``pyproject.toml``, never in the checkout, once the unmutated module as
 ``ast.unparse`` writes it has passed.  Prints each outcome, the kill rate,
 the surviving sites and the wall time.  A site is named by its function, its
 index among the function's sites and the swap, such as ``compose_pl#3 < ->
 <=``, so that runs on different versions of the module can be compared line
 by line.  Not part of the test suite or CI: a run over ``pwcalc`` takes an
-hour or more.  ``--only`` mutates just the named functions, so a run over a
-few of them takes minutes.
+hour or more.  ``--only`` mutates just the named functions or classes (every
+method of a class), so a run over a few of them takes minutes.
 
     python tools/mutate.py
     python tools/mutate.py --only compose_pl,_violation_point
     python tools/mutate.py --module existence --only _windows,squash_map
+    python tools/mutate.py --only Frozen,Record
 """
 
 import argparse
@@ -29,8 +30,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# each module's first mutated function when no --only is given
-FIRST = {"pwcalc": "_merge", "existence": "choose_delta"}
+# each module's first mutated function or class when no --only is given
+FIRST = {"pwcalc": "_merge", "existence": "choose_delta", "blocks": "SpecialCheck",
+         "patterns": "EigenPattern"}
 SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
            ast.Eq: "==", ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-"}
 PAIRS = [(ast.Lt, ast.LtE), (ast.Gt, ast.GtE), (ast.Eq, ast.NotEq), (ast.Add, ast.Sub)]
@@ -39,18 +41,18 @@ SWAPS = {**dict(PAIRS), **{b: a for a, b in PAIRS}}
 
 def sites(tree: ast.Module, only: set = frozenset(), first: str = "_merge") -> list:
     """``(name, k, node, i)`` for each swappable operator in the functions
-    named ``only``, or else in every module-level statement from the
-    function ``first`` on, in source order: the site is the ``k``-th of its
-    function (or class) ``name``, and ``i`` picks a comparison's operator,
-    None a binary operation's."""
-    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    and classes named ``only``, or else in every module-level statement
+    from the function or class ``first`` on, in source order: the site is
+    the ``k``-th of its function (or class) ``name``, and ``i`` picks a
+    comparison's operator, None a binary operation's."""
+    defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     if only:
-        scopes = [node for node in functions if node.name in only]
+        scopes = [node for node in defs if node.name in only]
         missing = only - {node.name for node in scopes}
         if missing:
-            raise SystemExit(f"no function {', '.join(sorted(missing))} in the module")
+            raise SystemExit(f"no function or class {', '.join(sorted(missing))} in the module")
     else:
-        start = next(node.lineno for node in functions if node.name == first)
+        start = next(node.lineno for node in defs if node.name == first)
         scopes = [node for node in tree.body if node.lineno >= start]
     found = []
     for scope in scopes:
@@ -98,7 +100,7 @@ def main() -> int:
     parser.add_argument("--module", choices=sorted(FIRST), default="pwcalc",
                         help="the module to mutate, tested by tests/test_<module>.py")
     parser.add_argument("--only", metavar="NAME[,NAME...]", default="",
-                        help="mutate only these module-level functions")
+                        help="mutate only these module-level functions or classes")
     args = parser.parse_args()
     only = set(filter(None, args.only.split(",")))
     module, tests = Path("src", "ctrace", f"{args.module}.py"), f"tests/test_{args.module}.py"
