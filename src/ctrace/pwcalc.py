@@ -166,43 +166,34 @@ def json_form(x):
 class Frozen:
     """Named fields, fixed once ``__init__`` has set them: a class's own
     annotated names, in order, with the class attribute of a name as its
-    default.  ``__init__`` takes them positionally or by name, save one
-    annotated ``Final``, a constant read from the class, then runs the
-    class's ``__post_init__``, if any, which may set through ``vars`` or
-    ``object.__setattr__``.  Equality and the hash read the fields; the
-    repr is a dataclass's, less the fields named in ``_unshown``."""
+    default.  A class with no ``__init__`` of its own gets one generated,
+    as a dataclass does: ``def __init__(self, x, y=<default>)`` over the
+    fields, save one annotated ``Final``, a constant read from the class.
+    It stores each field, then runs the class's ``__post_init__``, if any,
+    which may set through ``vars`` or ``object.__setattr__``.  Equality
+    and the hash read the fields; the repr is a dataclass's, less the
+    fields named in ``_unshown``."""
 
     _unshown = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        notes = cls.__annotations__
-        cls._fields = tuple(notes)
-        names = tuple(name for name, note in notes.items() if note not in ("Final", Final))
-        # defaults follow the fields without one: for each number of
-        # positional arguments __init__ takes, the defaults after them
-        defaults = [vars(cls)[name] for name in names if name in vars(cls)]
-        first = len(names) - len(defaults)
-        tails = {first + i: tuple(defaults[i:]) for i in range(len(defaults) + 1)}
-        post, store = getattr(cls, "__post_init__", None), object.__setattr__
-
-        def __init__(self, *args, **kwargs):
-            tail = tails.get(len(args))
-            if kwargs or tail is None:
-                # dict() refuses a field given twice
-                given = dict(zip(names[first:], defaults), **dict(zip(names, args)), **kwargs)
-                if args[len(names):] or given.keys() != set(names):
-                    raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}, each once")
-                args, tail = tuple(map(given.__getitem__, names)), ()
-            # as a dataclass stores them: from Python 3.11 on the values
-            # stay inline, smaller and faster to read than a dict
-            for name, value in zip(names, args + tail):
-                store(self, name, value)
-            if post is not None:
-                post(self)
-
-        if "__init__" not in vars(cls):
-            cls.__init__ = __init__
+        cls._fields = tuple(cls.__annotations__)
+        if "__init__" in vars(cls):
+            return
+        names = [name for name, note in cls.__annotations__.items() if note not in ("Final", Final)]
+        params = [f"{name}=cls.{name}" if name in vars(cls) else name for name in names]
+        # as a dataclass stores them: from Python 3.11 on the values stay
+        # inline, smaller and faster to read than a dict
+        body = [f"store(self, {name!r}, {name})" for name in names]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        # the source holds only the class's own annotation names
+        source = f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body or ["pass"])
+        scope = {}
+        exec(source, {"store": object.__setattr__, "cls": cls}, scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -303,8 +294,9 @@ class Piece(Frozen):
 
 class _Stored(Frozen):
     """A function stored as reduced pairs: ``_stored`` names the attributes
-    holding the terms of the fields ``_public``, whose tuples of Fractions
-    are built on first read, as the repr reads them.  Equality, the hash
+    holding the terms of its fields, in order, and a subclass's own
+    ``__init__`` stores those terms alone; a field's tuple of Fractions is
+    built on first read, as the repr reads them.  Equality, the hash
     and ``eval`` read the terms, so they build no such tuple.  ``_store``
     canonicalizes outside input, the output of ``combine_steps`` and the f'
     and sigma that ``existence`` builds from jump windows; every other
@@ -313,7 +305,7 @@ class _Stored(Frozen):
     def __getattr__(self, name):
         # reached only for a missing attribute: a public tuple not built yet
         try:
-            terms = vars(self)[self._stored[self._public.index(name)]]
+            terms = vars(self)[self._stored[self._fields.index(name)]]
         except (ValueError, KeyError):
             raise AttributeError(name) from None
         vars(self)[name] = out = tuple(Fraction(n, d) for n, d in terms)
@@ -347,20 +339,19 @@ class StepFunction(_Stored):
     is the value at ``points[i]`` and ``open_values[i]`` the value on the
     open cell after it.  Canonical form drops every interior point whose
     value equals both neighbouring cells, so ``==`` is equality as
-    functions.  ``StepFunction(pieces)`` takes :class:`Piece` objects or
-    ``(Interval, value)`` pairs and checks that they tile [0,1] exactly
-    once; :attr:`pieces` gives back the maximal constant intervals.
+    functions.  ``StepFunction(pieces)`` takes :class:`Piece` objects and
+    checks that they tile [0,1] exactly once; :attr:`pieces` gives back
+    the maximal constant intervals.
     """
 
     points: tuple
     point_values: tuple
     open_values: tuple
-    _public, _stored = ("points", "point_values", "open_values"), ("_pts", "_vals", "_opens")
+    _stored = ("_pts", "_vals", "_opens")
 
     def __init__(self, pieces):
-        pieces = [(p.interval, p.value) if isinstance(p, Piece) else p for p in pieces]
-        self._tile([(_reduced(iv.lo), _reduced(iv.hi), iv.lo_closed, iv.hi_closed, _reduced(v))
-                    for iv, v in pieces])
+        self._tile([(_reduced(p.interval.lo), _reduced(p.interval.hi), p.interval.lo_closed,
+                     p.interval.hi_closed, _reduced(p.value)) for p in pieces])
 
     def _tile(self, runs: list) -> "StepFunction":
         """Check that pieces, as reduced ``(lo, hi, lo_closed, hi_closed,
@@ -518,12 +509,10 @@ class PLFunction(_Stored):
 
     breakpoints: tuple
     values: tuple
-    _public, _stored = ("breakpoints", "values"), ("_pts", "_vals")
+    _stored = ("_pts", "_vals")
 
-    def __post_init__(self):
-        own = vars(self)
-        bps = tuple(map(_reduced, own.pop("breakpoints")))
-        vals = tuple(map(_reduced, own.pop("values")))
+    def __init__(self, breakpoints, values):
+        bps, vals = tuple(map(_reduced, breakpoints)), tuple(map(_reduced, values))
         if len(bps) != len(vals):
             raise ValueError("breakpoints and values must have equal length")
         self._store(bps, vals)
@@ -612,7 +601,7 @@ class PLFunction(_Stored):
     def from_json(cls, obj: dict) -> "PLFunction":
         if json_obj(obj, "a piecewise-linear function").get("kind") != "pl":
             raise ValueError("not a piecewise-linear payload")
-        # as __post_init__ reads them: every entry's shape, then every
+        # as __init__ reads them: every entry's shape, then every
         # breakpoint, then every value, so the first defect is reported
         points = [json_pair(p, "each entry of points") for p in json_list(obj["points"], "points")]
         bps = [_reduced(t) for t, _ in points]

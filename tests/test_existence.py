@@ -1,6 +1,7 @@
 """Perturbation algorithm, certificates, and the slack counterexample."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -756,6 +757,16 @@ class TestReproduceCounterexample:
             reproduce_counterexample(F(1, 10), F(1, 3))
         with pytest.raises(ValueError):
             reproduce_counterexample(F(1, 10), 0)
+
+    @pytest.mark.parametrize("delta, eps0, message", [
+        (0, F(1, 5), "delta must lie in (0,1)"),
+        (1, F(1, 5), "delta must lie in (0,1)"),
+        (F(1, 10), 0, "eps0 must lie in (0, 1/4)"),
+        (F(1, 10), F(1, 4), "eps0 must lie in (0, 1/4)"),
+    ])
+    def test_open_range_ends_refused(self, delta, eps0, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            reproduce_counterexample(delta, eps0)
 
     def test_log_grid_of_deltas(self):
         for k in range(1, 10):

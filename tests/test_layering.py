@@ -2,7 +2,8 @@
 each CLI subcommand loads only its own group's modules, no module
 reads Fraction's private attributes, no module or tool script imports a
 name it does not use, the tool scripts import only the standard library,
-and every ctrace name the benchmark scripts use exists."""
+the mutation tool finds its sites in every module it names, and every
+ctrace name the benchmark scripts use exists."""
 
 import ast
 import importlib.util
@@ -184,6 +185,28 @@ def test_tools_import_only_the_standard_library():
     assert "ast" in modules and modules - sys.stdlib_module_names == set()
 
 
+def load_script(path: Path):
+    """A script loaded as a module, without running its ``__main__`` block."""
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mutation_tool_finds_sites_in_every_module():
+    # a rename in src/ must not leave a --module run without its first function
+    mutate = load_script(TOOLS / "mutate.py")
+    for name, first in mutate.FIRST.items():
+        tree = ast.parse((Path(SRC) / "ctrace" / f"{name}.py").read_text())
+        assert first in {node.name for node in tree.body if hasattr(node, "name")}
+        assert mutate.sites(tree, first=first)
+    tree = ast.parse((Path(SRC) / "ctrace" / "pwcalc.py").read_text())
+    assert {site[0] for site in mutate.sites(tree, {"le_pointwise"})} == {"le_pointwise"}
+    with pytest.raises(SystemExit, match="no swappable operator in field_names"):
+        mutate.sites(tree, {"field_names"})
+    with pytest.raises(SystemExit, match="no function or class no_such_name"):
+        mutate.sites(tree, {"no_such_name"})
+
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -220,9 +243,7 @@ def test_benchmark_trace_targets_resolve():
     # crash every traced run; tracing.py imports only the standard library
     path = BENCH / "tracing.py"
     assert {m.split(".")[0] for m, _ in script_imports(path)} <= sys.stdlib_module_names
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_script(path)
     entries = [(m, attr) for m, attr, _ in tracing.TARGETS] + list(tracing.COUNTED)
     assert ("ctrace.pwcalc", "StepFunction.jumps") in entries
     assert [entry for entry in entries if not resolves(*entry)] == []

@@ -14,6 +14,8 @@ from ctrace.existence import pinched_dimension_function
 from ctrace.patterns import (
     ChainStage,
     EigenPattern,
+    GapReport,
+    UniquenessReport,
     apply_pattern,
     check_compat,
     compute_gap,
@@ -613,6 +615,17 @@ class TestUniquenessHypothesis:
         )
         assert rep.holds
 
+    def test_deviation_equal_to_the_bound_fails(self):
+        # each pattern moves each probe ramp's sum by 1/16 everywhere, so
+        # with delta = 1/16 the first ramp meets its bound exactly
+        spread = (F(1, 8), F(3, 8), F(5, 8), F(7, 8))
+        phi = EigenPattern(tuple(PLFunction.constant(c) for c in spread))
+        psi = EigenPattern(tuple(PLFunction.constant(c + F(1, 64)) for c in spread))
+        one = StepFunction.constant(1)
+        assert uniqueness_hypothesis_check(phi, psi, 2, F(1, 15), one, one)
+        rep = uniqueness_hypothesis_check(phi, psi, 2, F(1, 16), one, one)
+        assert rep == UniquenessReport(False, True, 0, F(1, 16), F(1, 16))
+
     @given(seeds)
     @settings(max_examples=30, deadline=None)
     def test_balanced_under_common_rescaling(self, seed):
@@ -638,6 +651,20 @@ class TestComputeGap:
         )
         assert rep.gap == 1
         assert rep
+
+    def test_zero_gap_is_false(self):
+        assert not GapReport(F(0), F(1, 2))
+        assert GapReport(F(1, 10**9), F(1, 2)) and not GapReport(F(-1), F(0))
+
+    def test_attained_flag(self):
+        # 1 at 0 and 2 after it: a step target's gap is attained, at a cell
+        # midpoint; a PL target's can be approached as t -> 0+ only
+        d_src = StepFunction.from_profile((0, 1), (1, 2), (2,))
+        identity = EigenPattern.identities(1)
+        step_gap = compute_gap(identity, d_src, StepFunction.constant(3))
+        assert step_gap == GapReport(F(1), F(1, 2), True)
+        limit_gap = compute_gap(identity, d_src, PLFunction((0, 1), (2, 3)))
+        assert limit_gap == GapReport(F(0), F(0), False) and not limit_gap
 
     def test_pinch_against_tight_constant(self):
         m = 6
@@ -750,6 +777,25 @@ class TestVerifyChain:
         )
         assert not rep.verified
         assert "stage 0" in rep.reason
+
+    def test_each_gap_reads_the_next_stage(self):
+        # three stages, so the stage after each is not the one before it
+        stages = [
+            ChainStage(EigenPattern.identities(2), StepFunction.constant(1)),
+            ChainStage(EigenPattern.identities(1), StepFunction.constant(4)),
+            ChainStage(EigenPattern.identities(1), StepFunction.constant(9)),
+        ]
+        rep = verify_chain(stages, EigenPattern.identities(1), StepFunction.constant(20),
+                           PLFunction.constant(F(1, 2)), delta_1=1, eps_n=F(1, 2))
+        assert rep.verified
+        assert [g.gap for g in rep.stage_gaps] == [2, 5]
+
+    def test_margin_between_the_two_slacks(self):
+        # margin 7/4 - 1/2 = 5/4 exceeds delta_1 - eps_n = 1/2, not delta_1 + eps_n = 3/2
+        stage = ChainStage(EigenPattern.identities(1), StepFunction.constant(3))
+        rep = verify_chain([stage], EigenPattern.identities(1), StepFunction.constant(F(7, 4)),
+                           PLFunction.constant(F(1, 2)), delta_1=1, eps_n=F(1, 2))
+        assert rep.verified and rep.margin == F(5, 4)
 
     def test_multi_stage_verified(self):
         stages = [

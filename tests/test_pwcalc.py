@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import inspect
 import pickle
 import random
 from fractions import Fraction as F
@@ -454,12 +455,9 @@ class TestStepJsonBoundary:
         monkeypatch.setattr(pwcalc, "frac", refuse)
         assert s.to_json() == expected
 
-    def test_pairs_are_pieces(self):
-        iv = Interval(0, 1)
-        assert StepFunction([(iv, "1/2")]) == StepFunction([Piece(iv, F(1, 2))])
-        assert StepFunction([(iv, "1/2")]) == StepFunction.constant(F(1, 2))
+    def test_piece_values_are_rationals(self):
         with pytest.raises(ValueError, match="not an integer or a/b rational"):
-            StepFunction([(iv, "0.5")])
+            Piece(Interval(0, 1), "0.5")
 
     def test_interval_from_json_is_the_constructed_interval(self):
         for iv in (Interval(0, F(1, 2), True, False), Interval(F(1, 3), F(1, 3)),
@@ -569,6 +567,16 @@ class TestFrozen:
         for args in ((), (1, 2), (1, 2, "at", 4)):
             with pytest.raises(TypeError):
                 Extremum(*args)
+
+    def test_generated_init_has_the_fields_as_parameters(self):
+        assert str(inspect.signature(Extremum)) == "(value, at, side)"
+        assert str(inspect.signature(LeResult)) == "(holds, witness=None)"
+        # the constant is not a parameter; an __init__ of a class's own is kept
+        assert str(inspect.signature(_Point)) == "(x, y=0, label='')"
+        assert str(inspect.signature(PLFunction)) == "(breakpoints, values)"
+        assert Extremum.__init__.__qualname__ == "Extremum.__init__"
+        with pytest.raises(TypeError, match=r"missing 1 required positional argument: 'side'"):
+            Extremum(1, 2)
 
     def test_assignment_is_refused(self):
         p = _Point(1)
@@ -1069,7 +1077,7 @@ def kernels_only():
 
 def public_values(h) -> list:
     """Every coordinate a caller reads of a function."""
-    return [x for name in h._public for x in getattr(h, name)]
+    return [x for name in h._fields for x in getattr(h, name)]
 
 
 def recanonicalized(h):

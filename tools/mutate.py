@@ -44,13 +44,14 @@ def sites(tree: ast.Module, only: set = frozenset(), first: str = "_merge") -> l
     and classes named ``only``, or else in every module-level statement
     from the function or class ``first`` on, in source order: the site is
     the ``k``-th of its function (or class) ``name``, and ``i`` picks a
-    comparison's operator, None a binary operation's."""
+    comparison's operator, None a binary operation's.  Refuses a name the
+    module does not define, and a selection with no site."""
     defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    missing = (only or {first}) - {node.name for node in defs}
+    if missing:
+        raise SystemExit(f"no function or class {', '.join(sorted(missing))} in the module")
     if only:
         scopes = [node for node in defs if node.name in only]
-        missing = only - {node.name for node in scopes}
-        if missing:
-            raise SystemExit(f"no function or class {', '.join(sorted(missing))} in the module")
     else:
         start = next(node.lineno for node in defs if node.name == first)
         scopes = [node for node in tree.body if node.lineno >= start]
@@ -65,6 +66,8 @@ def sites(tree: ast.Module, only: set = frozenset(), first: str = "_merge") -> l
         here.sort(key=lambda s: (s[0].lineno, s[0].col_offset, s[1] or 0))
         name = getattr(scope, "name", f"line {scope.lineno}")
         found += [(name, k, node, i) for k, (node, i) in enumerate(here)]
+    if not found:
+        raise SystemExit(f"no swappable operator in {', '.join(sorted(only)) or first + ' on'}")
     return found
 
 
