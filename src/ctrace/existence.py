@@ -35,6 +35,7 @@ from .pwcalc import (
     Record,
     StepFunction,
     ZERO,
+    _ENDS,
     _by_value,
     _plus,
     _reduced,
@@ -267,13 +268,18 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
     """Perturb the pattern so d_A pushes below d_B; emit an exact certificate.
 
     Certified facts: (a) each eigenfunction moves by at most 2*delta in
-    the sup norm; (b) d_A composed with each perturbed eigenfunction is
-    dominated by f' composed with the original one, so the pushed sum is
-    at most the hypothesis sum pattern(f') <= d_B, and f' <= d_A since f'
-    is the canonical under-approximation; these two follow here without a
-    sweep, and ``verify_certificate`` sweeps both; (c) for each test
-    element a, the weighted deviation between the original and perturbed
-    pattern applied to a is at most eps times the domain norm of a.
+    the sup norm, read as sigma's distance from the identity on its range
+    [min lambda, max lambda]; (b) d_A composed with each perturbed
+    eigenfunction sigma(lambda) is dominated by f' composed with the
+    original one: one sweep of d_A(sigma) <= f' on [0,1] gives this for
+    every lambda, and each lambda is swept on its own only when that one
+    fails, so the first failing index keeps its witness.  The pushed sum
+    is then at most the hypothesis sum pattern(f') <= d_B, and f' <= d_A
+    since f' is the canonical under-approximation; these two follow here
+    without a sweep, and ``verify_certificate`` sweeps both; (c) for each
+    test element a, the weighted deviation between the original and
+    perturbed pattern applied to a is at most eps times the domain norm
+    of a.
 
     Raises :class:`Infeasible` with a witness point when the domination
     hypothesis pattern(f') <= d_B fails, or when no perturbation of the
@@ -293,7 +299,7 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
         raise PreconditionFailed(
             "f_prime is not the canonical under-approximation of d_A at this delta"
         )
-    # f'(lam) and d_A(lam_hat) are composed once each, for the sums and the checks
+    # f'(lam) is composed once per lam, for the sum and any per-lam check
     counts = pattern.counts
     f_prime_of = {lam: compose_pl(f_prime, lam) for lam in counts}
     hypothesis = le_pointwise(linear_combine([*counts.values()], [*f_prime_of.values()]), d_b)
@@ -304,20 +310,33 @@ def perturb_pattern(d_a: StepFunction, f_prime: PLFunction, pattern: EigenPatter
         )
 
     sigma = _squash(terms, windows)
+    # d_A(sigma) <= f' on [0,1] gives d_A(lam_hat) <= f'(lam) for every lam,
+    # which maps [0,1] into [0,1]; each lam is swept only when it fails
+    d_a_sigma = compose_step_pl(d_a, sigma)
+    dominated = le_pointwise(d_a_sigma, f_prime).holds
     # each distinct eigenfunction is perturbed and certified once, in
     # first-seen order, so the first failing one is the first failing index
     hats = {lam: compose_pl(sigma, lam) for lam in counts}
-    d_a_of = {hat: compose_step_pl(d_a, hat) for hat in dict.fromkeys(hats.values())}
-    facts = {}
+    d_a_of, moved, facts = {}, {}, {}
     for lam, lam_hat in hats.items():
-        dist, dom = _eigen_check(lam, lam_hat, d_a_of[lam_hat], f_prime_of[lam])
+        if lam_hat not in d_a_of:
+            # d_A(sigma) composed with lam's few segments, not lam_hat's many
+            d_a_of[lam_hat] = compose_step_pl(d_a_sigma, lam)
+        # lam_hat - lam is sigma - id on lam's range [min lam, max lam]
+        span = min(lam._vals, key=_by_value), max(lam._vals, key=_by_value)
+        if span not in moved:
+            onto = PLFunction._from_canonical(_ENDS, span)
+            moved[span] = sup_distance(compose_pl(sigma, onto), onto)
+        dist = moved[span]
         if dist > 2 * delta:
             raise AssertionError("squash construction exceeded its own budget")
-        if not dom:
-            raise Infeasible(
-                "perturbed eigenfunction escapes the under-approximation",
-                witness=dom.witness,
-            )
+        if not dominated:
+            dom = le_pointwise(d_a_of[lam_hat], f_prime_of[lam])
+            if not dom:
+                raise Infeasible(
+                    "perturbed eigenfunction escapes the under-approximation",
+                    witness=dom.witness,
+                )
         facts[lam] = EigenFact(dist)
     perturbed = EigenPattern(tuple(hats[lam] for lam in pattern.eigenfunctions))
     eigen_facts = [facts[lam] for lam in pattern.eigenfunctions]

@@ -1080,6 +1080,8 @@ def compose_pl(f: PLFunction, g: PLFunction) -> PLFunction:
     The identity on either side gives back the other operand (g if both):
     its points 0 and 1 split no segment of g, and its preimages are f's own.
     """
+    if not (isinstance(f, PLFunction) and isinstance(g, PLFunction)):
+        raise TypeError("compose_pl composes piecewise-linear functions")
     if f._vals == _ENDS == f._pts:
         # the refinement's range check, read off g's stored terms
         if not all(0 <= n <= d for n, d in g._vals):
@@ -1114,6 +1116,8 @@ def compose_step_pl(d: StepFunction, g: PLFunction) -> StepFunction:
     Finite because g is piecewise monotone; preserves lower
     semicontinuity of d.  An identity g returns d itself.
     """
+    if not (isinstance(d, StepFunction) and isinstance(g, PLFunction)):
+        raise TypeError("compose_step_pl composes a step function with a piecewise-linear one")
     if g._vals == _ENDS == g._pts:
         return d
     pts, _, at, cells, own = _preimage_refinement(g, d._pts)

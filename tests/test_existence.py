@@ -12,6 +12,7 @@ from ctrace.existence import (
     EigenFact,
     ElementFact,
     PerturbationCertificate,
+    _eigen_check,
     choose_delta,
     make_underapprox,
     perturb_pattern,
@@ -657,8 +658,11 @@ class TestCompositionsAreShared:
     """perturb_pattern and verify_certificate compose d_A with each distinct
     lambda_hat once, for the domination checks and the pushed sum, and give
     the certificates, witnesses and check items of every index on its own.
-    perturb_pattern sweeps only the hypothesis and one domination per
-    distinct lambda: f' <= d_A and the pushed sum <= d_B follow from them."""
+    perturb_pattern composes d_A with sigma once and builds d_A(lambda_hat)
+    as d_A(sigma) composed with the first lambda that gives lambda_hat. It
+    sweeps only the hypothesis and d_A(sigma) <= f', which gives every
+    domination d_A(lambda_hat) <= f'(lambda), since each lambda maps [0,1]
+    into [0,1]; f' <= d_A and the pushed sum <= d_B follow from them."""
 
     def test_two_eigenfunctions_squash_to_one(self):
         args = _squash_collision_args()
@@ -666,11 +670,14 @@ class TestCompositionsAreShared:
         assert len(pattern.counts) == 2
         with pytest.MonkeyPatch.context() as mp:
             calls = _counting(mp, "compose_step_pl")
+            sweeps = _counting(mp, "le_pointwise")
             cert = perturb_pattern(*args)
             assert len(set(cert.perturbed.eigenfunctions)) == 1
-            assert len(calls) == 1
+            # sigma, then the first lambda of the one distinct lambda_hat
+            assert calls == [squash_map(args[0], args[4]), pattern.eigenfunctions[0]]
+            assert sweeps == [args[3], args[1]]
             check = verify_certificate(cert)
-            assert len(calls) == 2
+            assert len(calls) == 3
         assert _outcome(perturb_pattern, *args) == _outcome(ref_perturb_pattern, *args)
         assert check.ok and check == ref_verify_certificate(cert)
 
@@ -682,11 +689,18 @@ class TestCompositionsAreShared:
             calls = _counting(mp, "compose_step_pl")
             sweeps = _counting(mp, "le_pointwise")
             out = _outcome(perturb_pattern, *args)
-            hats = list(dict.fromkeys(calls))
-            assert len(calls) == len(hats)
-            assert len(sweeps) <= 1 + len(args[2].counts)
+            # the hypothesis, then d_A(sigma) <= f' once it holds
+            assert sweeps == [args[3], args[1]][:len(sweeps)] and sweeps
+            if len(sweeps) == 2:
+                # sigma, then the first lambda of each distinct lambda_hat
+                sigma = squash_map(args[0], args[4])
+                assert calls[0] == sigma
+                hats = [compose_pl(sigma, lam) for lam in calls[1:]]
+                assert len(set(hats)) == len(hats)
+            else:
+                assert calls == []
             if out[0] == "ok":
-                assert len(sweeps) == 1 + len(args[2].counts)
+                assert len(sweeps) == 2
                 assert hats == list(out[2].perturbed.counts)
                 del calls[:]
                 check = verify_certificate(out[2])
@@ -707,6 +721,51 @@ class TestCompositionsAreShared:
             assert calls == list(tampered.perturbed.counts)
         assert not check.ok
         assert check == ref_verify_certificate(tampered)
+
+
+# (name, lambda, sup |sigma(lambda) - lambda|) around the jump of
+# jump_up_step() at 1/2 with delta = 1/36: sigma clamps the window
+# [17/36, 19/36] to 17/36 and ramps back to the identity at 13/24
+RANGE_CASES = [
+    ("constant inside the clamped window", PLFunction.constant(F(1, 2)), F(1, 36)),
+    ("max at the window's left edge", PLFunction((0, 1), (0, F(17, 36))), 0),
+    ("max at the window's right edge", PLFunction((0, 1), (0, F(19, 36))), F(1, 18)),
+    ("max at the ramp's end", PLFunction((0, 1), (F(1, 4), F(13, 24))), F(1, 18)),
+    ("min at the ramp's end", PLFunction((0, 1), (F(13, 24), 1)), 0),
+    ("range inside the ramp", PLFunction((0, 1), (F(8, 15), F(27, 50))), F(1, 30)),
+    ("decreasing across the window", PLFunction((0, 1), (F(3, 4), F(1, 4))), F(1, 18)),
+    ("interior min in the window", PLFunction((0, F(1, 2), 1), (F(3, 4), F(1, 2), F(3, 4))),
+     F(1, 18)),
+    ("interior max at the window's right edge",
+     PLFunction((0, F(1, 3), 1), (F(2, 5), F(19, 36), F(2, 5))), F(1, 18)),
+    ("interior min on the ramp",
+     PLFunction((0, F(2, 3), 1), (F(27, 50), F(8, 15), F(27, 50))), F(1, 30)),
+]
+
+
+class TestDistanceOnTheRange:
+    """perturb_pattern reads each sup distance as sigma's distance from the
+    identity on lambda's range [min lambda, max lambda], once per range."""
+
+    @pytest.mark.parametrize("lam, distance", [c[1:] for c in RANGE_CASES],
+                             ids=[c[0] for c in RANGE_CASES])
+    def test_matches_the_reference_and_the_eigen_check(self, lam, distance):
+        m, eps = 3, F(1, 2)
+        d_a = jump_up_step()
+        delta = choose_delta(eps, m)
+        f_prime = make_underapprox(d_a, delta)
+        pattern = EigenPattern((lam, PLFunction.identity(), lam))
+        d_b = combine_steps([push_dimension(pattern, d_a)], lambda v: v + 1)
+        args = (d_a, f_prime, pattern, d_b, delta, [PLFunction.identity()], eps,
+                StepFunction.constant(1), StepFunction.constant(m))
+        out = _outcome(perturb_pattern, *args)
+        assert out == _outcome(ref_perturb_pattern, *args)
+        assert out[0] == "ok"
+        hat = compose_pl(squash_map(d_a, delta), lam)
+        dist, dom = _eigen_check(lam, hat, compose_step_pl(d_a, hat), compose_pl(f_prime, lam))
+        assert dom
+        assert [f.sup_distance for f in out[2].eigen_facts] == [distance, 2 * delta, distance]
+        assert dist == distance
 
 
 class TestEigenCheckBuildsNoDifference:

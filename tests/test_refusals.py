@@ -12,12 +12,14 @@ import pytest
 
 from ctrace import invariant, unitary
 from ctrace.cli import main
-from ctrace.patterns import EigenPattern, ramp_functions
+from ctrace.patterns import EigenPattern, apply_pattern, check_compat, ramp_functions
 from ctrace.pwcalc import (
     PLFunction,
     StepFunction,
     _merge,
     combine_steps,
+    compose_pl,
+    compose_step_pl,
     ensure_positive_weight,
     weighted_sup_norm,
 )
@@ -66,6 +68,22 @@ REFUSALS = [
     ("norm_of_step", lambda: weighted_sup_norm(StepFunction.constant(1), StepFunction.constant(1)), TypeError,
      "weighted_sup_norm expects a piecewise-linear function"),
     ("merge_non_function", lambda: _merge(1), TypeError, "not a piecewise function: 1"),
+    ("compose_step_outer", lambda: compose_pl(StepFunction.constant(1), PLFunction.constant(F(1, 2))),
+     TypeError, "compose_pl composes piecewise-linear functions"),
+    ("compose_step_with_identity", lambda: compose_pl(StepFunction.constant(1), PLFunction.identity()),
+     TypeError, "compose_pl composes piecewise-linear functions"),
+    ("compose_identity_with_step", lambda: compose_pl(PLFunction.identity(), StepFunction.constant(1)),
+     TypeError, "compose_pl composes piecewise-linear functions"),
+    ("compose_step_pl_of_pl", lambda: compose_step_pl(PLFunction.identity(), PLFunction.identity()),
+     TypeError, "compose_step_pl composes a step function with a piecewise-linear one"),
+    ("compose_step_pl_of_steps", lambda: compose_step_pl(StepFunction.constant(1), StepFunction.constant(1)),
+     TypeError, "compose_step_pl composes a step function with a piecewise-linear one"),
+    ("apply_step", lambda: apply_pattern(EigenPattern((PLFunction.constant(F(1, 2)),)),
+                                         StepFunction.constant(1)),
+     TypeError, "compose_pl composes piecewise-linear functions"),
+    ("compat_of_step", lambda: check_compat(EigenPattern((PLFunction.constant(F(1, 2)),)),
+                                            StepFunction.constant(1), StepFunction.constant(2)),
+     TypeError, "compose_pl composes piecewise-linear functions"),
     ("mat2_shape", lambda: unitary.as_mat2(np.zeros((2, 3))), ValueError,
      "expected a 2x2 matrix, got shape (2, 3)"),
     ("mat2_nan", lambda: unitary.as_mat2([[1, 0], [0, float("nan")]]), ValueError,
